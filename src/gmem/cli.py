@@ -1,9 +1,11 @@
 """Command-line frontend: verification suites, curve generation, model
 comparison, the speedup benchmark, and the small closed-form calculators.
 
-Exit codes: 0 success, 1 tolerance/consistency failure, 2 usage error,
-3 I/O error. All subcommands are deterministic under a fixed seed; JSON
-reports carry a schema_version field and are byte-stable.
+Exit codes: 0 success, 1 tolerance/consistency failure (including a
+non-finite result, which strict JSON cannot carry), 2 usage error
+(including any non-finite number given as input), 3 I/O error. All
+subcommands are deterministic under a fixed seed; JSON reports carry a
+schema_version field and are byte-stable.
 """
 
 from __future__ import annotations
@@ -31,10 +33,19 @@ class UsageError(Exception):
     pass
 
 
+class NonFiniteResult(Exception):
+    pass
+
+
 def _json_text(payload: dict) -> str:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise NonFiniteResult(f"{payload['command']} result is not finite: "
+                              f"{e}") from None
+    return text + "\n"
 
 
 def _write_text(path, text) -> None:
@@ -52,6 +63,8 @@ def _parse_tolerances(items) -> dict:
             out[name] = float(val)
         except ValueError:
             raise UsageError(f"bad --tolerance value in {item!r}") from None
+        if not math.isfinite(out[name]):
+            raise UsageError(f"--tolerance value in {item!r} must be finite")
     return out
 
 
@@ -73,22 +86,22 @@ def _params_from(args) -> mm.MaterialParams:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
     tol = _parse_tolerances(args.tolerance)
     models = (["metric", "log", "bending"] if args.model == "all"
               else [args.model])
+    known = set().union(*(sc.VERIFY_TOLERANCES[m] for m in models))
+    unknown = sorted(set(tol) - known)
+    if unknown:
+        raise UsageError(f"unknown --tolerance name {', '.join(unknown)} "
+                         f"for --model {args.model}; valid: "
+                         f"{', '.join(sorted(known))}")
     reports = []
     for model in models:
-        if model == "bending":
-            allowed = {"stress_fd", "tangent_fd", "transpose_identity"}
-            kw = {}
-        elif model == "metric":
-            allowed = {"stress_fd", "tangent_fd", "major_symmetry",
-                       "rearrangement"}
-            kw = {"params": _params_from(args)}
-        else:
-            allowed = {"stress_fd", "major_symmetry"}
-            kw = {"params": _params_from(args)}
-        use = {k: v for k, v in tol.items() if k in allowed}
+        kw = {} if model == "bending" else {"params": _params_from(args)}
+        use = {k: v for k, v in tol.items()
+               if k in sc.VERIFY_TOLERANCES[model]}
         reports.append(sc.verify_derivatives(
             model, n_samples=args.samples, seed=args.seed,
             tolerances=use or None, **kw))
@@ -164,7 +177,10 @@ def cmd_bench(args) -> int:
 def cmd_contact(args) -> int:
     if args.r_min <= 0 or args.r_max <= args.r_min or args.steps < 2:
         raise UsageError("need 0 < r-min < r-max and steps >= 2")
-    cp = sc.ContactParams(h0=args.h0, gamma=args.gamma)
+    try:
+        cp = sc.ContactParams(h0=args.h0, gamma=args.gamma)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     radii = np.linspace(args.r_min, args.r_max, args.steps)
     if args.out:
         sc.write_contact_csv(args.out, radii, cp)
@@ -327,6 +343,10 @@ def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
         args = ap.parse_args(argv)
     if getattr(args, "out_required", False) and not args.out:
         raise UsageError("--out is required for this subcommand")
+    for key, val in vars(args).items():
+        vals = val if isinstance(val, (list, tuple)) else (val,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
+            raise UsageError(f"--{key.replace('_', '-')} must be finite")
     return args
 
 
@@ -342,6 +362,9 @@ def run(argv=None) -> int:
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
+    except NonFiniteResult as e:
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_TOLERANCE
     except OSError as e:
         sys.stderr.write(f"i/o error: {e}\n")
         return EXIT_IO

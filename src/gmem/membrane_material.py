@@ -206,13 +206,12 @@ def _sym_sandwich(u, s):
 
 def _package_stress(c: SurfTensor2, W, s_pair) -> StressResult:
     tag = c.frame_tag
-    S = SurfTensor2(*s_pair, tag)
     u = sqrt_spd(c)
-    tau_pair = _sym_sandwich((u.c11, u.c22, u.c12), s_pair)
-    tau = SurfTensor2(*tau_pair, tag)
-    J = math.sqrt(c.det())
-    sigma = tau.scaled(1.0 / J)
-    return StressResult(S, tau, sigma, W)
+    t11, t22, t12 = _sym_sandwich((u.c11, u.c22, u.c12), s_pair)
+    r = 1.0 / math.sqrt(c.c11 * c.c22 - c.c12 * c.c12)
+    return StressResult(SurfTensor2(*s_pair, tag),
+                        SurfTensor2(t11, t22, t12, tag),
+                        SurfTensor2(r * t11, r * t22, r * t12, tag), W)
 
 
 def stress_metric(c: SurfTensor2, frame: LatticeFrame,
@@ -221,22 +220,18 @@ def stress_metric(c: SurfTensor2, frame: LatticeFrame,
     return _package_stress(c, W, s_pair)
 
 
-_ISO_PAIRS = ((1.0, -1.0, 0.0), (-1.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
-def _sym_square_pairs(a):
-    """Pair matrix of (A [x] A + A (+) A) for a symmetric A."""
-    a0, a1, a2 = a
-    return ((2.0 * a0 * a0, 2.0 * a2 * a2, 2.0 * a0 * a2),
-            (2.0 * a2 * a2, 2.0 * a1 * a1, 2.0 * a1 * a2),
-            (2.0 * a0 * a2, 2.0 * a1 * a2, a0 * a1 + a2 * a2))
-
-
 def _metric_tangent_core(cc, p: MaterialParams):
-    """Returns (W, S triple, tangent 3x3 pair matrix), all analytic."""
+    """Returns (W, S triple, tangent 3x3 pair matrix), all analytic.
+
+    The pair matrix is the sum of outer products left[a] * right[b] of the
+    pair vectors ci = C^-1, cp, zz, m, n with pre-combined partners, plus
+    -H1 (C^-1 [x] C^-1 + C^-1 (+) C^-1) and (H2/J^2)(I [x] I + I (+) I -
+    I (x) I). Only the six upper entries are formed; the lower three mirror
+    them, so the matrix is exactly symmetric.
+    """
     J, lnJ, i11, i22, i12, p11, p12, J2, mC, nC, J3 = _metric_scalars(*cc)
     W, (H1, H2, H3), dH = _h_coefficients(J, lnJ, J2, J3, p, order=2)
-    (H11, H12, H13), (H21, H22, H23), (H31, H32, H33) = dH
+    (H11, H12, H13), (_h21, H22, H23), _h3row = dH
     m11, m12, n11, n12 = cc[3], cc[4], cc[5], cc[6]
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC
@@ -256,27 +251,36 @@ def _metric_tangent_core(cc, p: MaterialParams):
     g_pz = 0.25 * H23 * J2i
     g_inv = -H1
     g_iso = H2 * J2i
-    g_k = 3.0 * H3 * J2i
+    kM = 3.0 * H3 * J2i * mC
+    kN = 3.0 * H3 * J2i * nC
 
-    ci = (i11, i22, i12)
-    cp = (p11, -p11, p12)
-    zz = (z11, -z11, z12)
-    mv = (m11, -m11, m12)
-    nv = (n11, -n11, n12)
-    sq = _sym_square_pairs(ci)
-    g = [[0.0, 0.0, 0.0] for _ in range(3)]
-    for a in range(3):
-        for b in range(3):
-            val = (g_cc * ci[a] * ci[b]
-                   + g_pp * cp[a] * cp[b]
-                   + g_cp * (ci[a] * cp[b] + cp[a] * ci[b])
-                   + g_cz * (ci[a] * zz[b] + zz[a] * ci[b])
-                   + g_pz * (cp[a] * zz[b] + zz[a] * cp[b])
-                   + g_k * (mC * (mv[a] * mv[b] - nv[a] * nv[b])
-                            - nC * (mv[a] * nv[b] + nv[a] * mv[b]))
-                   + g_inv * sq[a][b]
-                   + g_iso * _ISO_PAIRS[a][b])
-            g[a][b] = val
+    # partners of ci, cp, zz, m and n; the cp, zz, m, n pair vectors are
+    # (x11, -x11, x12), so their 22 entries are the negated 11 entries
+    a0 = g_cc * i11 + g_cp * p11 + g_cz * z11
+    a1 = g_cc * i22 - g_cp * p11 - g_cz * z11
+    a2 = g_cc * i12 + g_cp * p12 + g_cz * z12
+    b0 = g_cp * i11 + g_pp * p11 + g_pz * z11
+    b1 = g_cp * i22 - g_pp * p11 - g_pz * z11
+    b2 = g_cp * i12 + g_pp * p12 + g_pz * z12
+    z0 = g_cz * i11 + g_pz * p11
+    z1 = g_cz * i22 - g_pz * p11
+    z2 = g_cz * i12 + g_pz * p12
+    mb0 = kM * m11 - kN * n11
+    mb2 = kM * m12 - kN * n12
+    nb0 = -kM * n11 - kN * m11
+    nb2 = -kM * n12 - kN * m12
+    # the 11-row terms other than ci; the 22 row carries them negated
+    r0 = p11 * b0 + z11 * z0 + m11 * mb0 + n11 * nb0
+    r1 = p11 * b1 + z11 * z1 - m11 * mb0 - n11 * nb0
+    r2 = p11 * b2 + z11 * z2 + m11 * mb2 + n11 * nb2
+    g00 = i11 * a0 + r0 + g_inv * 2.0 * i11 * i11 + g_iso
+    g01 = i11 * a1 + r1 + g_inv * 2.0 * i12 * i12 - g_iso
+    g02 = i11 * a2 + r2 + g_inv * 2.0 * i11 * i12
+    g11 = i22 * a1 - r1 + g_inv * 2.0 * i22 * i22 + g_iso
+    g12 = i22 * a2 - r2 + g_inv * 2.0 * i22 * i12
+    g22 = (i12 * a2 + p12 * b2 + z12 * z2 + m12 * mb2 + n12 * nb2
+           + g_inv * (i11 * i22 + i12 * i12) + g_iso)
+    g = ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))
     return W, (s11, s22, s12), g
 
 
@@ -284,14 +288,14 @@ def tangent_metric(c: SurfTensor2, frame: LatticeFrame,
                    p: MaterialParams) -> Tangent4:
     """Analytic elasticity tensor 2 dS/dC of the metric model."""
     _w, _s, g = _metric_tangent_core(_unpack(c, frame), p)
-    return tangent_from_pairs(np.array(g))
+    return tangent_from_pairs(g)
 
 
 def stress_tangent_metric(c: SurfTensor2, frame: LatticeFrame,
                           p: MaterialParams):
     """One-pass (StressResult, Tangent4) evaluation."""
     W, s_pair, g = _metric_tangent_core(_unpack(c, frame), p)
-    return _package_stress(c, W, s_pair), tangent_from_pairs(np.array(g))
+    return _package_stress(c, W, s_pair), tangent_from_pairs(g)
 
 
 def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
@@ -470,7 +474,7 @@ def _log_tangent_pairs(cc, p: MaterialParams, rel_step=LOG_TANGENT_STEP):
 def tangent_log(c: SurfTensor2, frame: LatticeFrame,
                 p: MaterialParams) -> Tangent4:
     g = _log_tangent_pairs(_unpack(c, frame), p)
-    return tangent_from_pairs(np.array(g))
+    return tangent_from_pairs(g)
 
 
 def stress_tangent_log(c: SurfTensor2, frame: LatticeFrame,
@@ -478,7 +482,7 @@ def stress_tangent_log(c: SurfTensor2, frame: LatticeFrame,
     cc = _unpack(c, frame)
     W, s_pair = _log_core(cc, p, order=1)
     g = _log_tangent_pairs(cc, p)
-    return _package_stress(c, W, s_pair), tangent_from_pairs(np.array(g))
+    return _package_stress(c, W, s_pair), tangent_from_pairs(g)
 
 
 @dataclass(frozen=True)

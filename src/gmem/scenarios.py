@@ -302,6 +302,15 @@ def _bending_sample(rng, c_bend, checks):
 
 DEFAULT_BEND_STIFFNESS = 0.238
 
+# Default tolerance of each check that verify_derivatives runs, per model.
+VERIFY_TOLERANCES = {
+    "metric": {"stress_fd": 1e-6, "tangent_fd": 1e-4,
+               "major_symmetry": 1e-10, "rearrangement": 1e-12},
+    "log": {"stress_fd": 1e-6, "major_symmetry": 1e-7},
+    "bending": {"stress_fd": 1e-6, "tangent_fd": 1e-5,
+                "transpose_identity": 0.0},
+}
+
 
 def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
                        n_samples: int = 200, seed: int = 0,
@@ -316,16 +325,9 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if model == "bending":
-        tols = {"stress_fd": 1e-6, "tangent_fd": 1e-5,
-                "transpose_identity": 0.0}
-    elif model == "metric":
-        tols = {"stress_fd": 1e-6, "tangent_fd": 1e-4,
-                "major_symmetry": 1e-10, "rearrangement": 1e-12}
-    elif model == "log":
-        tols = {"stress_fd": 1e-6, "major_symmetry": 1e-7}
-    else:
+    if model not in VERIFY_TOLERANCES:
         raise ValueError(f"unknown model {model!r}")
+    tols = dict(VERIFY_TOLERANCES[model])
     if tolerances:
         unknown = set(tolerances) - set(tols)
         if unknown:
@@ -367,6 +369,11 @@ class ContactParams:
 
     h0: float = 0.34
     gamma: float = 0.14
+
+    def __post_init__(self):
+        if not (self.h0 > 0.0 and self.gamma > 0.0):
+            raise ValueError(f"h0 and gamma must be positive, got "
+                             f"h0={self.h0}, gamma={self.gamma}")
 
 
 def contact_potential(r: float, cp: ContactParams = ContactParams()):
@@ -562,6 +569,6 @@ __all__ = [
     "MODEL_NAMES", "PROTOCOL_KINDS", "STRETCH_RANGE", "apex_angle",
     "beam_force", "benchmark_models", "compare_models", "contact_potential",
     "invariant_approximation_errors", "peak_of_curve", "run_curve",
-    "traction_extremum", "verify_derivatives", "write_contact_csv",
-    "write_curve_csv", "zigzag_frame", "ZIGZAG_OFFSET",
+    "traction_extremum", "verify_derivatives", "VERIFY_TOLERANCES",
+    "write_contact_csv", "write_curve_csv", "zigzag_frame", "ZIGZAG_OFFSET",
 ]

@@ -7,7 +7,7 @@ Curvilinear component sets are produced only by the geometry module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,23 +41,24 @@ class SurfTensor2:
         return self.c11 * other.c11 + self.c22 * other.c22 + 2.0 * self.c12 * other.c12
 
     def scaled(self, s: float) -> "SurfTensor2":
-        return replace(self, c11=s * self.c11, c22=s * self.c22, c12=s * self.c12)
+        return SurfTensor2(s * self.c11, s * self.c22, s * self.c12,
+                           self.frame_tag)
 
     def plus(self, other: "SurfTensor2", w: float = 1.0) -> "SurfTensor2":
         _check_frames(self, other)
-        return replace(self, c11=self.c11 + w * other.c11,
-                       c22=self.c22 + w * other.c22,
-                       c12=self.c12 + w * other.c12)
+        return SurfTensor2(self.c11 + w * other.c11, self.c22 + w * other.c22,
+                           self.c12 + w * other.c12, self.frame_tag)
 
     def deviator(self) -> "SurfTensor2":
         h = 0.5 * self.trace()
-        return replace(self, c11=self.c11 - h, c22=self.c22 - h)
+        return SurfTensor2(self.c11 - h, self.c22 - h, self.c12, self.frame_tag)
 
     def inverse(self) -> "SurfTensor2":
         d = self.det()
         if d == 0.0:
             raise ZeroDivisionError("singular surface tensor")
-        return replace(self, c11=self.c22 / d, c22=self.c11 / d, c12=-self.c12 / d)
+        return SurfTensor2(self.c22 / d, self.c11 / d, -self.c12 / d,
+                           self.frame_tag)
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.c11, self.c12], [self.c12, self.c22]])
@@ -124,11 +125,16 @@ def sqrt_spd(t: SurfTensor2) -> SurfTensor2:
 
     Uses the closed form (C + sqrt(det C) I) / sqrt(tr C + 2 sqrt(det C)).
     """
-    t.require_positive_definite()
-    rd = math.sqrt(t.det())
-    scale = 1.0 / math.sqrt(t.trace() + 2.0 * rd)
-    return SurfTensor2((t.c11 + rd) * scale, (t.c22 + rd) * scale,
-                       t.c12 * scale, t.frame_tag)
+    c11, c22, c12 = t.c11, t.c22, t.c12
+    det = c11 * c22 - c12 * c12
+    tr = c11 + c22
+    if not (det > 0.0 and tr > 0.0):
+        raise NotPositiveDefiniteError(
+            f"tensor is not positive definite: det={det}, tr={tr}")
+    rd = math.sqrt(det)
+    scale = 1.0 / math.sqrt(tr + 2.0 * rd)
+    return SurfTensor2((c11 + rd) * scale, (c22 + rd) * scale, c12 * scale,
+                       t.frame_tag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,15 +207,18 @@ def rearrange_inverse(t: Tangent4) -> Tangent4:
                     "oplus" if t.layout_tag == "standard" else "standard")
 
 
-def tangent_from_pairs(pairs: np.ndarray) -> Tangent4:
+# Pair index of each component index: 11 -> 0, 22 -> 1, 12 and 21 -> 2.
+_PAIR = np.array([[0, 2], [2, 1]])
+# Flat index into a 3x3 pair matrix for each of the 16 components.
+_PAIR_TAKE = 3 * _PAIR[:, :, None, None] + _PAIR[None, None, :, :]
+
+
+def tangent_from_pairs(pairs) -> Tangent4:
     """Expand a 3x3 matrix over index pairs (11, 22, 12) into 16 components."""
     p = np.asarray(pairs, dtype=float)
-    out = np.empty((2, 2, 2, 2))
-    idx = {(0, 0): 0, (1, 1): 1, (0, 1): 2, (1, 0): 2}
-    for ij, pi in idx.items():
-        for kl, qi in idx.items():
-            out[ij[0], ij[1], kl[0], kl[1]] = p[pi, qi]
-    return Tangent4(out)
+    if p.shape != (3, 3):
+        raise ValueError(f"pair matrix must be 3x3, got shape {p.shape}")
+    return Tangent4(p.take(_PAIR_TAKE))
 
 
 def rel_diff(x: np.ndarray, y: np.ndarray, floor: float = 1e-300) -> float:

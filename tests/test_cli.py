@@ -124,6 +124,87 @@ def test_verify_rejects_malformed_tolerance(capsys):
     assert "usage error" in err
 
 
+def test_verify_rejects_zero_samples(capsys):
+    code, out, err = run_cli(["verify", "--samples", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --samples must be >= 1\n"
+
+
+def test_verify_rejects_tolerance_no_model_knows(capsys):
+    code, _, err = run_cli(
+        ["verify", "--model", "metric", "--samples", "2",
+         "--tolerance", "bogus=1"], capsys)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "bogus" in err
+    assert ("major_symmetry, rearrangement, stress_fd, tangent_fd"
+            in err)
+    # the log model has no tangent_fd check
+    code, _, err = run_cli(
+        ["verify", "--model", "log", "--samples", "2",
+         "--tolerance", "tangent_fd=1"], capsys)
+    assert code == 2
+    assert "valid: major_symmetry, stress_fd" in err
+
+
+def test_verify_all_applies_tolerance_to_models_that_know_it(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--samples", "2", "--tolerance", "tangent_fd=0.5"],
+        capsys)
+    assert code == 0
+    tols = {r["model"]: r["checks"].get("tangent_fd", {}).get("tol")
+            for r in json.loads(out)["reports"]}
+    assert tols == {"metric": 0.5, "log": None, "bending": 0.5}
+
+
+@pytest.mark.parametrize("flag", ["--h0", "--gamma"])
+@pytest.mark.parametrize("value", ["0", "-0.1"])
+def test_contact_rejects_non_positive_parameters(flag, value, capsys):
+    code, out, err = run_cli(["contact", flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["beam", "--modulus", "340", "--r-m", "1", "--length", "10",
+      "--theta-w-deg", "30", "--delta", "nan"], "--delta"),
+    (["beam", "--modulus", "inf", "--r-m", "1", "--length", "10",
+      "--theta-w-deg", "30"], "--modulus"),
+    (["contact", "--h0", "nan"], "--h0"),
+    (["compare", "--range", "1.0", "inf"], "--range"),
+    (["curve", "--theta-deg=-inf", "--out", "x.csv"], "--theta-deg"),
+    (["verify", "--samples", "2", "--tolerance", "stress_fd=nan"],
+     "--tolerance"),
+])
+def test_non_finite_numbers_are_usage_errors(argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and flag in err
+
+
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"h0": NaN}')
+    code, _, err = run_cli(["contact", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "--h0 must be finite" in err
+
+
+def test_non_finite_result_is_not_printed(capsys):
+    with pytest.raises(cli.NonFiniteResult):
+        cli._json_text({"command": "beam", "F_w_nN": float("nan")})
+    # finite inputs whose force overflows
+    code, out, err = run_cli(
+        ["beam", "--modulus", "1e308", "--r-m", "1e100", "--length",
+         "1e-100", "--theta-w-deg", "30"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: beam result is not finite")
+
+
 def test_compare_subcommand_reports_reference(capsys):
     code, out, _ = run_cli(
         ["compare", "--protocol", "uniaxial-constrained", "--theta-deg", "0",

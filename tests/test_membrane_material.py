@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmem import bending_geometry as bg
 from gmem import membrane_material as mm
@@ -145,6 +147,51 @@ def test_tangent_assemblies_agree():
         scale = np.max(np.abs(fast.comp))
         assert np.max(np.abs(ref.comp - fast.comp)) < 1e-12 * scale
         assert np.max(np.abs(rearrange(alt).comp - fast.comp)) < 1e-12 * scale
+
+
+def c_from_stretches(l1, l2, phi):
+    c, s = math.cos(phi), math.sin(phi)
+    e1, e2 = l1 * l1, l2 * l2
+    return SurfTensor2(e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
+                       (e1 - e2) * s * c)
+
+
+stretch = st.floats(0.8, 1.4)
+# relative split of the two stretches: exactly isotropic, near-isotropic
+# (the log model's divided-difference limit) or well separated
+split = st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-0.3, 0.3))
+angle = st.floats(0.0, 2.0 * math.pi)
+params = st.sampled_from([mm.GGA, mm.LDA])
+
+
+@settings(deadline=None, max_examples=150)
+@given(stretch, split, angle, angle, params)
+def test_pair_assembly_matches_cross_check_routes(l1, sp, phi, theta, p):
+    c = c_from_stretches(l1, l1 * (1.0 + sp), phi)
+    fr = make_frame(theta)
+    _w, _s, g = mm._metric_tangent_core(mm._unpack(c, fr), p)
+    assert all(g[a][b] == g[b][a] for a in range(3) for b in range(3))
+    fast = mm.tangent_metric(c, fr, p).comp
+    assert np.array_equal(fast, fast.transpose(2, 3, 0, 1))
+    scale = np.max(np.abs(fast))
+    ref = mm.tangent_metric_reference(c, fr, p).comp
+    alt = rearrange(mm.tangent_metric_oplus(c, fr, p)).comp
+    assert np.max(np.abs(ref - fast)) <= 1e-12 * scale
+    assert np.max(np.abs(alt - fast)) <= 1e-12 * scale
+
+
+@settings(deadline=None, max_examples=60)
+@given(stretch, split, angle, angle, params)
+def test_one_pass_stress_and_push_forwards_are_exact(l1, sp, phi, theta, p):
+    c = c_from_stretches(l1, l1 * (1.0 + sp), phi)
+    fr = make_frame(theta)
+    r_m = mm.stress_metric(c, fr, p)
+    r_l = mm.stress_log(c, fr, p)
+    # StressResult equality compares S, tau, sigma and W field by field
+    assert mm.stress_tangent_metric(c, fr, p)[0] == r_m
+    assert mm.stress_tangent_log(c, fr, p)[0] == r_l
+    for r in (r_m, r_l):
+        assert r.sigma == r.tau.scaled(1.0 / math.sqrt(c.det()))
 
 
 def test_tangent_major_symmetry():

@@ -172,6 +172,36 @@ def test_tangent_from_pairs_expansion():
     assert t[0, 1, 0, 1] == 9.0
 
 
+def test_tangent_from_pairs_matches_explicit_expansion():
+    p = np.random.default_rng(5).normal(size=(3, 3))
+    want = np.array([
+        [[[p[0, 0], p[0, 2]], [p[0, 2], p[0, 1]]],
+         [[p[2, 0], p[2, 2]], [p[2, 2], p[2, 1]]]],
+        [[[p[2, 0], p[2, 2]], [p[2, 2], p[2, 1]]],
+         [[p[1, 0], p[1, 2]], [p[1, 2], p[1, 1]]]],
+    ])
+    for pairs in (p, tuple(tuple(row) for row in p)):
+        t = tangent_from_pairs(pairs)
+        assert np.array_equal(t.comp, want)
+        assert t.layout_tag == "standard"
+    # a non-contiguous view expands by its logical indices
+    assert np.array_equal(tangent_from_pairs(p.T).comp,
+                          tangent_from_pairs(np.ascontiguousarray(p.T)).comp)
+    for bad in (p.ravel(), np.zeros((4, 4))):
+        with pytest.raises(ValueError):
+            tangent_from_pairs(bad)
+
+
+def test_derived_tensors_keep_frame_tag():
+    a = SurfTensor2(2.0, 1.0, 0.5, "lab")
+    b = SurfTensor2(0.3, -0.2, 0.1, "lab")
+    for t in (a.scaled(2.0), a.plus(b, 0.5), a.deviator(), a.inverse(),
+              sqrt_spd(a)):
+        assert t.frame_tag == "lab"
+    assert a.plus(b, 0.5) == SurfTensor2(2.15, 0.9, 0.55, "lab")
+    assert a.deviator() == SurfTensor2(0.5, -0.5, 0.5, "lab")
+
+
 def test_rel_diff():
     assert rel_diff([1.0, 1.0], [1.0, 0.0]) == 1.0
     assert rel_diff([2.0, 2.0], [2.0, 2.0]) == 0.0
