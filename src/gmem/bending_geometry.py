@@ -183,9 +183,36 @@ def reparametrized(surface: AnalyticSurface, scale_u: float,
     )
 
 
-def _curvature_scalars(a_cov, a_contra, b_cov):
-    H = 0.5 * float(np.sum(a_contra * b_cov))
-    kappa = float(np.linalg.det(b_cov) / np.linalg.det(a_cov))
+def _det_inv2(m):
+    """Determinant and inverse of a 2x2 matrix given as nested lists, in
+    closed form; the inverse rows are None unless det > 0."""
+    (m00, m01), (m10, m11) = m
+    det = m00 * m11 - m01 * m10
+    if not det > 0.0:
+        return det, None
+    return det, ((m11 / det, -m01 / det), (-m10 / det, m00 / det))
+
+
+def _sandwich2(p, b):
+    """p b p for symmetric 2x2 nested lists; the upper triangle is computed
+    and mirrored, so the result is exactly symmetric."""
+    (p00, p01), (_, p11) = p
+    (b00, b01), (_, b11) = b
+    t00 = p00 * b00 + p01 * b01
+    t01 = p00 * b01 + p01 * b11
+    t10 = p01 * b00 + p11 * b01
+    t11 = p01 * b01 + p11 * b11
+    c01 = t00 * p01 + t01 * p11
+    return [[t00 * p00 + t01 * p01, c01], [c01, t10 * p01 + t11 * p11]]
+
+
+def _curvature_scalars(det_a, a_inv, b):
+    """H, kappa, k1, k2 from det a, the inverse metric and b, all as
+    plain floats and nested lists."""
+    (i00, i01), (i10, i11) = a_inv
+    (b00, b01), (b10, b11) = b
+    H = 0.5 * (i00 * b00 + i01 * b01 + i10 * b10 + i11 * b11)
+    kappa = (b00 * b11 - b01 * b10) / det_a
     disc = math.sqrt(max(H * H - kappa, 0.0))
     return H, kappa, H + disc, H - disc
 
@@ -206,15 +233,16 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
     a_alpha = np.asarray(surface.jacobian(u, v), dtype=float)
     second = np.asarray(surface.hessian(u, v), dtype=float)
     a_cov = a_alpha @ a_alpha.T
-    deta = float(np.linalg.det(a_cov))
-    if not deta > 0.0:
+    deta, a_inv = _det_inv2(a_cov.tolist())
+    if a_inv is None:
         raise ValueError(f"{surface.name}: degenerate tangent plane "
                          f"at ({u}, {v})")
     cr = np.cross(a_alpha[0], a_alpha[1])
     n = cr / np.linalg.norm(cr)
-    a_contra = np.linalg.inv(a_cov)
+    a_contra = np.array(a_inv)
     b_cov = np.einsum("abk,k->ab", second, n)
-    b_contra = a_contra @ b_cov @ a_contra
+    b = b_cov.tolist()
+    b_contra = np.array(_sandwich2(a_inv, b))
     contra_vecs = a_contra @ a_alpha
     gamma = np.einsum("gk,abk->gab", contra_vecs, second)
     if reference is None:
@@ -227,15 +255,31 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
                                                      float(reference_xi[1]))
         A_alpha = np.asarray(reference.jacobian(ru, rv), dtype=float)
         A_cov = A_alpha @ A_alpha.T
-        detA = float(np.linalg.det(A_cov))
-        if not detA > 0.0:
+        detA, A_inv = _det_inv2(A_cov.tolist())
+        if A_inv is None:
             raise ValueError("degenerate reference tangent plane")
-        A_contra = np.linalg.inv(A_cov)
+        A_contra = np.array(A_inv)
         J = math.sqrt(deta / detA)
-    H, kappa, k1, k2 = _curvature_scalars(a_cov, a_contra, b_cov)
+    H, kappa, k1, k2 = _curvature_scalars(deta, a_inv, b)
     return SurfacePointGeometry(A_alpha, a_alpha, A_cov, A_contra, a_cov,
                                 a_contra, b_cov, b_contra, gamma, n, J, H,
                                 kappa, k1, k2)
+
+
+def _planar_metric(m):
+    """Determinant, inverse and canonical tangent rows (lower Cholesky
+    factor, padded with a zero third column) of a positive-definite 2x2
+    metric given as nested lists."""
+    det, inv = _det_inv2(m)
+    (m00, _), (m10, m11) = m
+    if inv is None or not m00 > 0.0:
+        raise ValueError("metric must be positive definite")
+    l00 = math.sqrt(m00)
+    l10 = m10 / l00
+    l11_sq = m11 - l10 * l10
+    if not l11_sq > 0.0:
+        raise ValueError("metric must be positive definite")
+    return det, inv, [[l00, 0.0, 0.0], [l10, math.sqrt(l11_sq), 0.0]]
 
 
 def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
@@ -243,26 +287,23 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
 
     Used by the derivative checks, which vary a_ab and b_ab independently;
     no embedding compatibility is implied. Tangent vectors are a canonical
-    planar realization of each metric and gamma is zero.
+    planar realization of each metric (its lower Cholesky factor) and gamma
+    is zero. Determinants, inverses, Cholesky rows, J, the curvature
+    scalars and b^ab = a^-1 b a^-1 are closed-form 2x2 arithmetic on plain
+    floats, with no NumPy linear-algebra call.
     """
     A_cov = np.asarray(A_cov, dtype=float)
     a_cov = np.asarray(a_cov, dtype=float)
     b_cov = np.asarray(b_cov, dtype=float)
-    for m in (A_cov, a_cov):
-        if not (np.linalg.det(m) > 0.0 and m[0, 0] > 0.0):
-            raise ValueError("metric must be positive definite")
-    a_alpha = np.zeros((2, 3))
-    a_alpha[:, :2] = np.linalg.cholesky(a_cov)
-    A_alpha = np.zeros((2, 3))
-    A_alpha[:, :2] = np.linalg.cholesky(A_cov)
-    a_contra = np.linalg.inv(a_cov)
-    A_contra = np.linalg.inv(A_cov)
-    J = math.sqrt(np.linalg.det(a_cov) / np.linalg.det(A_cov))
-    H, kappa, k1, k2 = _curvature_scalars(a_cov, a_contra, b_cov)
-    return SurfacePointGeometry(A_alpha, a_alpha, A_cov, A_contra, a_cov,
-                                a_contra, b_cov, a_contra @ b_cov @ a_contra,
+    detA, A_inv, A_rows = _planar_metric(A_cov.tolist())
+    deta, a_inv, a_rows = _planar_metric(a_cov.tolist())
+    b = b_cov.tolist()
+    H, kappa, k1, k2 = _curvature_scalars(deta, a_inv, b)
+    return SurfacePointGeometry(np.array(A_rows), np.array(a_rows), A_cov,
+                                np.array(A_inv), a_cov, np.array(a_inv),
+                                b_cov, np.array(_sandwich2(a_inv, b)),
                                 np.zeros((2, 2, 2)), np.array([0.0, 0.0, 1.0]),
-                                J, H, kappa, k1, k2)
+                                math.sqrt(deta / detA), H, kappa, k1, k2)
 
 
 def canham_energy(g: SurfacePointGeometry, c_bend: float) -> float:

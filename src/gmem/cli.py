@@ -318,6 +318,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_scalar(action: argparse.Action, key: str, value):
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise UsageError(f"config {key!r}: expected a single value, "
+                         f"got {json.dumps(value)}")
+    try:
+        out = action.type(str(value)) if action.type else str(value)
+    except ValueError:
+        raise UsageError(f"config {key!r}: invalid {action.type.__name__} "
+                         f"value {json.dumps(value)}") from None
+    if action.choices is not None and out not in action.choices:
+        raise UsageError(f"config {key!r}: {json.dumps(value)} is not one of "
+                         f"{', '.join(map(str, action.choices))}")
+    return out
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value converted as argparse converts the flag's own text:
+    through the action's type and choices, with the action's number of
+    values (one, a fixed-length list for nargs=N, any list for append)."""
+    n = action.nargs
+    if isinstance(action, argparse._AppendAction) or isinstance(n, int):
+        if not isinstance(value, list) or (isinstance(n, int) and len(value) != n):
+            raise UsageError(f"config {key!r}: expected a list of "
+                             f"{n if isinstance(n, int) else 'any number of'} "
+                             f"values, got {json.dumps(value)}")
+        return [_config_scalar(action, key, v) for v in value]
+    return _config_scalar(action, key, value)
+
+
 def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
     args = ap.parse_args(argv)
     if getattr(args, "config", None):
@@ -334,12 +363,13 @@ def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
         unknown = set(cfg) - valid
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        if "range" in cfg:
-            cfg["range"] = tuple(float(x) for x in cfg["range"])
-        # config supplies defaults; explicit flags win on the second pass.
         # Defaults must land on the subcommand parser: option defaults
         # declared there shadow any set on the top-level parser.
-        ap.subcommand_parsers[args.command].set_defaults(**cfg)
+        sp = ap.subcommand_parsers[args.command]
+        actions = {a.dest: a for a in sp._actions}
+        cfg = {k: _config_value(actions[k], k, v) for k, v in cfg.items()}
+        # config supplies defaults; explicit flags win on the second pass
+        sp.set_defaults(**cfg)
         args = ap.parse_args(argv)
     if getattr(args, "out_required", False) and not args.out:
         raise UsageError("--out is required for this subcommand")

@@ -256,8 +256,10 @@ def _bending_sample(rng, c_bend, checks):
     def m2(t):
         return np.array([[t[0], t[2]], [t[2], t[1]]])
 
+    A_ref = m2(a_ref)
+
     def geom(a, b):
-        return bg.geometry_from_metrics(m2(a_ref), m2(a), m2(b))
+        return bg.geometry_from_metrics(A_ref, m2(a), m2(b))
 
     def w_of_a(a11, a22, a12):
         return bg.canham_energy(geom((a11, a22, a12), b_cur), c_bend)

@@ -156,32 +156,26 @@ class Tangent4:
                         self.layout_tag)
 
 
-def _pair_outer(a: SurfTensor2, b: SurfTensor2, rule) -> Tangent4:
+def _pair_outer(a: SurfTensor2, b: SurfTensor2, subscripts: str) -> Tangent4:
+    """Closed-form pair product: one einsum with no summed index, so each of
+    the 16 components is the single product of one entry of a and one of b."""
     _check_frames(a, b)
-    am = a.as_matrix()
-    bm = b.as_matrix()
-    out = np.empty((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[i, j, k, l] = rule(am, bm, i, j, k, l)
-    return Tangent4(out)
+    return Tangent4(np.einsum(subscripts, a.as_matrix(), b.as_matrix()))
 
 
 def tensor_product(a: SurfTensor2, b: SurfTensor2) -> Tangent4:
     """(a (x) b)^{abgd} = a^{ab} b^{gd}."""
-    return _pair_outer(a, b, lambda A, B, i, j, k, l: A[i, j] * B[k, l])
+    return _pair_outer(a, b, "ab,gd->abgd")
 
 
 def oplus_product(a: SurfTensor2, b: SurfTensor2) -> Tangent4:
     """(a (+) b)^{abgd} = a^{ad} b^{bg}."""
-    return _pair_outer(a, b, lambda A, B, i, j, k, l: A[i, l] * B[j, k])
+    return _pair_outer(a, b, "ad,bg->abgd")
 
 
 def boxtimes_product(a: SurfTensor2, b: SurfTensor2) -> Tangent4:
     """(a [x] b)^{abgd} = a^{ag} b^{bd}."""
-    return _pair_outer(a, b, lambda A, B, i, j, k, l: A[i, k] * B[j, l])
+    return _pair_outer(a, b, "ag,bd->abgd")
 
 
 def sym_tensor_product(a: SurfTensor2, b: SurfTensor2) -> Tangent4:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmem import bending_geometry as bg
 
@@ -203,3 +205,120 @@ def test_metric_identities_on_curved_surfaces():
                                     abs=1e-13)
         assert g.kappa_gauss == pytest.approx(g.k1 * g.k2, rel=1e-10,
                                               abs=1e-13)
+
+
+def geometry_from_metrics_linalg(A_cov, a_cov, b_cov):
+    """The np.linalg construction that geometry_from_metrics replaced by
+    closed-form 2x2 arithmetic, kept as its reference."""
+    A_cov = np.asarray(A_cov, dtype=float)
+    a_cov = np.asarray(a_cov, dtype=float)
+    b_cov = np.asarray(b_cov, dtype=float)
+    for m in (A_cov, a_cov):
+        if not (np.linalg.det(m) > 0.0 and m[0, 0] > 0.0):
+            raise ValueError("metric must be positive definite")
+    a_alpha = np.zeros((2, 3))
+    a_alpha[:, :2] = np.linalg.cholesky(a_cov)
+    A_alpha = np.zeros((2, 3))
+    A_alpha[:, :2] = np.linalg.cholesky(A_cov)
+    a_contra = np.linalg.inv(a_cov)
+    A_contra = np.linalg.inv(A_cov)
+    J = math.sqrt(np.linalg.det(a_cov) / np.linalg.det(A_cov))
+    H = 0.5 * float(np.sum(a_contra * b_cov))
+    kappa = float(np.linalg.det(b_cov) / np.linalg.det(a_cov))
+    disc = math.sqrt(max(H * H - kappa, 0.0))
+    return bg.SurfacePointGeometry(
+        A_alpha, a_alpha, A_cov, A_contra, a_cov, a_contra, b_cov,
+        a_contra @ b_cov @ a_contra, np.zeros((2, 2, 2)),
+        np.array([0.0, 0.0, 1.0]), J, H, kappa, H + disc, H - disc)
+
+
+def spd_metric(scale, log_ratio, phi):
+    """Eigenvalues scale and scale * 10**-log_ratio, principal axis at phi;
+    det / tr^2 is about 10**-log_ratio."""
+    l1, l2 = scale, scale * 10.0 ** -log_ratio
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[l1 * c * c + l2 * s * s, (l1 - l2) * s * c],
+                     [(l1 - l2) * s * c, l1 * s * s + l2 * c * c]])
+
+
+def skew_metric(l1, l2, theta):
+    """Gram matrix of tangent vectors of lengths l1, l2 at angle theta."""
+    off = l1 * l2 * math.cos(theta)
+    return np.array([[l1 * l1, off], [off, l2 * l2]])
+
+
+metrics = st.one_of(
+    st.builds(spd_metric, st.floats(0.05, 20.0), st.floats(0.0, 8.0),
+              st.floats(0.0, math.pi)),
+    st.builds(skew_metric, st.floats(0.2, 5.0), st.floats(0.2, 5.0),
+              st.floats(1e-4, math.pi - 1e-4)))
+curvatures = st.builds(lambda x, y, z: np.array([[x, y], [y, z]]),
+                       *[st.floats(-2.0, 2.0)] * 3)
+
+
+def condition(m):
+    lo, hi = np.linalg.eigvalsh(m)
+    return hi / lo
+
+
+def assert_rel(x, y, tol, scale=None):
+    x, y = np.asarray(x), np.asarray(y)
+    scale = np.linalg.norm(y) if scale is None else scale
+    assert np.linalg.norm(x - y) <= tol * scale, (x, y, tol * scale)
+
+
+@settings(deadline=None, max_examples=400)
+@given(metrics, metrics, curvatures)
+def test_closed_form_geometry_matches_linalg_construction(A, a, b):
+    """Every field agrees with the np.linalg construction to 1e-13 relative,
+    scaled by the condition number of the metric the field depends on: the
+    two constructions round differently, and an inverse (or a Cholesky
+    pivot, or a determinant) magnifies a rounding difference by up to that
+    factor. Curvature scalars are compared on the scale of their terms,
+    which can cancel. The principal curvatures are H -+ sqrt(H^2 - kappa);
+    near an umbilic point the square root magnifies a difference d of its
+    argument to at most sqrt(d)."""
+    g = bg.geometry_from_metrics(A, a, b)
+    r = geometry_from_metrics_linalg(A, a, b)
+    tA = 1e-13 * condition(A)
+    ta = 1e-13 * condition(a)
+    for name in ("A_cov", "a_cov", "b_cov", "gamma", "n"):
+        assert np.array_equal(getattr(g, name), getattr(r, name)), name
+    assert_rel(g.A_alpha, r.A_alpha, tA)
+    assert_rel(g.A_contra, r.A_contra, tA)
+    assert_rel(g.a_alpha, r.a_alpha, ta)
+    assert_rel(g.a_contra, r.a_contra, ta)
+    assert_rel(g.J, r.J, tA + ta)
+    s_h = np.linalg.norm(r.a_contra) * np.linalg.norm(b)
+    s_k = s_h * s_h
+    assert_rel(g.b_contra, r.b_contra, ta, np.linalg.norm(r.a_contra) * s_h)
+    assert_rel(g.H, r.H, ta, s_h)
+    assert_rel(g.kappa_gauss, r.kappa_gauss, ta, s_k)
+    d_q = ta * (2.0 * abs(r.H) * s_h + s_k)
+    disc = 0.5 * (r.k1 - r.k2)
+    d_disc = d_q / max(disc, math.sqrt(d_q), 1e-300)
+    assert_rel(g.k1, r.k1, 1.0, ta * s_h + d_disc)
+    assert_rel(g.k2, r.k2, 1.0, ta * s_h + d_disc)
+    assert np.array_equal(g.b_contra, g.b_contra.T)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.floats(0.05, 20.0), st.floats(-20.0, -1e-3), st.floats(0.0, math.pi),
+       st.booleans(), curvatures)
+def test_non_positive_definite_metric_is_rejected(l1, l2, phi, as_reference,
+                                                  b):
+    c, s = math.cos(phi), math.sin(phi)
+    indefinite = np.array([[l1 * c * c + l2 * s * s, (l1 - l2) * s * c],
+                           [(l1 - l2) * s * c, l1 * s * s + l2 * c * c]])
+    for bad in (indefinite, -spd_metric(l1, 1.0, phi), np.zeros((2, 2))):
+        args = (bad, A0, b) if as_reference else (A0, bad, b)
+        with pytest.raises(ValueError):
+            geometry_from_metrics_linalg(*args)
+        with pytest.raises(ValueError):
+            bg.geometry_from_metrics(*args)
+    # exactly singular: the closed-form determinant is exactly 0, where the
+    # LU determinant of the reference may round to either sign
+    rank_one = np.full((2, 2), l1)
+    with pytest.raises(ValueError):
+        bg.geometry_from_metrics(*((rank_one, A0, b) if as_reference
+                                   else (A0, rank_one, b)))

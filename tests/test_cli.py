@@ -193,6 +193,38 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
     assert "--h0 must be finite" in err
 
 
+@pytest.mark.parametrize("argv, cfg, key", [
+    (["verify", "--model", "log"], {"samples": 1.5}, "samples"),
+    (["contact"], {"h0": [1, 2]}, "h0"),
+    (["verify", "--model", "log"], {"samples": True}, "samples"),
+    (["verify"], {"model": "membrane"}, "model"),
+    (["verify", "--model", "log"], {"tolerance": "stress_fd=1"}, "tolerance"),
+    (["compare"], {"range": [1.0]}, "range"),
+    (["compare"], {"range": [1.0, "high"]}, "range"),
+    (["curve", "--out", "x.csv"], {"param_set": None}, "param_set"),
+])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv,
+                                                   cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(argv + ["--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: config {key!r}")
+    assert err.count("\n") == 1
+
+
+def test_config_values_convert_like_flags(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"samples": "2", "model": "log",
+                                "tolerance": ["stress_fd=1e-3"]}))
+    code, out, _ = run_cli(["verify", "--config", str(path)], capsys)
+    assert code == 0
+    report = json.loads(out)["reports"][0]
+    assert report["n_samples"] == 2
+    assert report["checks"]["stress_fd"]["tol"] == 1e-3
+
+
 def test_non_finite_result_is_not_printed(capsys):
     with pytest.raises(cli.NonFiniteResult):
         cli._json_text({"command": "beam", "F_w_nN": float("nan")})

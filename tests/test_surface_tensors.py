@@ -192,6 +192,30 @@ def test_tangent_from_pairs_matches_explicit_expansion():
             tangent_from_pairs(bad)
 
 
+def test_pair_products_match_explicit_expansion():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        a = SurfTensor2(*rng.normal(size=3))
+        b = SurfTensor2(*rng.normal(size=3))
+        A, B = a.as_matrix(), b.as_matrix()
+        want = {name: np.empty((2, 2, 2, 2)) for name in ("ot", "op", "bt")}
+        for i in range(2):
+            for j in range(2):
+                for k in range(2):
+                    for l in range(2):
+                        want["ot"][i, j, k, l] = A[i, j] * B[k, l]
+                        want["op"][i, j, k, l] = A[i, l] * B[j, k]
+                        want["bt"][i, j, k, l] = A[i, k] * B[j, l]
+        for name, fn in (("ot", tensor_product), ("op", oplus_product),
+                         ("bt", boxtimes_product)):
+            t = fn(a, b)
+            assert np.array_equal(t.comp, want[name]), name
+            assert t.comp.shape == (2, 2, 2, 2)
+            assert t.layout_tag == "standard"
+        with pytest.raises(FrameMismatchError):
+            fn(a, SurfTensor2(1.0, 1.0, 0.0, frame_tag="other"))
+
+
 def test_derived_tensors_keep_frame_tag():
     a = SurfTensor2(2.0, 1.0, 0.5, "lab")
     b = SurfTensor2(0.3, -0.2, 0.1, "lab")
