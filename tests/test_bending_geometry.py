@@ -232,13 +232,17 @@ def geometry_from_metrics_linalg(A_cov, a_cov, b_cov):
         np.array([0.0, 0.0, 1.0]), J, H, kappa, H + disc, H - disc)
 
 
-def spd_metric(scale, log_ratio, phi):
-    """Eigenvalues scale and scale * 10**-log_ratio, principal axis at phi;
-    det / tr^2 is about 10**-log_ratio."""
-    l1, l2 = scale, scale * 10.0 ** -log_ratio
+def rotated_metric(l1, l2, phi):
+    """Symmetric matrix with eigenvalues l1, l2, the first along phi."""
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[l1 * c * c + l2 * s * s, (l1 - l2) * s * c],
                      [(l1 - l2) * s * c, l1 * s * s + l2 * c * c]])
+
+
+def spd_metric(scale, log_ratio, phi):
+    """Eigenvalues scale and scale * 10**-log_ratio; det / tr^2 is about
+    10**-log_ratio."""
+    return rotated_metric(scale, scale * 10.0 ** -log_ratio, phi)
 
 
 def skew_metric(l1, l2, theta):
@@ -307,10 +311,8 @@ def test_closed_form_geometry_matches_linalg_construction(A, a, b):
        st.booleans(), curvatures)
 def test_non_positive_definite_metric_is_rejected(l1, l2, phi, as_reference,
                                                   b):
-    c, s = math.cos(phi), math.sin(phi)
-    indefinite = np.array([[l1 * c * c + l2 * s * s, (l1 - l2) * s * c],
-                           [(l1 - l2) * s * c, l1 * s * s + l2 * c * c]])
-    for bad in (indefinite, -spd_metric(l1, 1.0, phi), np.zeros((2, 2))):
+    for bad in (rotated_metric(l1, l2, phi), rotated_metric(-l1, l2, phi),
+                np.zeros((2, 2))):
         args = (bad, A0, b) if as_reference else (A0, bad, b)
         with pytest.raises(ValueError):
             geometry_from_metrics_linalg(*args)

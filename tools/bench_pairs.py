@@ -4,10 +4,11 @@
         --title "what the change does"
 
 Exports both commits' committed files (git archive) into a temporary
-directory, then runs `python3 perfbench/run.py` unchanged in each tree, in
-alternating parent/change pairs (parent first on even pairs): --pairs
-untraced runs per workload for the end-to-end metrics, then --traced-pairs
-traced runs per workload for the per-layer self times. Pair i of the k-th
+directory, then runs `python3 perfbench/run.py` unchanged in each tree,
+for the run length BENCHMARK.json sets, in alternating parent/change pairs
+(parent first on even pairs): --pairs untraced runs per workload for the
+end-to-end metrics, then --traced-pairs traced runs per workload for the
+per-layer self times. Pair i of the k-th
 workload uses seed seed_base + 100 * (k + 1) + i + 1 on both sides.
 
 The output (schema gmem-bench/1) holds, per workload and end-to-end metric,
@@ -166,29 +167,26 @@ def parse_args(argv):
     ap.add_argument("--change", default="HEAD", help="changed commit")
     ap.add_argument("--pr", required=True, help="suffix of BENCH_<pr>.json")
     ap.add_argument("--title", required=True, help="one line on the change")
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                    choices=WORKLOADS)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--traced-pairs", type=int, default=3)
-    ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--seed-base", type=int, default=4000)
     ap.add_argument("--out", default=None, help="default: BENCH_<pr>.json "
                     "at the repository root")
     args = ap.parse_args(argv)
-    if (args.pairs < 2 or args.traced_pairs < 0 or args.traced_pairs == 1
-            or not args.seconds > 0):
-        ap.error("need --pairs >= 2, --traced-pairs 0 or >= 2, --seconds > 0")
+    if args.pairs < 2 or args.traced_pairs < 0 or args.traced_pairs == 1:
+        ap.error("need --pairs >= 2 and --traced-pairs 0 or >= 2")
     return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     result = {"schema": SCHEMA, "change": args.title,
               "environment": environment(),
               "method": {
                   "end_to_end": f"python3 perfbench/run.py --workload W --seed S "
-                                f"--seconds {args.seconds:g} --trace 0, run on the "
+                                f"--seconds {seconds:g} --trace 0, run on the "
                                 "committed files of the parent and of the change, "
                                 "in alternating order per pair (parent first on "
                                 "even pairs); quartiles by linear interpolation",
@@ -201,15 +199,13 @@ def main(argv=None) -> int:
         result["parent_commit"] = export(args.parent, trees["parent"])
         result["change_commit"] = export(args.change, trees["change"])
         for k, w in enumerate(WORKLOADS):
-            if w not in args.workloads:
-                continue
             base = args.seed_base + 100 * (k + 1) + 1
             seeds = list(range(base, base + args.pairs))
-            runs = run_pairs(trees, w, seeds, args.seconds, 0)
+            runs = run_pairs(trees, w, seeds, seconds, 0)
             e2e.extend(end_to_end_entries(w, seeds, runs, spec))
             if args.traced_pairs:
                 traced = run_pairs(trees, w, seeds[:args.traced_pairs],
-                                   args.seconds, 1)
+                                   seconds, 1)
                 layers.extend(per_layer_entries(w, traced))
     result["end_to_end"] = e2e
     result["per_layer"] = layers
