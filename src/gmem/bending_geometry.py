@@ -183,13 +183,13 @@ def reparametrized(surface: AnalyticSurface, scale_u: float,
     )
 
 
-def _det_inv2(m):
-    """Determinant and inverse of a 2x2 matrix given as nested lists, in
-    closed form; the inverse rows are None unless det > 0."""
+def _det_inv2(m, what="metric"):
+    """Determinant and inverse of a positive-definite 2x2 matrix given as
+    nested lists, in closed form; ValueError unless det > 0 and m00 > 0."""
     (m00, m01), (m10, m11) = m
     det = m00 * m11 - m01 * m10
-    if not det > 0.0:
-        return det, None
+    if not (det > 0.0 and m00 > 0.0):
+        raise ValueError(f"{what} must be positive definite")
     return det, ((m11 / det, -m01 / det), (-m10 / det, m00 / det))
 
 
@@ -233,10 +233,8 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
     a_alpha = np.asarray(surface.jacobian(u, v), dtype=float)
     second = np.asarray(surface.hessian(u, v), dtype=float)
     a_cov = a_alpha @ a_alpha.T
-    deta, a_inv = _det_inv2(a_cov.tolist())
-    if a_inv is None:
-        raise ValueError(f"{surface.name}: degenerate tangent plane "
-                         f"at ({u}, {v})")
+    deta, a_inv = _det_inv2(a_cov.tolist(),
+                            f"{surface.name}: metric at ({u}, {v})")
     cr = np.cross(a_alpha[0], a_alpha[1])
     n = cr / np.linalg.norm(cr)
     a_contra = np.array(a_inv)
@@ -255,9 +253,7 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
                                                      float(reference_xi[1]))
         A_alpha = np.asarray(reference.jacobian(ru, rv), dtype=float)
         A_cov = A_alpha @ A_alpha.T
-        detA, A_inv = _det_inv2(A_cov.tolist())
-        if A_inv is None:
-            raise ValueError("degenerate reference tangent plane")
+        detA, A_inv = _det_inv2(A_cov.tolist(), "reference metric")
         A_contra = np.array(A_inv)
         J = math.sqrt(deta / detA)
     H, kappa, k1, k2 = _curvature_scalars(deta, a_inv, b)
@@ -266,20 +262,11 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
                                 kappa, k1, k2)
 
 
-def _planar_metric(m):
-    """Determinant, inverse and canonical tangent rows (lower Cholesky
-    factor, padded with a zero third column) of a positive-definite 2x2
-    metric given as nested lists."""
-    det, inv = _det_inv2(m)
-    (m00, _), (m10, m11) = m
-    if inv is None or not m00 > 0.0:
-        raise ValueError("metric must be positive definite")
-    l00 = math.sqrt(m00)
-    l10 = m10 / l00
-    l11_sq = m11 - l10 * l10
-    if not l11_sq > 0.0:
-        raise ValueError("metric must be positive definite")
-    return det, inv, [[l00, 0.0, 0.0], [l10, math.sqrt(l11_sq), 0.0]]
+def _cholesky_rows(m, det):
+    """Lower Cholesky factor of a positive-definite 2x2 metric with
+    determinant det, padded with a zero third column."""
+    l00 = math.sqrt(m[0][0])
+    return [[l00, 0.0, 0.0], [m[1][0] / l00, math.sqrt(det) / l00, 0.0]]
 
 
 def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
@@ -295,11 +282,12 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     A_cov = np.asarray(A_cov, dtype=float)
     a_cov = np.asarray(a_cov, dtype=float)
     b_cov = np.asarray(b_cov, dtype=float)
-    detA, A_inv, A_rows = _planar_metric(A_cov.tolist())
-    deta, a_inv, a_rows = _planar_metric(a_cov.tolist())
-    b = b_cov.tolist()
+    A, a, b = A_cov.tolist(), a_cov.tolist(), b_cov.tolist()
+    detA, A_inv = _det_inv2(A)
+    deta, a_inv = _det_inv2(a)
     H, kappa, k1, k2 = _curvature_scalars(deta, a_inv, b)
-    return SurfacePointGeometry(np.array(A_rows), np.array(a_rows), A_cov,
+    return SurfacePointGeometry(np.array(_cholesky_rows(A, detA)),
+                                np.array(_cholesky_rows(a, deta)), A_cov,
                                 np.array(A_inv), a_cov, np.array(a_inv),
                                 b_cov, np.array(_sandwich2(a_inv, b)),
                                 np.zeros((2, 2, 2)), np.array([0.0, 0.0, 1.0]),

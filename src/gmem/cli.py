@@ -336,7 +336,10 @@ def _config_scalar(action: argparse.Action, key: str, value):
 def _config_value(action: argparse.Action, key: str, value):
     """A config value converted as argparse converts the flag's own text:
     through the action's type and choices, with the action's number of
-    values (one, a fixed-length list for nargs=N, any list for append)."""
+    values (one, a fixed-length list for nargs=N, any list for append).
+    null is accepted only where the flag's own default is None."""
+    if value is None and action.default is None:
+        return None
     n = action.nargs
     if isinstance(action, argparse._AppendAction) or isinstance(n, int):
         if not isinstance(value, list) or (isinstance(n, int) and len(value) != n):

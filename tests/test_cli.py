@@ -225,6 +225,18 @@ def test_config_values_convert_like_flags(tmp_path, capsys):
     assert report["checks"]["stress_fd"]["tol"] == 1e-3
 
 
+@pytest.mark.parametrize("argv, cfg", [
+    (["cone", "--declination", "300"], {"out": None}),
+    (["verify", "--model", "log", "--samples", "2"], {"tolerance": None}),
+])
+def test_config_null_keeps_a_none_default(tmp_path, capsys, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(argv + ["--config", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["schema_version"] == 1
+
+
 def test_non_finite_result_is_not_printed(capsys):
     with pytest.raises(cli.NonFiniteResult):
         cli._json_text({"command": "beam", "F_w_nN": float("nan")})

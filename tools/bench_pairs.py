@@ -6,18 +6,22 @@
 Exports both commits' committed files (git archive) into a temporary
 directory, then runs `python3 perfbench/run.py` unchanged in each tree,
 for the run length BENCHMARK.json sets, in alternating parent/change pairs
-(parent first on even pairs): --pairs untraced runs per workload for the
-end-to-end metrics, then --traced-pairs traced runs per workload for the
-per-layer self times. Pair i of the k-th
-workload uses seed seed_base + 100 * (k + 1) + i + 1 on both sides.
+(parent first on even pairs): PAIRS untraced pairs per workload for the
+end-to-end metrics, then TRACED_PAIRS traced pairs per workload for the
+per-layer self times. Pair i of the k-th workload uses seed
+SEED_BASE + 100 * (k + 1) + i + 1 on both sides.
 
 The output (schema gmem-bench/1) holds, per workload and end-to-end metric,
 each side's runs, median and quartiles (linear interpolation), the number
-of pairs the change wins, the relative change of the median, whether the
-median difference exceeds the parent's quartile distance, and failed
-operations; per traced span, each side's median and quartile distance and
-the median over pairs of the change/parent ratio; and the environment.
-Runs are sequential, one benchmark process at a time.
+of pairs the change wins, the relative change of the median, failed
+operations and three verdicts against the metric's bound in BENCHMARK.json:
+`within_bound` (the median is not worse by more than the bound),
+`unresolved` (the parent's quartile distance exceeds the bound times its
+median, so the runs spread too widely to tell) and `gain` (the change wins
+at least 9 in 10 pairs and its median is better by more than the parent's
+quartile distance). Per traced span it holds each side's median and
+quartile distance and the median over pairs of the change/parent ratio;
+and the environment. Runs are sequential, one benchmark process at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "gmem-bench/1"
 WORKLOADS = ("point_stream", "sweep", "verify")
 RUN_TIMEOUT_S = 900
+PAIRS = 10
+TRACED_PAIRS = 3
+SEED_BASE = 4000
 
 
 def git(*args) -> str:
@@ -47,15 +54,16 @@ def export(rev: str, dest: Path) -> str:
     """Write the committed files of rev into dest; return the full hash."""
     sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     dest.mkdir(parents=True)
-    archive = subprocess.Popen(["git", "archive", "--format=tar", sha],
-                               cwd=ROOT, stdout=subprocess.PIPE)
-    try:
-        subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout,
-                       check=True)
-    finally:
-        archive.stdout.close()
-        if archive.wait() != 0:
-            raise RuntimeError(f"git archive {sha} exited {archive.returncode}")
+    # leaving the with block closes the pipe and waits for git archive
+    with subprocess.Popen(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                          stdout=subprocess.PIPE) as archive:
+        tar = subprocess.run(["tar", "-x", "-C", str(dest)],
+                             stdin=archive.stdout)
+    failed = [f"{name} exited {code}" for name, code in
+              (("git archive", archive.returncode), ("tar", tar.returncode))
+              if code]
+    if failed:
+        raise RuntimeError(f"exporting {sha}: {', '.join(failed)}")
     return sha
 
 
@@ -106,13 +114,18 @@ def end_to_end_entries(workload, seeds, runs, spec) -> list:
         sign = 1.0 if m["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
         par, chg = side_summary(vals["parent"]), side_summary(vals["change"])
+        rel = chg["median"] / par["median"] - 1.0
         entries.append({
             "workload": workload, "metric": name, "unit": m["unit"],
-            "better": m["better"], "pairs": len(seeds), "seeds": seeds,
-            "parent": par, "change": chg, "change_wins": wins,
-            "median_change_rel": round(chg["median"] / par["median"] - 1.0, 4),
+            "better": m["better"], "bound": m["bound"], "pairs": len(seeds),
+            "seeds": seeds, "parent": par, "change": chg, "change_wins": wins,
+            "median_change_rel": round(rel, 4),
             "median_diff_exceeds_parent_iqr":
                 abs(chg["median"] - par["median"]) > par["iqr"],
+            "within_bound": sign * rel <= m["bound"],
+            "unresolved": par["iqr"] > m["bound"] * abs(par["median"]),
+            "gain": (wins >= 0.9 * len(seeds) and
+                     sign * (par["median"] - chg["median"]) > par["iqr"]),
             "failed_ops": {s: sum(r["failed"] for r in runs[s]) for s in runs},
             "all_correct": all(r["correct"] for s in runs for r in runs[s]),
         })
@@ -121,18 +134,22 @@ def end_to_end_entries(workload, seeds, runs, spec) -> list:
 
 def per_layer_entries(workload, runs) -> list:
     """Module self time per operation, and self time per call of every span
-    called in the workload on either side."""
+    called in the workload on either side. A span one side does not report
+    has null statistics on that side."""
     all_runs = runs["parent"] + runs["change"]
+    names = dict.fromkeys(n for r in all_runs for n in r["metrics"])
     entries = []
-    for n in runs["parent"][0]["metrics"]:
+    for n in names:
         layer, _, kind = n.rpartition(".")
         if kind not in ("self_us", "self_ms"):
             continue
-        vals = {s: [r["metrics"][n]["value"] for r in runs[s]] for s in runs}
+        vals = {s: [r["metrics"][n]["value"] if n in r["metrics"] else None
+                    for r in runs[s]] for s in runs}
         entry = {"workload": workload, "layer": layer, "path": "scalar"}
         unit = kind.partition("_")[2]
         if "." in layer:
-            calls = [r["metrics"][f"{layer}.calls"]["value"] for r in all_runs]
+            calls = [r["metrics"].get(f"{layer}.calls", {}).get("value", 0)
+                     for r in all_runs]
             if not any(calls):
                 continue
             entry.update(N_calls_per_pass=max(calls),
@@ -142,9 +159,14 @@ def per_layer_entries(workload, runs) -> list:
         else:
             continue
         for side in ("parent", "change"):
-            med, q1, q3 = quartiles(vals[side])
+            side_vals = [v for v in vals[side] if v is not None]
+            if len(side_vals) < 2:
+                entry[side] = None
+                continue
+            med, q1, q3 = quartiles(side_vals)
             entry[side] = {"median": round(med, 4), "iqr": round(q3 - q1, 4)}
-        ratios = [c / p for p, c in zip(vals["parent"], vals["change"]) if p]
+        ratios = [c / p for p, c in zip(vals["parent"], vals["change"])
+                  if p and c is not None]
         entry["change_over_parent_pair_median"] = (
             round(statistics.median(ratios), 3) if ratios else None)
         entry["runs"] = len(vals["parent"])
@@ -167,15 +189,7 @@ def parse_args(argv):
     ap.add_argument("--change", default="HEAD", help="changed commit")
     ap.add_argument("--pr", required=True, help="suffix of BENCH_<pr>.json")
     ap.add_argument("--title", required=True, help="one line on the change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--traced-pairs", type=int, default=3)
-    ap.add_argument("--seed-base", type=int, default=4000)
-    ap.add_argument("--out", default=None, help="default: BENCH_<pr>.json "
-                    "at the repository root")
-    args = ap.parse_args(argv)
-    if args.pairs < 2 or args.traced_pairs < 0 or args.traced_pairs == 1:
-        ap.error("need --pairs >= 2 and --traced-pairs 0 or >= 2")
-    return args
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -190,7 +204,7 @@ def main(argv=None) -> int:
                                 "committed files of the parent and of the change, "
                                 "in alternating order per pair (parent first on "
                                 "even pairs); quartiles by linear interpolation",
-                  "per_layer": f"the same with --trace 1, {args.traced_pairs} "
+                  "per_layer": f"the same with --trace 1, {TRACED_PAIRS} "
                                "alternating pairs per workload; median over runs "
                                "of each run's per-pass median"}}
     e2e, layers = [], []
@@ -199,24 +213,24 @@ def main(argv=None) -> int:
         result["parent_commit"] = export(args.parent, trees["parent"])
         result["change_commit"] = export(args.change, trees["change"])
         for k, w in enumerate(WORKLOADS):
-            base = args.seed_base + 100 * (k + 1) + 1
-            seeds = list(range(base, base + args.pairs))
+            base = SEED_BASE + 100 * (k + 1) + 1
+            seeds = list(range(base, base + PAIRS))
             runs = run_pairs(trees, w, seeds, seconds, 0)
             e2e.extend(end_to_end_entries(w, seeds, runs, spec))
-            if args.traced_pairs:
-                traced = run_pairs(trees, w, seeds[:args.traced_pairs],
-                                   seconds, 1)
-                layers.extend(per_layer_entries(w, traced))
+            traced = run_pairs(trees, w, seeds[:TRACED_PAIRS], seconds, 1)
+            layers.extend(per_layer_entries(w, traced))
     result["end_to_end"] = e2e
     result["per_layer"] = layers
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     for e in e2e:
         print(f"{e['workload']:<13} {e['metric']:<12} {e['parent']['median']:>10.4g}"
               f" -> {e['change']['median']:>10.4g} {e['unit']:<4} "
               f"({100 * e['median_change_rel']:+.1f}%, change wins "
               f"{e['change_wins']}/{e['pairs']}, failed "
-              f"{e['failed_ops']['parent']}/{e['failed_ops']['change']})")
+              f"{e['failed_ops']['parent']}/{e['failed_ops']['change']}; "
+              f"within bound {e['within_bound']}, unresolved "
+              f"{e['unresolved']}, gain {e['gain']})")
     print(f"wrote {out}")
     return 0
 
