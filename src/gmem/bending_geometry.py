@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SurfacePointGeometry:
+class SurfacePointGeometry(NamedTuple):
     """Pointwise first/second fundamental data of a deforming surface.
 
     Covariant index placement is encoded in names: *_cov holds lower-index
@@ -311,8 +310,7 @@ def bending_stress_moment(g: SurfacePointGeometry, c_bend: float):
     return tau, m0
 
 
-@dataclass(frozen=True)
-class BendingTangents:
+class BendingTangents(NamedTuple):
     """The four bending moduli: c = 2 dtau/da, d = dtau/db, e = 2 dM0/da,
     f = dM0/db, all contravariant (2, 2, 2, 2) blocks. e equals the major
     transpose of d identically."""

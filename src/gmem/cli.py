@@ -19,6 +19,7 @@ import numpy as np
 
 from . import membrane_material as mm
 from . import scenarios as sc
+from .invariants import FITTED_STRETCH_RATIO
 from .lattice import make_frame
 
 SCHEMA_VERSION = 1
@@ -141,12 +142,15 @@ def cmd_compare(args) -> int:
     frame = make_frame(math.radians(args.lattice_deg))
     diffs = sc.compare_models(protocol, params, frame)
     ref = PAPER_COMPARE.get((args.protocol, args.theta_deg, args.param_set))
+    ratio = protocol.max_stretch_ratio()
     payload = {
         "command": "compare",
         "protocol": {"kind": args.protocol, "theta_deg": args.theta_deg,
                      "range": list(args.range), "steps": args.steps},
         "param_set": args.param_set,
         "measured_max_percent": diffs,
+        "max_stretch_ratio": ratio,
+        "in_fitted_range": ratio <= FITTED_STRETCH_RATIO * (1.0 + 1e-12),
         "reference_percent": (
             {"sigma11": ref[0], "sigma22": ref[1]} if ref else None),
     }
@@ -244,22 +248,13 @@ def _add_protocol(sp):
     sp.add_argument("--steps", type=int, default=26)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _new_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gmem",
         description="Anisotropic hyperelastic membrane and bending models "
                     "for hexagonal 2D crystals, with built-in verification.")
     sub = ap.add_subparsers(dest="command", required=True)
-    by_name = {}
-    orig_add = sub.add_parser
-
-    def add_parser(name, **kw):
-        sp = orig_add(name, **kw)
-        by_name[name] = sp
-        return sp
-
-    sub.add_parser = add_parser
-    ap.subcommand_parsers = by_name
+    ap.subcommand_parsers = sub.choices
 
     sp = sub.add_parser("verify", help="finite-difference derivative checks")
     sp.add_argument("--model", default="all",
@@ -268,23 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                     help="override a check tolerance")
     _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("curve", help="stress curve sweep to CSV")
     sp.add_argument("--model", default="metric", choices=list(sc.MODEL_NAMES))
     _add_protocol(sp)
     _add_common(sp, with_seed=False)
-    sp.set_defaults(func=cmd_curve, out_required=True)
+    sp.set_defaults(out_required=True)
 
     sp = sub.add_parser("compare", help="metric-vs-log sweep differences")
     _add_protocol(sp)
     _add_common(sp, with_seed=False)
-    sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("bench", help="stress+tangent throughput ratio")
     sp.add_argument("--n-evals", type=int, default=100_000)
     _add_common(sp)
-    sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("contact", help="adhesion potential calculator")
     sp.add_argument("--r-min", type=float, default=0.3)
@@ -294,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=float, default=0.14)
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_contact)
 
     sp = sub.add_parser("beam", help="axially loaded tube force calculator")
     sp.add_argument("--modulus", type=float, required=True,
@@ -306,16 +297,26 @@ def build_parser() -> argparse.ArgumentParser:
                     help="axial end shortening, nm")
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_beam)
 
     sp = sub.add_parser("cone", help="fold-cone apex angle")
     sp.add_argument("--declination", type=float, required=True,
                     help="angular declination in degrees")
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_cone)
-
     return ap
+
+
+# Commands are looked up by name at dispatch rather than stored in the
+# parser, so the parser can be built once and shared by every run.
+_COMMANDS = {"verify": cmd_verify, "curve": cmd_curve, "compare": cmd_compare,
+             "bench": cmd_bench, "contact": cmd_contact, "beam": cmd_beam,
+             "cone": cmd_cone}
+_PARSER = _new_parser()
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser shared by every run in this process."""
+    return _PARSER
 
 
 def _config_scalar(action: argparse.Action, key: str, value):
@@ -362,7 +363,7 @@ def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
             raise UsageError(f"config is not valid JSON: {e}")
         if not isinstance(cfg, dict):
             raise UsageError("config must be a JSON object")
-        valid = set(vars(args)) - {"func", "command", "config", "out_required"}
+        valid = set(vars(args)) - {"command", "config", "out_required"}
         unknown = set(cfg) - valid
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -371,9 +372,14 @@ def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
         sp = ap.subcommand_parsers[args.command]
         actions = {a.dest: a for a in sp._actions}
         cfg = {k: _config_value(actions[k], k, v) for k, v in cfg.items()}
-        # config supplies defaults; explicit flags win on the second pass
+        # config supplies defaults; explicit flags win on the second pass.
+        # The parser is shared, so its own defaults are put back after.
+        saved = {k: sp.get_default(k) for k in cfg}
         sp.set_defaults(**cfg)
-        args = ap.parse_args(argv)
+        try:
+            args = ap.parse_args(argv)
+        finally:
+            sp.set_defaults(**saved)
     if getattr(args, "out_required", False) and not args.out:
         raise UsageError("--out is required for this subcommand")
     for key, val in vars(args).items():
@@ -391,7 +397,7 @@ def run(argv=None) -> int:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import LatticeFrame, structural_contraction
 from .surface_tensors import SurfTensor2, spectral
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantState:
+class InvariantState(NamedTuple):
     """Area stretch J1, shear invariant J2, anisotropy invariant J3, and the
     two structural contractions of the area-invariant tensor they derive
     from."""
@@ -28,8 +28,7 @@ class InvariantState:
     nC: float
 
 
-@dataclass(frozen=True, slots=True)
-class LogInvariantState:
+class LogInvariantState(NamedTuple):
     J1E: float
     J2E: float
     J3E: float
@@ -52,6 +51,9 @@ class ApproxConstants:
 
 
 DEFAULT_APPROX = ApproxConstants()
+
+# Largest principal stretch ratio lambda1/lambda2 of the fit above.
+FITTED_STRETCH_RATIO = 1.3
 
 
 @dataclass(frozen=True, slots=True)

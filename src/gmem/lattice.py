@@ -9,15 +9,14 @@ repeats after 60 degrees of lattice rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .surface_tensors import SurfTensor2
 
 ZIGZAG_OFFSET = math.pi / 6.0
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeFrame:
+class LatticeFrame(NamedTuple):
     """Armchair angle plus the structural tensors M = x(x)x - y(x)y and
     N = x(x)y + y(x)x for the rotated lattice axes x, y."""
 

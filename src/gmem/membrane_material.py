@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,7 @@ class CoefficientSet:
     dH: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class StressResult:
+class StressResult(NamedTuple):
     """2.PK stress S plus its Kirchhoff and Cauchy push-forwards (computed
     with the rotation-free stretch F = sqrt(C)) and the energy density."""
 

@@ -12,7 +12,7 @@ import math
 import platform
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -60,23 +60,40 @@ class DeformationProtocol:
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.end, self.steps)
 
-    def state(self, lam: float, theta_lattice: float) -> SurfTensor2:
-        """C components in the lattice storage frame at sweep value lam."""
+    def max_stretch_ratio(self) -> float:
+        """Largest principal stretch ratio lambda1/lambda2 of the sweep,
+        reached at one of its ends."""
         if self.kind == "dilatation":
-            return SurfTensor2(lam, lam, 0.0)
-        if self.kind == "uniaxial-constrained":
-            d1, d2 = lam * lam, 1.0
-        else:
-            d1, d2 = lam * lam, 1.0 / (lam * lam)
+            return 1.0
+        ends = (self.start, self.end)
+        if self.kind == "pure-shear":
+            ends = tuple(v * v for v in ends)
+        return max(max(v, 1.0 / v) for v in ends)
+
+    def states(self, lams: Sequence[float],
+               theta_lattice: float) -> List[SurfTensor2]:
+        """C components in the lattice storage frame at each sweep value;
+        the pull direction's cos and sin are evaluated once."""
+        if self.kind == "dilatation":
+            return [SurfTensor2(lam, lam, 0.0) for lam in lams]
+        shear = self.kind == "pure-shear"
         phi = theta_lattice + self.direction_angle
         c, s = math.cos(phi), math.sin(phi)
-        return SurfTensor2(d1 * c * c + d2 * s * s,
-                           d1 * s * s + d2 * c * c,
-                           (d1 - d2) * s * c)
+        out = []
+        for lam in lams:
+            d1 = lam * lam
+            d2 = 1.0 / d1 if shear else 1.0
+            out.append(SurfTensor2(d1 * c * c + d2 * s * s,
+                                   d1 * s * s + d2 * c * c,
+                                   (d1 - d2) * s * c))
+        return out
+
+    def state(self, lam: float, theta_lattice: float) -> SurfTensor2:
+        """C components in the lattice storage frame at sweep value lam."""
+        return self.states((lam,), theta_lattice)[0]
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     lam: float
     sigma11: float
     sigma22: float
@@ -102,15 +119,14 @@ def run_curve(protocol: DeformationProtocol, model: str,
     phi = (0.0 if protocol.kind == "dilatation"
            else frame.theta_lattice + protocol.direction_angle)
     c, s = math.cos(phi), math.sin(phi)
+    cc, ss, cs, cs2, dcs = c * c, s * s, c * s, 2.0 * c * s, c * c - s * s
+    lams = protocol.values().tolist()
     out = []
-    for lam in protocol.values():
-        r = stress(protocol.state(float(lam), frame.theta_lattice),
-                   frame, params)
-        g = r.sigma
-        s11 = c * c * g.c11 + s * s * g.c22 + 2.0 * c * s * g.c12
-        s22 = s * s * g.c11 + c * c * g.c22 - 2.0 * c * s * g.c12
-        s12 = (c * c - s * s) * g.c12 + c * s * (g.c22 - g.c11)
-        out.append(CurvePoint(float(lam), s11, s22, s12, r.W))
+    for lam, state in zip(lams, protocol.states(lams, frame.theta_lattice)):
+        _s, _tau, (g11, g22, g12, _tag), W = stress(state, frame, params)
+        out.append(CurvePoint(lam, cc * g11 + ss * g22 + cs2 * g12,
+                              ss * g11 + cc * g22 - cs2 * g12,
+                              dcs * g12 + cs * (g22 - g11), W))
     return out
 
 
@@ -559,12 +575,6 @@ def write_contact_csv(path, radii: Sequence[float],
             w.writerow([i, f"{float(r):.17g}", f"{psi:.17g}", f"{tr:.17g}"])
 
 
-def zigzag_frame(theta_lattice: float = 0.0) -> LatticeFrame:
-    """Frame whose armchair axis sits at theta_lattice; the zigzag pull
-    direction is direction_angle = ZIGZAG_OFFSET in the protocols."""
-    return make_frame(theta_lattice)
-
-
 __all__ = [
     "ADMISSIBLE_DECLINATIONS", "BeamParams", "ContactParams", "CurvePoint",
     "CSV_HEADER", "DEFAULT_BEND_STIFFNESS", "DeformationProtocol",
@@ -572,5 +582,5 @@ __all__ = [
     "beam_force", "benchmark_models", "compare_models", "contact_potential",
     "invariant_approximation_errors", "peak_of_curve", "run_curve",
     "traction_extremum", "verify_derivatives", "VERIFY_TOLERANCES",
-    "write_contact_csv", "write_curve_csv", "zigzag_frame", "ZIGZAG_OFFSET",
+    "write_contact_csv", "write_curve_csv", "ZIGZAG_OFFSET",
 ]

@@ -7,7 +7,7 @@ Curvilinear component sets are produced only by the geometry module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ class NotPositiveDefiniteError(ValueError):
     """Raised when a right Cauchy-Green input fails det > 0, tr > 0."""
 
 
-@dataclass(frozen=True, slots=True)
-class SurfTensor2:
+class SurfTensor2(NamedTuple):
     """Symmetric second-order surface tensor, three stored components."""
 
     c11: float
@@ -83,8 +82,7 @@ def _check_frames(a: SurfTensor2, b: SurfTensor2) -> None:
         raise FrameMismatchError(f"frame mismatch: {a.frame_tag!r} vs {b.frame_tag!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralDecomp:
+class SpectralDecomp(NamedTuple):
     """Eigenvalues Lambda1 >= Lambda2, principal stretches, and the angle of
     the maximum-stretch direction, counter-clockwise from the frame's first
     axis, in (-pi/2, pi/2]."""
@@ -137,8 +135,7 @@ def sqrt_spd(t: SurfTensor2) -> SurfTensor2:
                        t.frame_tag)
 
 
-@dataclass(frozen=True, slots=True)
-class Tangent4:
+class Tangent4(NamedTuple):
     """Fourth-order surface tensor, full 16 components, no symmetry packing.
 
     layout_tag is "standard" for directly assembled elasticity tensors and

@@ -2,6 +2,7 @@
 report stability."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -268,6 +269,21 @@ def test_compare_without_tabulated_reference(capsys):
     assert json.loads(out)["reference_percent"] is None
 
 
+@pytest.mark.parametrize("hi, ratio, in_range", [
+    ("1.6", 2.56, False),
+    (repr(math.sqrt(1.3)), 1.3, True),
+])
+def test_compare_reports_fitted_range(hi, ratio, in_range, capsys):
+    code, out, _ = run_cli(
+        ["compare", "--protocol", "pure-shear", "--range", "1.0", hi,
+         "--steps", "5"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["max_stretch_ratio"] == pytest.approx(ratio, rel=1e-12)
+    assert payload["in_fitted_range"] is in_range
+    assert payload["schema_version"] == 1
+
+
 def test_bench_rejects_small_runs(capsys):
     code, _, err = run_cli(["bench", "--n-evals", "100"], capsys)
     assert code == 2
@@ -299,6 +315,18 @@ def test_explicit_flags_override_config(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[1].split(",")[7] == "GGA"
     assert len(lines) == 4  # steps still from config
+
+
+def test_config_does_not_leak_into_the_next_run(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h0": 0.5}))
+    code, out, _ = run_cli(["contact", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out.startswith("psi(h0=0.5)")
+    code, out, _ = run_cli(["contact"], capsys)
+    assert code == 0
+    assert out.startswith("psi(h0=0.34)")
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

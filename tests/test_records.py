@@ -1,0 +1,100 @@
+"""The per-evaluation result records are named tuples: construction,
+field order, immutability, hashing, repr and pickling."""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from gmem.bending_geometry import BendingTangents, SurfacePointGeometry
+from gmem.invariants import InvariantState, LogInvariantState
+from gmem.lattice import LatticeFrame, make_frame
+from gmem.membrane_material import StressResult
+from gmem.scenarios import CurvePoint
+from gmem.surface_tensors import SpectralDecomp, SurfTensor2, Tangent4
+
+T = SurfTensor2(1.25, 0.75, 0.125)
+A = np.arange(16.0).reshape(2, 2, 2, 2)
+M = np.array([[1.0, 0.5], [0.5, 2.0]])
+
+# class, field order, one value per field, defaults of the trailing fields
+RECORDS = [
+    (SurfTensor2, ("c11", "c22", "c12", "frame_tag"),
+     (1.25, 0.75, 0.125, "lab"), {"frame_tag": "default"}),
+    (SpectralDecomp, ("Lambda1", "Lambda2", "lambda1", "lambda2", "theta"),
+     (1.21, 0.81, 1.1, 0.9, 0.25), {}),
+    (Tangent4, ("comp", "layout_tag"), (A, "oplus"),
+     {"layout_tag": "standard"}),
+    (StressResult, ("S", "tau", "sigma", "W"),
+     (T, T.scaled(2.0), T.scaled(3.0), 0.5), {}),
+    (InvariantState, ("J1", "J2", "J3", "mC", "nC"),
+     (1.1, 0.01, 0.001, 0.2, -0.1), {}),
+    (LogInvariantState, ("J1E", "J2E", "J3E"), (0.1, 0.002, 0.0001), {}),
+    (LatticeFrame, ("theta_lattice", "m_hat", "n_hat"),
+     tuple(make_frame(0.3)), {}),
+    (CurvePoint, ("lam", "sigma11", "sigma22", "sigma12", "W"),
+     (1.1, 2.0, 1.0, 0.0, 0.3), {}),
+    (SurfacePointGeometry,
+     ("A_alpha", "a_alpha", "A_cov", "A_contra", "a_cov", "a_contra",
+      "b_cov", "b_contra", "gamma", "n", "J", "H", "kappa_gauss", "k1", "k2"),
+     (M, M, M, M, M, M, M, M, A[:, :, 0], np.array([0.0, 0.0, 1.0]),
+      1.0, 0.5, 0.2, 0.7, 0.3), {}),
+    (BendingTangents, ("c", "d", "e", "f"), (A, 2 * A, 3 * A, 4 * A), {}),
+]
+IDS = [r[0].__name__ for r in RECORDS]
+
+
+def _has_array(values):
+    return any(isinstance(v, np.ndarray) for v in values)
+
+
+def _same(a, b):
+    """Fieldwise equality; arrays compare by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("cls, fields, values, defaults", RECORDS, ids=IDS)
+def test_construction_and_field_order(cls, fields, values, defaults):
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    rec = cls(*values)
+    assert _same(rec, cls(**dict(zip(fields, values))))
+    assert [getattr(rec, f) for f in fields] == list(values)
+    assert tuple(rec) == values
+    if defaults:
+        short = cls(*values[:len(fields) - len(defaults)])
+        for name, value in defaults.items():
+            assert getattr(short, name) == value
+
+
+@pytest.mark.parametrize("cls, fields, values, defaults", RECORDS, ids=IDS)
+def test_records_are_immutable(cls, fields, values, defaults):
+    rec = cls(*values)
+    with pytest.raises(AttributeError):
+        setattr(rec, fields[0], values[1])
+    with pytest.raises(AttributeError):
+        rec.extra = 1.0
+
+
+@pytest.mark.parametrize("cls, fields, values, defaults", RECORDS, ids=IDS)
+def test_repr_and_pickle(cls, fields, values, defaults):
+    rec = cls(*values)
+    body = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+    assert repr(rec) == f"{cls.__name__}({body})"
+    assert _same(pickle.loads(pickle.dumps(rec)), rec)
+    if not _has_array(values):
+        twin = cls(*values)
+        assert twin == rec and hash(twin) == hash(rec)
+        assert pickle.loads(pickle.dumps(rec)) == rec
+
+
+def test_surf_tensor_repr_and_tuple_semantics():
+    assert repr(T) == ("SurfTensor2(c11=1.25, c22=0.75, c12=0.125, "
+                       "frame_tag='default')")
+    # records compare equal to plain tuples of the same values and unpack
+    assert T == (1.25, 0.75, 0.125, "default")
+    c11, c22, c12, tag = T
+    assert (c11, c22, c12, tag) == (1.25, 0.75, 0.125, "default")
+    assert T._replace(c12=0.0) == SurfTensor2(1.25, 0.75, 0.0)

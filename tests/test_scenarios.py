@@ -24,6 +24,8 @@ def shear(end, steps=2, direction=0.0):
 
 
 def test_protocol_validation():
+    assert sc.STRETCH_RANGE == (0.7, 1.6)
+    assert sc.MODEL_NAMES == ("metric", "log")
     with pytest.raises(ValueError):
         sc.DeformationProtocol("simple-shear")
     with pytest.raises(ValueError):
@@ -51,10 +53,55 @@ def test_protocol_values_and_states():
     s = shear(1.15).state(1.15, 0.0)
     assert (s.c11, s.c22) == pytest.approx((1.3225, 1.0 / 1.3225))
 
+    # largest principal stretch ratio, at either end of the sweep
+    assert p.max_stretch_ratio() == 1.0
+    assert sc.DeformationProtocol("uniaxial-constrained", 0.0, 0.8, 1.1,
+                                  3).max_stretch_ratio() == 1.0 / 0.8
+    assert sc.DeformationProtocol("pure-shear", 0.0, 0.9, 1.05,
+                                  3).max_stretch_ratio() == 1.0 / (0.9 * 0.9)
+    assert shear(1.2).max_stretch_ratio() == 1.2 * 1.2
+
 
 def test_run_curve_rejects_unknown_model():
     with pytest.raises(ValueError):
         sc.run_curve(uniaxial(1.1), "mooney", mm.GGA, ARMCHAIR)
+
+
+@pytest.mark.parametrize("kind", sc.PROTOCOL_KINDS)
+@pytest.mark.parametrize("direction_deg", [0.0, 30.0, 12.5])
+@pytest.mark.parametrize("model", sc.MODEL_NAMES)
+@pytest.mark.parametrize("lattice", [0.0, 0.4])
+def test_run_curve_equals_per_point_loop(kind, direction_deg, model, lattice):
+    """run_curve is bitwise the literal loop: C from the protocol formula
+    at each point, the public stress call, then the rotation of sigma into
+    the pull-aligned frame."""
+    proto = sc.DeformationProtocol(kind, math.radians(direction_deg),
+                                   0.7, 1.6, 37)
+    frame = make_frame(lattice)
+    phi = (0.0 if kind == "dilatation"
+           else frame.theta_lattice + proto.direction_angle)
+    c, s = math.cos(phi), math.sin(phi)
+    want = []
+    for lam in proto.values():
+        lam = float(lam)
+        if kind == "dilatation":
+            st = SurfTensor2(lam, lam, 0.0)
+        else:
+            d1 = lam * lam
+            d2 = 1.0 if kind == "uniaxial-constrained" else 1.0 / (lam * lam)
+            st = SurfTensor2(d1 * c * c + d2 * s * s,
+                             d1 * s * s + d2 * c * c, (d1 - d2) * s * c)
+        assert proto.state(lam, frame.theta_lattice) == st
+        r = sc._STRESS_FN[model](st, frame, mm.GGA)
+        g = r.sigma
+        want.append((lam,
+                     c * c * g.c11 + s * s * g.c22 + 2.0 * c * s * g.c12,
+                     s * s * g.c11 + c * c * g.c22 - 2.0 * c * s * g.c12,
+                     (c * c - s * s) * g.c12 + c * s * (g.c22 - g.c11),
+                     r.W))
+    got = sc.run_curve(proto, model, mm.GGA, frame)
+    assert [tuple(q) for q in got] == want
+    assert all(type(q.lam) is float for q in got)
 
 
 def test_uniaxial_armchair_frozen_points():
@@ -286,9 +333,3 @@ def test_contact_csv(tmp_path):
     assert lines[0] == "step,r_nm,psi,traction"
     assert float(lines[1].split(",")[2]) == -0.14
 
-
-def test_zigzag_frame_helper():
-    fr = sc.zigzag_frame(0.4)
-    assert fr.theta_lattice == 0.4
-    assert sc.STRETCH_RANGE == (0.7, 1.6)
-    assert sc.MODEL_NAMES == ("metric", "log")
