@@ -3,7 +3,6 @@ crystals, with finite-difference verification of every analytic derivative.
 """
 
 from .surface_tensors import (
-    FrameMismatchError,
     NotPositiveDefiniteError,
     SpectralDecomp,
     SurfTensor2,
@@ -37,12 +36,10 @@ from .membrane_material import (
     GGA,
     LDA,
     PARAM_SETS,
-    CoefficientSet,
     CurvilinearComponents,
     MaterialParams,
     StressResult,
     cauchy_green_from_geometry,
-    coefficients,
     curvilinear_components,
     energy_log,
     energy_metric,

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import membrane_material as mm
 from . import scenarios as sc
-from .invariants import FITTED_STRETCH_RATIO
 from .lattice import make_frame
 
 SCHEMA_VERSION = 1
@@ -49,9 +48,13 @@ def _json_text(payload: dict) -> str:
     return text + "\n"
 
 
-def _write_text(path, text) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def _emit(args, payload: dict) -> None:
+    """Print the JSON report and, with --out, write the same text there."""
+    text = _json_text(payload)
+    sys.stdout.write(text)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
 
 
 def _parse_tolerances(items) -> dict:
@@ -107,11 +110,7 @@ def cmd_verify(args) -> int:
             model, n_samples=args.samples, seed=args.seed,
             tolerances=use or None, **kw))
     ok = all(r["pass"] for r in reports)
-    payload = {"command": "verify", "pass": ok, "reports": reports}
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        _write_text(args.out, text)
+    _emit(args, {"command": "verify", "pass": ok, "reports": reports})
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -123,8 +122,11 @@ def cmd_curve(args) -> int:
     sc.write_curve_csv(args.out, points, args.model, params.name,
                        args.theta_deg)
     lam, peak = sc.peak_of_curve(points)
+    in_range = "yes" if protocol.in_fitted_range() else "no"
     sys.stdout.write(f"wrote {len(points)} rows to {args.out}; "
-                     f"peak sigma11 {peak:.6g} N/m at lambda {lam:.6g}\n")
+                     f"peak sigma11 {peak:.6g} N/m at lambda {lam:.6g}; "
+                     f"max stretch ratio {protocol.max_stretch_ratio():.6g}, "
+                     f"in fitted range: {in_range}\n")
     return EXIT_OK
 
 
@@ -142,22 +144,18 @@ def cmd_compare(args) -> int:
     frame = make_frame(math.radians(args.lattice_deg))
     diffs = sc.compare_models(protocol, params, frame)
     ref = PAPER_COMPARE.get((args.protocol, args.theta_deg, args.param_set))
-    ratio = protocol.max_stretch_ratio()
     payload = {
         "command": "compare",
         "protocol": {"kind": args.protocol, "theta_deg": args.theta_deg,
                      "range": list(args.range), "steps": args.steps},
         "param_set": args.param_set,
         "measured_max_percent": diffs,
-        "max_stretch_ratio": ratio,
-        "in_fitted_range": ratio <= FITTED_STRETCH_RATIO * (1.0 + 1e-12),
+        "max_stretch_ratio": protocol.max_stretch_ratio(),
+        "in_fitted_range": protocol.in_fitted_range(),
         "reference_percent": (
             {"sigma11": ref[0], "sigma22": ref[1]} if ref else None),
     }
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        _write_text(args.out, text)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -170,11 +168,7 @@ def cmd_bench(args) -> int:
     except RuntimeError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_TOLERANCE
-    payload = {"command": "bench", **report}
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        _write_text(args.out, text)
+    _emit(args, {"command": "bench", **report})
     return EXIT_OK
 
 
@@ -206,10 +200,7 @@ def cmd_beam(args) -> int:
     f_w, f_a = sc.beam_force(b, args.delta)
     payload = {"command": "beam", "F_w_nN": f_w, "F_A_nN": f_a,
                "I_y_nm4": b.i_y, "delta_nm": args.delta}
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        _write_text(args.out, text)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -220,20 +211,21 @@ def cmd_cone(args) -> int:
         raise UsageError(str(e)) from None
     payload = {"command": "cone", "declination_deg": args.declination,
                "apex_angle_deg": apex}
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        _write_text(args.out, text)
+    _emit(args, payload)
     return EXIT_OK
+
+
+def _add_output(sp):
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--config", default=None,
+                    help="JSON file of flag defaults (dashes as underscores)")
 
 
 def _add_common(sp, with_seed=True):
     sp.add_argument("--param-set", default="GGA", choices=["GGA", "LDA"])
     if with_seed:
         sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None,
-                    help="JSON file of flag defaults (dashes as underscores)")
+    _add_output(sp)
 
 
 def _add_protocol(sp):
@@ -284,8 +276,7 @@ def _new_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=46)
     sp.add_argument("--h0", type=float, default=0.34)
     sp.add_argument("--gamma", type=float, default=0.14)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
+    _add_output(sp)
 
     sp = sub.add_parser("beam", help="axially loaded tube force calculator")
     sp.add_argument("--modulus", type=float, required=True,
@@ -295,14 +286,12 @@ def _new_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-w-deg", type=float, required=True)
     sp.add_argument("--delta", type=float, default=0.1,
                     help="axial end shortening, nm")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
+    _add_output(sp)
 
     sp = sub.add_parser("cone", help="fold-cone apex angle")
     sp.add_argument("--declination", type=float, required=True,
                     help="angular declination in degrees")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
+    _add_output(sp)
     return ap
 
 

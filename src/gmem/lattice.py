@@ -25,7 +25,7 @@ class LatticeFrame(NamedTuple):
     n_hat: SurfTensor2
 
 
-def make_frame(theta_lattice: float = 0.0, frame_tag: str = "default") -> LatticeFrame:
+def make_frame(theta_lattice: float = 0.0) -> LatticeFrame:
     """Build the structural tensors for an armchair axis at theta_lattice.
 
     Componentwise M + iN picks up exp(-2i theta) under rotation, so
@@ -34,8 +34,8 @@ def make_frame(theta_lattice: float = 0.0, frame_tag: str = "default") -> Lattic
     """
     c2 = math.cos(2.0 * theta_lattice)
     s2 = math.sin(2.0 * theta_lattice)
-    m_hat = SurfTensor2(c2, -c2, s2, frame_tag)
-    n_hat = SurfTensor2(-s2, s2, c2, frame_tag)
+    m_hat = SurfTensor2(c2, -c2, s2)
+    n_hat = SurfTensor2(-s2, s2, c2)
     return LatticeFrame(theta_lattice, m_hat, n_hat)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .invariants import DEFAULT_APPROX, InvariantState
 from .lattice import LatticeFrame
 from .surface_tensors import (
-    FrameMismatchError,
     NotPositiveDefiniteError,
     SurfTensor2,
     Tangent4,
@@ -62,19 +61,6 @@ def material_preset(name: str) -> MaterialParams:
                          f"choose from {sorted(PARAM_SETS)}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class CoefficientSet:
-    """Stress coefficients H1..H3, the anisotropy amplitudes aM, aN, and the
-    nine partial derivatives dH[i][j] = dHi/dJj used by the tangent."""
-
-    H1: float
-    H2: float
-    H3: float
-    aM: float
-    aN: float
-    dH: tuple
-
-
 class StressResult(NamedTuple):
     """2.PK stress S plus its Kirchhoff and Cauchy push-forwards (computed
     with the rotation-free stretch F = sqrt(C)) and the energy density."""
@@ -87,9 +73,6 @@ class StressResult(NamedTuple):
 
 def _unpack(c: SurfTensor2, frame: LatticeFrame):
     m = frame.m_hat
-    if c.frame_tag != m.frame_tag:
-        raise FrameMismatchError(
-            f"frame mismatch: {c.frame_tag!r} vs {m.frame_tag!r}")
     return (c.c11, c.c22, c.c12, m.c11, m.c12,
             frame.n_hat.c11, frame.n_hat.c12)
 
@@ -158,80 +141,22 @@ def _h_coefficients(J, lnJ, J2, J3, p: MaterialParams, order: int):
     return W, (H1, H2, H3), dH
 
 
-def coefficients(c: SurfTensor2, frame: LatticeFrame,
-                 p: MaterialParams) -> CoefficientSet:
-    cc = _unpack(c, frame)
-    J, lnJ, *_rest = _metric_scalars(*cc)
-    _i11, _i22, _i12, _p11, _p12, J2, mC, nC, J3 = _rest
-    _w, (H1, H2, H3), dH = _h_coefficients(J, lnJ, J2, J3, p, order=2)
-    aM = 3.0 * (mC * mC - nC * nC)
-    aN = -6.0 * mC * nC
-    return CoefficientSet(H1, H2, H3, aM, aN, dH)
+def _metric_core(cc, p: MaterialParams, order: int):
+    """Closed-form evaluation of the metric model for raw components.
 
-
-def energy_metric(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams) -> float:
-    cc = _unpack(c, frame)
-    J, lnJ, _i11, _i22, _i12, _p11, _p12, J2, _mC, _nC, J3 = _metric_scalars(*cc)
-    W, _h, _d = _h_coefficients(J, lnJ, J2, J3, p, order=0)
-    return W
-
-
-def _metric_stress_core(cc, p: MaterialParams):
-    """Returns (W, S pair triple) for raw components."""
-    J, lnJ, i11, i22, i12, p11, p12, J2, mC, nC, J3 = _metric_scalars(*cc)
-    W, (H1, H2, H3), _d = _h_coefficients(J, lnJ, J2, J3, p, order=1)
-    m11, m12, n11, n12 = cc[3], cc[4], cc[5], cc[6]
-    aM = 3.0 * (mC * mC - nC * nC)
-    aN = -6.0 * mC * nC
-    z11 = aM * m11 + aN * n11
-    z12 = aM * m12 + aN * n12
-    qh = H2 / J
-    rh = 0.25 * H3 / J
-    s11 = H1 * i11 + qh * p11 + rh * z11
-    s22 = H1 * i22 - qh * p11 - rh * z11
-    s12 = H1 * i12 + qh * p12 + rh * z12
-    return W, (s11, s22, s12)
-
-
-def _sym_sandwich(u, s):
-    """(U S U) for symmetric pair triples u, s."""
-    u11, u22, u12 = u
-    s11, s22, s12 = s
-    t11 = u11 * s11 + u12 * s12
-    t12 = u11 * s12 + u12 * s22
-    t21 = u12 * s11 + u22 * s12
-    t22 = u12 * s12 + u22 * s22
-    return (t11 * u11 + t12 * u12, t21 * u12 + t22 * u22, t11 * u12 + t12 * u22)
-
-
-def _package_stress(c: SurfTensor2, W, s_pair) -> StressResult:
-    tag = c.frame_tag
-    u = sqrt_spd(c)
-    t11, t22, t12 = _sym_sandwich((u.c11, u.c22, u.c12), s_pair)
-    r = 1.0 / math.sqrt(c.c11 * c.c22 - c.c12 * c.c12)
-    return StressResult(SurfTensor2(*s_pair, tag),
-                        SurfTensor2(t11, t22, t12, tag),
-                        SurfTensor2(r * t11, r * t22, r * t12, tag), W)
-
-
-def stress_metric(c: SurfTensor2, frame: LatticeFrame,
-                  p: MaterialParams) -> StressResult:
-    W, s_pair = _metric_stress_core(_unpack(c, frame), p)
-    return _package_stress(c, W, s_pair)
-
-
-def _metric_tangent_core(cc, p: MaterialParams):
-    """Returns (W, S triple, tangent 3x3 pair matrix), all analytic.
-
-    The pair matrix is the sum of outer products left[a] * right[b] of the
-    pair vectors ci = C^-1, cp, zz, m, n with pre-combined partners, plus
+    Returns (W, S pair triple or None, tangent 3x3 pair matrix or None);
+    order 0 gives the energy, 1 adds the stress, 2 the tangent. The pair
+    matrix is the sum of outer products left[a] * right[b] of the pair
+    vectors ci = C^-1, cp, zz, m, n with pre-combined partners, plus
     -H1 (C^-1 [x] C^-1 + C^-1 (+) C^-1) and (H2/J^2)(I [x] I + I (+) I -
     I (x) I). Only the six upper entries are formed; the lower three mirror
     them, so the matrix is exactly symmetric.
     """
     J, lnJ, i11, i22, i12, p11, p12, J2, mC, nC, J3 = _metric_scalars(*cc)
-    W, (H1, H2, H3), dH = _h_coefficients(J, lnJ, J2, J3, p, order=2)
-    (H11, H12, H13), (_h21, H22, H23), _h3row = dH
+    W, H, dH = _h_coefficients(J, lnJ, J2, J3, p, order)
+    if order == 0:
+        return W, None, None
+    H1, H2, H3 = H
     m11, m12, n11, n12 = cc[3], cc[4], cc[5], cc[6]
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC
@@ -242,7 +167,10 @@ def _metric_tangent_core(cc, p: MaterialParams):
     s11 = H1 * i11 + qh * p11 + rh * z11
     s22 = H1 * i22 - qh * p11 - rh * z11
     s12 = H1 * i12 + qh * p12 + rh * z12
+    if order == 1:
+        return W, (s11, s22, s12), None
 
+    (H11, H12, H13), (_h21, H22, H23), _h3row = dH
     J2i = 1.0 / (J * J)
     g_cc = J * H11 - 2.0 * J2 * H12 - 3.0 * J3 * H13
     g_pp = 2.0 * H22 * J2i
@@ -284,17 +212,47 @@ def _metric_tangent_core(cc, p: MaterialParams):
     return W, (s11, s22, s12), g
 
 
+def energy_metric(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams) -> float:
+    W, _s, _g = _metric_core(_unpack(c, frame), p, order=0)
+    return W
+
+
+def _sym_sandwich(u, s):
+    """(U S U) for symmetric pair triples u, s."""
+    u11, u22, u12 = u
+    s11, s22, s12 = s
+    t11 = u11 * s11 + u12 * s12
+    t12 = u11 * s12 + u12 * s22
+    t21 = u12 * s11 + u22 * s12
+    t22 = u12 * s12 + u22 * s22
+    return (t11 * u11 + t12 * u12, t21 * u12 + t22 * u22, t11 * u12 + t12 * u22)
+
+
+def _package_stress(c: SurfTensor2, W, s_pair) -> StressResult:
+    u = sqrt_spd(c)
+    t11, t22, t12 = _sym_sandwich((u.c11, u.c22, u.c12), s_pair)
+    r = 1.0 / math.sqrt(c.c11 * c.c22 - c.c12 * c.c12)
+    return StressResult(SurfTensor2(*s_pair), SurfTensor2(t11, t22, t12),
+                        SurfTensor2(r * t11, r * t22, r * t12), W)
+
+
+def stress_metric(c: SurfTensor2, frame: LatticeFrame,
+                  p: MaterialParams) -> StressResult:
+    W, s_pair, _g = _metric_core(_unpack(c, frame), p, order=1)
+    return _package_stress(c, W, s_pair)
+
+
 def tangent_metric(c: SurfTensor2, frame: LatticeFrame,
                    p: MaterialParams) -> Tangent4:
     """Analytic elasticity tensor 2 dS/dC of the metric model."""
-    _w, _s, g = _metric_tangent_core(_unpack(c, frame), p)
+    _w, _s, g = _metric_core(_unpack(c, frame), p, order=2)
     return tangent_from_pairs(g)
 
 
 def stress_tangent_metric(c: SurfTensor2, frame: LatticeFrame,
                           p: MaterialParams):
     """One-pass (StressResult, Tangent4) evaluation."""
-    W, s_pair, g = _metric_tangent_core(_unpack(c, frame), p)
+    W, s_pair, g = _metric_core(_unpack(c, frame), p, order=2)
     return _package_stress(c, W, s_pair), tangent_from_pairs(g)
 
 
@@ -309,14 +267,13 @@ def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
     m11, m12, n11, n12 = cc[3], cc[4], cc[5], cc[6]
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC
-    tag = c.frame_tag
-    ci = SurfTensor2(i11, i22, i12, tag)
-    cp = SurfTensor2(p11, -p11, p12, tag)
+    ci = SurfTensor2(i11, i22, i12)
+    cp = SurfTensor2(p11, -p11, p12)
     zz = SurfTensor2(aM * m11 + aN * n11, -(aM * m11 + aN * n11),
-                     aM * m12 + aN * n12, tag)
+                     aM * m12 + aN * n12)
     mv = frame.m_hat
     nv = frame.n_hat
-    ident = SurfTensor2(1.0, 1.0, 0.0, tag)
+    ident = SurfTensor2(1.0, 1.0, 0.0)
     J2i = 1.0 / (J * J)
     g_cc = J * H11 - 2.0 * J2 * H12 - 3.0 * J3 * H13
     g_pp = 2.0 * H22 * J2i
@@ -363,7 +320,7 @@ def tangent_metric_oplus(c: SurfTensor2, frame: LatticeFrame,
     out = np.zeros((2, 2, 2, 2))
     for k, a, b, kind in _tangent_terms(c, frame, p):
         out += k * _PRODUCT[_OPLUS_SUBST[kind]](a, b).comp
-    return Tangent4(out, "oplus")
+    return Tangent4(out)
 
 
 def _log_core(cc, p: MaterialParams, order: int):
@@ -505,11 +462,11 @@ def _frame_to_contra(geom) -> np.ndarray:
     return np.vstack([E1, E2]) @ A_contra_vecs.T
 
 
-def cauchy_green_from_geometry(geom, frame_tag: str = "default") -> SurfTensor2:
+def cauchy_green_from_geometry(geom) -> SurfTensor2:
     """Components of C = a_ab A^a (x) A^b in the orthonormal surface frame."""
     u = _frame_to_contra(geom)
     cm = np.einsum("ab,ia,jb->ij", geom.a_cov, u, u)
-    return SurfTensor2.from_matrix(cm, frame_tag)
+    return SurfTensor2.from_matrix(cm)
 
 
 def curvilinear_components(s: StressResult, t: Tangent4,

@@ -48,18 +48,3 @@ def partials_sym_richardson(f, comps, rel_step):
     p2 = partials_sym(f, comps, 0.5 * rel_step)
     return (4.0 * p2 - p1) / 3.0
 
-
-def fd_stress_from_energy(energy, comps, rel_step=STRESS_STEP, richardson=False):
-    """Second Piola-Kirchhoff components 2 dW/dC as a (3,) array in pair
-    storage, from an energy callable of the three C components."""
-    p = (partials_sym_richardson if richardson else partials_sym)(
-        energy, comps, rel_step)
-    return 2.0 * p
-
-
-def fd_tangent_from_stress(stress, comps, rel_step=TANGENT_STEP, richardson=False):
-    """Elasticity components 2 dS/dC as a (3, 3) pair matrix from a stress
-    callable returning pair storage."""
-    p = (partials_sym_richardson if richardson else partials_sym)(
-        stress, comps, rel_step)
-    return 2.0 * p

@@ -19,7 +19,8 @@ from scipy.optimize import brentq
 
 from . import bending_geometry as bg
 from . import membrane_material as mm
-from .invariants import approx_log_invariants, invariants_C, invariants_log_exact
+from .invariants import (FITTED_STRETCH_RATIO, approx_log_invariants,
+                         invariants_C, invariants_log_exact)
 from .lattice import ZIGZAG_OFFSET, LatticeFrame, make_frame
 from .numdiff import (STRESS_STEP, TANGENT_STEP, partials_sym,
                       partials_sym_richardson)
@@ -69,6 +70,12 @@ class DeformationProtocol:
         if self.kind == "pure-shear":
             ends = tuple(v * v for v in ends)
         return max(max(v, 1.0 / v) for v in ends)
+
+    def in_fitted_range(self) -> bool:
+        """Whether the sweep stays within the stretch ratio the surrogate
+        constants were fitted over; the 1e-12 slack admits an end given as
+        the rounded sqrt(1.3)."""
+        return self.max_stretch_ratio() <= FITTED_STRETCH_RATIO * (1.0 + 1e-12)
 
     def states(self, lams: Sequence[float],
                theta_lattice: float) -> List[SurfTensor2]:
@@ -123,7 +130,7 @@ def run_curve(protocol: DeformationProtocol, model: str,
     lams = protocol.values().tolist()
     out = []
     for lam, state in zip(lams, protocol.states(lams, frame.theta_lattice)):
-        _s, _tau, (g11, g22, g12, _tag), W = stress(state, frame, params)
+        _s, _tau, (g11, g22, g12), W = stress(state, frame, params)
         out.append(CurvePoint(lam, cc * g11 + ss * g22 + cs2 * g12,
                               ss * g11 + cc * g22 - cs2 * g12,
                               dcs * g12 + cs * (g22 - g11), W))
@@ -214,14 +221,13 @@ class _Check:
 
 def _membrane_sample(model, params, frame, triple, checks):
     stress = _STRESS_FN[model]
-    tag = "default"
 
     def w_of(c11, c22, c12):
         return (mm.energy_metric if model == "metric" else mm.energy_log)(
-            SurfTensor2(c11, c22, c12, tag), frame, params)
+            SurfTensor2(c11, c22, c12), frame, params)
 
     def s_of(c11, c22, c12):
-        r = stress(SurfTensor2(c11, c22, c12, tag), frame, params)
+        r = stress(SurfTensor2(c11, c22, c12), frame, params)
         return np.array([r.S.c11, r.S.c22, r.S.c12])
 
     s_an = s_of(*triple)
@@ -238,7 +244,7 @@ def _membrane_sample(model, params, frame, triple, checks):
     checks["stress_fd"].add(err)
 
     if model == "metric":
-        t_an = mm.tangent_metric(SurfTensor2(*triple, tag), frame, params)
+        t_an = mm.tangent_metric(SurfTensor2(*triple), frame, params)
         pair = _pair_of(t_an.comp)
         scale_t = max(np.max(np.abs(pair)), 1e-12)
 
@@ -254,11 +260,11 @@ def _membrane_sample(model, params, frame, triple, checks):
         sym = np.max(np.abs(t_an.comp - t_an.comp.transpose(2, 3, 0, 1)))
         checks["major_symmetry"].add(sym / scale_t)
         t_alt = rearrange(
-            mm.tangent_metric_oplus(SurfTensor2(*triple, tag), frame, params))
+            mm.tangent_metric_oplus(SurfTensor2(*triple), frame, params))
         checks["rearrangement"].add(
             np.max(np.abs(t_alt.comp - t_an.comp)) / scale_t)
     else:
-        t_an = mm.tangent_log(SurfTensor2(*triple, tag), frame, params)
+        t_an = mm.tangent_log(SurfTensor2(*triple), frame, params)
         scale_t = max(np.max(np.abs(t_an.comp)), 1e-12)
         sym = np.max(np.abs(t_an.comp - t_an.comp.transpose(2, 3, 0, 1)))
         checks["major_symmetry"].add(sym / scale_t)
@@ -487,7 +493,7 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
 
     gate = _Check(1.0)
     for st in states[:100]:
-        _w, sm = mm._metric_stress_core(st, params)
+        _w, sm, _g = mm._metric_core(st, params, order=1)
         _wl, sl = mm._log_core(st, params, order=1)
         scale = max(abs(x) for x in sl)
         gate.add(100.0 * max(abs(a - b) for a, b in zip(sm, sl)) / scale)
@@ -497,7 +503,7 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
                            f"difference {gate_report['max']:.3g}%")
 
     for st in states[:200]:  # warmup
-        mm._metric_tangent_core(st, params)
+        mm._metric_core(st, params, order=2)
         mm._log_core(st, params, order=1)
         mm._log_tangent_pairs(st, params)
 
@@ -508,7 +514,7 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
 
     t0 = time.perf_counter()
     for st in states:
-        mm._metric_stress_core(st, params)
+        mm._metric_core(st, params, order=1)
     t_metric_s = time.perf_counter() - t0 - calib
 
     t0 = time.perf_counter()
@@ -518,7 +524,7 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
 
     t0 = time.perf_counter()
     for st in states:
-        mm._metric_tangent_core(st, params)
+        mm._metric_core(st, params, order=2)
     t_metric_st = time.perf_counter() - t0 - calib
 
     t0 = time.perf_counter()

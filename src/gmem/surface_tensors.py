@@ -12,10 +12,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-class FrameMismatchError(ValueError):
-    """Raised when two tensors with different frame tags are combined."""
-
-
 class NotPositiveDefiniteError(ValueError):
     """Raised when a right Cauchy-Green input fails det > 0, tr > 0."""
 
@@ -26,7 +22,6 @@ class SurfTensor2(NamedTuple):
     c11: float
     c22: float
     c12: float
-    frame_tag: str = "default"
 
     def trace(self) -> float:
         return self.c11 + self.c22
@@ -36,37 +31,33 @@ class SurfTensor2(NamedTuple):
 
     def ddot(self, other: "SurfTensor2") -> float:
         """Full contraction a:b; off-diagonal entries count twice."""
-        _check_frames(self, other)
         return self.c11 * other.c11 + self.c22 * other.c22 + 2.0 * self.c12 * other.c12
 
     def scaled(self, s: float) -> "SurfTensor2":
-        return SurfTensor2(s * self.c11, s * self.c22, s * self.c12,
-                           self.frame_tag)
+        return SurfTensor2(s * self.c11, s * self.c22, s * self.c12)
 
     def plus(self, other: "SurfTensor2", w: float = 1.0) -> "SurfTensor2":
-        _check_frames(self, other)
         return SurfTensor2(self.c11 + w * other.c11, self.c22 + w * other.c22,
-                           self.c12 + w * other.c12, self.frame_tag)
+                           self.c12 + w * other.c12)
 
     def deviator(self) -> "SurfTensor2":
         h = 0.5 * self.trace()
-        return SurfTensor2(self.c11 - h, self.c22 - h, self.c12, self.frame_tag)
+        return SurfTensor2(self.c11 - h, self.c22 - h, self.c12)
 
     def inverse(self) -> "SurfTensor2":
         d = self.det()
         if d == 0.0:
             raise ZeroDivisionError("singular surface tensor")
-        return SurfTensor2(self.c22 / d, self.c11 / d, -self.c12 / d,
-                           self.frame_tag)
+        return SurfTensor2(self.c22 / d, self.c11 / d, -self.c12 / d)
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.c11, self.c12], [self.c12, self.c22]])
 
     @classmethod
-    def from_matrix(cls, m, frame_tag: str = "default") -> "SurfTensor2":
+    def from_matrix(cls, m) -> "SurfTensor2":
         m = np.asarray(m, dtype=float)
         return cls(float(m[0, 0]), float(m[1, 1]),
-                   0.5 * float(m[0, 1] + m[1, 0]), frame_tag)
+                   0.5 * float(m[0, 1] + m[1, 0]))
 
     def require_positive_definite(self) -> None:
         if not (self.det() > 0.0 and self.trace() > 0.0):
@@ -75,11 +66,6 @@ class SurfTensor2(NamedTuple):
 
 
 IDENTITY = SurfTensor2(1.0, 1.0, 0.0)
-
-
-def _check_frames(a: SurfTensor2, b: SurfTensor2) -> None:
-    if a.frame_tag != b.frame_tag:
-        raise FrameMismatchError(f"frame mismatch: {a.frame_tag!r} vs {b.frame_tag!r}")
 
 
 class SpectralDecomp(NamedTuple):
@@ -110,12 +96,12 @@ def spectral(t: SurfTensor2) -> SpectralDecomp:
     return SpectralDecomp(L1, L2, s1, s2, theta)
 
 
-def reconstruct(sd: SpectralDecomp, frame_tag: str = "default") -> SurfTensor2:
+def reconstruct(sd: SpectralDecomp) -> SurfTensor2:
     """Sum of Lambda_a Y_a (x) Y_a; inverse of spectral up to rounding."""
     c, s = math.cos(sd.theta), math.sin(sd.theta)
     return SurfTensor2(sd.Lambda1 * c * c + sd.Lambda2 * s * s,
                        sd.Lambda1 * s * s + sd.Lambda2 * c * c,
-                       (sd.Lambda1 - sd.Lambda2) * s * c, frame_tag)
+                       (sd.Lambda1 - sd.Lambda2) * s * c)
 
 
 def sqrt_spd(t: SurfTensor2) -> SurfTensor2:
@@ -131,32 +117,24 @@ def sqrt_spd(t: SurfTensor2) -> SurfTensor2:
             f"tensor is not positive definite: det={det}, tr={tr}")
     rd = math.sqrt(det)
     scale = 1.0 / math.sqrt(tr + 2.0 * rd)
-    return SurfTensor2((c11 + rd) * scale, (c22 + rd) * scale, c12 * scale,
-                       t.frame_tag)
+    return SurfTensor2((c11 + rd) * scale, (c22 + rd) * scale, c12 * scale)
 
 
 class Tangent4(NamedTuple):
-    """Fourth-order surface tensor, full 16 components, no symmetry packing.
-
-    layout_tag is "standard" for directly assembled elasticity tensors and
-    "oplus" for the alternative component ordering used by matrix assembly.
-    """
+    """Fourth-order surface tensor, full 16 components, no symmetry packing."""
 
     comp: np.ndarray
-    layout_tag: str = "standard"
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.comp * self.comp)))
 
     def major_transpose(self) -> "Tangent4":
-        return Tangent4(np.ascontiguousarray(self.comp.transpose(2, 3, 0, 1)),
-                        self.layout_tag)
+        return Tangent4(np.ascontiguousarray(self.comp.transpose(2, 3, 0, 1)))
 
 
 def _pair_outer(a: SurfTensor2, b: SurfTensor2, subscripts: str) -> Tangent4:
     """Closed-form pair product: one einsum with no summed index, so each of
     the 16 components is the single product of one entry of a and one of b."""
-    _check_frames(a, b)
     return Tangent4(np.einsum(subscripts, a.as_matrix(), b.as_matrix()))
 
 
@@ -188,14 +166,12 @@ def rearrange(t: Tangent4) -> Tangent4:
 
     Maps a (+) b to a (x) b, a (x) b to a [x] b^T, and a [x] b to a (+) b^T.
     """
-    return Tangent4(np.einsum("agdb->abgd", t.comp),
-                    "standard" if t.layout_tag == "oplus" else "oplus")
+    return Tangent4(np.einsum("agdb->abgd", t.comp))
 
 
 def rearrange_inverse(t: Tangent4) -> Tangent4:
     """Inverse reordering: out^{abgd} = in^{adbg}; undoes rearrange."""
-    return Tangent4(np.einsum("adbg->abgd", t.comp),
-                    "oplus" if t.layout_tag == "standard" else "standard")
+    return Tangent4(np.einsum("adbg->abgd", t.comp))
 
 
 # Pair index of each component index: 11 -> 0, 22 -> 1, 12 and 21 -> 2.

@@ -68,6 +68,24 @@ def test_curve_subcommand_writes_csv(tmp_path, capsys):
     assert float(row[2]) == pytest.approx(26.6862641044064581, rel=1e-13)
 
 
+@pytest.mark.parametrize("protocol, hi, ratio, in_range", [
+    ("pure-shear", "1.6", "2.56", "no"),
+    ("uniaxial-constrained", "1.1", "1.1", "yes"),
+])
+def test_curve_reports_fitted_range(tmp_path, capsys, protocol, hi, ratio,
+                                    in_range):
+    out_path = tmp_path / "curve.csv"
+    code, out, _ = run_cli(
+        ["curve", "--protocol", protocol, "--range", "1.0", hi,
+         "--out", str(out_path)], capsys)
+    assert code == 0
+    assert out.endswith(f"; max stretch ratio {ratio}, "
+                        f"in fitted range: {in_range}\n")
+    header = out_path.read_text().splitlines()[0]
+    assert header == ("step,lambda_or_J,sigma11,sigma22,sigma12,W,model,"
+                      "param_set,theta_deg")
+
+
 def test_curve_requires_output_path(capsys):
     code, _, err = run_cli(["curve"], capsys)
     assert code == 2

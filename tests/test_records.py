@@ -19,12 +19,10 @@ M = np.array([[1.0, 0.5], [0.5, 2.0]])
 
 # class, field order, one value per field, defaults of the trailing fields
 RECORDS = [
-    (SurfTensor2, ("c11", "c22", "c12", "frame_tag"),
-     (1.25, 0.75, 0.125, "lab"), {"frame_tag": "default"}),
+    (SurfTensor2, ("c11", "c22", "c12"), (1.25, 0.75, 0.125), {}),
     (SpectralDecomp, ("Lambda1", "Lambda2", "lambda1", "lambda2", "theta"),
      (1.21, 0.81, 1.1, 0.9, 0.25), {}),
-    (Tangent4, ("comp", "layout_tag"), (A, "oplus"),
-     {"layout_tag": "standard"}),
+    (Tangent4, ("comp",), (A,), {}),
     (StressResult, ("S", "tau", "sigma", "W"),
      (T, T.scaled(2.0), T.scaled(3.0), 0.5), {}),
     (InvariantState, ("J1", "J2", "J3", "mC", "nC"),
@@ -73,7 +71,7 @@ def test_construction_and_field_order(cls, fields, values, defaults):
 def test_records_are_immutable(cls, fields, values, defaults):
     rec = cls(*values)
     with pytest.raises(AttributeError):
-        setattr(rec, fields[0], values[1])
+        setattr(rec, fields[0], values[0])
     with pytest.raises(AttributeError):
         rec.extra = 1.0
 
@@ -91,10 +89,12 @@ def test_repr_and_pickle(cls, fields, values, defaults):
 
 
 def test_surf_tensor_repr_and_tuple_semantics():
-    assert repr(T) == ("SurfTensor2(c11=1.25, c22=0.75, c12=0.125, "
-                       "frame_tag='default')")
+    assert repr(T) == "SurfTensor2(c11=1.25, c22=0.75, c12=0.125)"
     # records compare equal to plain tuples of the same values and unpack
-    assert T == (1.25, 0.75, 0.125, "default")
-    c11, c22, c12, tag = T
-    assert (c11, c22, c12, tag) == (1.25, 0.75, 0.125, "default")
+    assert T == (1.25, 0.75, 0.125)
+    c11, c22, c12 = T
+    assert (c11, c22, c12) == (1.25, 0.75, 0.125)
+    # an untagged tensor is an array of its three floats
+    assert np.asarray(T).dtype == float
+    assert np.array_equal(np.asarray(T), [1.25, 0.75, 0.125])
     assert T._replace(c12=0.0) == SurfTensor2(1.25, 0.75, 0.0)

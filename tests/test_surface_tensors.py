@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gmem.surface_tensors import (
     IDENTITY,
-    FrameMismatchError,
     NotPositiveDefiniteError,
     SurfTensor2,
     Tangent4,
@@ -53,15 +52,6 @@ def test_plus_and_scaled():
 def test_from_matrix_symmetrizes():
     t = SurfTensor2.from_matrix([[1.0, 2.0], [0.0, 3.0]])
     assert t.c12 == 1.0
-
-
-def test_frame_tags_must_match():
-    a = SurfTensor2(1.0, 1.0, 0.0, frame_tag="one")
-    b = SurfTensor2(1.0, 1.0, 0.0, frame_tag="two")
-    with pytest.raises(FrameMismatchError):
-        a.ddot(b)
-    with pytest.raises(FrameMismatchError):
-        a.plus(b)
 
 
 def test_positive_definite_guard():
@@ -137,11 +127,10 @@ def test_sym_tensor_product_is_symmetric_in_arguments():
 def test_rearrange_maps_oplus_to_tensor_product():
     a = SurfTensor2(2.0, 3.0, 1.0)
     b = SurfTensor2(5.0, 7.0, -2.0)
-    out = rearrange(Tangent4(oplus_product(a, b).comp, "oplus"))
-    assert out.layout_tag == "standard"
+    out = rearrange(oplus_product(a, b))
     assert np.array_equal(out.comp, tensor_product(a, b).comp)
     # for symmetric arguments the transpose in the mapping rule is free
-    out2 = rearrange(Tangent4(tensor_product(a, b).comp, "oplus"))
+    out2 = rearrange(tensor_product(a, b))
     assert np.array_equal(out2.comp, boxtimes_product(a, b).comp)
 
 
@@ -150,7 +139,6 @@ def test_rearrange_round_trip_is_exact():
     t = Tangent4(rng.normal(size=(2, 2, 2, 2)))
     back = rearrange_inverse(rearrange(t))
     assert np.array_equal(back.comp, t.comp)
-    assert back.layout_tag == t.layout_tag
 
 
 def test_major_transpose_and_norm():
@@ -183,7 +171,6 @@ def test_tangent_from_pairs_matches_explicit_expansion():
     for pairs in (p, tuple(tuple(row) for row in p)):
         t = tangent_from_pairs(pairs)
         assert np.array_equal(t.comp, want)
-        assert t.layout_tag == "standard"
     # a non-contiguous view expands by its logical indices
     assert np.array_equal(tangent_from_pairs(p.T).comp,
                           tangent_from_pairs(np.ascontiguousarray(p.T)).comp)
@@ -211,19 +198,6 @@ def test_pair_products_match_explicit_expansion():
             t = fn(a, b)
             assert np.array_equal(t.comp, want[name]), name
             assert t.comp.shape == (2, 2, 2, 2)
-            assert t.layout_tag == "standard"
-        with pytest.raises(FrameMismatchError):
-            fn(a, SurfTensor2(1.0, 1.0, 0.0, frame_tag="other"))
-
-
-def test_derived_tensors_keep_frame_tag():
-    a = SurfTensor2(2.0, 1.0, 0.5, "lab")
-    b = SurfTensor2(0.3, -0.2, 0.1, "lab")
-    for t in (a.scaled(2.0), a.plus(b, 0.5), a.deviator(), a.inverse(),
-              sqrt_spd(a)):
-        assert t.frame_tag == "lab"
-    assert a.plus(b, 0.5) == SurfTensor2(2.15, 0.9, 0.55, "lab")
-    assert a.deviator() == SurfTensor2(0.5, -0.5, 0.5, "lab")
 
 
 def test_rel_diff():

@@ -1,0 +1,162 @@
+"""Bitwise output oracle: the seeded outputs of two commits, group by group.
+
+    python3 tools/oracle_diff.py --parent HEAD~1 --change HEAD
+
+Exports both commits' committed files (git archive, as tools/bench_pairs.py
+does) into a temporary directory and, in a fresh interpreter per tree that
+imports gmem from that tree's src/, dumps float64 arrays of:
+
+* energy, stress (S, tau, sigma, W), tangent and stress+tangent of the
+  metric and log models on seeded states: GGA and LDA, random lattice
+  angles, stretches in [0.7, 1.6], one state in eight with its principal
+  stretches within 1e-9 relative of each other (the log model's
+  divided-difference limit);
+* the metric tangent's cross-check routes (term-list reference and the
+  oplus-order assembly) on the same states;
+* run_curve (points and peak) and compare_models over the perfbench sweep
+  grid: every protocol kind, the armchair, zigzag and all generic
+  directions, both parameter sets, the benchmark's ranges and step counts.
+
+Prints, per output group, whether the two dumps are bitwise equal and the
+largest absolute difference over the group's largest magnitude. Exits 0
+when every group is bitwise equal, 1 otherwise (including a group present
+on one side only).
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import export  # noqa: E402
+
+N_STATES = 2000
+SEED = 20240
+NEAR_ISOTROPIC_EVERY = 8
+
+
+def _states(rng):
+    """(C triple, lattice angle, parameter-set name) per seeded state."""
+    out = []
+    for i in range(N_STATES):
+        l1 = rng.uniform(math.sqrt(0.7), math.sqrt(1.6))
+        if i % NEAR_ISOTROPIC_EVERY == 0:
+            l2 = l1 * (1.0 + rng.uniform(-1e-9, 1e-9))
+        else:
+            l2 = rng.uniform(math.sqrt(0.7), math.sqrt(1.6))
+        phi = rng.uniform(0.0, math.pi)
+        c, s = math.cos(phi), math.sin(phi)
+        e1, e2 = l1 * l1, l2 * l2
+        triple = (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
+                  (e1 - e2) * s * c)
+        out.append((triple, rng.uniform(0.0, 2.0 * math.pi),
+                    ("GGA", "LDA")[i % 2]))
+    return out
+
+
+def dump(tree: Path, out: Path) -> None:
+    """Write every output group of the gmem under tree/src to out (.npz)."""
+    import gmem
+    from gmem import lattice as la
+    from gmem import membrane_material as mm
+    from gmem import scenarios as sc
+    from gmem.surface_tensors import SurfTensor2
+
+    if Path(gmem.__file__).resolve().parent != (tree / "src" / "gmem").resolve():
+        raise SystemExit(f"imported gmem from {gmem.__file__}, not {tree}")
+    sys.path.insert(0, str(tree / "perfbench"))
+    import workloads as wl
+
+    groups: dict[str, list] = {}
+
+    def add(name, values):
+        groups.setdefault(name, []).append(np.asarray(values, dtype=float).ravel())
+
+    for triple, theta, pname in _states(np.random.default_rng(SEED)):
+        c = SurfTensor2(*triple)
+        fr = la.make_frame(theta)
+        p = mm.material_preset(pname)
+        for model in ("metric", "log"):
+            add(f"energy_{model}", getattr(mm, f"energy_{model}")(c, fr, p))
+            add(f"stress_{model}",
+                wl.stress_row(getattr(mm, f"stress_{model}")(c, fr, p)))
+            add(f"tangent_{model}",
+                getattr(mm, f"tangent_{model}")(c, fr, p).comp)
+            r, t = getattr(mm, f"stress_tangent_{model}")(c, fr, p)
+            add(f"stress_tangent_{model}",
+                np.concatenate([wl.stress_row(r), t.comp.ravel()]))
+        add("tangent_metric_reference", mm.tangent_metric_reference(c, fr, p).comp)
+        add("tangent_metric_oplus", mm.tangent_metric_oplus(c, fr, p).comp)
+
+    directions = (wl.ARMCHAIR_DEG, wl.ZIGZAG_DEG) + wl.GENERIC_DEG
+    frame = la.make_frame(0.0)
+    for kind, _key, inputs in wl.sweep_items(directions):
+        if kind == "compare":
+            d = wl.run_sweep_item(kind, inputs, frame)
+            add("compare_models", [d[n] for n in ("sigma11", "sigma22", "sigma12")])
+        elif kind == "curve":
+            pts, peak = wl.run_sweep_item(kind, inputs, frame)
+            add("run_curve", [tuple(q) for q in pts])
+            add("peak_of_curve", peak)
+    np.savez(out, **{k: np.concatenate(v) for k, v in groups.items()})
+
+
+def compare(parent: dict, change: dict) -> bool:
+    ok = True
+    for name in sorted(set(parent) | set(change)):
+        if name not in parent or name not in change:
+            print(f"{name:28s} only on the {'change' if name in change else 'parent'}")
+            ok = False
+            continue
+        a, b = parent[name], change[name]
+        if a.shape != b.shape:
+            print(f"{name:28s} shape {a.shape} vs {b.shape}")
+            ok = False
+            continue
+        same = a.tobytes() == b.tobytes()
+        scale = float(np.max(np.abs(a))) if a.size else 0.0
+        rel = float(np.max(np.abs(a - b))) / scale if scale > 0.0 else 0.0
+        print(f"{name:28s} {a.size:8d} values  max rel diff {rel:.3e}  "
+              f"{'bitwise equal' if same else 'DIFFERS'}")
+        ok = ok and same
+    return ok
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", help="commit whose outputs are the reference")
+    ap.add_argument("--change", help="commit compared against it")
+    ap.add_argument("--dump", metavar="NPZ", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.dump:
+        dump(Path.cwd(), Path(args.dump))
+        return 0
+    if not (args.parent and args.change):
+        ap.error("--parent and --change are required")
+    with tempfile.TemporaryDirectory(prefix="gmem-oracle-") as tmp:
+        dumps = {}
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            tree = Path(tmp) / side
+            sha = export(rev, tree)
+            print(f"{side}: {sha}")
+            out = Path(tmp) / f"{side}.npz"
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+            subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                            "--dump", str(out)], cwd=tree, env=env, check=True)
+            with np.load(out) as z:
+                dumps[side] = {k: z[k] for k in z.files}
+    ok = compare(dumps["parent"], dumps["change"])
+    print("all groups bitwise equal" if ok else "outputs differ")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
