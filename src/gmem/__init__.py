@@ -10,11 +10,8 @@ from .surface_tensors import (
     boxtimes_product,
     oplus_product,
     rearrange,
-    rearrange_inverse,
-    rel_diff,
     spectral,
     sqrt_spd,
-    sym_tensor_product,
     tangent_from_pairs,
     tensor_product,
 )

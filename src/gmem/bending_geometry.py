@@ -217,13 +217,13 @@ def _curvature_scalars(det_a, a_inv, b):
 
 
 def evaluate_geometry(surface: AnalyticSurface, xi,
-                      reference: Optional[AnalyticSurface] = None,
-                      reference_xi=None) -> SurfacePointGeometry:
+                      reference: Optional[AnalyticSurface] = None
+                      ) -> SurfacePointGeometry:
     """All pointwise geometry of `surface` at parameter point xi.
 
     With no reference the point is its own reference (J = 1). Otherwise the
-    reference surface is evaluated at reference_xi (default: the same xi)
-    and J is the area stretch between the two parametrizations.
+    reference surface is evaluated at the same xi and J is the area stretch
+    between the two parametrizations.
     """
     u, v = float(xi[0]), float(xi[1])
     if surface.singular is not None and surface.singular(u, v):
@@ -248,9 +248,7 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
         A_contra = a_contra
         J = 1.0
     else:
-        ru, rv = (u, v) if reference_xi is None else (float(reference_xi[0]),
-                                                     float(reference_xi[1]))
-        A_alpha = np.asarray(reference.jacobian(ru, rv), dtype=float)
+        A_alpha = np.asarray(reference.jacobian(u, v), dtype=float)
         A_cov = A_alpha @ A_alpha.T
         detA, A_inv = _det_inv2(A_cov.tolist(), "reference metric")
         A_contra = np.array(A_inv)

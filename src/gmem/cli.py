@@ -49,12 +49,13 @@ def _json_text(payload: dict) -> str:
 
 
 def _emit(args, payload: dict) -> None:
-    """Print the JSON report and, with --out, write the same text there."""
+    """Write the JSON report to --out, if given, then print the same text;
+    a failed write prints nothing."""
     text = _json_text(payload)
-    sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _parse_tolerances(items) -> dict:

@@ -200,26 +200,26 @@ def _pair_of(t4: np.ndarray) -> np.ndarray:
     ])
 
 
-class _Check:
-    def __init__(self, tol):
-        self.tol = tol
-        self.max = 0.0
-        self.sum = 0.0
-        self.n = 0
-
-    def add(self, err):
-        err = float(err)
-        self.max = max(self.max, err)
-        self.sum += err
-        self.n += 1
-
-    def report(self):
-        mean = self.sum / self.n if self.n else 0.0
-        return {"max": self.max, "mean": mean, "tol": self.tol,
-                "pass": self.max < self.tol}
+def _rel_err(x, ref):
+    """max |x - ref| over max |ref|, the latter floored at 1e-12."""
+    return np.max(np.abs(np.asarray(x) - ref)) / max(np.max(np.abs(ref)), 1e-12)
 
 
-def _membrane_sample(model, params, frame, triple, checks):
+def _fd_err(f, x, step, analytic, tol):
+    """Relative error of twice the central-difference partials of f at x
+    against analytic; an error at or above tol is retried once with
+    Richardson extrapolation, and the smaller error is kept."""
+    err = _rel_err(2.0 * partials_sym(f, x, step), analytic)
+    if err >= tol:
+        err = min(err, _rel_err(
+            2.0 * partials_sym_richardson(f, x, step), analytic))
+    return err
+
+
+def _membrane_sample(model, params, rng, tols):
+    """Errors of one random membrane state, keyed by check name."""
+    frame = make_frame(rng.uniform(0.0, 2.0 * math.pi))
+    triple = _random_spd_triple(rng)
     stress = _STRESS_FN[model]
 
     def w_of(c11, c22, c12):
@@ -230,47 +230,25 @@ def _membrane_sample(model, params, frame, triple, checks):
         r = stress(SurfTensor2(c11, c22, c12), frame, params)
         return np.array([r.S.c11, r.S.c22, r.S.c12])
 
-    s_an = s_of(*triple)
-    scale_s = max(np.max(np.abs(s_an)), 1e-12)
-
-    def stress_err(fd):
-        return np.max(np.abs(np.asarray(fd) - s_an)) / scale_s
-
-    fd_s = 2.0 * partials_sym(w_of, triple, STRESS_STEP)
-    err = stress_err(fd_s)
-    if err >= checks["stress_fd"].tol:
-        err = min(err, stress_err(
-            2.0 * partials_sym_richardson(w_of, triple, STRESS_STEP)))
-    checks["stress_fd"].add(err)
-
+    errs = {"stress_fd": _fd_err(w_of, triple, STRESS_STEP, s_of(*triple),
+                                 tols["stress_fd"])}
     if model == "metric":
-        t_an = mm.tangent_metric(SurfTensor2(*triple), frame, params)
-        pair = _pair_of(t_an.comp)
-        scale_t = max(np.max(np.abs(pair)), 1e-12)
-
-        def tangent_err(fd):
-            return np.max(np.abs(np.asarray(fd) - pair)) / scale_t
-
-        fd_t = 2.0 * partials_sym(s_of, triple, TANGENT_STEP)
-        terr = tangent_err(fd_t)
-        if terr >= checks["tangent_fd"].tol:
-            terr = min(terr, tangent_err(
-                2.0 * partials_sym_richardson(s_of, triple, TANGENT_STEP)))
-        checks["tangent_fd"].add(terr)
-        sym = np.max(np.abs(t_an.comp - t_an.comp.transpose(2, 3, 0, 1)))
-        checks["major_symmetry"].add(sym / scale_t)
-        t_alt = rearrange(
-            mm.tangent_metric_oplus(SurfTensor2(*triple), frame, params))
-        checks["rearrangement"].add(
-            np.max(np.abs(t_alt.comp - t_an.comp)) / scale_t)
+        t = mm.tangent_metric(SurfTensor2(*triple), frame, params).comp
+        errs["tangent_fd"] = _fd_err(s_of, triple, TANGENT_STEP, _pair_of(t),
+                                     tols["tangent_fd"])
     else:
-        t_an = mm.tangent_log(SurfTensor2(*triple), frame, params)
-        scale_t = max(np.max(np.abs(t_an.comp)), 1e-12)
-        sym = np.max(np.abs(t_an.comp - t_an.comp.transpose(2, 3, 0, 1)))
-        checks["major_symmetry"].add(sym / scale_t)
+        t = mm.tangent_log(SurfTensor2(*triple), frame, params).comp
+    errs["major_symmetry"] = _rel_err(t.transpose(2, 3, 0, 1), t)
+    if model == "metric":
+        t_alt = mm.tangent_metric_oplus(SurfTensor2(*triple), frame, params)
+        errs["rearrangement"] = _rel_err(rearrange(t_alt).comp, t)
+    return errs
 
 
-def _bending_sample(rng, c_bend, checks):
+def _bending_sample(rng):
+    """Errors of one random bending state, keyed by check name; tangent_fd
+    holds one error per tangent block c, d, e, f."""
+    c_bend = DEFAULT_BEND_STIFFNESS
     a_ref = np.array(_random_spd_triple(rng, 0.8, 1.3))
     a_cur = np.array(_random_spd_triple(rng, 0.7, 1.6))
     b_cur = rng.uniform(-0.5, 0.5, size=3)
@@ -283,6 +261,10 @@ def _bending_sample(rng, c_bend, checks):
     def geom(a, b):
         return bg.geometry_from_metrics(A_ref, m2(a), m2(b))
 
+    def tm(g):
+        t, m = bg.bending_stress_moment(g, c_bend)
+        return np.array([t[0, 0], t[1, 1], t[0, 1], m[0, 0], m[1, 1], m[0, 1]])
+
     def w_of_a(a11, a22, a12):
         return bg.canham_energy(geom((a11, a22, a12), b_cur), c_bend)
 
@@ -290,38 +272,35 @@ def _bending_sample(rng, c_bend, checks):
         return bg.canham_energy(geom(a_cur, (b11, b22, b12)), c_bend)
 
     def tm_of_a(a11, a22, a12):
-        t, m = bg.bending_stress_moment(geom((a11, a22, a12), b_cur), c_bend)
-        return np.array([t[0, 0], t[1, 1], t[0, 1],
-                         m[0, 0], m[1, 1], m[0, 1]])
+        return tm(geom((a11, a22, a12), b_cur))
 
     def tm_of_b(b11, b22, b12):
-        t, m = bg.bending_stress_moment(geom(a_cur, (b11, b22, b12)), c_bend)
-        return np.array([t[0, 0], t[1, 1], t[0, 1],
-                         m[0, 0], m[1, 1], m[0, 1]])
+        return tm(geom(a_cur, (b11, b22, b12)))
 
     g0 = geom(a_cur, b_cur)
-    tau, m0 = bg.bending_stress_moment(g0, c_bend)
-    an = np.array([tau[0, 0], tau[1, 1], tau[0, 1],
-                   m0[0, 0], m0[1, 1], m0[0, 1]])
+    an = tm(g0)
     fd = np.concatenate([2.0 * partials_sym(w_of_a, tuple(a_cur), STRESS_STEP),
                          partials_sym(w_of_b, tuple(b_cur), STRESS_STEP)])
-    scale = max(np.max(np.abs(an)), 1e-12)
-    checks["stress_fd"].add(np.max(np.abs(fd - an)) / scale)
-
     tg = bg.bending_tangents(g0, c_bend)
     fd_a = partials_sym(tm_of_a, tuple(a_cur), TANGENT_STEP)
     fd_b = partials_sym(tm_of_b, tuple(b_cur), TANGENT_STEP)
-    pairs = {
-        "c": (2.0 * fd_a[:3], _pair_of(tg.c)),
-        "d": (fd_b[:3], _pair_of(tg.d)),
-        "e": (2.0 * fd_a[3:], _pair_of(tg.e)),
-        "f": (fd_b[3:], _pair_of(tg.f)),
-    }
-    for fd_p, an_p in pairs.values():
-        sc = max(np.max(np.abs(an_p)), 1e-12)
-        checks["tangent_fd"].add(np.max(np.abs(np.asarray(fd_p) - an_p)) / sc)
-    checks["transpose_identity"].add(
-        np.max(np.abs(tg.e - tg.d.transpose(2, 3, 0, 1))))
+    return {"stress_fd": _rel_err(fd, an),
+            "tangent_fd": (_rel_err(2.0 * fd_a[:3], _pair_of(tg.c)),
+                           _rel_err(fd_b[:3], _pair_of(tg.d)),
+                           _rel_err(2.0 * fd_a[3:], _pair_of(tg.e)),
+                           _rel_err(fd_b[3:], _pair_of(tg.f))),
+            "transpose_identity": np.max(
+                np.abs(tg.e - tg.d.transpose(2, 3, 0, 1)))}
+
+
+def _summary(rows, tol):
+    """Max, mean and worst sample of per-sample error rows. The max
+    propagates NaN, so a non-finite error fails its check."""
+    errs = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+    worst = float(np.max(errs))
+    return {"max": worst, "mean": sum(errs.ravel().tolist()) / errs.size,
+            "tol": tol, "pass": worst < tol,
+            "worst_sample": int(np.argmax(np.max(errs, axis=1)))}
 
 
 DEFAULT_BEND_STIFFNESS = 0.238
@@ -338,14 +317,16 @@ VERIFY_TOLERANCES = {
 
 def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
                        n_samples: int = 200, seed: int = 0,
-                       tolerances: Optional[dict] = None,
-                       c_bend: float = DEFAULT_BEND_STIFFNESS) -> dict:
+                       tolerances: Optional[dict] = None) -> dict:
     """Finite-difference verification of every analytic derivative.
 
     model is "metric", "log", or "bending". Relative errors are collected
     per check over n_samples random states; a marginal plain-difference
     failure is retried once with Richardson extrapolation before being
-    recorded. Deterministic for a fixed seed.
+    recorded. Each check reports its max, mean and worst_sample, the
+    0-based index of the sample holding the max; a NaN error is the max
+    and fails the check. The states come from default_rng(seed) in a fixed
+    order, so n_samples=k+1 re-runs sample k as the last one.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -357,20 +338,15 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
         if unknown:
             raise ValueError(f"unknown tolerance keys {sorted(unknown)}")
         tols.update(tolerances)
-    checks = {name: _Check(tol) for name, tol in tols.items()}
     rng = np.random.default_rng(seed)
+    p = params if params is not None else mm.GGA
     if model == "bending":
-        param_name = ""
-        for _ in range(n_samples):
-            _bending_sample(rng, c_bend, checks)
+        samples = [_bending_sample(rng) for _ in range(n_samples)]
     else:
-        p = params if params is not None else mm.GGA
-        param_name = p.name or "custom"
-        for _ in range(n_samples):
-            frame = make_frame(rng.uniform(0.0, 2.0 * math.pi))
-            triple = _random_spd_triple(rng)
-            _membrane_sample(model, p, frame, triple, checks)
-    report = {name: ch.report() for name, ch in checks.items()}
+        samples = [_membrane_sample(model, p, rng, tols)
+                   for _ in range(n_samples)]
+    report = {name: _summary([errs[name] for errs in samples], tol)
+              for name, tol in tols.items()}
     if model == "bending":
         # the identity e = d-transpose holds by construction; require it
         # bitwise rather than within a tolerance
@@ -378,7 +354,7 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
             report["transpose_identity"]["max"] == 0.0)
     return {
         "model": model,
-        "param_set": param_name,
+        "param_set": "" if model == "bending" else p.name or "custom",
         "n_samples": int(n_samples),
         "seed": int(seed),
         "checks": report,
@@ -433,8 +409,8 @@ class BeamParams:
     theta_w: float
 
     def __post_init__(self):
-        if self.length <= 0.0 or self.r_m <= 0.0:
-            raise ValueError("beam geometry must be positive")
+        if not (self.e2d > 0.0 and self.length > 0.0 and self.r_m > 0.0):
+            raise ValueError("modulus and beam geometry must be positive")
         if not 0.0 < self.theta_w < 0.5 * math.pi:
             raise ValueError("theta_w must lie in (0, pi/2)")
 
@@ -491,16 +467,16 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
         states.append((e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
                        (e1 - e2) * s * c) + mn)
 
-    gate = _Check(1.0)
+    gate = []
     for st in states[:100]:
         _w, sm, _g = mm._metric_core(st, params, order=1)
         _wl, sl = mm._log_core(st, params, order=1)
         scale = max(abs(x) for x in sl)
-        gate.add(100.0 * max(abs(a - b) for a, b in zip(sm, sl)) / scale)
-    gate_report = gate.report()
-    if not gate_report["pass"]:
+        gate.append(100.0 * max(abs(a - b) for a, b in zip(sm, sl)) / scale)
+    gate_max = float(np.max(gate))  # NaN-propagating, so NaN fails
+    if not gate_max < 1.0:
         raise RuntimeError(f"consistency gate failed: max componentwise "
-                           f"difference {gate_report['max']:.3g}%")
+                           f"difference {gate_max:.3g}%")
 
     for st in states[:200]:  # warmup
         mm._metric_core(st, params, order=2)
@@ -546,7 +522,7 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
         "speedup_stress_tangent": t_log_st / t_metric_st,
         "speedup_stress_only": t_log_s / t_metric_s,
         "reference_ratio": 1.5,
-        "consistency_gate": {"max_percent": gate_report["max"],
+        "consistency_gate": {"max_percent": gate_max,
                              "tol_percent": 1.0, "pass": True,
                              "n_states": 100},
         "environment": {"platform": platform.platform(),

@@ -65,9 +65,6 @@ class SurfTensor2(NamedTuple):
                 f"tensor is not positive definite: det={self.det()}, tr={self.trace()}")
 
 
-IDENTITY = SurfTensor2(1.0, 1.0, 0.0)
-
-
 class SpectralDecomp(NamedTuple):
     """Eigenvalues Lambda1 >= Lambda2, principal stretches, and the angle of
     the maximum-stretch direction, counter-clockwise from the frame's first
@@ -125,12 +122,6 @@ class Tangent4(NamedTuple):
 
     comp: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.comp * self.comp)))
-
-    def major_transpose(self) -> "Tangent4":
-        return Tangent4(np.ascontiguousarray(self.comp.transpose(2, 3, 0, 1)))
-
 
 def _pair_outer(a: SurfTensor2, b: SurfTensor2, subscripts: str) -> Tangent4:
     """Closed-form pair product: one einsum with no summed index, so each of
@@ -153,13 +144,6 @@ def boxtimes_product(a: SurfTensor2, b: SurfTensor2) -> Tangent4:
     return _pair_outer(a, b, "ag,bd->abgd")
 
 
-def sym_tensor_product(a: SurfTensor2, b: SurfTensor2) -> Tangent4:
-    """Symmetrized (a (x) b)^S = (a (x) b + b (x) a) / 2."""
-    t1 = tensor_product(a, b)
-    t2 = tensor_product(b, a)
-    return Tangent4(0.5 * (t1.comp + t2.comp))
-
-
 def rearrange(t: Tangent4) -> Tangent4:
     """Component reordering used to go from assembly order back to the
     standard order: out^{abgd} = in^{agdb}.
@@ -167,11 +151,6 @@ def rearrange(t: Tangent4) -> Tangent4:
     Maps a (+) b to a (x) b, a (x) b to a [x] b^T, and a [x] b to a (+) b^T.
     """
     return Tangent4(np.einsum("agdb->abgd", t.comp))
-
-
-def rearrange_inverse(t: Tangent4) -> Tangent4:
-    """Inverse reordering: out^{abgd} = in^{adbg}; undoes rearrange."""
-    return Tangent4(np.einsum("adbg->abgd", t.comp))
 
 
 # Pair index of each component index: 11 -> 0, 22 -> 1, 12 and 21 -> 2.
@@ -186,11 +165,3 @@ def tangent_from_pairs(pairs) -> Tangent4:
     if p.shape != (3, 3):
         raise ValueError(f"pair matrix must be 3x3, got shape {p.shape}")
     return Tangent4(p.take(_PAIR_TAKE))
-
-
-def rel_diff(x: np.ndarray, y: np.ndarray, floor: float = 1e-300) -> float:
-    """Frobenius-relative difference of two component arrays."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    denom = max(np.sqrt(np.sum(y * y)), floor)
-    return float(np.sqrt(np.sum((x - y) ** 2)) / denom)

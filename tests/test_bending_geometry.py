@@ -110,6 +110,36 @@ def test_cone_curvature_and_apex_guard():
         bg.cone_surface(math.pi / 2.0)
 
 
+SURFACES = [
+    bg.flat_patch((1.0, 0.3, -0.2), (0.4, 1.1, 0.5), (0.1, -0.2, 0.3)),
+    bg.cylinder_surface(1.5),
+    bg.sphere_surface(2.0),
+    bg.cone_surface(0.6),
+    bg.reparametrized(bg.sphere_surface(2.0), 0.7, 1.3),
+    bg.reparametrized(bg.cone_surface(0.6), 1.4, 0.8),
+]
+
+
+def central_rows(f, u, v, h=1e-6):
+    """Central differences of f in u and in v, stacked along a new axis 0."""
+    return np.array([(f(u + h, v) - f(u - h, v)) / (2.0 * h),
+                     (f(u, v + h) - f(u, v - h)) / (2.0 * h)])
+
+
+def max_rel(x, ref):
+    return np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-12)
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.name)
+def test_analytic_surface_derivatives_match_differences(surface):
+    for u, v in ((0.3, 0.8), (-1.1, 1.9), (2.5, 0.6)):
+        assert surface.singular is None or not surface.singular(u, v)
+        jac = surface.jacobian(u, v)
+        assert max_rel(central_rows(surface.position, u, v), jac) < 1e-8
+        hess = surface.hessian(u, v)
+        assert max_rel(central_rows(surface.jacobian, u, v), hess) < 1e-8
+
+
 def test_reparametrization_leaves_invariants_alone():
     base = bg.evaluate_geometry(bg.cylinder_surface(1.5), (0.8, 0.6))
     rep = bg.reparametrized(bg.cylinder_surface(1.5), 2.0, 0.5)

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from gmem import cli
+from gmem import membrane_material as mm
+from gmem.surface_tensors import Tangent4
 
 
 def run_cli(argv, capsys):
@@ -42,6 +44,15 @@ def test_beam_subcommand(capsys):
                                               rel=1e-12)
     assert payload["F_A_nN"] == pytest.approx(0.0582241000598239362,
                                               rel=1e-12)
+
+
+def test_beam_rejects_non_positive_modulus(capsys):
+    code, out, err = run_cli(
+        ["beam", "--modulus", "-340", "--r-m", "1", "--length", "10",
+         "--theta-w-deg", "20"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and err.count("\n") == 1
 
 
 def test_contact_subcommand_with_csv(tmp_path, capsys):
@@ -134,6 +145,22 @@ def test_verify_tolerance_breach_exits_one(capsys):
          "--tolerance", "tangent_fd=1e-16"], capsys)
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_verify_nan_error_exits_one(monkeypatch, capsys):
+    tangent = mm.tangent_metric
+
+    def one_nan_entry(c, frame, params):
+        comp = tangent(c, frame, params).comp.copy()
+        comp[0, 1, 0, 1] = math.nan
+        return Tangent4(comp)
+
+    monkeypatch.setattr(mm, "tangent_metric", one_nan_entry)
+    code, out, err = run_cli(["verify", "--model", "metric", "--samples", "3"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: verify result is not finite")
 
 
 def test_verify_rejects_malformed_tolerance(capsys):
@@ -379,6 +406,14 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
          "--out", str(tmp_path / "no" / "dir" / "x.csv")], capsys)
     assert code == 3
     assert "i/o error" in err
+
+
+def test_unwritable_json_output_prints_nothing(tmp_path, capsys):
+    code, out, err = run_cli(["cone", "--declination", "60",
+                              "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("i/o error")
 
 
 def test_module_entry_point():

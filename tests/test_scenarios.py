@@ -9,7 +9,7 @@ import pytest
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.lattice import ZIGZAG_OFFSET, make_frame
-from gmem.surface_tensors import SurfTensor2
+from gmem.surface_tensors import SurfTensor2, Tangent4
 
 ARMCHAIR = make_frame(0.0)
 
@@ -233,6 +233,35 @@ def test_verify_derivatives_tolerance_handling():
         sc.verify_derivatives("metric", n_samples=0)
 
 
+@pytest.mark.parametrize("model, check, seed", [
+    ("metric", "tangent_fd", 0), ("log", "stress_fd", 1),
+    ("bending", "tangent_fd", 2)])
+def test_verify_worst_sample_reruns_as_last_sample(model, check, seed):
+    full = sc.verify_derivatives(model, n_samples=6, seed=seed)["checks"]
+    k = full[check]["worst_sample"]
+    assert k > 0
+    rerun = sc.verify_derivatives(model, n_samples=k + 1, seed=seed)
+    assert rerun["checks"][check]["max"] == full[check]["max"]
+    assert rerun["checks"][check]["worst_sample"] == k
+    before = sc.verify_derivatives(model, n_samples=k, seed=seed)
+    assert before["checks"][check]["max"] < full[check]["max"]
+
+
+def test_verify_nan_error_fails_its_check(monkeypatch):
+    tangent = mm.tangent_metric
+
+    def one_nan_entry(c, frame, params):
+        comp = tangent(c, frame, params).comp.copy()
+        comp[0, 1, 0, 1] = math.nan
+        return Tangent4(comp)
+
+    monkeypatch.setattr(mm, "tangent_metric", one_nan_entry)
+    rep = sc.verify_derivatives("metric", n_samples=3, seed=3)
+    assert math.isnan(rep["checks"]["tangent_fd"]["max"])
+    assert rep["checks"]["tangent_fd"]["pass"] is False
+    assert rep["pass"] is False
+
+
 def test_contact_potential_values():
     psi, tr = sc.contact_potential(0.34)
     assert psi == -0.14
@@ -273,6 +302,9 @@ def test_beam_force_frozen_values():
 
 
 def test_beam_params_validation():
+    for modulus in (0.0, -340.0):
+        with pytest.raises(ValueError):
+            sc.BeamParams(modulus, 1.0, 38.19, 0.3)
     with pytest.raises(ValueError):
         sc.BeamParams(340.0, -1.0, 38.19, 0.3)
     with pytest.raises(ValueError):
