@@ -70,24 +70,27 @@ def _parse_tolerances(items) -> dict:
             raise UsageError(f"bad --tolerance value in {item!r}") from None
         if not math.isfinite(out[name]):
             raise UsageError(f"--tolerance value in {item!r} must be finite")
+        if out[name] < 0.0:
+            raise UsageError(f"--tolerance value in {item!r} must be >= 0")
     return out
+
+
+def _usage_checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError raised as a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _protocol_from(args) -> sc.DeformationProtocol:
     lo, hi = args.range
-    try:
-        return sc.DeformationProtocol(args.protocol,
-                                      math.radians(args.theta_deg),
-                                      lo, hi, args.steps)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    return _usage_checked(sc.DeformationProtocol, args.protocol,
+                          math.radians(args.theta_deg), lo, hi, args.steps)
 
 
 def _params_from(args) -> mm.MaterialParams:
-    try:
-        return mm.material_preset(args.param_set)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    return _usage_checked(mm.material_preset, args.param_set)
 
 
 def cmd_verify(args) -> int:
@@ -162,10 +165,8 @@ def cmd_compare(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        report = sc.benchmark_models(_params_from(args),
-                                     n_evals=args.n_evals, seed=args.seed)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+        report = _usage_checked(sc.benchmark_models, _params_from(args),
+                                n_evals=args.n_evals, seed=args.seed)
     except RuntimeError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_TOLERANCE
@@ -176,15 +177,18 @@ def cmd_bench(args) -> int:
 def cmd_contact(args) -> int:
     if args.r_min <= 0 or args.r_max <= args.r_min or args.steps < 2:
         raise UsageError("need 0 < r-min < r-max and steps >= 2")
-    try:
-        cp = sc.ContactParams(h0=args.h0, gamma=args.gamma)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    cp = _usage_checked(sc.ContactParams, h0=args.h0, gamma=args.gamma)
     radii = np.linspace(args.r_min, args.r_max, args.steps)
-    if args.out:
-        sc.write_contact_csv(args.out, radii, cp)
     psi0, tr0 = sc.contact_potential(cp.h0, cp)
     rx = sc.traction_extremum(cp)
+    if not all(map(math.isfinite, (psi0, tr0, rx))):
+        raise NonFiniteResult(f"contact result is not finite at h0: psi "
+                              f"{psi0}, traction {tr0}, extremum {rx}")
+    if args.out:
+        try:
+            sc.write_contact_csv(args.out, radii, cp)
+        except OverflowError as e:
+            raise NonFiniteResult(str(e)) from None
     sys.stdout.write(
         f"psi(h0={cp.h0}) = {psi0:.6g} N/m, traction(h0) = {tr0:.3g}; "
         f"traction extremum at r = {rx:.9g} nm"
@@ -193,11 +197,8 @@ def cmd_contact(args) -> int:
 
 
 def cmd_beam(args) -> int:
-    try:
-        b = sc.BeamParams(args.modulus, args.r_m, args.length,
-                          math.radians(args.theta_w_deg))
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    b = _usage_checked(sc.BeamParams, args.modulus, args.r_m, args.length,
+                       math.radians(args.theta_w_deg))
     f_w, f_a = sc.beam_force(b, args.delta)
     payload = {"command": "beam", "F_w_nN": f_w, "F_A_nN": f_a,
                "I_y_nm4": b.i_y, "delta_nm": args.delta}
@@ -206,10 +207,7 @@ def cmd_beam(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    try:
-        apex = sc.apex_angle(args.declination)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    apex = _usage_checked(sc.apex_angle, args.declination)
     payload = {"command": "cone", "declination_deg": args.declination,
                "apex_angle_deg": apex}
     _emit(args, payload)

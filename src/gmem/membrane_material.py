@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .invariants import DEFAULT_APPROX, InvariantState
+from .invariants import DEFAULT_APPROX
 from .lattice import LatticeFrame
 from .surface_tensors import (
     NotPositiveDefiniteError,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bending_geometry as bg
 from . import membrane_material as mm
@@ -94,10 +93,6 @@ class DeformationProtocol:
                                    d1 * s * s + d2 * c * c,
                                    (d1 - d2) * s * c))
         return out
-
-    def state(self, lam: float, theta_lattice: float) -> SurfTensor2:
-        """C components in the lattice storage frame at sweep value lam."""
-        return self.states((lam,), theta_lattice)[0]
 
 
 class CurvePoint(NamedTuple):
@@ -389,13 +384,10 @@ def contact_potential(r: float, cp: ContactParams = ContactParams()):
 
 
 def traction_extremum(cp: ContactParams = ContactParams()) -> float:
-    """Distance of maximum pull-off traction, bracketed between h0 and 2 h0
-    where d(traction)/dr changes sign; analytic value (2.5)^(1/6) h0."""
-
-    def slope(r):
-        return 4.0 * (cp.h0 / r) ** 3 / r ** 2 - 10.0 * (cp.h0 / r) ** 9 / r ** 2
-
-    return float(brentq(slope, cp.h0, 2.0 * cp.h0, xtol=1e-12, rtol=1e-15))
+    """Distance of maximum pull-off traction: with q = h0/r,
+    d(traction)/dr is proportional to 4 q^3 - 10 q^9, which vanishes at
+    r = (2.5)^(1/6) h0."""
+    return 2.5 ** (1.0 / 6.0) * cp.h0
 
 
 @dataclass(frozen=True)
@@ -549,12 +541,23 @@ def write_curve_csv(path, points: Sequence[CurvePoint], model: str,
 
 def write_contact_csv(path, radii: Sequence[float],
                       cp: ContactParams = ContactParams()) -> None:
+    """Every row is computed before the file is opened; a psi or traction
+    that overflows or is not finite raises OverflowError and writes
+    nothing."""
+    rows = []
+    for r in map(float, radii):
+        try:
+            psi, tr = contact_potential(r, cp)
+        except OverflowError:
+            psi = tr = math.inf
+        if not (math.isfinite(psi) and math.isfinite(tr)):
+            raise OverflowError(f"contact table is not finite at r = {r} nm")
+        rows.append((r, psi, tr))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(("step", "r_nm", "psi", "traction"))
-        for i, r in enumerate(radii):
-            psi, tr = contact_potential(float(r), cp)
-            w.writerow([i, f"{float(r):.17g}", f"{psi:.17g}", f"{tr:.17g}"])
+        for i, (r, psi, tr) in enumerate(rows):
+            w.writerow([i, f"{r:.17g}", f"{psi:.17g}", f"{tr:.17g}"])
 
 
 __all__ = [

@@ -36,20 +36,6 @@ class SurfTensor2(NamedTuple):
     def scaled(self, s: float) -> "SurfTensor2":
         return SurfTensor2(s * self.c11, s * self.c22, s * self.c12)
 
-    def plus(self, other: "SurfTensor2", w: float = 1.0) -> "SurfTensor2":
-        return SurfTensor2(self.c11 + w * other.c11, self.c22 + w * other.c22,
-                           self.c12 + w * other.c12)
-
-    def deviator(self) -> "SurfTensor2":
-        h = 0.5 * self.trace()
-        return SurfTensor2(self.c11 - h, self.c22 - h, self.c12)
-
-    def inverse(self) -> "SurfTensor2":
-        d = self.det()
-        if d == 0.0:
-            raise ZeroDivisionError("singular surface tensor")
-        return SurfTensor2(self.c22 / d, self.c11 / d, -self.c12 / d)
-
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.c11, self.c12], [self.c12, self.c22]])
 

@@ -3,6 +3,7 @@ report stability."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -211,6 +212,42 @@ def test_contact_rejects_non_positive_parameters(flag, value, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("h0, rx", [("1e-300", "1.16499305e-300"),
+                                    ("1e200", "1.16499305e+200")])
+def test_contact_extreme_spacing_is_finite(h0, rx, capsys):
+    code, out, err = run_cli(["contact", "--h0", h0, "--gamma", "1"], capsys)
+    assert code == 0
+    assert err == ""
+    assert out == (f"psi(h0={float(h0)}) = -1 N/m, traction(h0) = 0; "
+                   f"traction extremum at r = {rx} nm\n")
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["--r-min", "1e-200", "--r-max", "1", "--steps", "3"],
+     "table is not finite at r = 1e-200 nm"),
+    (["--r-min", "1e-41", "--r-max", "1", "--steps", "3"],
+     "table is not finite at r = 1e-41 nm"),
+    (["--gamma", "1e308"], "result is not finite at h0"),
+])
+def test_contact_non_finite_result_writes_nothing(tmp_path, argv, where,
+                                                  capsys):
+    path = tmp_path / "c.csv"
+    code, out, err = run_cli(["contact", *argv, "--out", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: contact {where}") and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_verify_rejects_negative_tolerance(capsys):
+    code, out, err = run_cli(["verify", "--model", "log", "--samples", "1",
+                              "--tolerance", "stress_fd=-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("usage error: --tolerance value in 'stress_fd=-1' "
+                   "must be >= 0\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -423,6 +460,18 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["apex_angle_deg"] == pytest.approx(
         38.9424412689813827, rel=1e-12)
+
+
+def test_import_loads_no_scipy():
+    """gmem runs on NumPy alone. A fresh interpreter is used because test
+    plugins may import SciPy into this one."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, gmem, gmem.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_help_exits_zero():

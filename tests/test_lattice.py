@@ -94,6 +94,6 @@ def test_contraction_ignores_spherical_parts(th, a1, a2, a3, shift):
     c = SurfTensor2(-0.3, 0.9, 0.1)
     base = structural_contraction(fr, a, b, c)
     shifted = structural_contraction(
-        fr, a.plus(SurfTensor2(shift, shift, 0.0)), b, c)
+        fr, SurfTensor2(a1 + shift, a2 + shift, a3), b, c)
     scale = abs(base) + abs(shift) + 1.0
     assert abs(shifted - base) <= 1e-12 * scale

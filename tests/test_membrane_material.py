@@ -271,8 +271,10 @@ def test_coefficient_set_matches_stress_assembly():
                                                  order=1)
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC
-    inv = C0.inverse()
-    perp = C0.scaled(1.0 / j).deviator()
+    det = C0.det()
+    inv = SurfTensor2(C0.c22 / det, C0.c11 / det, -C0.c12 / det)
+    half_diff = 0.5 * (C0.c11 - C0.c22) / j
+    perp = SurfTensor2(half_diff, -half_diff, C0.c12 / j)
     fr = FRAME
     z11 = aM * fr.m_hat.c11 + aN * fr.n_hat.c11
     z22 = aM * fr.m_hat.c22 + aN * fr.n_hat.c22

@@ -39,18 +39,19 @@ def test_protocol_validation():
 def test_protocol_values_and_states():
     p = sc.DeformationProtocol("dilatation", 0.0, 1.0, 1.21, 3)
     np.testing.assert_allclose(p.values(), [1.0, 1.105, 1.21])
-    st = p.state(1.21, 0.0)
+    st = p.states((1.21,), 0.0)[0]
     assert (st.c11, st.c22, st.c12) == (1.21, 1.21, 0.0)
 
-    u = uniaxial(1.2).state(1.2, 0.0)
+    u = uniaxial(1.2).states((1.2,), 0.0)[0]
     assert (u.c11, u.c22, u.c12) == pytest.approx((1.44, 1.0, 0.0))
     # pulling at ninety degrees lands the stretch on the second axis
     u90 = sc.DeformationProtocol(
-        "uniaxial-constrained", math.pi / 2.0, 1.0, 1.2, 2).state(1.2, 0.0)
+        "uniaxial-constrained", math.pi / 2.0, 1.0, 1.2,
+        2).states((1.2,), 0.0)[0]
     assert (u90.c11, u90.c22) == pytest.approx((1.0, 1.44))
     assert abs(u90.c12) < 1e-15
 
-    s = shear(1.15).state(1.15, 0.0)
+    s = shear(1.15).states((1.15,), 0.0)[0]
     assert (s.c11, s.c22) == pytest.approx((1.3225, 1.0 / 1.3225))
 
     # largest principal stretch ratio, at either end of the sweep
@@ -91,7 +92,7 @@ def test_run_curve_equals_per_point_loop(kind, direction_deg, model, lattice):
             d2 = 1.0 if kind == "uniaxial-constrained" else 1.0 / (lam * lam)
             st = SurfTensor2(d1 * c * c + d2 * s * s,
                              d1 * s * s + d2 * c * c, (d1 - d2) * s * c)
-        assert proto.state(lam, frame.theta_lattice) == st
+        assert proto.states((lam,), frame.theta_lattice)[0] == st
         r = sc._STRESS_FN[model](st, frame, mm.GGA)
         g = r.sigma
         want.append((lam,
@@ -147,7 +148,7 @@ def test_pure_shear_frozen_points():
 
 def test_curve_point_energy_matches_model():
     pts = sc.run_curve(uniaxial(1.1), "metric", mm.GGA, ARMCHAIR)
-    st = uniaxial(1.1).state(1.1, 0.0)
+    st = uniaxial(1.1).states((1.1,), 0.0)[0]
     assert pts[1].W == pytest.approx(
         mm.energy_metric(st, ARMCHAIR, mm.GGA), rel=1e-15)
 
@@ -287,6 +288,25 @@ def test_traction_extremum_location():
     rx = sc.traction_extremum()
     assert rx == pytest.approx(0.39609763725524241, rel=1e-12)
     assert rx == pytest.approx(2.5 ** (1.0 / 6.0) * 0.34, rel=1e-9)
+
+
+@pytest.mark.parametrize("h0", [0.1, 0.34, 1.0, 3.7])
+def test_traction_extremum_is_a_traction_minimum(h0):
+    """Checked on contact_potential alone, not on the closed form: the
+    traction at rx is more negative than at rx (1 -+ 1e-4), and its
+    central-difference slope there vanishes on the scale |traction| / rx."""
+    cp = sc.ContactParams(h0=h0)
+    rx = sc.traction_extremum(cp)
+
+    def traction(r):
+        return sc.contact_potential(r, cp)[1]
+
+    tr = traction(rx)
+    assert tr < traction(rx * (1.0 - 1e-4))
+    assert tr < traction(rx * (1.0 + 1e-4))
+    h = 1e-6 * rx
+    slope = (traction(rx + h) - traction(rx - h)) / (2.0 * h)
+    assert abs(slope) * rx / abs(tr) < 1e-8
 
 
 def test_beam_force_frozen_values():
