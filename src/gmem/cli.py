@@ -2,7 +2,7 @@
 comparison, the speedup benchmark, and the small closed-form calculators.
 
 Exit codes: 0 success, 1 tolerance/consistency failure (including a
-non-finite result, which strict JSON cannot carry), 2 usage error
+result that overflows or is not finite), 2 usage error
 (including any non-finite number given as input), 3 I/O error. All
 subcommands are deterministic under a fixed seed; JSON reports carry a
 schema_version field and are byte-stable.
@@ -185,10 +185,7 @@ def cmd_contact(args) -> int:
         raise NonFiniteResult(f"contact result is not finite at h0: psi "
                               f"{psi0}, traction {tr0}, extremum {rx}")
     if args.out:
-        try:
-            sc.write_contact_csv(args.out, radii, cp)
-        except OverflowError as e:
-            raise NonFiniteResult(str(e)) from None
+        sc.write_contact_csv(args.out, radii, cp)
     sys.stdout.write(
         f"psi(h0={cp.h0}) = {psi0:.6g} N/m, traction(h0) = {tr0:.3g}; "
         f"traction extremum at r = {rx:.9g} nm"
@@ -391,6 +388,9 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     except NonFiniteResult as e:
         sys.stderr.write(f"error: {e}\n")
+        return EXIT_TOLERANCE
+    except ArithmeticError as e:
+        sys.stderr.write(f"error: {args.command} result is not finite: {e}\n")
         return EXIT_TOLERANCE
     except OSError as e:
         sys.stderr.write(f"i/o error: {e}\n")

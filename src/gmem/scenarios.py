@@ -551,7 +551,7 @@ def write_contact_csv(path, radii: Sequence[float],
         except OverflowError:
             psi = tr = math.inf
         if not (math.isfinite(psi) and math.isfinite(tr)):
-            raise OverflowError(f"contact table is not finite at r = {r} nm")
+            raise OverflowError(f"psi or traction overflows at r = {r} nm")
         rows.append((r, psi, tr))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

@@ -226,9 +226,9 @@ def test_contact_extreme_spacing_is_finite(h0, rx, capsys):
 
 @pytest.mark.parametrize("argv, where", [
     (["--r-min", "1e-200", "--r-max", "1", "--steps", "3"],
-     "table is not finite at r = 1e-200 nm"),
+     "result is not finite: psi or traction overflows at r = 1e-200 nm"),
     (["--r-min", "1e-41", "--r-max", "1", "--steps", "3"],
-     "table is not finite at r = 1e-41 nm"),
+     "result is not finite: psi or traction overflows at r = 1e-41 nm"),
     (["--gamma", "1e308"], "result is not finite at h0"),
 ])
 def test_contact_non_finite_result_writes_nothing(tmp_path, argv, where,
@@ -239,6 +239,17 @@ def test_contact_non_finite_result_writes_nothing(tmp_path, argv, where,
     assert out == ""
     assert err.startswith(f"error: contact {where}") and err.count("\n") == 1
     assert not path.exists()
+
+
+@pytest.mark.parametrize("r_m, length", [("1e200", "1"), ("1", "1e-200")])
+def test_beam_overflow_is_a_non_finite_result(r_m, length, capsys):
+    code, out, err = run_cli(
+        ["beam", "--modulus", "1", "--r-m", r_m, "--length", length,
+         "--theta-w-deg", "45"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: beam result is not finite")
+    assert err.count("\n") == 1
 
 
 def test_verify_rejects_negative_tolerance(capsys):
