@@ -24,12 +24,17 @@ from gmem.surface_tensors import (
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
-def test_trace_det_ddot_scaled():
+def test_trace_det_ddot_deviator_inverse():
     t = SurfTensor2(2.0, 3.0, 1.0)
     assert t.trace() == 5.0
     assert t.det() == 5.0
     assert t.ddot(t) == 4.0 + 9.0 + 2.0
-    assert t.scaled(2.0) == (4.0, 6.0, 2.0)
+
+
+def test_plus_and_scaled():
+    a = SurfTensor2(1.0, 2.0, 3.0)
+    assert a.scaled(2.0).c12 == 6.0
+    assert a.scaled(2.0) == (2.0, 4.0, 6.0)
 
 
 def test_from_matrix_symmetrizes():
