@@ -223,7 +223,9 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
 
     With no reference the point is its own reference (J = 1). Otherwise the
     reference surface is evaluated at the same xi and J is the area stretch
-    between the two parametrizations.
+    between the two parametrizations. The metric record comes from
+    geometry_from_metrics; the embedding supplies the tangent vectors, the
+    normal and the Christoffel symbols.
     """
     u, v = float(xi[0]), float(xi[1])
     if surface.singular is not None and surface.singular(u, v):
@@ -232,31 +234,17 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
     a_alpha = np.asarray(surface.jacobian(u, v), dtype=float)
     second = np.asarray(surface.hessian(u, v), dtype=float)
     a_cov = a_alpha @ a_alpha.T
-    deta, a_inv = _det_inv2(a_cov.tolist(),
-                            f"{surface.name}: metric at ({u}, {v})")
-    cr = np.cross(a_alpha[0], a_alpha[1])
-    n = cr / np.linalg.norm(cr)
-    a_contra = np.array(a_inv)
-    b_cov = np.einsum("abk,k->ab", second, n)
-    b = b_cov.tolist()
-    b_contra = np.array(_sandwich2(a_inv, b))
-    contra_vecs = a_contra @ a_alpha
-    gamma = np.einsum("gk,abk->gab", contra_vecs, second)
-    if reference is None:
-        A_alpha = a_alpha
-        A_cov = a_cov
-        A_contra = a_contra
-        J = 1.0
-    else:
+    _det_inv2(a_cov.tolist(), f"{surface.name}: metric at ({u}, {v})")
+    A_alpha, A_cov = a_alpha, a_cov
+    if reference is not None:
         A_alpha = np.asarray(reference.jacobian(u, v), dtype=float)
         A_cov = A_alpha @ A_alpha.T
-        detA, A_inv = _det_inv2(A_cov.tolist(), "reference metric")
-        A_contra = np.array(A_inv)
-        J = math.sqrt(deta / detA)
-    H, kappa, k1, k2 = _curvature_scalars(deta, a_inv, b)
-    return SurfacePointGeometry(A_alpha, a_alpha, A_cov, A_contra, a_cov,
-                                a_contra, b_cov, b_contra, gamma, n, J, H,
-                                kappa, k1, k2)
+        _det_inv2(A_cov.tolist(), "reference metric")
+    cr = np.cross(a_alpha[0], a_alpha[1])
+    n = cr / np.linalg.norm(cr)
+    g = geometry_from_metrics(A_cov, a_cov, np.einsum("abk,k->ab", second, n))
+    gamma = np.einsum("gk,abk->gab", g.a_contra @ a_alpha, second)
+    return g._replace(A_alpha=A_alpha, a_alpha=a_alpha, gamma=gamma, n=n)
 
 
 def _cholesky_rows(m, det):

@@ -323,13 +323,19 @@ def tangent_metric_oplus(c: SurfTensor2, frame: LatticeFrame,
     return Tangent4(out)
 
 
+LOG_TANGENT_STEP = 1e-5
+
+
 def _log_core(cc, p: MaterialParams, order: int):
     """Spectral evaluation of the logarithmic-strain model.
 
-    Returns (W, S pair triple or None). The stress is the energy gradient
-    mapped through the derivative of (1/2) ln C: eigenvalue directions scale
-    by 1/Lambda_a, the mixed direction by the divided difference of ln,
-    which switches to its analytic limit at near-coincident eigenvalues.
+    Returns (W, S pair triple or None, tangent 3x3 pair matrix or None),
+    the contract of _metric_core. The stress is the energy gradient mapped
+    through the derivative of (1/2) ln C: eigenvalue directions scale by
+    1/Lambda_a, the mixed direction by the divided difference of ln, which
+    switches to its analytic limit at near-coincident eigenvalues. The
+    tangent is the central difference of that stress with relative step
+    LOG_TANGENT_STEP; only the metric model carries an analytic tangent.
     """
     c11, c22, c12, m11, m12, n11, n12 = cc
     mean = 0.5 * (c11 + c22)
@@ -361,7 +367,7 @@ def _log_core(cc, p: MaterialParams, order: int):
     W = (p.epsilon * (1.0 - (1.0 + p.alpha_hat * J1E) * ea)
          + 2.0 * mu * J2E + eta * J3E)
     if order == 0:
-        return W, None
+        return W, None, None
 
     dW1 = (p.epsilon * p.alpha_hat * p.alpha_hat * J1E * ea
            - 2.0 * p.mu1 * p.beta_hat * eb * J2E - 2.0 * p.eta1 * J1E * J3E)
@@ -389,56 +395,46 @@ def _log_core(cc, p: MaterialParams, order: int):
     s11 = cc_ * sp11 - 2.0 * cs_ * sp12 + ss_ * sp22
     s22 = ss_ * sp11 + 2.0 * cs_ * sp12 + cc_ * sp22
     s12 = cs_ * (sp11 - sp22) + (cc_ - ss_) * sp12
-    return W, (s11, s22, s12)
+    if order == 1:
+        return W, (s11, s22, s12), None
+
+    g = [[0.0, 0.0, 0.0] for _ in range(3)]
+    for j in range(3):
+        h = LOG_TANGENT_STEP * max(abs(cc[j]), 1.0)
+        up = list(cc)
+        dn = list(cc)
+        up[j] += h
+        dn[j] -= h
+        su = _log_core(tuple(up), p, order=1)[1]
+        sd = _log_core(tuple(dn), p, order=1)[1]
+        w = 0.5 if j == 2 else 1.0
+        for a in range(3):
+            g[a][j] = 2.0 * w * (su[a] - sd[a]) / (2.0 * h)
+    return W, (s11, s22, s12), g
 
 
 def energy_log(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams) -> float:
-    W, _s = _log_core(_unpack(c, frame), p, order=0)
+    W, _s, _g = _log_core(_unpack(c, frame), p, order=0)
     return W
 
 
 def stress_log(c: SurfTensor2, frame: LatticeFrame,
                p: MaterialParams) -> StressResult:
-    W, s_pair = _log_core(_unpack(c, frame), p, order=1)
+    W, s_pair, _g = _log_core(_unpack(c, frame), p, order=1)
     return _package_stress(c, W, s_pair)
-
-
-LOG_TANGENT_STEP = 1e-5
-
-
-def _log_tangent_pairs(cc, p: MaterialParams, rel_step=LOG_TANGENT_STEP):
-    """Central-difference tangent of the log model, 3x3 pair matrix.
-
-    The reference model's tangent is differenced from its analytic stress;
-    only the metric model carries an analytic tangent.
-    """
-    base = list(cc)
-    g = [[0.0, 0.0, 0.0] for _ in range(3)]
-    for j in range(3):
-        h = rel_step * max(abs(base[j]), 1.0)
-        up = list(base)
-        dn = list(base)
-        up[j] += h
-        dn[j] -= h
-        _wu, su = _log_core(tuple(up), p, order=1)
-        _wd, sd = _log_core(tuple(dn), p, order=1)
-        w = 0.5 if j == 2 else 1.0
-        for a in range(3):
-            g[a][j] = 2.0 * w * (su[a] - sd[a]) / (2.0 * h)
-    return g
 
 
 def tangent_log(c: SurfTensor2, frame: LatticeFrame,
                 p: MaterialParams) -> Tangent4:
-    g = _log_tangent_pairs(_unpack(c, frame), p)
+    """Central-difference elasticity tensor 2 dS/dC of the log model."""
+    _w, _s, g = _log_core(_unpack(c, frame), p, order=2)
     return tangent_from_pairs(g)
 
 
 def stress_tangent_log(c: SurfTensor2, frame: LatticeFrame,
                        p: MaterialParams):
-    cc = _unpack(c, frame)
-    W, s_pair = _log_core(cc, p, order=1)
-    g = _log_tangent_pairs(cc, p)
+    """One-pass (StressResult, Tangent4) evaluation."""
+    W, s_pair, g = _log_core(_unpack(c, frame), p, order=2)
     return _package_stress(c, W, s_pair), tangent_from_pairs(g)
 
 

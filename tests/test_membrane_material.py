@@ -192,6 +192,19 @@ def test_one_pass_stress_and_push_forwards_are_exact(l1, sp, phi, theta, p):
     assert mm.stress_tangent_log(c, fr, p)[0] == r_l
     for r in (r_m, r_l):
         assert r.sigma == r.tau.scaled(1.0 / math.sqrt(c.det()))
+    # both cores share one (cc, p, order) -> (W, S, G) contract: None below
+    # the requested order, W and S bitwise equal across the orders, and the
+    # one-pass tangent is the tangent-only one
+    cc = mm._unpack(c, fr)
+    for model, core in (("metric", mm._metric_core), ("log", mm._log_core)):
+        out = [core(cc, p, order=k) for k in (0, 1, 2)]
+        assert all(len(o) == 3 for o in out)
+        assert out[0][1:] == (None, None) and out[1][2] is None
+        assert out[0][0] == out[1][0] == out[2][0]
+        assert out[1][1] == out[2][1]
+        assert np.array_equal(
+            getattr(mm, f"stress_tangent_{model}")(c, fr, p)[1].comp,
+            getattr(mm, f"tangent_{model}")(c, fr, p).comp)
 
 
 def test_tangent_major_symmetry():

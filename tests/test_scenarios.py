@@ -225,6 +225,18 @@ def test_verify_derivatives_tolerance_handling():
                                 tolerances={"tangent_fd": 1e-16})
     assert rep["pass"] is False
     assert rep["checks"]["tangent_fd"]["pass"] is False
+    # one pass rule, max <= tol: a check sitting exactly at its tolerance
+    # passes, and bending's transpose_identity passes at its default 0.0
+    # with no special case
+    at = rep["checks"]["stress_fd"]["max"]
+    rerun = sc.verify_derivatives("metric", n_samples=5,
+                                  tolerances={"stress_fd": at})
+    assert rerun["checks"]["stress_fd"]["max"] == at
+    assert rerun["checks"]["stress_fd"]["pass"] is True
+    assert sc._summary([0.0, 0.0], 0.0)["pass"] is True
+    bend = sc.verify_derivatives("bending", n_samples=3, seed=1)
+    assert bend["checks"]["transpose_identity"]["tol"] == 0.0
+    assert bend["checks"]["transpose_identity"]["pass"] is True
     with pytest.raises(ValueError):
         sc.verify_derivatives("metric", n_samples=5,
                               tolerances={"bogus": 1.0})

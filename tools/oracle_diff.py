@@ -15,7 +15,12 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   oplus-order assembly) on the same states;
 * run_curve (points and peak) and compare_models over the perfbench sweep
   grid: every protocol kind, the armchair, zigzag and all generic
-  directions, both parameter sets, the benchmark's ranges and step counts.
+  directions, both parameter sets, the benchmark's ranges and step counts;
+* one bending group: every field of evaluate_geometry over seeded flat,
+  cylinder, sphere and cone surfaces and points, without and with a
+  reference surface of the same kind; and, on seeded metric triples, the
+  geometry_from_metrics record, canham_energy, bending_stress_moment and
+  bending_tangents.
 
 Prints, per output group, whether the two dumps are bitwise equal and the
 largest absolute difference over the group's largest magnitude. Exits 0
@@ -41,6 +46,43 @@ from bench_pairs import export  # noqa: E402
 N_STATES = 2000
 SEED = 20240
 NEAR_ISOTROPIC_EVERY = 8
+N_BENDING = 100  # points per surface kind, and metric triples
+
+
+def _spd(rng, lo, hi):
+    """Symmetric positive-definite 2x2 matrix with eigenvalues in [lo, hi]."""
+    e1, e2 = rng.uniform(lo, hi, size=2)
+    phi = rng.uniform(0.0, math.pi)
+    c, s = math.cos(phi), math.sin(phi)
+    m12 = (e1 - e2) * s * c
+    return np.array([[e1 * c * c + e2 * s * s, m12],
+                     [m12, e1 * s * s + e2 * c * c]])
+
+
+def _bending_values(bg, rng) -> list:
+    """Seeded outputs of the bending layer, as arrays in a fixed order."""
+    out = []
+
+    def surfaces():
+        return (bg.flat_patch(rng.uniform(-1, 1, 3) + (1.0, 0.0, 0.0),
+                              rng.uniform(-1, 1, 3) + (0.0, 1.0, 0.0)),
+                bg.cylinder_surface(rng.uniform(0.5, 3.0)),
+                bg.sphere_surface(rng.uniform(0.5, 3.0)),
+                bg.cone_surface(rng.uniform(0.2, 1.3)))
+
+    for _ in range(N_BENDING):
+        xi = (rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.3, 2.8))
+        for surf, ref in zip(surfaces(), surfaces()):
+            for reference in (None, ref):
+                out.extend(bg.evaluate_geometry(surf, xi, reference))
+    for _ in range(N_BENDING):
+        g = bg.geometry_from_metrics(_spd(rng, 0.8, 1.3), _spd(rng, 0.7, 1.6),
+                                     rng.uniform(-0.5, 0.5, (2, 2)))
+        out.extend(g)
+        out.append(bg.canham_energy(g, 0.238))
+        out.extend(bg.bending_stress_moment(g, 0.238))
+        out.extend(bg.bending_tangents(g, 0.238))
+    return out
 
 
 def _states(rng):
@@ -65,6 +107,7 @@ def _states(rng):
 def dump(tree: Path, out: Path) -> None:
     """Write every output group of the gmem under tree/src to out (.npz)."""
     import gmem
+    from gmem import bending_geometry as bg
     from gmem import lattice as la
     from gmem import membrane_material as mm
     from gmem import scenarios as sc
@@ -106,6 +149,8 @@ def dump(tree: Path, out: Path) -> None:
             pts, peak = wl.run_sweep_item(kind, inputs, frame)
             add("run_curve", [tuple(q) for q in pts])
             add("peak_of_curve", peak)
+    for values in _bending_values(bg, np.random.default_rng(SEED)):
+        add("bending", values)
     np.savez(out, **{k: np.concatenate(v) for k, v in groups.items()})
 
 
