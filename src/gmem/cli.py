@@ -147,7 +147,10 @@ def cmd_compare(args) -> int:
     params = _params_from(args)
     frame = make_frame(math.radians(args.lattice_deg))
     diffs = sc.compare_models(protocol, params, frame)
-    ref = PAPER_COMPARE.get((args.protocol, args.theta_deg, args.param_set))
+    in_range = protocol.in_fitted_range()
+    # the paper's figures describe sweeps inside the fitted range only
+    ref = (PAPER_COMPARE.get((args.protocol, args.theta_deg, args.param_set))
+           if in_range else None)
     payload = {
         "command": "compare",
         "protocol": {"kind": args.protocol, "theta_deg": args.theta_deg,
@@ -155,7 +158,7 @@ def cmd_compare(args) -> int:
         "param_set": args.param_set,
         "measured_max_percent": diffs,
         "max_stretch_ratio": protocol.max_stretch_ratio(),
-        "in_fitted_range": protocol.in_fitted_range(),
+        "in_fitted_range": in_range,
         "reference_percent": (
             {"sigma11": ref[0], "sigma22": ref[1]} if ref else None),
     }

@@ -323,7 +323,22 @@ def tangent_metric_oplus(c: SurfTensor2, frame: LatticeFrame,
     return Tangent4(out)
 
 
-LOG_TANGENT_STEP = 1e-5
+LN_SERIES_U = 1e-3
+
+
+def _ln_divided2(mean, u):
+    """Second divided differences f[1,1,2] and f[1,2,2] of ln at the
+    eigenvalues L1,2 = mean * (1 +- u); below u = LN_SERIES_U their series
+    in u replaces the difference quotients, which cancel there."""
+    if u < LN_SERIES_U:
+        u2 = u * u
+        even = 1.0 + u2 * (1.0 + u2)
+        odd = u * (2.0 / 3.0 + u2 * (0.8 + u2 * (6.0 / 7.0)))
+        q = -0.5 / (mean * mean)
+        return q * (even - odd), q * (even + odd)
+    a = math.atanh(u) / u  # mean * f[1,2]
+    q = 0.5 / (u * mean * mean)
+    return q * (1.0 / (1.0 + u) - a), q * (a - 1.0 / (1.0 - u))
 
 
 def _log_core(cc, p: MaterialParams, order: int):
@@ -333,9 +348,17 @@ def _log_core(cc, p: MaterialParams, order: int):
     the contract of _metric_core. The stress is the energy gradient mapped
     through the derivative of (1/2) ln C: eigenvalue directions scale by
     1/Lambda_a, the mixed direction by the divided difference of ln, which
-    switches to its analytic limit at near-coincident eigenvalues. The
-    tangent is the central difference of that stress with relative step
-    LOG_TANGENT_STEP; only the metric model carries an analytic tangent.
+    switches to its analytic limit at near-coincident eigenvalues.
+
+    The tangent is closed-form in the eigenframe of C (Miehe & Lambrecht
+    2001; Jog 2008). With f = ln, f[i,j] and f[i,k,j] its first and second
+    divided differences, T = dW/dE and H = dC (primed: eigenframe),
+    dS'_ij = f[i,j] dT'_ij + sum_k f[i,k,j] (T'_ik H'_kj + H'_ik T'_kj),
+    where dT = (d2W/dE2) : dE and dE'_kl = (1/2) f[k,l] H'_kl. The second
+    divided differences switch to their series in u = (L1 - L2)/(L1 + L2)
+    below LN_SERIES_U (_ln_divided2). The pair matrix is rotated back with the stress's own
+    coefficients; only its six upper entries are formed, so it is exactly
+    symmetric.
     """
     c11, c22, c12, m11, m12, n11, n12 = cc
     mean = 0.5 * (c11 + c22)
@@ -398,6 +421,72 @@ def _log_core(cc, p: MaterialParams, order: int):
     if order == 1:
         return W, (s11, s22, s12), None
 
+    # tangent in the eigenframe: first and second divided differences of ln
+    c2_ = cc_ - ss_
+    f1 = 1.0 / L1
+    f2 = 1.0 / L2
+    f112, f122 = _ln_divided2(mean, disc / mean)
+    # d2W/dE2 = d11 I(x)I + I(x)v + v(x)I + A m(x)m + B n(x)n
+    # + Cn (m(x)n + n(x)m); in the eigenframe m = (mp, -mp, mq),
+    # n = (np_, -np_, nq) and v = (vp, -vp, vq)
+    a2 = p.alpha_hat * p.alpha_hat
+    d11 = (p.epsilon * a2 * (1.0 - p.alpha_hat * J1E) * ea
+           - 2.0 * p.mu1 * p.beta_hat * p.beta_hat * eb * J2E
+           - 2.0 * p.eta1 * J3E)
+    mp = c2_ * m11 + s2t * m12
+    mq = c2_ * m12 - s2t * m11
+    np_ = c2_ * n11 + s2t * n12
+    nq = c2_ * n12 - s2t * n11
+    eta_d = -0.25 * p.eta1 * J1E
+    vp = (-2.0 * p.mu1 * p.beta_hat * eb * ed
+          + eta_d * (aME * mp + aNE * np_))
+    vq = eta_d * (aME * mq + aNE * nq)
+    A = mu + 0.75 * eta * mE
+    B = mu - 0.75 * eta * mE
+    Cn = -0.75 * eta * nE
+    qpp = A * mp * mp + B * np_ * np_ + 2.0 * Cn * mp * np_
+    qpq = A * mp * mq + B * np_ * nq + Cn * (mp * nq + np_ * mq)
+    qqq = A * mq * mq + B * nq * nq + 2.0 * Cn * mq * nq
+    # eigenframe pair matrix h: d2W/dE2 scaled by f[i,j] on both sides,
+    # plus the second-divided-difference terms
+    h00 = f1 * f1 * (d11 + 2.0 * vp + qpp - 2.0 * tp11)
+    h11 = f2 * f2 * (d11 - 2.0 * vp + qpp - 2.0 * tp22)
+    h01 = f1 * f2 * (d11 - qpp)
+    h02 = f1 * k12 * (vq + qpq) + 2.0 * f112 * tp12
+    h12 = f2 * k12 * (vq - qpq) + 2.0 * f122 * tp12
+    h22 = k12 * k12 * qqq + f112 * tp11 + f122 * tp22
+    # back to the storage frame, G = P h P^T with the rows of P the
+    # coefficients of s11, s22, s12 above (s2t = 2 cs_ exactly); six upper
+    # entries, mirrored
+    x0 = cc_ * h00 + ss_ * h01 - s2t * h02
+    x1 = cc_ * h01 + ss_ * h11 - s2t * h12
+    x2 = cc_ * h02 + ss_ * h12 - s2t * h22
+    y0 = ss_ * h00 + cc_ * h01 + s2t * h02
+    y1 = ss_ * h01 + cc_ * h11 + s2t * h12
+    y2 = ss_ * h02 + cc_ * h12 + s2t * h22
+    z0 = cs_ * (h00 - h01) + c2_ * h02
+    z1 = cs_ * (h01 - h11) + c2_ * h12
+    z2 = cs_ * (h02 - h12) + c2_ * h22
+    g00 = cc_ * x0 + ss_ * x1 - s2t * x2
+    g01 = cc_ * y0 + ss_ * y1 - s2t * y2
+    g02 = cc_ * z0 + ss_ * z1 - s2t * z2
+    g11 = ss_ * y0 + cc_ * y1 + s2t * y2
+    g12 = ss_ * z0 + cc_ * z1 + s2t * z2
+    g22 = cs_ * (z0 - z1) + c2_ * z2
+    g = ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))
+    return W, (s11, s22, s12), g
+
+
+LOG_TANGENT_STEP = 1e-5
+
+
+def _log_core_fd(cc, p: MaterialParams, order: int):
+    """_log_core with the tangent taken as the central difference of its
+    stress at relative step LOG_TANGENT_STEP: the differenced route that
+    benchmark_models times against the metric model."""
+    W, s, _g = _log_core(cc, p, order=min(order, 1))
+    if order < 2:
+        return W, s, None
     g = [[0.0, 0.0, 0.0] for _ in range(3)]
     for j in range(3):
         h = LOG_TANGENT_STEP * max(abs(cc[j]), 1.0)
@@ -410,7 +499,7 @@ def _log_core(cc, p: MaterialParams, order: int):
         w = 0.5 if j == 2 else 1.0
         for a in range(3):
             g[a][j] = 2.0 * w * (su[a] - sd[a]) / (2.0 * h)
-    return W, (s11, s22, s12), g
+    return W, s, g
 
 
 def energy_log(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams) -> float:
@@ -426,7 +515,7 @@ def stress_log(c: SurfTensor2, frame: LatticeFrame,
 
 def tangent_log(c: SurfTensor2, frame: LatticeFrame,
                 p: MaterialParams) -> Tangent4:
-    """Central-difference elasticity tensor 2 dS/dC of the log model."""
+    """Closed-form elasticity tensor 2 dS/dC of the log model."""
     _w, _s, g = _log_core(_unpack(c, frame), p, order=2)
     return tangent_from_pairs(g)
 

@@ -212,8 +212,10 @@ def _fd_err(f, x, step, analytic, tol):
 
 
 def _membrane_sample(model, params, rng, tols):
-    """Errors of one random membrane state, keyed by check name."""
-    frame = make_frame(rng.uniform(0.0, 2.0 * math.pi))
+    """Errors of one random membrane state, keyed by check name, and the
+    state: its C triple and lattice angle."""
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    frame = make_frame(theta)
     triple = _random_spd_triple(rng)
     stress = _STRESS_FN[model]
 
@@ -237,7 +239,8 @@ def _membrane_sample(model, params, rng, tols):
     if model == "metric":
         t_alt = mm.tangent_metric_oplus(SurfTensor2(*triple), frame, params)
         errs["rearrangement"] = _rel_err(rearrange(t_alt).comp, t)
-    return errs
+    c11, c22, c12 = map(float, triple)
+    return errs, {"c11": c11, "c22": c22, "c12": c12, "theta_lattice": theta}
 
 
 def _bending_sample(rng):
@@ -321,8 +324,10 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
     failure is retried once with Richardson extrapolation before being
     recorded. Each check reports its max, mean and worst_sample, the
     0-based index of the sample holding the max; a NaN error is the max
-    and fails the check. The states come from default_rng(seed) in a fixed
-    order, so n_samples=k+1 re-runs sample k as the last one.
+    and fails the check. The metric and log checks also report
+    worst_state, that sample's C components and lattice angle (radians).
+    The states come from default_rng(seed) in a fixed order, so
+    n_samples=k+1 re-runs sample k as the last one.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -338,11 +343,15 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
     p = params if params is not None else mm.GGA
     if model == "bending":
         samples = [_bending_sample(rng) for _ in range(n_samples)]
+        states = None
     else:
-        samples = [_membrane_sample(model, p, rng, tols)
-                   for _ in range(n_samples)]
+        samples, states = zip(*[_membrane_sample(model, p, rng, tols)
+                                for _ in range(n_samples)])
     report = {name: _summary([errs[name] for errs in samples], tol)
               for name, tol in tols.items()}
+    if states is not None:
+        for check in report.values():
+            check["worst_state"] = dict(states[check["worst_sample"]])
     return {
         "model": model,
         "param_set": "" if model == "bending" else p.name or "custom",
@@ -432,9 +441,15 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
     """Single-threaded throughput of the analytic metric stress+tangent
     path against the spectral log path with differenced tangent.
 
-    Both paths consume the same precomputed state stream and produce the
+    The log stress+tangent is timed on the central-difference route
+    (membrane_material._log_core_fd), the subject of speedup_stress_tangent
+    and its published reference ratio. The closed-form log tangent that
+    the public calls use is timed beside it as log_analytic and reported
+    as speedup_stress_tangent_analytic.
+
+    All paths consume the same precomputed state stream and produce the
     same pair-matrix tangent representation; an empty-loop calibration is
-    subtracted from both timings, and a cross-consistency gate on a stream
+    subtracted from every timing, and a cross-consistency gate on a stream
     prefix runs before any timing. States keep the ratio of the C
     eigenvalues below 1.3, a principal stretch ratio of at most
     sqrt(1.3) ~ 1.14, inside the surrogate's fitted range, so the gate
@@ -455,10 +470,15 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
         states.append((e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
                        (e1 - e2) * s * c) + mn)
 
-    cores = {"metric": mm._metric_core, "log": mm._log_core}
+    # (route, order) -> core, in timing order; each speedup divides the
+    # times of two adjacent loops
+    loops = {("metric", 1): mm._metric_core, ("log", 1): mm._log_core,
+             ("log_analytic", 2): mm._log_core,
+             ("metric", 2): mm._metric_core, ("log", 2): mm._log_core_fd}
     gate = []
     for st in states[:100]:
-        sm, sl = (core(st, params, order=1)[1] for core in cores.values())
+        sm = mm._metric_core(st, params, order=1)[1]
+        sl = mm._log_core(st, params, order=1)[1]
         scale = max(abs(x) for x in sl)
         gate.append(100.0 * max(abs(a - b) for a, b in zip(sm, sl)) / scale)
     gate_max = float(np.max(gate))  # NaN-propagating, so NaN fails
@@ -466,7 +486,7 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
         raise RuntimeError(f"consistency gate failed: max componentwise "
                            f"difference {gate_max:.3g}%")
 
-    for core in cores.values():
+    for core in (mm._metric_core, mm._log_core, mm._log_core_fd):
         for st in states[:200]:  # warmup
             core(st, params, order=2)
 
@@ -475,13 +495,12 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
         pass
     calib = time.perf_counter() - t0
 
-    timed = {}  # each speedup divides the times of two adjacent loops
-    for order in (1, 2):
-        for name, core in cores.items():
-            t0 = time.perf_counter()
-            for st in states:
-                core(st, params, order=order)
-            timed[name, order] = time.perf_counter() - t0 - calib
+    timed = {}
+    for (name, order), core in loops.items():
+        t0 = time.perf_counter()
+        for st in states:
+            core(st, params, order=order)
+        timed[name, order] = time.perf_counter() - t0 - calib
 
     n = float(n_evals)
     return {
@@ -492,8 +511,13 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
         **{name: {"stress_s": timed[name, 1],
                   "stress_tangent_s": timed[name, 2],
                   "stress_tangent_us_per_eval": 1e6 * timed[name, 2] / n}
-           for name in cores},
+           for name in ("metric", "log")},
+        "log_analytic": {
+            "stress_tangent_s": timed["log_analytic", 2],
+            "stress_tangent_us_per_eval": 1e6 * timed["log_analytic", 2] / n},
         "speedup_stress_tangent": timed["log", 2] / timed["metric", 2],
+        "speedup_stress_tangent_analytic": (timed["log_analytic", 2]
+                                            / timed["metric", 2]),
         "speedup_stress_only": timed["log", 1] / timed["metric", 1],
         "reference_ratio": 1.5,
         "consistency_gate": {"max_percent": gate_max,

@@ -374,6 +374,9 @@ def test_compare_reports_fitted_range(hi, ratio, in_range, capsys):
     payload = json.loads(out)
     assert payload["max_stretch_ratio"] == pytest.approx(ratio, rel=1e-12)
     assert payload["in_fitted_range"] is in_range
+    # the paper's pure-shear figures describe the fitted range only
+    assert payload["reference_percent"] == (
+        {"sigma11": 0.35, "sigma22": 0.42} if in_range else None)
     assert payload["schema_version"] == 1
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from gmem import bending_geometry as bg
 from gmem import membrane_material as mm
 from gmem.lattice import make_frame
-from gmem.numdiff import STRESS_STEP, TANGENT_STEP, partials_sym
+from gmem.numdiff import (STRESS_STEP, TANGENT_STEP, partials_sym,
+                          partials_sym_richardson)
 from gmem.surface_tensors import (
     NotPositiveDefiniteError,
     SurfTensor2,
@@ -207,6 +208,54 @@ def test_one_pass_stress_and_push_forwards_are_exact(l1, sp, phi, theta, p):
             getattr(mm, f"tangent_{model}")(c, fr, p).comp)
 
 
+# the log tangent's divided differences also switch to a series, at
+# (L1 - L2)/(L1 + L2) = 1e-3, so splits around it are drawn as well
+log_split = st.one_of(split, st.floats(-1e-3, 1e-3))
+
+
+@settings(deadline=None, max_examples=200)
+@given(stretch, log_split, angle, angle, params)
+def test_log_tangent_is_exactly_symmetric_and_matches_differences(
+        l1, sp, phi, theta, p):
+    c = c_from_stretches(l1, l1 * (1.0 + sp), phi)
+    fr = make_frame(theta)
+    _w, _s, g = mm._log_core(mm._unpack(c, fr), p, order=2)
+    assert all(g[a][b] == g[b][a] for a in range(3) for b in range(3))
+    t = mm.tangent_log(c, fr, p).comp
+    assert np.array_equal(t, t.transpose(2, 3, 0, 1))
+
+    def s_of(c11, c22, c12):
+        r = mm.stress_log(SurfTensor2(c11, c22, c12), fr, p)
+        return np.array([r.S.c11, r.S.c22, r.S.c12])
+
+    fd = 2.0 * partials_sym_richardson(s_of, (c.c11, c.c22, c.c12),
+                                       TANGENT_STEP)
+    assert np.max(np.abs(pair_of(t) - fd)) <= 1e-8 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("mean", [0.49, 1.0, 2.56])
+def test_ln_divided_difference_branches_agree_at_the_switch(mean):
+    below = mm._ln_divided2(mean, math.nextafter(mm.LN_SERIES_U, 0.0))
+    at = mm._ln_divided2(mean, mm.LN_SERIES_U)
+    for b, a in zip(below, at):
+        assert abs(b - a) <= 1e-12 * abs(a)
+    # both reach -1/(2 mean^2), the second derivative of ln over two
+    iso = mm._ln_divided2(mean, 0.0)
+    assert iso[0] == iso[1] == pytest.approx(-0.5 / mean ** 2, rel=1e-15)
+
+
+def test_differenced_log_route_keeps_the_contract():
+    cc = mm._unpack(C0, FRAME)
+    for order in (0, 1, 2):
+        fd = mm._log_core_fd(cc, mm.GGA, order)
+        an = mm._log_core(cc, mm.GGA, order)
+        assert fd[:2] == an[:2]
+        assert (fd[2] is None) == (order < 2)
+    g_fd = np.array(mm._log_core_fd(cc, mm.GGA, 2)[2])
+    g = np.array(mm._log_core(cc, mm.GGA, 2)[2])
+    assert np.max(np.abs(g_fd - g)) <= 1e-8 * np.max(np.abs(g))
+
+
 def test_tangent_major_symmetry():
     for c in (C0, SurfTensor2(1.5, 0.75, 0.4)):
         t = mm.tangent_metric(c, FRAME, mm.GGA).comp
@@ -247,6 +296,8 @@ def test_near_coincident_eigenvalues_are_stable():
     assert rb.S.c11 == pytest.approx(ra.S.c11, abs=1e-8)
     tb = mm.tangent_log(b, fr, mm.GGA).comp
     assert np.all(np.isfinite(tb))
+    ta = mm.tangent_log(a, fr, mm.GGA).comp
+    assert np.max(np.abs(tb - ta)) <= 1e-10 * np.max(np.abs(ta))
 
 
 def test_objectivity_under_co_rotation():

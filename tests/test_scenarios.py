@@ -9,6 +9,7 @@ import pytest
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.lattice import ZIGZAG_OFFSET, make_frame
+from gmem.numdiff import STRESS_STEP, partials_sym
 from gmem.surface_tensors import SurfTensor2, Tangent4
 
 ARMCHAIR = make_frame(0.0)
@@ -260,6 +261,37 @@ def test_verify_worst_sample_reruns_as_last_sample(model, check, seed):
     assert before["checks"][check]["max"] < full[check]["max"]
 
 
+@pytest.mark.parametrize("model, seed", [("metric", 0), ("log", 1)])
+def test_verify_worst_state_is_the_last_state_of_the_rerun(model, seed):
+    p = mm.GGA
+    full = sc.verify_derivatives(model, p, n_samples=6, seed=seed)["checks"]
+    for name, check in full.items():
+        k = check["worst_sample"]
+        # the draws of a k+1 sample run: per sample the lattice angle, then
+        # the C triple
+        rng = np.random.default_rng(seed)
+        for _ in range(k + 1):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            triple = sc._random_spd_triple(rng)
+        assert check["worst_state"] == {
+            "c11": triple[0], "c22": triple[1], "c12": triple[2],
+            "theta_lattice": theta}
+        rerun = sc.verify_derivatives(model, p, n_samples=k + 1, seed=seed)
+        assert rerun["checks"][name]["worst_state"] == check["worst_state"]
+    # the reported state reproduces the reported error
+    st = full["stress_fd"]["worst_state"]
+    fr = make_frame(st["theta_lattice"])
+    x = (st["c11"], st["c22"], st["c12"])
+    energy = getattr(mm, f"energy_{model}")
+    stress = getattr(mm, f"stress_{model}")(SurfTensor2(*x), fr, p).S
+    fd = 2.0 * partials_sym(lambda *c: energy(SurfTensor2(*c), fr, p), x,
+                            STRESS_STEP)
+    assert (sc._rel_err(fd, [stress.c11, stress.c22, stress.c12])
+            == full["stress_fd"]["max"])
+    bending = sc.verify_derivatives("bending", n_samples=2, seed=seed)
+    assert all("worst_state" not in c for c in bending["checks"].values())
+
+
 def test_verify_nan_error_fails_its_check(monkeypatch):
     tangent = mm.tangent_metric
 
@@ -368,6 +400,8 @@ def test_benchmark_report_shape():
     assert rep["consistency_gate"]["pass"] is True
     assert rep["consistency_gate"]["max_percent"] < 1.0
     assert rep["metric"]["stress_tangent_s"] > 0.0
+    assert rep["log_analytic"]["stress_tangent_s"] > 0.0
+    assert rep["speedup_stress_tangent_analytic"] > 0.0
     with pytest.raises(ValueError):
         sc.benchmark_models(mm.GGA, n_evals=5000)
 
