@@ -442,10 +442,10 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
     path against the spectral log path with differenced tangent.
 
     The log stress+tangent is timed on the central-difference route
-    (membrane_material._log_core_fd), the subject of speedup_stress_tangent
-    and its published reference ratio. The closed-form log tangent that
-    the public calls use is timed beside it as log_analytic and reported
-    as speedup_stress_tangent_analytic.
+    (membrane_material._log_core_fd), which speedup_stress_tangent has
+    always measured. The closed-form log tangent that the public calls use
+    is timed beside it as log_analytic and reported as
+    speedup_stress_tangent_analytic.
 
     All paths consume the same precomputed state stream and produce the
     same pair-matrix tangent representation; an empty-loop calibration is
