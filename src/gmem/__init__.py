@@ -25,7 +25,6 @@ from .invariants import (
     LogInvariantState,
     approx_log_invariants,
     invariants_C,
-    invariants_C_eigen,
     invariants_C_kappa,
     invariants_log_exact,
 )
@@ -33,14 +32,10 @@ from .membrane_material import (
     GGA,
     LDA,
     PARAM_SETS,
-    CurvilinearComponents,
     MaterialParams,
     StressResult,
-    cauchy_green_from_geometry,
-    curvilinear_components,
     energy_log,
     energy_metric,
-    kirchhoff_contravariant_direct,
     material_preset,
     stress_log,
     stress_metric,

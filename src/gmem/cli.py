@@ -374,6 +374,8 @@ def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
         vals = val if isinstance(val, (list, tuple)) else (val,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
             raise UsageError(f"--{key.replace('_', '-')} must be finite")
+    if getattr(args, "seed", 0) < 0:
+        raise UsageError("--seed must be >= 0")
     return args
 
 

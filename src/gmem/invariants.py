@@ -92,25 +92,6 @@ def invariants_C(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
     return InvariantState(J, J2, J3, mC, nC)
 
 
-def invariants_C_eigen(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
-    """Eigenvalue route to the same invariants, kept as a cross-check.
-
-    J2 = (L1/L2 + L2/L1 - 2)/4 and J3 = ((l1/l2 - l2/l1)^3 cos 6 dtheta)/8
-    with l_a the principal stretches and dtheta the angle between the
-    maximum-stretch axis and the armchair axis.
-    """
-    c.require_positive_definite()
-    sd = spectral(c)
-    J = sd.lambda1 * sd.lambda2
-    r = sd.Lambda1 / sd.Lambda2
-    J2 = 0.25 * (r + 1.0 / r - 2.0)
-    rs = sd.lambda1 / sd.lambda2
-    dtheta = sd.theta - frame.theta_lattice
-    J3 = 0.125 * (rs - 1.0 / rs) ** 3 * math.cos(6.0 * dtheta)
-    cb = c.scaled(1.0 / J)
-    return InvariantState(J, J2, J3, frame.m_hat.ddot(cb), frame.n_hat.ddot(cb))
-
-
 def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantState:
     """Invariants of the logarithmic strain (1/2) ln C.
 

@@ -526,77 +526,3 @@ def stress_tangent_log(c: SurfTensor2, frame: LatticeFrame,
     W, s_pair, g = _log_core(_unpack(c, frame), p, order=2)
     return _package_stress(c, W, s_pair), tangent_from_pairs(g)
 
-
-@dataclass(frozen=True)
-class CurvilinearComponents:
-    """Contravariant components on the reference tangent basis."""
-
-    tau: np.ndarray
-    moduli: np.ndarray
-
-
-def _frame_to_contra(geom) -> np.ndarray:
-    """u[i, a] = E_i . A^a for the orthonormal frame E built from the
-    reference tangent vectors by Gram-Schmidt."""
-    A1 = np.asarray(geom.A_alpha[0], dtype=float)
-    A2 = np.asarray(geom.A_alpha[1], dtype=float)
-    E1 = A1 / np.linalg.norm(A1)
-    E2 = A2 - (A2 @ E1) * E1
-    E2 = E2 / np.linalg.norm(E2)
-    A_contra_vecs = geom.A_contra @ np.vstack([A1, A2])
-    return np.vstack([E1, E2]) @ A_contra_vecs.T
-
-
-def cauchy_green_from_geometry(geom) -> SurfTensor2:
-    """Components of C = a_ab A^a (x) A^b in the orthonormal surface frame."""
-    u = _frame_to_contra(geom)
-    cm = np.einsum("ab,ia,jb->ij", geom.a_cov, u, u)
-    return SurfTensor2.from_matrix(cm)
-
-
-def curvilinear_components(s: StressResult, t: Tangent4,
-                           geom) -> CurvilinearComponents:
-    """Push orthonormal-frame stress and tangent components to contravariant
-    components on the reference parametrization basis. In the thin-shell
-    setting these 2.PK components equal the in-plane Kirchhoff components."""
-    det = float(np.linalg.det(np.asarray(geom.A_cov, dtype=float)))
-    if not det > 0.0:
-        raise ValueError("singular reference metric")
-    u = _frame_to_contra(geom)
-    tau = np.einsum("ij,ia,jb->ab", s.S.as_matrix(), u, u)
-    moduli = np.einsum("ijkl,ia,jb,kc,ld->abcd", t.comp, u, u, u, u)
-    return CurvilinearComponents(tau, moduli)
-
-
-def kirchhoff_contravariant_direct(geom, frame: LatticeFrame,
-                                   p: MaterialParams) -> np.ndarray:
-    """Membrane Kirchhoff components straight from the two surface metrics,
-    with no orthonormal-frame detour: invariants from index traces, then
-    tau^ab = H1 a^ab + (H2/J^2)(C^ab - tr(C)/2 A^ab) + (H3/4J) Z^ab."""
-    A_cov = np.asarray(geom.A_cov, dtype=float)
-    a_cov = np.asarray(geom.a_cov, dtype=float)
-    detA = float(np.linalg.det(A_cov))
-    deta = float(np.linalg.det(a_cov))
-    if not (detA > 0.0 and deta > 0.0):
-        raise ValueError("singular metric")
-    A_up = np.linalg.inv(A_cov)
-    a_up = np.linalg.inv(a_cov)
-    detC = deta / detA
-    J = math.sqrt(detC)
-    trC = float(np.sum(a_cov * A_up))
-    C_up = A_up @ a_cov @ A_up
-    CC = float(np.sum(a_cov * C_up))
-    J2 = (CC - 0.5 * trC * trC) / (2.0 * detC)
-    u = _frame_to_contra(geom)
-    m_up = np.einsum("ij,ia,jb->ab", frame.m_hat.as_matrix(), u, u)
-    n_up = np.einsum("ij,ia,jb->ab", frame.n_hat.as_matrix(), u, u)
-    mC = float(np.sum(m_up * a_cov)) / J
-    nC = float(np.sum(n_up * a_cov)) / J
-    J3 = 0.125 * mC * (mC * mC - 3.0 * nC * nC)
-    lnJ = math.log(J)
-    _w, (H1, H2, H3), _d = _h_coefficients(J, lnJ, J2, J3, p, order=1)
-    aM = 3.0 * (mC * mC - nC * nC)
-    aN = -6.0 * mC * nC
-    return (H1 * a_up
-            + H2 / (J * J) * (C_up - 0.5 * trC * A_up)
-            + 0.25 * H3 / J * (aM * m_up + aN * n_up))

@@ -39,12 +39,6 @@ class SurfTensor2(NamedTuple):
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.c11, self.c12], [self.c12, self.c22]])
 
-    @classmethod
-    def from_matrix(cls, m) -> "SurfTensor2":
-        m = np.asarray(m, dtype=float)
-        return cls(float(m[0, 0]), float(m[1, 1]),
-                   0.5 * float(m[0, 1] + m[1, 0]))
-
     def require_positive_definite(self) -> None:
         if not (self.det() > 0.0 and self.trace() > 0.0):
             raise NotPositiveDefiniteError(

@@ -386,6 +386,23 @@ def test_bench_rejects_small_runs(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv, cfg", [
+    (["verify", "--model", "log", "--samples", "1", "--seed", "-1"], None),
+    (["bench", "--seed", "-1"], None),
+    (["verify", "--model", "log", "--samples", "1"], {"seed": -1}),
+    (["bench"], {"seed": -1}),
+])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv, cfg):
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --seed must be >= 0\n"
+
+
 def test_config_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"param_set": "LDA", "steps": 3,

@@ -7,25 +7,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmem import membrane_material as mm
 from gmem.invariants import (
     DEFAULT_APPROX,
+    InvariantState,
     approx_log_invariants,
     invariants_C,
-    invariants_C_eigen,
     invariants_C_kappa,
     invariants_log_exact,
 )
-from gmem.lattice import make_frame, structural_contraction
-from gmem.surface_tensors import NotPositiveDefiniteError, SurfTensor2
+from gmem.lattice import LatticeFrame, make_frame, structural_contraction
+from gmem.surface_tensors import NotPositiveDefiniteError, SurfTensor2, spectral
 
 EIG = st.floats(0.7, 1.6)
 ANGLE = st.floats(0.0, math.pi)
+NEAR_ISOTROPIC = st.floats(-1e-10, 1e-10)
 
 
 def spd(l1, l2, th):
     c, s = math.cos(th), math.sin(th)
     return SurfTensor2(l1 * c * c + l2 * s * s, l1 * s * s + l2 * c * c,
                        (l1 - l2) * s * c)
+
+
+def invariants_C_eigen(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
+    """Eigenvalue route to the invariants of C: the reference that
+    invariants_C's contraction route is checked against.
+
+    J2 = (L1/L2 + L2/L1 - 2)/4 and J3 = ((l1/l2 - l2/l1)^3 cos 6 dtheta)/8
+    with l_a the principal stretches and dtheta the angle between the
+    maximum-stretch axis and the armchair axis.
+    """
+    c.require_positive_definite()
+    sd = spectral(c)
+    J = sd.lambda1 * sd.lambda2
+    r = sd.Lambda1 / sd.Lambda2
+    J2 = 0.25 * (r + 1.0 / r - 2.0)
+    rs = sd.lambda1 / sd.lambda2
+    dtheta = sd.theta - frame.theta_lattice
+    J3 = 0.125 * (rs - 1.0 / rs) ** 3 * math.cos(6.0 * dtheta)
+    cb = c.scaled(1.0 / J)
+    return InvariantState(J, J2, J3, frame.m_hat.ddot(cb), frame.n_hat.ddot(cb))
 
 
 def test_fitted_constants():
@@ -102,6 +124,20 @@ def test_contraction_and_eigen_routes_agree(l1, l2, phi, thL):
     assert a.J1 == pytest.approx(b.J1, rel=1e-12)
     assert a.J2 == pytest.approx(b.J2, rel=1e-10, abs=1e-14)
     assert a.J3 == pytest.approx(b.J3, rel=1e-9, abs=1e-13)
+
+
+@settings(deadline=None)
+@given(EIG, EIG, NEAR_ISOTROPIC, st.booleans(), ANGLE, ANGLE)
+def test_kernel_scalars_match_invariants_C(l1, l2, d, near, phi, thL):
+    """The metric kernel's own invariant scalars equal invariants_C: J
+    bitwise, the rest to rounding, on generic and near-isotropic states."""
+    c = spd(l1, l1 * (1.0 + d) if near else l2, phi)
+    fr = make_frame(thL)
+    J, _lnJ, *_r, J2, mC, nC, J3 = mm._metric_scalars(*mm._unpack(c, fr))
+    a = invariants_C(c, fr)
+    assert J == a.J1
+    for k, v in ((J2, a.J2), (J3, a.J3), (mC, a.mC), (nC, a.nC)):
+        assert k == pytest.approx(v, rel=0.0, abs=1e-14)
 
 
 @settings(deadline=None)

@@ -37,11 +37,6 @@ def test_plus_and_scaled():
     assert a.scaled(2.0) == (2.0, 4.0, 6.0)
 
 
-def test_from_matrix_symmetrizes():
-    t = SurfTensor2.from_matrix([[1.0, 2.0], [0.0, 3.0]])
-    assert t.c12 == 1.0
-
-
 def test_positive_definite_guard():
     SurfTensor2(2.0, 1.0, 0.5).require_positive_definite()
     with pytest.raises(NotPositiveDefiniteError):

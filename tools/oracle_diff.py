@@ -13,6 +13,10 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   divided-difference limit);
 * the metric tangent's cross-check routes (term-list reference and the
   oplus-order assembly) on the same states;
+* one invariants group: invariants_C, invariants_log_exact,
+  approx_log_invariants and, with a seeded curvature tensor,
+  invariants_C_kappa on the same states, then invariant_approximation_errors
+  over the perfbench scan grid (SCAN_RATIOS);
 * run_curve (points and peak) and compare_models over the perfbench sweep
   grid: every protocol kind, the armchair, zigzag and all generic
   directions, both parameter sets, the benchmark's ranges and step counts;
@@ -31,6 +35,7 @@ on one side only).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import subprocess
@@ -108,6 +113,7 @@ def dump(tree: Path, out: Path) -> None:
     """Write every output group of the gmem under tree/src to out (.npz)."""
     import gmem
     from gmem import bending_geometry as bg
+    from gmem import invariants as iv
     from gmem import lattice as la
     from gmem import membrane_material as mm
     from gmem import scenarios as sc
@@ -123,6 +129,7 @@ def dump(tree: Path, out: Path) -> None:
     def add(name, values):
         groups.setdefault(name, []).append(np.asarray(values, dtype=float).ravel())
 
+    kappa_rng = np.random.default_rng(SEED + 1)
     for triple, theta, pname in _states(np.random.default_rng(SEED)):
         c = SurfTensor2(*triple)
         fr = la.make_frame(theta)
@@ -138,6 +145,15 @@ def dump(tree: Path, out: Path) -> None:
                 np.concatenate([wl.stress_row(r), t.comp.ravel()]))
         add("tangent_metric_reference", mm.tangent_metric_reference(c, fr, p).comp)
         add("tangent_metric_oplus", mm.tangent_metric_oplus(c, fr, p).comp)
+        inv = iv.invariants_C(c, fr)
+        kappa = SurfTensor2(*kappa_rng.uniform(-1.0, 1.0, 3))
+        add("invariants", inv)
+        add("invariants", iv.invariants_log_exact(c, fr))
+        add("invariants", iv.approx_log_invariants(inv))
+        add("invariants",
+            dataclasses.astuple(iv.invariants_C_kappa(c, kappa, fr)))
+    scan = sc.invariant_approximation_errors(np.linspace(*wl.SCAN_RATIOS))
+    add("invariants", [scan["f1_vs_J2E"], scan["f2_vs_J3E"]])
 
     directions = (wl.ARMCHAIR_DEG, wl.ZIGZAG_DEG) + wl.GENERIC_DEG
     frame = la.make_frame(0.0)
