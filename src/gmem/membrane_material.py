@@ -32,6 +32,7 @@ _E1 = DEFAULT_APPROX.e1
 _E2 = DEFAULT_APPROX.e2
 _G1 = DEFAULT_APPROX.g1
 _G2 = DEFAULT_APPROX.g2
+_new = tuple.__new__  # a record from a tuple holding every field
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,23 +218,23 @@ def energy_metric(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams) -> flo
     return W
 
 
-def _sym_sandwich(u, s):
-    """(U S U) for symmetric pair triples u, s."""
-    u11, u22, u12 = u
-    s11, s22, s12 = s
-    t11 = u11 * s11 + u12 * s12
-    t12 = u11 * s12 + u12 * s22
-    t21 = u12 * s11 + u22 * s12
-    t22 = u12 * s12 + u22 * s22
-    return (t11 * u11 + t12 * u12, t21 * u12 + t22 * u22, t11 * u12 + t12 * u22)
-
-
 def _package_stress(c: SurfTensor2, W, s_pair) -> StressResult:
-    u = sqrt_spd(c)
-    t11, t22, t12 = _sym_sandwich((u.c11, u.c22, u.c12), s_pair)
-    r = 1.0 / math.sqrt(c.c11 * c.c22 - c.c12 * c.c12)
-    return StressResult(SurfTensor2(*s_pair), SurfTensor2(t11, t22, t12),
-                        SurfTensor2(r * t11, r * t22, r * t12), W)
+    """S, tau = U S U and sigma = tau / J, with U = sqrt(C)."""
+    u11, u22, u12 = sqrt_spd(c)
+    s11, s22, s12 = s_pair
+    a11 = u11 * s11 + u12 * s12
+    a12 = u11 * s12 + u12 * s22
+    a21 = u12 * s11 + u22 * s12
+    a22 = u12 * s12 + u22 * s22
+    t11 = a11 * u11 + a12 * u12
+    t22 = a21 * u12 + a22 * u22
+    t12 = a11 * u12 + a12 * u22
+    c11, c22, c12 = c
+    r = 1.0 / math.sqrt(c11 * c22 - c12 * c12)
+    return _new(StressResult, (_new(SurfTensor2, s_pair),
+                               _new(SurfTensor2, (t11, t22, t12)),
+                               _new(SurfTensor2, (r * t11, r * t22, r * t12)),
+                               W))
 
 
 def stress_metric(c: SurfTensor2, frame: LatticeFrame,
@@ -413,7 +414,8 @@ def _log_core(cc, p: MaterialParams, order: int):
     if abs(L1 - L2) < 1e-8 * (L1 + L2):
         k12 = 2.0 / (L1 + L2)
     else:
-        k12 = (math.log(L1) - math.log(L2)) / (L1 - L2)
+        # 4 ed == ln L1 - ln L2 exactly: l1, l2, ed scale by powers of two
+        k12 = 4.0 * ed / (L1 - L2)
     sp12 = tp12 * k12
     s11 = cc_ * sp11 - 2.0 * cs_ * sp12 + ss_ * sp22
     s22 = ss_ * sp11 + 2.0 * cs_ * sp12 + cc_ * sp22

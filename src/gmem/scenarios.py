@@ -28,6 +28,7 @@ from .surface_tensors import SurfTensor2, rearrange
 STRETCH_RANGE = (0.7, 1.6)
 PROTOCOL_KINDS = ("dilatation", "uniaxial-constrained", "pure-shear")
 MODEL_NAMES = ("metric", "log")
+_new = tuple.__new__  # a record from a tuple holding every field
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class DeformationProtocol:
         """C components in the lattice storage frame at each sweep value;
         the pull direction's cos and sin are evaluated once."""
         if self.kind == "dilatation":
-            return [SurfTensor2(lam, lam, 0.0) for lam in lams]
+            return [_new(SurfTensor2, (lam, lam, 0.0)) for lam in lams]
         shear = self.kind == "pure-shear"
         phi = theta_lattice + self.direction_angle
         c, s = math.cos(phi), math.sin(phi)
@@ -89,9 +90,9 @@ class DeformationProtocol:
         for lam in lams:
             d1 = lam * lam
             d2 = 1.0 / d1 if shear else 1.0
-            out.append(SurfTensor2(d1 * c * c + d2 * s * s,
-                                   d1 * s * s + d2 * c * c,
-                                   (d1 - d2) * s * c))
+            out.append(_new(SurfTensor2, (d1 * c * c + d2 * s * s,
+                                          d1 * s * s + d2 * c * c,
+                                          (d1 - d2) * s * c)))
         return out
 
 
@@ -126,9 +127,9 @@ def run_curve(protocol: DeformationProtocol, model: str,
     out = []
     for lam, state in zip(lams, protocol.states(lams, frame.theta_lattice)):
         _s, _tau, (g11, g22, g12), W = stress(state, frame, params)
-        out.append(CurvePoint(lam, cc * g11 + ss * g22 + cs2 * g12,
-                              ss * g11 + cc * g22 - cs2 * g12,
-                              dcs * g12 + cs * (g22 - g11), W))
+        out.append(_new(CurvePoint, (lam, cc * g11 + ss * g22 + cs2 * g12,
+                                     ss * g11 + cc * g22 - cs2 * g12,
+                                     dcs * g12 + cs * (g22 - g11), W)))
     return out
 
 
@@ -148,15 +149,15 @@ def compare_models(protocol: DeformationProtocol, params: mm.MaterialParams,
     ApproxConstants); sweeps beyond it measure extrapolation error."""
     met = run_curve(protocol, "metric", params, frame)
     ref = run_curve(protocol, "log", params, frame)
-    names = ("sigma11", "sigma22", "sigma12")
-    scale = max(max(abs(getattr(q, n)) for n in names) for q in ref)
-    floor = max(1e-9 * scale, 1e-300)
+    met_cols = list(zip(*met))[1:4]
+    ref_cols = list(zip(*ref))[1:4]
+    peaks = [max(map(abs, col)) for col in ref_cols]
+    floor = max(1e-9 * max(peaks), 1e-300)
     out = {}
-    for n in names:
-        denom = max(max(abs(getattr(q, n)) for q in ref), floor)
-        diff = max(abs(getattr(a, n) - getattr(b, n))
-                   for a, b in zip(met, ref))
-        out[n] = 100.0 * diff / denom
+    for n, m, r, peak in zip(CurvePoint._fields[1:4], met_cols, ref_cols,
+                             peaks):
+        diff = max(abs(a - b) for a, b in zip(m, r))
+        out[n] = 100.0 * diff / max(peak, floor)
     return out
 
 
@@ -168,7 +169,7 @@ def invariant_approximation_errors(ratios: Iterable[float]) -> dict:
     worst_f1 = 0.0
     worst_f2 = 0.0
     for r in ratios:
-        c = SurfTensor2(r * r, 1.0, 0.0)
+        c = _new(SurfTensor2, (r * r, 1.0, 0.0))
         inv = invariants_C(c, fr)
         f1, f2 = approx_log_invariants(inv)
         ex = invariants_log_exact(c, fr)

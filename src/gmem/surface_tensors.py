@@ -11,6 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+_new = tuple.__new__  # a record from a tuple holding every field
+
 
 class NotPositiveDefiniteError(ValueError):
     """Raised when a right Cauchy-Green input fails det > 0, tr > 0."""
@@ -94,7 +96,8 @@ def sqrt_spd(t: SurfTensor2) -> SurfTensor2:
             f"tensor is not positive definite: det={det}, tr={tr}")
     rd = math.sqrt(det)
     scale = 1.0 / math.sqrt(tr + 2.0 * rd)
-    return SurfTensor2((c11 + rd) * scale, (c22 + rd) * scale, c12 * scale)
+    return _new(SurfTensor2, ((c11 + rd) * scale, (c22 + rd) * scale,
+                              c12 * scale))
 
 
 class Tangent4(NamedTuple):
@@ -133,15 +136,14 @@ def rearrange(t: Tangent4) -> Tangent4:
     return Tangent4(np.einsum("agdb->abgd", t.comp))
 
 
-# Pair index of each component index: 11 -> 0, 22 -> 1, 12 and 21 -> 2.
-_PAIR = np.array([[0, 2], [2, 1]])
-# Flat index into a 3x3 pair matrix for each of the 16 components.
-_PAIR_TAKE = 3 * _PAIR[:, :, None, None] + _PAIR[None, None, :, :]
-
-
 def tangent_from_pairs(pairs) -> Tangent4:
     """Expand a 3x3 matrix over index pairs (11, 22, 12) into 16 components."""
-    p = np.asarray(pairs, dtype=float)
-    if p.shape != (3, 3):
-        raise ValueError(f"pair matrix must be 3x3, got shape {p.shape}")
-    return Tangent4(p.take(_PAIR_TAKE))
+    try:
+        (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = pairs
+        comp = np.array((p00, p02, p02, p01, p20, p22, p22, p21,
+                         p20, p22, p22, p21, p10, p12, p12, p11), dtype=float)
+        if comp.shape != (16,):  # entries that are not numbers
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(f"pair matrix must be 3x3, got {pairs!r}") from None
+    return _new(Tangent4, (comp.reshape(2, 2, 2, 2),))

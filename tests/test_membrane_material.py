@@ -232,6 +232,28 @@ def test_log_tangent_is_exactly_symmetric_and_matches_differences(
     assert np.max(np.abs(pair_of(t) - fd)) <= 1e-8 * np.max(np.abs(fd))
 
 
+# C eigenvalues over the supported stretch range 0.7-1.6, and relative
+# gaps (L1 - L2)/(L1 + L2) from just above the log stress's 1e-8 isotropy
+# switch to well separated
+eigenvalue = st.floats(0.49, 2.56)
+eigen_pair = st.one_of(
+    st.tuples(eigenvalue, eigenvalue),
+    st.tuples(eigenvalue, st.floats(1.0000001e-8, 1e-6)).map(
+        lambda t: (t[0], t[0] * (1.0 - t[1]) / (1.0 + t[1]))))
+
+
+@settings(deadline=None, max_examples=500)
+@given(eigen_pair)
+def test_log_stress_k12_reuses_the_eigenvalue_logs(pair):
+    # _log_core's generic k12 is 4 ed / (L1 - L2): l1, l2 and ed are the
+    # logs scaled by powers of two, so 4 ed is ln L1 - ln L2 bitwise
+    L1, L2 = max(pair), min(pair)
+    l1 = 0.5 * math.log(L1)
+    l2 = 0.5 * math.log(L2)
+    ed = 0.5 * (l1 - l2)
+    assert 4.0 * ed == math.log(L1) - math.log(L2)
+
+
 @pytest.mark.parametrize("mean", [0.49, 1.0, 2.56])
 def test_ln_divided_difference_branches_agree_at_the_switch(mean):
     below = mm._ln_divided2(mean, math.nextafter(mm.LN_SERIES_U, 0.0))

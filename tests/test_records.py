@@ -1,5 +1,6 @@
 """The per-evaluation result records are named tuples: construction,
-field order, immutability, hashing, repr and pickling."""
+field order, immutability, hashing, repr and pickling; and the records the
+library builds without their constructors are well formed."""
 
 import pickle
 
@@ -8,10 +9,13 @@ import pytest
 
 from gmem.bending_geometry import BendingTangents, SurfacePointGeometry
 from gmem.invariants import InvariantState, LogInvariantState
+from gmem import membrane_material as mm
 from gmem.lattice import LatticeFrame, make_frame
 from gmem.membrane_material import StressResult
-from gmem.scenarios import CurvePoint
-from gmem.surface_tensors import SpectralDecomp, SurfTensor2, Tangent4
+from gmem.scenarios import (PROTOCOL_KINDS, CurvePoint, DeformationProtocol,
+                            run_curve)
+from gmem.surface_tensors import (SpectralDecomp, SurfTensor2, Tangent4,
+                                  sqrt_spd)
 
 T = SurfTensor2(1.25, 0.75, 0.125)
 A = np.arange(16.0).reshape(2, 2, 2, 2)
@@ -98,3 +102,55 @@ def test_surf_tensor_repr_and_tuple_semantics():
     assert np.asarray(T).dtype == float
     assert np.array_equal(np.asarray(T), [1.25, 0.75, 0.125])
     assert T._replace(c12=0.0) == SurfTensor2(1.25, 0.75, 0.0)
+
+
+# tuple.__new__ skips the constructor's arity check, so the records built
+# that way are checked for type, length and field types here
+def _well_formed(rec, cls):
+    assert type(rec) is cls and len(rec) == len(cls._fields)
+
+
+def _float_tensor(t):
+    _well_formed(t, SurfTensor2)
+    assert all(type(x) is float for x in t)
+
+
+@pytest.mark.parametrize("c", [SurfTensor2(1.21, 0.81, 0.05),
+                               SurfTensor2(1.44, 1.44, 0.0)])
+def test_membrane_outputs_are_well_formed(c):
+    fr = make_frame(0.3)
+    _float_tensor(sqrt_spd(c))
+    stresses, tangents = [], []
+    for model in ("metric", "log"):
+        stresses.append(getattr(mm, f"stress_{model}")(c, fr, mm.GGA))
+        tangents.append(getattr(mm, f"tangent_{model}")(c, fr, mm.GGA))
+        pair = getattr(mm, f"stress_tangent_{model}")(c, fr, mm.GGA)
+        assert type(pair) is tuple and len(pair) == 2
+        stresses.append(pair[0])
+        tangents.append(pair[1])
+    for r in stresses:
+        _well_formed(r, StressResult)
+        for t in r[:3]:
+            _float_tensor(t)
+        assert type(r.W) is float
+    for t in tangents:
+        _well_formed(t, Tangent4)
+        comp = t.comp
+        assert comp.dtype == np.float64 and comp.shape == (2, 2, 2, 2)
+        assert comp.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_scenario_records_are_well_formed(kind):
+    fr = make_frame(0.3)
+    proto = DeformationProtocol(kind, 0.2, 1.0, 1.2, 5)
+    states = proto.states(proto.values().tolist(), fr.theta_lattice)
+    assert len(states) == 5
+    for c in states:
+        _float_tensor(c)
+    for model in ("metric", "log"):
+        points = run_curve(proto, model, mm.GGA, fr)
+        assert len(points) == 5
+        for q in points:
+            _well_formed(q, CurvePoint)
+            assert all(type(x) is float for x in q)

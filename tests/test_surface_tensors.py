@@ -126,14 +126,23 @@ def test_tangent_from_pairs_matches_explicit_expansion():
         [[[p[2, 0], p[2, 2]], [p[2, 2], p[2, 1]]],
          [[p[1, 0], p[1, 2]], [p[1, 2], p[1, 1]]]],
     ])
-    for pairs in (p, tuple(tuple(row) for row in p)):
-        t = tangent_from_pairs(pairs)
-        assert np.array_equal(t.comp, want)
-    # a non-contiguous view expands by its logical indices
-    assert np.array_equal(tangent_from_pairs(p.T).comp,
-                          tangent_from_pairs(np.ascontiguousarray(p.T)).comp)
-    for bad in (p.ravel(), np.zeros((4, 4))):
-        with pytest.raises(ValueError):
+    assert np.array_equal(tangent_from_pairs(p).comp, want)
+    # one path for every input: nested tuples, lists, arrays and
+    # non-contiguous views expand bitwise alike, by their logical indices
+    for m in (p, p.T):
+        forms = (tuple(tuple(row) for row in m), m.tolist(),
+                 np.ascontiguousarray(m), m)
+        assert len({tangent_from_pairs(x).comp.tobytes() for x in forms}) == 1
+    # integer entries come back as float64
+    floats = tangent_from_pairs(np.arange(1.0, 10.0).reshape(3, 3)).comp
+    for ints in ([[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+                 np.arange(1, 10).reshape(3, 3)):
+        t = tangent_from_pairs(ints).comp
+        assert t.dtype == np.float64 and np.array_equal(t, floats)
+    ragged = ((1.0, 2.0, 3.0), (4.0, 5.0), (6.0, 7.0, 8.0))
+    for bad in (p.ravel(), np.zeros((4, 4)), ragged, np.zeros((3, 3, 1)),
+                None):
+        with pytest.raises(ValueError, match="3x3"):
             tangent_from_pairs(bad)
 
 
