@@ -1,26 +1,25 @@
 """Cost split of the public membrane calls: unpacking, kernel, packaging.
 
-    PYTHONPATH=src python3 tools/call_split.py [--seed 0] [--repeat 25]
+    PYTHONPATH=src python3 tools/call_split.py
 
 Each public membrane call is `_unpack`, then the model's core
 (`_metric_core` or `_log_core`) at the call's order, then the packaging:
 `_package_stress` for a stress, `tangent_from_pairs` for a tangent. The
 span tracer cannot show this split, because those functions are private.
 
-On STATES seeded point_stream-like states (stretches in [0.7, 1.6], one
-state in eight with its principal stretches within 1e-9 relative of each
-other, a fresh lattice frame per state), every part and the whole call are
-timed as a loop over the states with the parts' inputs precomputed. Each
-figure is the minimum over --repeat rounds, in microseconds per state, and
-includes the loop's own per-state cost (tens of nanoseconds). The last
-column is the core's share of the whole call.
+On STATES point_stream-like states from seed SEED (stretches in
+[0.7, 1.6], one state in eight with its principal stretches within 1e-9
+relative of each other, a fresh lattice frame per state), every part and
+the whole call are timed as a loop over the states with the parts' inputs
+precomputed. Each figure is the minimum over REPEAT rounds, in
+microseconds per state, and includes the loop's own per-state cost (tens
+of nanoseconds). The last column is the core's share of the whole call.
 
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import timeit
 
@@ -31,6 +30,8 @@ from gmem.lattice import make_frame
 from gmem.surface_tensors import SurfTensor2, tangent_from_pairs
 
 STATES = 256
+SEED = 0
+REPEAT = 25
 NEAR_ISOTROPIC_EVERY = 8
 CALLS = (("energy", 0), ("stress", 1), ("tangent", 2), ("stress_tangent", 2))
 
@@ -89,23 +90,13 @@ def split(states, params, repeat: int) -> dict:
                 for a in args:
                     fn(*a)
             t = 1e6 * timeit.timeit(loop, number=1) / len(args)
-            key = name, part
-            best[key] = min(best.get(key, math.inf), t)
-    out = {}
-    for (name, part), t in best.items():
-        out.setdefault(name, {})[part] = t
-    return out
+            row = best.setdefault(name, {})
+            row[part] = min(row.get(part, math.inf), t)
+    return best
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=0, help="state seed")
-    ap.add_argument("--repeat", type=int, default=25,
-                    help="timed rounds; each figure keeps its minimum")
-    args = ap.parse_args()
-    if args.seed < 0 or args.repeat < 1:
-        ap.error("--seed must be >= 0 and --repeat >= 1")
-    rows = split(seeded_states(args.seed), mm.GGA, args.repeat)
+    rows = split(seeded_states(SEED), mm.GGA, REPEAT)
     cols = ("unpack", "core", "package", "pairs", "call")
     print(f"{'call (us/state)':24}" + "".join(f"{c:>9}" for c in cols)
           + f"{'core %':>9}")
