@@ -16,6 +16,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+_new = tuple.__new__  # a record from a tuple holding every field
+
 
 class SurfacePointGeometry(NamedTuple):
     """Pointwise first/second fundamental data of a deforming surface.
@@ -192,30 +194,6 @@ def _det_inv2(m, what="metric"):
     return det, ((m11 / det, -m01 / det), (-m10 / det, m00 / det))
 
 
-def _sandwich2(p, b):
-    """p b p for symmetric 2x2 nested lists; the upper triangle is computed
-    and mirrored, so the result is exactly symmetric."""
-    (p00, p01), (_, p11) = p
-    (b00, b01), (_, b11) = b
-    t00 = p00 * b00 + p01 * b01
-    t01 = p00 * b01 + p01 * b11
-    t10 = p01 * b00 + p11 * b01
-    t11 = p01 * b01 + p11 * b11
-    c01 = t00 * p01 + t01 * p11
-    return [[t00 * p00 + t01 * p01, c01], [c01, t10 * p01 + t11 * p11]]
-
-
-def _curvature_scalars(det_a, a_inv, b):
-    """H, kappa, k1, k2 from det a, the inverse metric and b, all as
-    plain floats and nested lists."""
-    (i00, i01), (i10, i11) = a_inv
-    (b00, b01), (b10, b11) = b
-    H = 0.5 * (i00 * b00 + i01 * b01 + i10 * b10 + i11 * b11)
-    kappa = (b00 * b11 - b01 * b10) / det_a
-    disc = math.sqrt(max(H * H - kappa, 0.0))
-    return H, kappa, H + disc, H - disc
-
-
 def evaluate_geometry(surface: AnalyticSurface, xi,
                       reference: Optional[AnalyticSurface] = None
                       ) -> SurfacePointGeometry:
@@ -247,36 +225,50 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
     return g._replace(A_alpha=A_alpha, a_alpha=a_alpha, gamma=gamma, n=n)
 
 
-def _cholesky_rows(m, det):
-    """Lower Cholesky factor of a positive-definite 2x2 metric with
-    determinant det, padded with a zero third column."""
-    l00 = math.sqrt(m[0][0])
-    return [[l00, 0.0, 0.0], [m[1][0] / l00, math.sqrt(det) / l00, 0.0]]
-
-
 def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     """Geometry record built from metric data alone.
 
     Used by the derivative checks, which vary a_ab and b_ab independently;
     no embedding compatibility is implied. Tangent vectors are a canonical
     planar realization of each metric (its lower Cholesky factor) and gamma
-    is zero. Determinants, inverses, Cholesky rows, J, the curvature
-    scalars and b^ab = a^-1 b a^-1 are closed-form 2x2 arithmetic on plain
-    floats, with no NumPy linear-algebra call.
+    is zero. Determinants, inverses, Cholesky rows, J, the curvature scalars
+    and b^ab = a^-1 b a^-1 (upper triangle mirrored) are closed-form 2x2
+    arithmetic on plain floats, written into one array that the tangent
+    vectors and contravariant fields view.
     """
     A_cov = np.asarray(A_cov, dtype=float)
     a_cov = np.asarray(a_cov, dtype=float)
     b_cov = np.asarray(b_cov, dtype=float)
-    A, a, b = A_cov.tolist(), a_cov.tolist(), b_cov.tolist()
-    detA, A_inv = _det_inv2(A)
-    deta, a_inv = _det_inv2(a)
-    H, kappa, k1, k2 = _curvature_scalars(deta, a_inv, b)
-    return SurfacePointGeometry(np.array(_cholesky_rows(A, detA)),
-                                np.array(_cholesky_rows(a, deta)), A_cov,
-                                np.array(A_inv), a_cov, np.array(a_inv),
-                                b_cov, np.array(_sandwich2(a_inv, b)),
-                                np.zeros((2, 2, 2)), np.array([0.0, 0.0, 1.0]),
-                                math.sqrt(deta / detA), H, kappa, k1, k2)
+    (A00, A01), (A10, A11) = A_cov.tolist()
+    (a00, a01), (a10, a11) = a_cov.tolist()
+    (b00, b01), (b10, b11) = b_cov.tolist()
+    detA = A00 * A11 - A01 * A10
+    if not (detA > 0.0 and A00 > 0.0):
+        raise ValueError("metric must be positive definite")
+    deta = a00 * a11 - a01 * a10
+    if not (deta > 0.0 and a00 > 0.0):
+        raise ValueError("metric must be positive definite")
+    i00, i01, i10, i11 = a11 / deta, -a01 / deta, -a10 / deta, a00 / deta
+    H = 0.5 * (i00 * b00 + i01 * b01 + i10 * b10 + i11 * b11)
+    kappa = (b00 * b11 - b01 * b10) / deta
+    disc = math.sqrt(max(H * H - kappa, 0.0))
+    t00 = i00 * b00 + i01 * b01
+    t01 = i00 * b01 + i01 * b11
+    t10 = i01 * b00 + i11 * b01
+    t11 = i01 * b01 + i11 * b11
+    c01 = t00 * i01 + t01 * i11
+    L00, l00 = math.sqrt(A00), math.sqrt(a00)
+    buf = np.array((L00, 0.0, 0.0, A10 / L00, math.sqrt(detA) / L00, 0.0,
+                    l00, 0.0, 0.0, a10 / l00, math.sqrt(deta) / l00, 0.0,
+                    A11 / detA, -A01 / detA, -A10 / detA, A00 / detA,
+                    i00, i01, i10, i11,
+                    t00 * i00 + t01 * i01, c01, c01, t10 * i01 + t11 * i11))
+    return _new(SurfacePointGeometry, (
+        buf[:6].reshape(2, 3), buf[6:12].reshape(2, 3), A_cov,
+        buf[12:16].reshape(2, 2), a_cov, buf[16:20].reshape(2, 2), b_cov,
+        buf[20:].reshape(2, 2), np.zeros((2, 2, 2)),
+        np.array([0.0, 0.0, 1.0]), math.sqrt(deta / detA), H, kappa,
+        H + disc, H - disc))
 
 
 def canham_energy(g: SurfacePointGeometry, c_bend: float) -> float:
@@ -290,10 +282,14 @@ def bending_stress_moment(g: SurfacePointGeometry, c_bend: float):
     tau_b = J c [(2H^2 + kappa) a^ab - 4 H b^ab], M0 = c J b^ab; both equal
     the (a, b)-partials of the bending energy.
     """
+    (a00, a01), (a10, a11) = g.a_contra.tolist()
+    (b00, b01), (b10, b11) = g.b_contra.tolist()
     h = 2.0 * g.H * g.H + g.kappa_gauss
-    tau = g.J * c_bend * (h * g.a_contra - 4.0 * g.H * g.b_contra)
-    m0 = c_bend * g.J * g.b_contra
-    return tau, m0
+    q, s, m = 4.0 * g.H, g.J * c_bend, c_bend * g.J
+    out = np.array((s * (h * a00 - q * b00), s * (h * a01 - q * b01),
+                    s * (h * a10 - q * b10), s * (h * a11 - q * b11),
+                    m * b00, m * b01, m * b10, m * b11)).reshape(2, 2, 2)
+    return out[0], out[1]
 
 
 class BendingTangents(NamedTuple):
@@ -308,28 +304,26 @@ class BendingTangents(NamedTuple):
 
 
 def bending_tangents(g: SurfacePointGeometry, c_bend: float) -> BendingTangents:
-    au = g.a_contra
-    bu = g.b_contra
-    H = g.H
-    kappa = g.kappa_gauss
+    au, bu, H, kappa = g.a_contra, g.b_contra, g.H, g.kappa_gauss
     pref = g.J * c_bend
+    # the four outer products; + 0.0 makes every zero product +0.0, the
+    # sign an einsum outer product gives
+    aa = np.multiply.outer(au, au) + 0.0
+    ab = np.multiply.outer(au, bu) + 0.0
+    ba = np.multiply.outer(bu, au) + 0.0
+    bb = np.multiply.outer(bu, bu) + 0.0
 
-    def ot(x, y):
-        return np.einsum("ab,gd->abgd", x, y)
+    def sym4(o):  # o = x (x) y; x^{ag} y^{bd} and x^{ad} y^{bg} are views
+        return 0.5 * (o.transpose(0, 2, 1, 3) + o.transpose(0, 2, 3, 1))
 
-    def sym4(x, y):
-        return 0.5 * (np.einsum("ag,bd->abgd", x, y)
-                      + np.einsum("ad,bg->abgd", x, y))
-
-    a4 = sym4(au, au)
-    ab_s = sym4(au, bu) + sym4(bu, au)
-    c_t = pref * ((2.0 * H * H - kappa) * ot(au, au)
-                  - 4.0 * H * (ot(au, bu) + ot(bu, au))
-                  + 4.0 * ot(bu, bu)
+    a4 = sym4(aa)
+    ab_s = sym4(ab) + sym4(ba)
+    c_t = pref * ((2.0 * H * H - kappa) * aa
+                  - 4.0 * H * (ab + ba)
+                  + 4.0 * bb
                   - 2.0 * (2.0 * H * H + kappa) * a4
                   + 8.0 * H * ab_s)
-    d_t = pref * (4.0 * H * ot(au, au) - ot(au, bu) - 2.0 * ot(bu, au)
-                  - 4.0 * H * a4)
+    d_t = pref * (4.0 * H * aa - ab - 2.0 * ba - 4.0 * H * a4)
     e_t = d_t.transpose(2, 3, 0, 1)
     f_t = pref * a4
     return BendingTangents(c_t, d_t, e_t, f_t)

@@ -15,29 +15,28 @@ STRESS_STEP = 1e-6
 TANGENT_STEP = 1e-5
 
 
-def _eval(f, comps):
-    return np.asarray(f(*comps), dtype=float)
-
-
 def partials_sym(f, comps, rel_step):
     """Single-entry partial derivatives of f with respect to a symmetric
     pair-storage triple; f may return a scalar or an array.
 
-    Returns an array of shape f(*comps).shape + (3,).
+    Returns an array of shape f(*comps).shape + (3,), formed from one array
+    of the six evaluations, made first in the order (+h, -h) per component.
     """
     comps = tuple(float(x) for x in comps)
-    cols = []
+    vals, steps = [], []
     for i in range(3):
         h = rel_step * max(abs(comps[i]), 1.0)
         up = list(comps)
         dn = list(comps)
         up[i] += h
         dn[i] -= h
-        d = (_eval(f, up) - _eval(f, dn)) / (2.0 * h)
-        if i == 2:
-            d = 0.5 * d
-        cols.append(d)
-    return np.stack(cols, axis=-1)
+        vals.append(f(*up))
+        vals.append(f(*dn))
+        steps.append(2.0 * h)
+    ev = np.array(vals, dtype=float)
+    d = (ev[0::2] - ev[1::2]).reshape(3, -1) / np.array(steps)[:, None]
+    d[2] *= 0.5
+    return d.T.reshape(ev.shape[1:] + (3,))
 
 
 def partials_sym_richardson(f, comps, rel_step):

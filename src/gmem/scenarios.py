@@ -245,8 +245,9 @@ def _membrane_sample(model, params, rng, tols):
 
 
 def _bending_sample(rng):
-    """Errors of one random bending state, keyed by check name; tangent_fd
-    holds one error per tangent block c, d, e, f."""
+    """Errors of one random bending state, keyed by check name, and the
+    state: its a_ref, a_cur and b_cur triples. tangent_fd holds one error
+    per tangent block c, d, e, f."""
     c_bend = DEFAULT_BEND_STIFFNESS
     a_ref = np.array(_random_spd_triple(rng, 0.8, 1.3))
     a_cur = np.array(_random_spd_triple(rng, 0.7, 1.6))
@@ -255,41 +256,45 @@ def _bending_sample(rng):
     def m2(t):
         return np.array([[t[0], t[2]], [t[2], t[1]]])
 
-    A_ref = m2(a_ref)
-
-    def geom(a, b):
-        return bg.geometry_from_metrics(A_ref, m2(a), m2(b))
+    # the unperturbed metrics, built once for every perturbation
+    A_ref, a_0, b_0 = m2(a_ref), m2(a_cur), m2(b_cur)
 
     def tm(g):
         t, m = bg.bending_stress_moment(g, c_bend)
-        return np.array([t[0, 0], t[1, 1], t[0, 1], m[0, 0], m[1, 1], m[0, 1]])
+        (t00, t01), (_, t11) = t.tolist()
+        (m00, m01), (_, m11) = m.tolist()
+        return np.array((t00, t11, t01, m00, m11, m01))
 
     def w_of_a(a11, a22, a12):
-        return bg.canham_energy(geom((a11, a22, a12), b_cur), c_bend)
+        return bg.canham_energy(bg.geometry_from_metrics(
+            A_ref, m2((a11, a22, a12)), b_0), c_bend)
 
     def w_of_b(b11, b22, b12):
-        return bg.canham_energy(geom(a_cur, (b11, b22, b12)), c_bend)
+        return bg.canham_energy(bg.geometry_from_metrics(
+            A_ref, a_0, m2((b11, b22, b12))), c_bend)
 
     def tm_of_a(a11, a22, a12):
-        return tm(geom((a11, a22, a12), b_cur))
+        return tm(bg.geometry_from_metrics(A_ref, m2((a11, a22, a12)), b_0))
 
     def tm_of_b(b11, b22, b12):
-        return tm(geom(a_cur, (b11, b22, b12)))
+        return tm(bg.geometry_from_metrics(A_ref, a_0, m2((b11, b22, b12))))
 
-    g0 = geom(a_cur, b_cur)
+    g0 = bg.geometry_from_metrics(A_ref, a_0, b_0)
     an = tm(g0)
     fd = np.concatenate([2.0 * partials_sym(w_of_a, tuple(a_cur), STRESS_STEP),
                          partials_sym(w_of_b, tuple(b_cur), STRESS_STEP)])
     tg = bg.bending_tangents(g0, c_bend)
     fd_a = partials_sym(tm_of_a, tuple(a_cur), TANGENT_STEP)
     fd_b = partials_sym(tm_of_b, tuple(b_cur), TANGENT_STEP)
-    return {"stress_fd": _rel_err(fd, an),
+    errs = {"stress_fd": _rel_err(fd, an),
             "tangent_fd": (_rel_err(2.0 * fd_a[:3], _pair_of(tg.c)),
                            _rel_err(fd_b[:3], _pair_of(tg.d)),
                            _rel_err(2.0 * fd_a[3:], _pair_of(tg.e)),
                            _rel_err(fd_b[3:], _pair_of(tg.f))),
             "transpose_identity": np.max(
                 np.abs(tg.e - tg.d.transpose(2, 3, 0, 1)))}
+    return errs, dict(a_ref=tuple(a_ref.tolist()), a_cur=tuple(a_cur.tolist()),
+                      b_cur=tuple(b_cur.tolist()))
 
 
 def _summary(rows, tol):
@@ -325,10 +330,11 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
     failure is retried once with Richardson extrapolation before being
     recorded. Each check reports its max, mean and worst_sample, the
     0-based index of the sample holding the max; a NaN error is the max
-    and fails the check. The metric and log checks also report
-    worst_state, that sample's C components and lattice angle (radians).
-    The states come from default_rng(seed) in a fixed order, so
-    n_samples=k+1 re-runs sample k as the last one.
+    and fails the check. Each check also reports worst_state, that
+    sample's inputs: the C components and lattice angle (radians) for the
+    metric and log models, the a_ref, a_cur and b_cur triples in (11, 22,
+    12) order for bending. The states come from default_rng(seed) in a
+    fixed order, so n_samples=k+1 re-runs sample k as the last one.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -343,16 +349,15 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
     rng = np.random.default_rng(seed)
     p = params if params is not None else mm.GGA
     if model == "bending":
-        samples = [_bending_sample(rng) for _ in range(n_samples)]
-        states = None
+        samples, states = zip(*[_bending_sample(rng)
+                                for _ in range(n_samples)])
     else:
         samples, states = zip(*[_membrane_sample(model, p, rng, tols)
                                 for _ in range(n_samples)])
     report = {name: _summary([errs[name] for errs in samples], tol)
               for name, tol in tols.items()}
-    if states is not None:
-        for check in report.values():
-            check["worst_state"] = dict(states[check["worst_sample"]])
+    for check in report.values():
+        check["worst_state"] = dict(states[check["worst_sample"]])
     return {
         "model": model,
         "param_set": "" if model == "bending" else p.name or "custom",

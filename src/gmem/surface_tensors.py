@@ -106,34 +106,49 @@ class Tangent4(NamedTuple):
     comp: np.ndarray
 
 
-def _pair_outer(a: SurfTensor2, b: SurfTensor2, subscripts: str) -> Tangent4:
-    """Closed-form pair product: one einsum with no summed index, so each of
-    the 16 components is the single product of one entry of a and one of b."""
-    return Tangent4(np.einsum(subscripts, a.as_matrix(), b.as_matrix()))
+def _pair_entries(a: SurfTensor2, b: SurfTensor2):
+    """The nine single products a^{ij} b^{kl} of two stored triples, rows
+    a11, a12, a22 times b11, b12, b22; the pair products lay them out.
+    Adding 0.0 turns a -0.0 product into +0.0, as einsum's accumulation
+    into a zeroed output does, so the products keep their einsum bits."""
+    a11, a22, a12 = a
+    b11, b22, b12 = b
+    return (a11 * b11 + 0.0, a11 * b12 + 0.0, a11 * b22 + 0.0,
+            a12 * b11 + 0.0, a12 * b12 + 0.0, a12 * b22 + 0.0,
+            a22 * b11 + 0.0, a22 * b12 + 0.0, a22 * b22 + 0.0)
 
 
 def tensor_product(a: SurfTensor2, b: SurfTensor2) -> Tangent4:
     """(a (x) b)^{abgd} = a^{ab} b^{gd}."""
-    return _pair_outer(a, b, "ab,gd->abgd")
+    p1, p2, p3, q1, q2, q3, r1, r2, r3 = _pair_entries(a, b)
+    comp = np.array((p1, p2, p2, p3, q1, q2, q2, q3,
+                     q1, q2, q2, q3, r1, r2, r2, r3))
+    return _new(Tangent4, (comp.reshape(2, 2, 2, 2),))
 
 
 def oplus_product(a: SurfTensor2, b: SurfTensor2) -> Tangent4:
     """(a (+) b)^{abgd} = a^{ad} b^{bg}."""
-    return _pair_outer(a, b, "ad,bg->abgd")
+    p1, p2, p3, q1, q2, q3, r1, r2, r3 = _pair_entries(a, b)
+    comp = np.array((p1, q1, p2, q2, p2, q2, p3, q3,
+                     q1, r1, q2, r2, q2, r2, q3, r3))
+    return _new(Tangent4, (comp.reshape(2, 2, 2, 2),))
 
 
 def boxtimes_product(a: SurfTensor2, b: SurfTensor2) -> Tangent4:
     """(a [x] b)^{abgd} = a^{ag} b^{bd}."""
-    return _pair_outer(a, b, "ag,bd->abgd")
+    p1, p2, p3, q1, q2, q3, r1, r2, r3 = _pair_entries(a, b)
+    comp = np.array((p1, p2, q1, q2, p2, p3, q2, q3,
+                     q1, q2, r1, r2, q2, q3, r2, r3))
+    return _new(Tangent4, (comp.reshape(2, 2, 2, 2),))
 
 
 def rearrange(t: Tangent4) -> Tangent4:
     """Component reordering used to go from assembly order back to the
-    standard order: out^{abgd} = in^{agdb}.
+    standard order: out^{abgd} = in^{agdb}, as a transposed view.
 
     Maps a (+) b to a (x) b, a (x) b to a [x] b^T, and a [x] b to a (+) b^T.
     """
-    return Tangent4(np.einsum("agdb->abgd", t.comp))
+    return _new(Tangent4, (t.comp.transpose(0, 3, 1, 2),))
 
 
 def tangent_from_pairs(pairs) -> Tangent4:

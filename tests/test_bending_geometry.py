@@ -354,3 +354,145 @@ def test_non_positive_definite_metric_is_rejected(l1, l2, phi, as_reference,
     with pytest.raises(ValueError):
         bg.geometry_from_metrics(*((rank_one, A0, b) if as_reference
                                    else (A0, rank_one, b)))
+
+
+# The forms that geometry_from_metrics, bending_stress_moment and
+# bending_tangents replaced, kept as their references: the rewrites must
+# give the same bits, signed zeros included.
+
+def _cholesky_rows(m, det):
+    l00 = math.sqrt(m[0][0])
+    return [[l00, 0.0, 0.0], [m[1][0] / l00, math.sqrt(det) / l00, 0.0]]
+
+
+def _sandwich2(p, b):
+    (p00, p01), (_, p11) = p
+    (b00, b01), (_, b11) = b
+    t00 = p00 * b00 + p01 * b01
+    t01 = p00 * b01 + p01 * b11
+    t10 = p01 * b00 + p11 * b01
+    t11 = p01 * b01 + p11 * b11
+    c01 = t00 * p01 + t01 * p11
+    return [[t00 * p00 + t01 * p01, c01], [c01, t10 * p01 + t11 * p11]]
+
+
+def _curvature_scalars(det_a, a_inv, b):
+    (i00, i01), (i10, i11) = a_inv
+    (b00, b01), (b10, b11) = b
+    H = 0.5 * (i00 * b00 + i01 * b01 + i10 * b10 + i11 * b11)
+    kappa = (b00 * b11 - b01 * b10) / det_a
+    disc = math.sqrt(max(H * H - kappa, 0.0))
+    return H, kappa, H + disc, H - disc
+
+
+def geometry_from_metrics_helpers(A_cov, a_cov, b_cov):
+    A_cov = np.asarray(A_cov, dtype=float)
+    a_cov = np.asarray(a_cov, dtype=float)
+    b_cov = np.asarray(b_cov, dtype=float)
+    A, a, b = A_cov.tolist(), a_cov.tolist(), b_cov.tolist()
+    detA, A_inv = bg._det_inv2(A)
+    deta, a_inv = bg._det_inv2(a)
+    H, kappa, k1, k2 = _curvature_scalars(deta, a_inv, b)
+    return bg.SurfacePointGeometry(
+        np.array(_cholesky_rows(A, detA)), np.array(_cholesky_rows(a, deta)),
+        A_cov, np.array(A_inv), a_cov, np.array(a_inv), b_cov,
+        np.array(_sandwich2(a_inv, b)), np.zeros((2, 2, 2)),
+        np.array([0.0, 0.0, 1.0]), math.sqrt(deta / detA), H, kappa, k1, k2)
+
+
+def bending_stress_moment_numpy(g, c_bend):
+    h = 2.0 * g.H * g.H + g.kappa_gauss
+    tau = g.J * c_bend * (h * g.a_contra - 4.0 * g.H * g.b_contra)
+    m0 = c_bend * g.J * g.b_contra
+    return tau, m0
+
+
+def bending_tangents_einsum(g, c_bend):
+    au, bu, H, kappa = g.a_contra, g.b_contra, g.H, g.kappa_gauss
+    pref = g.J * c_bend
+
+    def ot(x, y):
+        return np.einsum("ab,gd->abgd", x, y)
+
+    def sym4(x, y):
+        return 0.5 * (np.einsum("ag,bd->abgd", x, y)
+                      + np.einsum("ad,bg->abgd", x, y))
+
+    a4 = sym4(au, au)
+    ab_s = sym4(au, bu) + sym4(bu, au)
+    c_t = pref * ((2.0 * H * H - kappa) * ot(au, au)
+                  - 4.0 * H * (ot(au, bu) + ot(bu, au))
+                  + 4.0 * ot(bu, bu)
+                  - 2.0 * (2.0 * H * H + kappa) * a4
+                  + 8.0 * H * ab_s)
+    d_t = pref * (4.0 * H * ot(au, au) - ot(au, bu) - 2.0 * ot(bu, au)
+                  - 4.0 * H * a4)
+    return bg.BendingTangents(c_t, d_t, d_t.transpose(2, 3, 0, 1), pref * a4)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+square = st.builds(lambda *x: np.array(x).reshape(2, 2), *[signed] * 4)
+# a metric with a skew part s added to its off-diagonal pair keeps
+# det > 0: det(m + s J) = det(m) + s^2
+skewed = st.builds(lambda m, s: m + np.array([[0.0, s], [-s, 0.0]]),
+                   metrics, st.floats(-1.0, 1.0))
+diagonal = st.builds(lambda x, y: np.diag([x, y]), st.floats(0.1, 5.0),
+                     st.floats(0.1, 5.0))
+any_metric = st.one_of(metrics, skewed, diagonal)
+any_curvature = st.one_of(curvatures, square)
+SHAPES = {"A_alpha": (2, 3), "a_alpha": (2, 3), "A_cov": (2, 2),
+          "A_contra": (2, 2), "a_cov": (2, 2), "a_contra": (2, 2),
+          "b_cov": (2, 2), "b_contra": (2, 2), "gamma": (2, 2, 2), "n": (3,)}
+
+
+@settings(deadline=None, max_examples=400)
+@given(any_metric, any_metric, any_curvature)
+def test_geometry_from_metrics_matches_helper_form_bitwise(A, a, b):
+    """Symmetric and non-symmetric metrics and curvatures; every field has
+    the helper form's bits, and the array fields are distinct C-contiguous
+    float64 arrays of the old shapes."""
+    g = bg.geometry_from_metrics(A, a, b)
+    r = geometry_from_metrics_helpers(A, a, b)
+    for name, x, y in zip(g._fields, g, r):
+        assert same_bits(x, y), name
+    arrays = [(name, getattr(g, name)) for name in SHAPES]
+    for name, x in arrays:
+        assert x.shape == SHAPES[name] and x.dtype == np.float64, name
+        assert x.flags.c_contiguous, name
+    for i, (n1, x) in enumerate(arrays):
+        for n2, y in arrays[i + 1:]:
+            assert not np.shares_memory(x, y), (n1, n2)
+    assert all(type(getattr(g, n)) is float
+               for n in ("J", "H", "kappa_gauss", "k1", "k2"))
+
+
+def contra_records(A, a, b, au, bu):
+    """The record of (A, a, b), and the same record with non-symmetric
+    contravariant fields au, bu."""
+    g = bg.geometry_from_metrics(A, a, b)
+    return g, g._replace(a_contra=au, b_contra=bu)
+
+
+@settings(deadline=None, max_examples=300)
+@given(any_metric, any_metric, any_curvature, square, square)
+def test_bending_stress_moment_matches_numpy_form_bitwise(A, a, b, au, bu):
+    for g in contra_records(A, a, b, au, bu):
+        tau, m0 = bg.bending_stress_moment(g, CB)
+        want_tau, want_m0 = bending_stress_moment_numpy(g, CB)
+        assert same_bits(tau, want_tau) and same_bits(m0, want_m0)
+        assert not np.shares_memory(tau, m0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(any_metric, any_metric, any_curvature, square, square)
+def test_bending_tangents_match_einsum_form_bitwise(A, a, b, au, bu):
+    for g in contra_records(A, a, b, au, bu):
+        got = bg.bending_tangents(g, CB)
+        want = bending_tangents_einsum(g, CB)
+        for name, x, y in zip(got._fields, got, want):
+            assert same_bits(x, y), name

@@ -288,8 +288,56 @@ def test_verify_worst_state_is_the_last_state_of_the_rerun(model, seed):
                             STRESS_STEP)
     assert (sc._rel_err(fd, [stress.c11, stress.c22, stress.c12])
             == full["stress_fd"]["max"])
-    bending = sc.verify_derivatives("bending", n_samples=2, seed=seed)
-    assert all("worst_state" not in c for c in bending["checks"].values())
+    # bending reports its worst sample's three input triples
+    bending = sc.verify_derivatives("bending", n_samples=6, seed=seed)
+    for name, check in bending["checks"].items():
+        k = check["worst_sample"]
+        rng = np.random.default_rng(seed)
+        for _ in range(k + 1):
+            a_ref = sc._random_spd_triple(rng, 0.8, 1.3)
+            a_cur = sc._random_spd_triple(rng, 0.7, 1.6)
+            b_cur = rng.uniform(-0.5, 0.5, size=3)
+        assert check["worst_state"] == {
+            "a_ref": a_ref, "a_cur": a_cur, "b_cur": tuple(b_cur.tolist())}
+        assert all(type(x) is float for v in check["worst_state"].values()
+                   for x in v)
+        rerun = sc.verify_derivatives("bending", n_samples=k + 1, seed=seed)
+        assert rerun["checks"][name]["worst_state"] == check["worst_state"]
+
+
+def partials_sym_loop(f, comps, rel_step):
+    """The per-column loop that partials_sym replaced, kept as its
+    reference."""
+    comps = tuple(float(x) for x in comps)
+    cols = []
+    for i in range(3):
+        h = rel_step * max(abs(comps[i]), 1.0)
+        up = list(comps)
+        dn = list(comps)
+        up[i] += h
+        dn[i] -= h
+        d = (np.asarray(f(*up), dtype=float)
+             - np.asarray(f(*dn), dtype=float)) / (2.0 * h)
+        if i == 2:
+            d = 0.5 * d
+        cols.append(d)
+    return np.stack(cols, axis=-1)
+
+
+def test_partials_sym_matches_loop_form_bitwise():
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=(2, 3, 3))
+    callbacks = (lambda x, y, z: math.exp(x) * y - z * z,
+                 lambda x, y, z: np.array([x * y, y / z, math.sin(z)]),
+                 lambda x, y, z: np.tanh(w * (x - y * z)))
+    for _ in range(50):
+        comps = tuple(rng.uniform(-3.0, 3.0, size=3))
+        for f in callbacks:
+            for step in (STRESS_STEP, 1e-3):
+                got = partials_sym(f, comps, step)
+                want = partials_sym_loop(f, comps, step)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 def test_verify_nan_error_fails_its_check(monkeypatch):

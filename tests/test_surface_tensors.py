@@ -195,3 +195,25 @@ def test_product_contraction_identities(a1, a2, a3, b1, b2, b3):
     lhs = np.einsum("abgd,gd->ab", t, x)
     rhs = a.as_matrix() * np.sum(b.as_matrix() * x)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * (1.0 + np.abs(rhs).max()))
+
+
+# The einsum forms the closed-form pair products replaced, kept as their
+# reference: with no summed index each component is one product, and
+# einsum's accumulation into a zeroed output turns a -0.0 product into +0.0.
+EINSUM_FORMS = ((tensor_product, "ab,gd->abgd"), (oplus_product, "ad,bg->abgd"),
+                (boxtimes_product, "ag,bd->abgd"))
+entries = st.one_of(st.sampled_from([0.0, -0.0]), finite)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.tuples(entries, entries, entries), st.tuples(entries, entries, entries))
+def test_pair_products_match_einsum_forms_bitwise(a, b):
+    a, b = SurfTensor2(*a), SurfTensor2(*b)
+    for fn, subscripts in EINSUM_FORMS:
+        got = fn(a, b).comp
+        want = np.einsum(subscripts, a.as_matrix(), b.as_matrix())
+        assert got.dtype == np.float64 and got.shape == (2, 2, 2, 2)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), fn.__name__
+        out = rearrange(fn(a, b)).comp
+        assert out.tobytes() == np.einsum("agdb->abgd", got).tobytes()

@@ -30,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -65,6 +66,14 @@ def export(rev: str, dest: Path) -> str:
     if failed:
         raise RuntimeError(f"exporting {sha}: {', '.join(failed)}")
     return sha
+
+
+def exit_on_sigterm() -> None:
+    """Turn SIGTERM into SystemExit, so that a stopped run leaves its with
+    blocks: the running benchmark child is killed and the temporary
+    directory with the exported trees is removed."""
+    signal.signal(signal.SIGTERM,
+                  lambda signum, _frame: sys.exit(128 + signum))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
@@ -194,6 +203,7 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    exit_on_sigterm()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     result = {"schema": SCHEMA, "change": args.title,

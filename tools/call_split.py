@@ -1,4 +1,5 @@
-"""Cost split of the public membrane calls: unpacking, kernel, packaging.
+"""Cost split of the public membrane calls, and the cost of the calls the
+verify workload makes per bending sample.
 
     PYTHONPATH=src python3 tools/call_split.py
 
@@ -15,6 +16,15 @@ precomputed. Each figure is the minimum over REPEAT rounds, in
 microseconds per state, and includes the loop's own per-state cost (tens
 of nanoseconds). The last column is the core's share of the whole call.
 
+A second table times, the same way, the bending calls and the pair
+products on the single-state path of `gmem verify`: geometry_from_metrics,
+canham_energy, bending_stress_moment and bending_tangents on STATES seeded
+bending states drawn like verify's (reference metric eigenvalues in
+[0.8, 1.3], current in [0.7, 1.6], curvature components in [-0.5, 0.5]),
+then tensor_product, oplus_product, boxtimes_product and
+tangent_metric_oplus on the membrane states above (each product on a
+state's C and the next state's C).
+
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
 """
 
@@ -25,15 +35,18 @@ import timeit
 
 import numpy as np
 
+from gmem import bending_geometry as bg
 from gmem import membrane_material as mm
 from gmem.lattice import make_frame
-from gmem.surface_tensors import SurfTensor2, tangent_from_pairs
+from gmem.surface_tensors import (SurfTensor2, boxtimes_product, oplus_product,
+                                  tangent_from_pairs, tensor_product)
 
 STATES = 256
 SEED = 0
 REPEAT = 25
 NEAR_ISOTROPIC_EVERY = 8
 CALLS = (("energy", 0), ("stress", 1), ("tangent", 2), ("stress_tangent", 2))
+C_BEND = 0.238  # the verify workload's bending stiffness
 
 
 def seeded_states(seed: int):
@@ -54,8 +67,29 @@ def seeded_states(seed: int):
     return out
 
 
+def _spd(rng, lo, hi):
+    """Symmetric positive-definite 2x2 array with eigenvalues in [lo, hi]."""
+    e1, e2 = rng.uniform(lo, hi, size=2)
+    phi = rng.uniform(0.0, math.pi)
+    c, s = math.cos(phi), math.sin(phi)
+    m12 = (e1 - e2) * s * c
+    return np.array([[e1 * c * c + e2 * s * s, m12],
+                     [m12, e1 * s * s + e2 * c * c]])
+
+
+def bending_states(seed: int):
+    """(A_ref, a_cur, b_cur) 2x2 arrays like verify's bending samples."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(STATES):
+        b11, b22, b12 = rng.uniform(-0.5, 0.5, size=3)
+        out.append((_spd(rng, 0.8, 1.3), _spd(rng, 0.7, 1.6),
+                    np.array([[b11, b12], [b12, b22]])))
+    return out
+
+
 def jobs(states, params):
-    """(call, part, fn, argument tuples) for every figure of the table."""
+    """(call, part, fn, argument tuples) for every figure of the split."""
     ccs = [mm._unpack(c, f) for c, f in states]
     out = []
     for model in ("metric", "log"):
@@ -78,11 +112,28 @@ def jobs(states, params):
     return out
 
 
-def split(states, params, repeat: int) -> dict:
+def call_jobs(states, bstates, params):
+    """(call, "call", fn, argument tuples) for every row of the per-call
+    table."""
+    geoms = [bg.geometry_from_metrics(*m) for m in bstates]
+    cs = [c for c, _f in states]
+    pairs = list(zip(cs, cs[1:] + cs[:1]))
+    return [
+        ("geometry_from_metrics", "call", bg.geometry_from_metrics, bstates),
+        *[(fn.__name__, "call", fn, [(g, C_BEND) for g in geoms])
+          for fn in (bg.canham_energy, bg.bending_stress_moment,
+                     bg.bending_tangents)],
+        *[(fn.__name__, "call", fn, pairs)
+          for fn in (tensor_product, oplus_product, boxtimes_product)],
+        ("tangent_metric_oplus", "call", mm.tangent_metric_oplus,
+         [(c, f, params) for c, f in states]),
+    ]
+
+
+def split(table, repeat: int) -> dict:
     """{call: {part: µs per state}}, each the minimum over repeat rounds; a
     round times one loop over the states for every figure in turn, so that
     load changes on the host reach all figures alike."""
-    table = jobs(states, params)
     best = {}
     for _ in range(repeat):
         for name, part, fn, args in table:
@@ -96,7 +147,8 @@ def split(states, params, repeat: int) -> dict:
 
 
 def main() -> int:
-    rows = split(seeded_states(SEED), mm.GGA, REPEAT)
+    states = seeded_states(SEED)
+    rows = split(jobs(states, mm.GGA), REPEAT)
     cols = ("unpack", "core", "package", "pairs", "call")
     print(f"{'call (us/state)':24}" + "".join(f"{c:>9}" for c in cols)
           + f"{'core %':>9}")
@@ -105,6 +157,11 @@ def main() -> int:
                         for c in cols)
         share = 100.0 * parts["core"] / parts["call"]
         print(f"{name:24}{cells}{share:9.1f}")
+    print()
+    calls = split(call_jobs(states, bending_states(SEED), mm.GGA), REPEAT)
+    print(f"{'verify-path call':24}{'us/call':>9}")
+    for name, parts in calls.items():
+        print(f"{name:24}{parts['call']:9.2f}")
     return 0
 
 

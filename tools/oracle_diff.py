@@ -24,7 +24,10 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   cylinder, sphere and cone surfaces and points, without and with a
   reference surface of the same kind; and, on seeded metric triples, the
   geometry_from_metrics record, canham_energy, bending_stress_moment and
-  bending_tangents.
+  bending_tangents;
+* one verify group: every check's max, mean and worst_sample from
+  verify_derivatives on the metric, log and bending models, VERIFY_SAMPLES
+  samples each, over seeds VERIFY_SEEDS (numdiff and the verify callbacks).
 
 Prints, per output group, whether the two dumps are bitwise equal and the
 largest absolute difference over the group's largest magnitude. Exits 0
@@ -46,12 +49,14 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import export  # noqa: E402
+from bench_pairs import exit_on_sigterm, export  # noqa: E402
 
 N_STATES = 2000
 SEED = 20240
 NEAR_ISOTROPIC_EVERY = 8
 N_BENDING = 100  # points per surface kind, and metric triples
+VERIFY_SEEDS = range(8)
+VERIFY_SAMPLES = 5
 
 
 def _spd(rng, lo, hi):
@@ -167,6 +172,13 @@ def dump(tree: Path, out: Path) -> None:
             add("peak_of_curve", peak)
     for values in _bending_values(bg, np.random.default_rng(SEED)):
         add("bending", values)
+    for model in ("metric", "log", "bending"):
+        for seed in VERIFY_SEEDS:
+            rep = sc.verify_derivatives(model, n_samples=VERIFY_SAMPLES,
+                                        seed=seed)
+            for check in rep["checks"].values():
+                add("verify", [check["max"], check["mean"],
+                               check["worst_sample"]])
     np.savez(out, **{k: np.concatenate(v) for k, v in groups.items()})
 
 
@@ -202,6 +214,7 @@ def main() -> int:
         return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
+    exit_on_sigterm()
     with tempfile.TemporaryDirectory(prefix="gmem-oracle-") as tmp:
         dumps = {}
         for side, rev in (("parent", args.parent), ("change", args.change)):
