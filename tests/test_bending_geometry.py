@@ -432,7 +432,8 @@ def bending_tangents_einsum(g, c_bend):
 
 def same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
-    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    return (x.dtype == y.dtype and x.shape == y.shape
+            and x.tobytes() == y.tobytes())
 
 
 signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))

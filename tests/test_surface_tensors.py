@@ -200,13 +200,15 @@ def test_product_contraction_identities(a1, a2, a3, b1, b2, b3):
 # The einsum forms the closed-form pair products replaced, kept as their
 # reference: with no summed index each component is one product, and
 # einsum's accumulation into a zeroed output turns a -0.0 product into +0.0.
-EINSUM_FORMS = ((tensor_product, "ab,gd->abgd"), (oplus_product, "ad,bg->abgd"),
+EINSUM_FORMS = ((tensor_product, "ab,gd->abgd"),
+                (oplus_product, "ad,bg->abgd"),
                 (boxtimes_product, "ag,bd->abgd"))
 entries = st.one_of(st.sampled_from([0.0, -0.0]), finite)
+triples = st.tuples(entries, entries, entries)
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.tuples(entries, entries, entries), st.tuples(entries, entries, entries))
+@given(triples, triples)
 def test_pair_products_match_einsum_forms_bitwise(a, b):
     a, b = SurfTensor2(*a), SurfTensor2(*b)
     for fn, subscripts in EINSUM_FORMS:
