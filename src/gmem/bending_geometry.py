@@ -184,14 +184,12 @@ def reparametrized(surface: AnalyticSurface, scale_u: float,
     )
 
 
-def _det_inv2(m, what="metric"):
-    """Determinant and inverse of a positive-definite 2x2 matrix given as
-    nested lists, in closed form; ValueError unless det > 0 and m00 > 0."""
+def _require_positive_definite(m, what):
+    """ValueError unless the 2x2 matrix m, given as nested lists, has
+    det > 0 and m00 > 0."""
     (m00, m01), (m10, m11) = m
-    det = m00 * m11 - m01 * m10
-    if not (det > 0.0 and m00 > 0.0):
+    if not (m00 * m11 - m01 * m10 > 0.0 and m00 > 0.0):
         raise ValueError(f"{what} must be positive definite")
-    return det, ((m11 / det, -m01 / det), (-m10 / det, m00 / det))
 
 
 def evaluate_geometry(surface: AnalyticSurface, xi,
@@ -212,12 +210,13 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
     a_alpha = np.asarray(surface.jacobian(u, v), dtype=float)
     second = np.asarray(surface.hessian(u, v), dtype=float)
     a_cov = a_alpha @ a_alpha.T
-    _det_inv2(a_cov.tolist(), f"{surface.name}: metric at ({u}, {v})")
+    _require_positive_definite(a_cov.tolist(),
+                               f"{surface.name}: metric at ({u}, {v})")
     A_alpha, A_cov = a_alpha, a_cov
     if reference is not None:
         A_alpha = np.asarray(reference.jacobian(u, v), dtype=float)
         A_cov = A_alpha @ A_alpha.T
-        _det_inv2(A_cov.tolist(), "reference metric")
+        _require_positive_definite(A_cov.tolist(), "reference metric")
     cr = np.cross(a_alpha[0], a_alpha[1])
     n = cr / np.linalg.norm(cr)
     g = geometry_from_metrics(A_cov, a_cov, np.einsum("abk,k->ab", second, n))
@@ -263,12 +262,12 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
                     A11 / detA, -A01 / detA, -A10 / detA, A00 / detA,
                     i00, i01, i10, i11,
                     t00 * i00 + t01 * i01, c01, c01, t10 * i01 + t11 * i11))
+    rows = buf[:12].reshape(2, 2, 3)
+    mats = buf[12:].reshape(3, 2, 2)
     return _new(SurfacePointGeometry, (
-        buf[:6].reshape(2, 3), buf[6:12].reshape(2, 3), A_cov,
-        buf[12:16].reshape(2, 2), a_cov, buf[16:20].reshape(2, 2), b_cov,
-        buf[20:].reshape(2, 2), np.zeros((2, 2, 2)),
-        np.array([0.0, 0.0, 1.0]), math.sqrt(deta / detA), H, kappa,
-        H + disc, H - disc))
+        rows[0], rows[1], A_cov, mats[0], a_cov, mats[1], b_cov, mats[2],
+        np.zeros((2, 2, 2)), np.array([0.0, 0.0, 1.0]),
+        math.sqrt(deta / detA), H, kappa, H + disc, H - disc))
 
 
 def canham_energy(g: SurfacePointGeometry, c_bend: float) -> float:

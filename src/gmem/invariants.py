@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice import LatticeFrame, structural_contraction
-from .surface_tensors import SurfTensor2, spectral
+from .surface_tensors import NotPositiveDefiniteError, SurfTensor2, spectral
 
 
 class InvariantState(NamedTuple):
@@ -78,18 +78,25 @@ class CurvatureInvariants:
 
 def invariants_C(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
     """Invariants of C: J1 = sqrt(det C), J2 = (1/2) Cp:Cp with Cp the
-    traceless part of C/J1, and J3 = ((M:Cb)^3 - 3 (M:Cb)(N:Cb)^2) / 8."""
-    c.require_positive_definite()
-    J = math.sqrt(c.det())
-    cb = c.scaled(1.0 / J)
-    half_tr = 0.5 * cb.trace()
-    p11 = cb.c11 - half_tr
-    p12 = cb.c12
-    J2 = p11 * p11 + p12 * p12
-    mC = frame.m_hat.ddot(cb)
-    nC = frame.n_hat.ddot(cb)
-    J3 = 0.125 * (mC ** 3 - 3.0 * mC * nC * nC)
-    return InvariantState(J, J2, J3, mC, nC)
+    traceless part of C/J1, and J3 = ((M:Cb)^3 - 3 (M:Cb)(N:Cb)^2) / 8.
+
+    Plain-float arithmetic in the metric kernel's order: Cp is formed as
+    (c11 - c22) / (2 J1), which keeps its relative precision near
+    isotropy, where c11/J1 - tr(C/J1)/2 would cancel."""
+    c11, c22, c12 = c
+    det = c11 * c22 - c12 * c12
+    if not (det > 0.0 and c11 + c22 > 0.0):
+        raise NotPositiveDefiniteError(
+            f"tensor is not positive definite: det={det}, tr={c11 + c22}")
+    J = math.sqrt(det)
+    p11 = 0.5 * (c11 - c22) / J
+    p12 = c12 / J
+    dm = 2.0 * p11
+    m, n = frame.m_hat, frame.n_hat
+    mC = m.c11 * dm + 2.0 * m.c12 * p12
+    nC = n.c11 * dm + 2.0 * n.c12 * p12
+    J3 = 0.125 * mC * (mC * mC - 3.0 * nC * nC)
+    return InvariantState(J, p11 * p11 + p12 * p12, J3, mC, nC)
 
 
 def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantState:

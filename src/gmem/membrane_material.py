@@ -268,13 +268,13 @@ def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
     m11, m12, n11, n12 = cc[3], cc[4], cc[5], cc[6]
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC
-    ci = SurfTensor2(i11, i22, i12)
-    cp = SurfTensor2(p11, -p11, p12)
-    zz = SurfTensor2(aM * m11 + aN * n11, -(aM * m11 + aN * n11),
-                     aM * m12 + aN * n12)
+    ci = _new(SurfTensor2, (i11, i22, i12))
+    cp = _new(SurfTensor2, (p11, -p11, p12))
+    zz = _new(SurfTensor2, (aM * m11 + aN * n11, -(aM * m11 + aN * n11),
+                            aM * m12 + aN * n12))
     mv = frame.m_hat
     nv = frame.n_hat
-    ident = SurfTensor2(1.0, 1.0, 0.0)
+    ident = _new(SurfTensor2, (1.0, 1.0, 0.0))
     J2i = 1.0 / (J * J)
     g_cc = J * H11 - 2.0 * J2 * H12 - 3.0 * J3 * H13
     g_pp = 2.0 * H22 * J2i
@@ -303,14 +303,27 @@ _PRODUCT = {"ot": tensor_product, "op": oplus_product, "bt": boxtimes_product}
 _OPLUS_SUBST = {"ot": "op", "op": "bt", "bt": "ot"}
 
 
+def _assembled(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
+               kinds) -> Tangent4:
+    """Sum of the term list's k * product, each product of kind
+    kinds[kind]. The 17 scaled products are stacked and summed in one
+    reduction over the stack, which adds row after row to 0.0: the same
+    bits, signed zeros included, as `out += k * product` on a zeroed out."""
+    terms = _tangent_terms(c, frame, p)
+    prods = np.array([_PRODUCT[kinds[kind]](a, b).comp
+                      for _k, a, b, kind in terms])
+    prods *= np.array([t[0] for t in terms])[:, None, None, None, None]
+    return _new(Tangent4, (np.add.reduce(prods, axis=0, initial=0.0),))
+
+
+_SAME_KIND = {"ot": "ot", "op": "op", "bt": "bt"}
+
+
 def tangent_metric_reference(c: SurfTensor2, frame: LatticeFrame,
                              p: MaterialParams) -> Tangent4:
     """Term-list assembly of the tangent; slow, used to validate the fast
     pair-matrix assembly."""
-    out = np.zeros((2, 2, 2, 2))
-    for k, a, b, kind in _tangent_terms(c, frame, p):
-        out += k * _PRODUCT[kind](a, b).comp
-    return Tangent4(out)
+    return _assembled(c, frame, p, _SAME_KIND)
 
 
 def tangent_metric_oplus(c: SurfTensor2, frame: LatticeFrame,
@@ -318,10 +331,7 @@ def tangent_metric_oplus(c: SurfTensor2, frame: LatticeFrame,
     """The tangent assembled directly in the alternative component order
     used for matrix assembly; rearrange() maps it back to the standard
     order."""
-    out = np.zeros((2, 2, 2, 2))
-    for k, a, b, kind in _tangent_terms(c, frame, p):
-        out += k * _PRODUCT[_OPLUS_SUBST[kind]](a, b).comp
-    return Tangent4(out)
+    return _assembled(c, frame, p, _OPLUS_SUBST)
 
 
 LN_SERIES_U = 1e-3

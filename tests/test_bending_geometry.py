@@ -36,8 +36,12 @@ def test_flat_patch_geometry():
 
 def test_flat_patch_degenerate_basis_rejected():
     bad = bg.flat_patch(e1=(1.0, 0.0, 0.0), e2=(2.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        bg.evaluate_geometry(bad, (0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^flat-patch: metric at "
+                       r"\(0\.0, 0\.5\) must be positive definite$"):
+        bg.evaluate_geometry(bad, (0.0, 0.5))
+    with pytest.raises(ValueError, match="^reference metric must be "
+                       "positive definite$"):
+        bg.evaluate_geometry(bg.flat_patch(), (0.0, 0.5), reference=bad)
 
 
 def test_cylinder_curvatures():
@@ -360,6 +364,16 @@ def test_non_positive_definite_metric_is_rejected(l1, l2, phi, as_reference,
 # bending_tangents replaced, kept as their references: the rewrites must
 # give the same bits, signed zeros included.
 
+def _det_inv2(m):
+    """Determinant and inverse of a positive-definite 2x2 matrix given as
+    nested lists, in closed form; ValueError unless det > 0 and m00 > 0."""
+    (m00, m01), (m10, m11) = m
+    det = m00 * m11 - m01 * m10
+    if not (det > 0.0 and m00 > 0.0):
+        raise ValueError("metric must be positive definite")
+    return det, ((m11 / det, -m01 / det), (-m10 / det, m00 / det))
+
+
 def _cholesky_rows(m, det):
     l00 = math.sqrt(m[0][0])
     return [[l00, 0.0, 0.0], [m[1][0] / l00, math.sqrt(det) / l00, 0.0]]
@@ -390,8 +404,8 @@ def geometry_from_metrics_helpers(A_cov, a_cov, b_cov):
     a_cov = np.asarray(a_cov, dtype=float)
     b_cov = np.asarray(b_cov, dtype=float)
     A, a, b = A_cov.tolist(), a_cov.tolist(), b_cov.tolist()
-    detA, A_inv = bg._det_inv2(A)
-    deta, a_inv = bg._det_inv2(a)
+    detA, A_inv = _det_inv2(A)
+    deta, a_inv = _det_inv2(a)
     H, kappa, k1, k2 = _curvature_scalars(deta, a_inv, b)
     return bg.SurfacePointGeometry(
         np.array(_cholesky_rows(A, detA)), np.array(_cholesky_rows(a, deta)),

@@ -1,6 +1,7 @@
 """Membrane invariants of C, their logarithmic counterparts, and the
 polynomial surrogates."""
 
+import decimal
 import math
 
 import pytest
@@ -129,15 +130,46 @@ def test_contraction_and_eigen_routes_agree(l1, l2, phi, thL):
 @settings(deadline=None)
 @given(EIG, EIG, NEAR_ISOTROPIC, st.booleans(), ANGLE, ANGLE)
 def test_kernel_scalars_match_invariants_C(l1, l2, d, near, phi, thL):
-    """The metric kernel's own invariant scalars equal invariants_C: J
-    bitwise, the rest to rounding, on generic and near-isotropic states."""
+    """The metric kernel's own invariant scalars equal invariants_C
+    bitwise, signed zeros included, on generic and near-isotropic
+    states."""
     c = spd(l1, l1 * (1.0 + d) if near else l2, phi)
     fr = make_frame(thL)
     J, _lnJ, *_r, J2, mC, nC, J3 = mm._metric_scalars(*mm._unpack(c, fr))
     a = invariants_C(c, fr)
-    assert J == a.J1
-    for k, v in ((J2, a.J2), (J3, a.J3), (mC, a.mC), (nC, a.nC)):
-        assert k == pytest.approx(v, rel=0.0, abs=1e-14)
+    assert [x.hex() for x in (J, J2, J3, mC, nC)] == [x.hex() for x in a]
+
+
+def invariants_C_decimal(c: SurfTensor2, frame: LatticeFrame):
+    """(J2, J3) of the same formula in 60-digit decimal arithmetic on the
+    exact float inputs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        c11, c22, c12, m11, m12, n11, n12 = map(decimal.Decimal, (
+            *c, frame.m_hat.c11, frame.m_hat.c12, frame.n_hat.c11,
+            frame.n_hat.c12))
+        J = (c11 * c22 - c12 * c12).sqrt()
+        p11 = (c11 - c22) / (2 * J)
+        p12 = c12 / J
+        mC = 2 * (m11 * p11 + m12 * p12)
+        nC = 2 * (n11 * p11 + n12 * p12)
+        return (float(p11 * p11 + p12 * p12),
+                float(mC * (mC * mC - 3 * nC * nC) / 8))
+
+
+@settings(deadline=None)
+@given(EIG, NEAR_ISOTROPIC, ANGLE, ANGLE)
+def test_invariants_C_keeps_relative_precision_near_isotropy(l1, d, phi, thL):
+    """Within 1e-10 relative of isotropy, J2 keeps its relative precision
+    against a 60-digit evaluation, and J3 its precision relative to
+    J2^(3/2), the cube of the deviator's size; a traceless part formed as
+    c11/J - tr(C/J)/2 cancels and missed J3 by up to 0.13 relative here."""
+    c = spd(l1, l1 * (1.0 + d), phi)
+    fr = make_frame(thL)
+    a = invariants_C(c, fr)
+    J2, J3 = invariants_C_decimal(c, fr)
+    assert abs(a.J2 - J2) <= 1e-13 * J2
+    assert abs(a.J3 - J3) <= 1e-13 * J2 ** 1.5
 
 
 @settings(deadline=None)

@@ -15,6 +15,7 @@ from gmem.numdiff import (STRESS_STEP, TANGENT_STEP, partials_sym,
 from gmem.surface_tensors import (
     NotPositiveDefiniteError,
     SurfTensor2,
+    Tangent4,
     rearrange,
     sqrt_spd,
 )
@@ -175,6 +176,45 @@ def test_pair_assembly_matches_cross_check_routes(l1, sp, phi, theta, p):
     alt = rearrange(mm.tangent_metric_oplus(c, fr, p)).comp
     assert np.max(np.abs(ref - fast)) <= 1e-12 * scale
     assert np.max(np.abs(alt - fast)) <= 1e-12 * scale
+
+
+def tangent_route_loop(c, frame, p, kinds):
+    """The 17-step `out += k * product` loop that both cross-check routes
+    replaced, kept as their reference; kinds maps each term's product kind
+    to the product the route uses."""
+    out = np.zeros((2, 2, 2, 2))
+    for k, a, b, kind in mm._tangent_terms(c, frame, p):
+        out += k * mm._PRODUCT[kinds[kind]](a, b).comp
+    return out
+
+
+def test_cross_check_routes_match_loop_form_bitwise():
+    """Both routes give the loop's bits, signed zeros included, on seeded
+    states and on states where terms vanish: isotropic C (zero deviator
+    and anisotropy terms) and the armchair frame (n_hat has a -0.0)."""
+    rng = np.random.default_rng(14)
+    cases = [(c_from_stretches(*rng.uniform(0.7, 1.6, size=2),
+                               rng.uniform(0.0, math.pi)),
+              make_frame(rng.uniform(0.0, 2.0 * math.pi)), p)
+             for _ in range(40) for p in (mm.GGA, mm.LDA)]
+    armchair = make_frame(0.0)
+    assert math.copysign(1.0, armchair.n_hat.c11) == -1.0
+    for c in (SurfTensor2(1.2, 1.2, 0.0), SurfTensor2(0.9, 0.9, -0.0),
+              c_from_stretches(1.1, 1.1, 0.4), C0,
+              c_from_stretches(1.3, 0.8, 0.0)):
+        for fr in (armchair, make_frame(math.pi / 6.0), FRAME):
+            cases += [(c, fr, mm.GGA), (c, fr, mm.LDA)]
+    same = {k: k for k in mm._OPLUS_SUBST}
+    for c, fr, p in cases:
+        for route, kinds in ((mm.tangent_metric_reference, same),
+                             (mm.tangent_metric_oplus, mm._OPLUS_SUBST)):
+            got = route(c, fr, p)
+            want = tangent_route_loop(c, fr, p, kinds)
+            assert type(got) is Tangent4 and len(got) == 1
+            assert got.comp.dtype == want.dtype
+            assert got.comp.shape == want.shape
+            assert got.comp.flags.c_contiguous
+            assert got.comp.tobytes() == want.tobytes()
 
 
 @settings(deadline=None, max_examples=60)

@@ -340,6 +340,75 @@ def test_partials_sym_matches_loop_form_bitwise():
                 assert got.tobytes() == want.tobytes()
 
 
+def rel_err_wrappers(x, ref):
+    """The np.max form that _rel_err replaced, kept as its reference."""
+    return np.max(np.abs(np.asarray(x) - ref)) / max(np.max(np.abs(ref)),
+                                                     1e-12)
+
+
+def pair_of_nested(t4):
+    """The nested-list form that _pair_of replaced, kept as its reference."""
+    return np.array([
+        [t4[0, 0, 0, 0], t4[0, 0, 1, 1], t4[0, 0, 0, 1]],
+        [t4[1, 1, 0, 0], t4[1, 1, 1, 1], t4[1, 1, 0, 1]],
+        [t4[0, 1, 0, 0], t4[0, 1, 1, 1], t4[0, 1, 0, 1]],
+    ])
+
+
+def summary_wrappers(rows, tol):
+    """The np.max/np.argmax form that _summary replaced, kept as its
+    reference."""
+    errs = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+    worst = float(np.max(errs))
+    return {"max": worst, "mean": sum(errs.ravel().tolist()) / errs.size,
+            "tol": tol, "pass": worst <= tol,
+            "worst_sample": int(np.argmax(np.max(errs, axis=1)))}
+
+
+def same_bits(x, y):
+    return (type(x) is type(y) and np.asarray(x).dtype == np.asarray(y).dtype
+            and np.shape(x) == np.shape(y)
+            and np.asarray(x).tobytes() == np.asarray(y).tobytes())
+
+
+def test_verify_helpers_match_replaced_forms_bitwise():
+    """_rel_err, _pair_of and _summary against the forms they replaced, on
+    seeded arrays: array, list and tuple references, transposed views,
+    references below the 1e-12 floor, and NaN entries in either input."""
+    rng = np.random.default_rng(21)
+    for i in range(200):
+        shape = ((3,), (3, 3), (6,), (2, 2, 2, 2))[i % 4]
+        ref = rng.normal(size=shape) * 10.0 ** rng.integers(-14, 3)
+        x = ref * (1.0 + 1e-6 * rng.normal(size=shape))
+        if i % 5 == 0:
+            x.flat[rng.integers(x.size)] = math.nan
+        if i % 7 == 0:
+            ref.flat[rng.integers(ref.size)] = math.nan
+        refs = [ref, ref.tolist()]
+        if ref.ndim == 1:
+            refs.append(tuple(ref.tolist()))
+        if ref.ndim == 4:
+            x = x.transpose(2, 3, 0, 1)
+            refs.append(ref.transpose(0, 3, 1, 2))
+        for r in refs:
+            assert same_bits(sc._rel_err(x, r), rel_err_wrappers(x, r))
+        t4 = rng.normal(size=(2, 2, 2, 2))
+        if i % 5 == 0:
+            t4[tuple(rng.integers(2, size=4))] = math.nan
+        for t in (t4, t4.transpose(2, 3, 0, 1), t4.transpose(0, 3, 1, 2)):
+            assert same_bits(sc._pair_of(t), pair_of_nested(t))
+        rows = [tuple(r) for r in np.abs(rng.normal(size=(10, 4)))]
+        if i % 5 == 0:
+            rows[rng.integers(10)] = (0.0, math.nan, 1.0, 0.0)
+        for rs in (rows, [r[0] for r in rows]):
+            got, want = sc._summary(rs, 1.0), summary_wrappers(rs, 1.0)
+            assert got.keys() == want.keys()
+            for k in got:
+                assert same_bits(got[k], want[k]), k
+    assert math.isnan(sc._rel_err([1.0, math.nan], [1.0, 2.0]))
+    assert math.isnan(sc._rel_err([1.0, 2.0], [1.0, math.nan]))
+
+
 def test_verify_nan_error_fails_its_check(monkeypatch):
     tangent = mm.tangent_metric
 

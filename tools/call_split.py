@@ -23,7 +23,14 @@ bending states drawn like verify's (reference metric eigenvalues in
 [0.8, 1.3], current in [0.7, 1.6], curvature components in [-0.5, 0.5]),
 then tensor_product, oplus_product, boxtimes_product and
 tangent_metric_oplus on the membrane states above (each product on a
-state's C and the next state's C).
+state's C and the next state's C). Its last rows are the verification
+layer's own per-call costs: `_rel_err` on a 3x3 pair (a state's tangent
+pair matrix against a copy perturbed by 1e-7 relative) and on a 16-entry
+pair (a state's tangent against its major transpose, verify's symmetry
+check), `_pair_of` on a state's tangent, `_summary` over 10 rows of one
+float each, and the stencil overhead of `partials_sym`: its time minus
+six calls of its callback at the stencil's points, for a scalar callback
+and for one returning a 3-tuple, both a few float operations.
 
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
 """
@@ -37,7 +44,9 @@ import numpy as np
 
 from gmem import bending_geometry as bg
 from gmem import membrane_material as mm
+from gmem import scenarios as sc
 from gmem.lattice import make_frame
+from gmem.numdiff import STRESS_STEP, partials_sym
 from gmem.surface_tensors import (SurfTensor2, boxtimes_product, oplus_product,
                                   tangent_from_pairs, tensor_product)
 
@@ -130,6 +139,54 @@ def call_jobs(states, bstates, params):
     ]
 
 
+def _scalar_f(x, y, z):
+    return x * y - z * z
+
+
+def _vector_f(x, y, z):
+    return (x * y, y - z, z * x)
+
+
+def stencil_points(comps, rel_step):
+    """The six argument triples at which partials_sym evaluates its
+    callback, in its order."""
+    out = []
+    for i in range(3):
+        h = rel_step * max(abs(comps[i]), 1.0)
+        for sign in (1.0, -1.0):
+            pt = list(comps)
+            pt[i] += sign * h
+            out.append(tuple(pt))
+    return out
+
+
+def verify_jobs(states, params):
+    """(row, part, fn, argument tuples) for the verification layer's own
+    calls; a stencil row has a "call" and a "callback" part, the latter
+    per callback call."""
+    rng = np.random.default_rng(SEED)
+    tangents = [mm.tangent_metric(c, f, params).comp for c, f in states]
+    pairs = [sc._pair_of(t) for t in tangents]
+    comps = [tuple(c) for c, _f in states]
+    points = [pt for cc in comps for pt in stencil_points(cc, STRESS_STEP)]
+    out = [
+        ("_rel_err 3x3", "call", sc._rel_err,
+         [(p * (1.0 + 1e-7 * rng.normal(size=(3, 3))), p) for p in pairs]),
+        ("_rel_err 16", "call", sc._rel_err,
+         [(t.transpose(2, 3, 0, 1), t) for t in tangents]),
+        ("_pair_of", "call", sc._pair_of, [(t,) for t in tangents]),
+        ("_summary 10 rows", "call", sc._summary,
+         [(rng.uniform(0.0, 1e-8, size=10).tolist(), 1e-6)
+          for _ in states]),
+    ]
+    for label, f in (("scalar", _scalar_f), ("3-tuple", _vector_f)):
+        name = f"partials_sym {label}"
+        out.append((name, "call", partials_sym,
+                    [(f, cc, STRESS_STEP) for cc in comps]))
+        out.append((name, "callback", f, points))
+    return out
+
+
 def split(table, repeat: int) -> dict:
     """{call: {part: µs per state}}, each the minimum over repeat rounds; a
     round times one loop over the states for every figure in turn, so that
@@ -158,10 +215,14 @@ def main() -> int:
         share = 100.0 * parts["core"] / parts["call"]
         print(f"{name:24}{cells}{share:9.1f}")
     print()
-    calls = split(call_jobs(states, bending_states(SEED), mm.GGA), REPEAT)
-    print(f"{'verify-path call':24}{'us/call':>9}")
+    calls = split(call_jobs(states, bending_states(SEED), mm.GGA)
+                  + verify_jobs(states, mm.GGA), REPEAT)
+    print(f"{'verify-path call':30}{'us/call':>9}")
     for name, parts in calls.items():
-        print(f"{name:24}{parts['call']:9.2f}")
+        if "callback" in parts:  # the stencil's overhead over its callbacks
+            name = f"{name} stencil"
+            parts = {"call": parts["call"] - 6.0 * parts["callback"]}
+        print(f"{name:30}{parts['call']:9.2f}")
     return 0
 
 
