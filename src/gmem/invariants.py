@@ -76,27 +76,35 @@ class CurvatureInvariants:
     J9: float
 
 
-def invariants_C(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
-    """Invariants of C: J1 = sqrt(det C), J2 = (1/2) Cp:Cp with Cp the
-    traceless part of C/J1, and J3 = ((M:Cb)^3 - 3 (M:Cb)(N:Cb)^2) / 8.
+def _c_scalars(c11, c22, c12, m11, m12, n11, n12):
+    """The one evaluation of the C invariants on plain floats, shared by
+    invariants_C and the metric kernel: (det C, J1 = sqrt(det C), the
+    traceless part (p11, p12) of C/J1, J2, M:Cb, N:Cb, J3).
 
-    Plain-float arithmetic in the metric kernel's order: Cp is formed as
-    (c11 - c22) / (2 J1), which keeps its relative precision near
-    isotropy, where c11/J1 - tr(C/J1)/2 would cancel."""
-    c11, c22, c12 = c
+    p11 is formed as (c11 - c22) / (2 J1), which keeps its relative
+    precision near isotropy, where c11/J1 - tr(C/J1)/2 would cancel."""
     det = c11 * c22 - c12 * c12
     if not (det > 0.0 and c11 + c22 > 0.0):
         raise NotPositiveDefiniteError(
-            f"tensor is not positive definite: det={det}, tr={c11 + c22}")
+            f"C is not positive definite: det={det}, tr={c11 + c22}")
     J = math.sqrt(det)
     p11 = 0.5 * (c11 - c22) / J
     p12 = c12 / J
     dm = 2.0 * p11
-    m, n = frame.m_hat, frame.n_hat
-    mC = m.c11 * dm + 2.0 * m.c12 * p12
-    nC = n.c11 * dm + 2.0 * n.c12 * p12
+    mC = m11 * dm + 2.0 * m12 * p12
+    nC = n11 * dm + 2.0 * n12 * p12
     J3 = 0.125 * mC * (mC * mC - 3.0 * nC * nC)
-    return InvariantState(J, p11 * p11 + p12 * p12, J3, mC, nC)
+    return det, J, p11, p12, p11 * p11 + p12 * p12, mC, nC, J3
+
+
+def invariants_C(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
+    """Invariants of C: J1 = sqrt(det C), J2 = (1/2) Cp:Cp with Cp the
+    traceless part of C/J1, and J3 = ((M:Cb)^3 - 3 (M:Cb)(N:Cb)^2) / 8."""
+    c11, c22, c12 = c
+    m, n = frame.m_hat, frame.n_hat
+    _det, J, _p11, _p12, J2, mC, nC, J3 = _c_scalars(
+        c11, c22, c12, m.c11, m.c12, n.c11, n.c12)
+    return tuple.__new__(InvariantState, (J, J2, J3, mC, nC))
 
 
 def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantState:
@@ -113,10 +121,11 @@ def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantSta
     return LogInvariantState(J1E, lam * lam, lam ** 3 * math.cos(6.0 * dtheta))
 
 
-def approx_log_invariants(inv: InvariantState,
-                          k: ApproxConstants = DEFAULT_APPROX) -> tuple:
+def approx_log_invariants(inv: InvariantState) -> tuple:
     """Polynomial surrogates f1 = e1 J2 - e2 J2^2 and f2 = J3 (g1 - g2 J2)
-    for the exact log invariants J2E, J3E."""
+    for the exact log invariants J2E, J3E, with the DEFAULT_APPROX
+    constants the metric model uses."""
+    k = DEFAULT_APPROX
     f1 = k.e1 * inv.J2 - k.e2 * inv.J2 * inv.J2
     f2 = inv.J3 * (k.g1 - k.g2 * inv.J2)
     return f1, f2

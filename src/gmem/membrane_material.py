@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import invariants as _inv
 from .invariants import DEFAULT_APPROX
 from .lattice import LatticeFrame
 from .surface_tensors import (
@@ -78,31 +79,10 @@ def _unpack(c: SurfTensor2, frame: LatticeFrame):
             frame.n_hat.c11, frame.n_hat.c12)
 
 
-def _metric_scalars(c11, c22, c12, m11, m12, n11, n12):
-    """Invariant scalars and inverse components of a metric-model state."""
-    det = c11 * c22 - c12 * c12
-    if not (det > 0.0 and c11 + c22 > 0.0):
-        raise NotPositiveDefiniteError(
-            f"C is not positive definite: det={det}, tr={c11 + c22}")
-    J = math.sqrt(det)
-    lnJ = 0.5 * math.log(det)
-    i11 = c22 / det
-    i22 = c11 / det
-    i12 = -c12 / det
-    p11 = 0.5 * (c11 - c22) / J
-    p12 = c12 / J
-    J2 = p11 * p11 + p12 * p12
-    dm = 2.0 * p11
-    cb12 = c12 / J
-    mC = m11 * dm + 2.0 * m12 * cb12
-    nC = n11 * dm + 2.0 * n12 * cb12
-    J3 = 0.125 * mC * (mC * mC - 3.0 * nC * nC)
-    return J, lnJ, i11, i22, i12, p11, p12, J2, mC, nC, J3
-
-
-def _h_coefficients(J, lnJ, J2, J3, p: MaterialParams, order: int):
+def _h_coefficients(J, det, J2, J3, p: MaterialParams, order: int):
     """Energy W, coefficients (H1, H2, H3), and for order >= 2 the table of
     partials dHi/dJj, all analytic."""
+    lnJ = 0.5 * math.log(det)
     Jb = J ** p.beta_hat
     mu = p.mu0 - p.mu1 * Jb
     eta = p.eta0 - p.eta1 * lnJ * lnJ
@@ -153,12 +133,13 @@ def _metric_core(cc, p: MaterialParams, order: int):
     I (x) I). Only the six upper entries are formed; the lower three mirror
     them, so the matrix is exactly symmetric.
     """
-    J, lnJ, i11, i22, i12, p11, p12, J2, mC, nC, J3 = _metric_scalars(*cc)
-    W, H, dH = _h_coefficients(J, lnJ, J2, J3, p, order)
+    det, J, p11, p12, J2, mC, nC, J3 = _inv._c_scalars(*cc)
+    W, H, dH = _h_coefficients(J, det, J2, J3, p, order)
     if order == 0:
         return W, None, None
     H1, H2, H3 = H
-    m11, m12, n11, n12 = cc[3], cc[4], cc[5], cc[6]
+    c11, c22, c12, m11, m12, n11, n12 = cc
+    i11, i22, i12 = c22 / det, c11 / det, -c12 / det
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC
     z11 = aM * m11 + aN * n11
@@ -262,10 +243,11 @@ def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
     kind in {"ot", "op", "bt"}; the direct assembly and the alternative
     component-order assembly are both generated from this list."""
     cc = _unpack(c, frame)
-    J, lnJ, i11, i22, i12, p11, p12, J2, mC, nC, J3 = _metric_scalars(*cc)
-    _w, (H1, H2, H3), dH = _h_coefficients(J, lnJ, J2, J3, p, order=2)
+    det, J, p11, p12, J2, mC, nC, J3 = _inv._c_scalars(*cc)
+    _w, (H1, H2, H3), dH = _h_coefficients(J, det, J2, J3, p, order=2)
     (H11, H12, H13), (H21, H22, H23), _h3row = dH
-    m11, m12, n11, n12 = cc[3], cc[4], cc[5], cc[6]
+    c11, c22, c12, m11, m12, n11, n12 = cc
+    i11, i22, i12 = c22 / det, c11 / det, -c12 / det
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC
     ci = _new(SurfTensor2, (i11, i22, i12))

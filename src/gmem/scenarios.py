@@ -63,10 +63,10 @@ class DeformationProtocol:
 
     def max_stretch_ratio(self) -> float:
         """Largest principal stretch ratio lambda1/lambda2 of the sweep,
-        reached at one of its ends."""
+        reached at one of its ends; a one-step sweep has start only."""
         if self.kind == "dilatation":
             return 1.0
-        ends = (self.start, self.end)
+        ends = (self.start,) if self.steps == 1 else (self.start, self.end)
         if self.kind == "pure-shear":
             ends = tuple(v * v for v in ends)
         return max(max(v, 1.0 / v) for v in ends)

@@ -80,16 +80,21 @@ def test_curve_subcommand_writes_csv(tmp_path, capsys):
     assert float(row[2]) == pytest.approx(26.6862641044064581, rel=1e-13)
 
 
-@pytest.mark.parametrize("protocol, hi, ratio, in_range", [
-    ("pure-shear", "1.6", "2.56", "no"),
-    ("uniaxial-constrained", "1.1", "1.1", "yes"),
+@pytest.mark.parametrize("protocol, hi, steps, ratio, in_range", [
+    pytest.param("pure-shear", "1.6", "26", "2.56", "no",
+                 id="pure-shear-1.6-2.56-no"),
+    pytest.param("uniaxial-constrained", "1.1", "26", "1.1", "yes",
+                 id="uniaxial-constrained-1.1-1.1-yes"),
+    # one step evaluates start only, C = I, whatever the range's end
+    pytest.param("pure-shear", "1.6", "1", "1", "yes",
+                 id="pure-shear-1.6-steps1-1-yes"),
 ])
-def test_curve_reports_fitted_range(tmp_path, capsys, protocol, hi, ratio,
-                                    in_range):
+def test_curve_reports_fitted_range(tmp_path, capsys, protocol, hi, steps,
+                                    ratio, in_range):
     out_path = tmp_path / "curve.csv"
     code, out, _ = run_cli(
         ["curve", "--protocol", protocol, "--range", "1.0", hi,
-         "--out", str(out_path)], capsys)
+         "--steps", steps, "--out", str(out_path)], capsys)
     assert code == 0
     assert out.endswith(f"; max stretch ratio {ratio}, "
                         f"in fitted range: {in_range}\n")
@@ -362,14 +367,17 @@ def test_compare_without_tabulated_reference(capsys):
     assert json.loads(out)["reference_percent"] is None
 
 
-@pytest.mark.parametrize("hi, ratio, in_range", [
-    ("1.6", 2.56, False),
-    (repr(math.sqrt(1.3)), 1.3, True),
+@pytest.mark.parametrize("hi, steps, ratio, in_range", [
+    pytest.param("1.6", "5", 2.56, False, id="1.6-2.56-False"),
+    pytest.param(repr(math.sqrt(1.3)), "5", 1.3, True,
+                 id="1.140175425099138-1.3-True"),
+    # one step evaluates start only, C = I, whatever the range's end
+    pytest.param("1.6", "1", 1.0, True, id="1.6-steps1-1.0-True"),
 ])
-def test_compare_reports_fitted_range(hi, ratio, in_range, capsys):
+def test_compare_reports_fitted_range(hi, steps, ratio, in_range, capsys):
     code, out, _ = run_cli(
         ["compare", "--protocol", "pure-shear", "--range", "1.0", hi,
-         "--steps", "5"], capsys)
+         "--steps", steps], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["max_stretch_ratio"] == pytest.approx(ratio, rel=1e-12)

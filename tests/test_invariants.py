@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmem import invariants as iv
 from gmem import membrane_material as mm
 from gmem.invariants import (
     DEFAULT_APPROX,
@@ -115,6 +116,25 @@ def test_not_positive_definite_rejected():
         invariants_log_exact(SurfTensor2(1.0, -0.5, 0.0), make_frame(0.0))
 
 
+@pytest.mark.parametrize("comps", [(1.0, 1.0, 1.0), (-1.0, -1.0, 0.0)])
+def test_one_message_for_a_non_positive_definite_C(comps):
+    """invariants_C and the metric calls reject C in one check, with one
+    text."""
+    c, fr = SurfTensor2(*comps), make_frame(0.3)
+    calls = (lambda: invariants_C(c, fr),
+             lambda: mm.energy_metric(c, fr, mm.GGA),
+             lambda: mm.stress_metric(c, fr, mm.GGA),
+             lambda: mm.tangent_metric(c, fr, mm.GGA))
+    texts = set()
+    for call in calls:
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            call()
+        texts.add(str(err.value))
+    c11, c22, c12 = comps
+    assert texts == {f"C is not positive definite: "
+                     f"det={c11 * c22 - c12 * c12}, tr={c11 + c22}"}
+
+
 @settings(deadline=None)
 @given(EIG, EIG, ANGLE, ANGLE)
 def test_contraction_and_eigen_routes_agree(l1, l2, phi, thL):
@@ -130,12 +150,12 @@ def test_contraction_and_eigen_routes_agree(l1, l2, phi, thL):
 @settings(deadline=None)
 @given(EIG, EIG, NEAR_ISOTROPIC, st.booleans(), ANGLE, ANGLE)
 def test_kernel_scalars_match_invariants_C(l1, l2, d, near, phi, thL):
-    """The metric kernel's own invariant scalars equal invariants_C
-    bitwise, signed zeros included, on generic and near-isotropic
-    states."""
+    """The scalars the metric kernel takes from _c_scalars on its
+    unpacked components equal invariants_C bitwise, signed zeros
+    included, on generic and near-isotropic states."""
     c = spd(l1, l1 * (1.0 + d) if near else l2, phi)
     fr = make_frame(thL)
-    J, _lnJ, *_r, J2, mC, nC, J3 = mm._metric_scalars(*mm._unpack(c, fr))
+    _det, J, _p11, _p12, J2, mC, nC, J3 = iv._c_scalars(*mm._unpack(c, fr))
     a = invariants_C(c, fr)
     assert [x.hex() for x in (J, J2, J3, mC, nC)] == [x.hex() for x in a]
 

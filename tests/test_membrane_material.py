@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmem import invariants as iv
 from gmem import membrane_material as mm
 from gmem.lattice import make_frame
 from gmem.numdiff import (STRESS_STEP, TANGENT_STEP, partials_sym,
@@ -392,8 +393,9 @@ def test_definiteness_guards():
 def test_coefficient_set_matches_stress_assembly():
     """S = H1 C^-1 + (H2/J) dev(C/J) + (H3/4J)(aM M + aN N), assembled from
     tensor algebra with the kernel's scalars and coefficients."""
-    j, lnJ, *_r, J2, mC, nC, J3 = mm._metric_scalars(*mm._unpack(C0, FRAME))
-    _w, (H1, H2, H3), _dh = mm._h_coefficients(j, lnJ, J2, J3, mm.GGA,
+    det, j, _p11, _p12, J2, mC, nC, J3 = iv._c_scalars(
+        *mm._unpack(C0, FRAME))
+    _w, (H1, H2, H3), _dh = mm._h_coefficients(j, det, J2, J3, mm.GGA,
                                                  order=1)
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC

@@ -62,6 +62,12 @@ def test_protocol_values_and_states():
     assert sc.DeformationProtocol("pure-shear", 0.0, 0.9, 1.05,
                                   3).max_stretch_ratio() == 1.0 / (0.9 * 0.9)
     assert shear(1.2).max_stretch_ratio() == 1.2 * 1.2
+    # one step evaluates start only, so end does not count
+    one = sc.DeformationProtocol("pure-shear", 0.0, 1.0, 1.6, 1)
+    np.testing.assert_array_equal(one.values(), [1.0])
+    assert one.max_stretch_ratio() == 1.0 and one.in_fitted_range()
+    assert sc.DeformationProtocol("uniaxial-constrained", 0.0, 0.9, 1.2,
+                                  1).max_stretch_ratio() == 1.0 / 0.9
 
 
 def test_run_curve_rejects_unknown_model():

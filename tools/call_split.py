@@ -15,6 +15,9 @@ the whole call are timed as a loop over the states with the parts' inputs
 precomputed. Each figure is the minimum over REPEAT rounds, in
 microseconds per state, and includes the loop's own per-state cost (tens
 of nanoseconds). The last column is the core's share of the whole call.
+The table's last row times invariants_C, whole, on the same states: the
+sweep's one invariants call, which shares the metric kernel's invariant
+scalars.
 
 A second table times, the same way, the bending calls and the pair
 products on the single-state path of `gmem verify`: geometry_from_metrics,
@@ -43,6 +46,7 @@ import timeit
 import numpy as np
 
 from gmem import bending_geometry as bg
+from gmem import invariants as iv
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.lattice import make_frame
@@ -118,6 +122,7 @@ def jobs(states, params):
                             [(g,) for _w, _s, g in res]))
             out.append((name, "call", getattr(mm, name),
                         [(c, f, params) for c, f in states]))
+    out.append(("invariants_C", "call", iv.invariants_C, states))
     return out
 
 
@@ -212,8 +217,9 @@ def main() -> int:
     for name, parts in rows.items():
         cells = "".join(f"{parts[c]:9.2f}" if c in parts else f"{'-':>9}"
                         for c in cols)
-        share = 100.0 * parts["core"] / parts["call"]
-        print(f"{name:24}{cells}{share:9.1f}")
+        share = (f"{100.0 * parts['core'] / parts['call']:9.1f}"
+                 if "core" in parts else f"{'-':>9}")
+        print(f"{name:24}{cells}{share}")
     print()
     calls = split(call_jobs(states, bending_states(SEED), mm.GGA)
                   + verify_jobs(states, mm.GGA), REPEAT)
