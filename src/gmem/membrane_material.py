@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import invariants as _inv
-from .invariants import DEFAULT_APPROX
 from .lattice import LatticeFrame
 from .surface_tensors import (
     NotPositiveDefiniteError,
@@ -29,10 +28,10 @@ from .surface_tensors import (
     tensor_product,
 )
 
-_E1 = DEFAULT_APPROX.e1
-_E2 = DEFAULT_APPROX.e2
-_G1 = DEFAULT_APPROX.g1
-_G2 = DEFAULT_APPROX.g2
+_E1 = _inv.DEFAULT_APPROX.e1
+_E2 = _inv.DEFAULT_APPROX.e2
+_G1 = _inv.DEFAULT_APPROX.g1
+_G2 = _inv.DEFAULT_APPROX.g2
 _new = tuple.__new__  # a record from a tuple holding every field
 
 
