@@ -44,7 +44,6 @@ from .membrane_material import (
     tangent_log,
     tangent_metric,
     tangent_metric_oplus,
-    tangent_metric_reference,
 )
 from .bending_geometry import (
     AnalyticSurface,

@@ -76,6 +76,13 @@ class CurvatureInvariants:
     J9: float
 
 
+def _not_positive_definite(c11, c22, c12) -> NotPositiveDefiniteError:
+    """The one rejection of a C that is not positive definite, for every
+    path that takes C: it names det C and tr C."""
+    return NotPositiveDefiniteError(f"C is not positive definite: "
+                                    f"det={c11 * c22 - c12 * c12}, tr={c11 + c22}")
+
+
 def _c_scalars(c11, c22, c12, m11, m12, n11, n12):
     """The one evaluation of the C invariants on plain floats, shared by
     invariants_C and the metric kernel: (det C, J1 = sqrt(det C), the
@@ -85,8 +92,7 @@ def _c_scalars(c11, c22, c12, m11, m12, n11, n12):
     precision near isotropy, where c11/J1 - tr(C/J1)/2 would cancel."""
     det = c11 * c22 - c12 * c12
     if not (det > 0.0 and c11 + c22 > 0.0):
-        raise NotPositiveDefiniteError(
-            f"C is not positive definite: det={det}, tr={c11 + c22}")
+        raise _not_positive_definite(c11, c22, c12)
     J = math.sqrt(det)
     p11 = 0.5 * (c11 - c22) / J
     p12 = c12 / J
@@ -113,7 +119,8 @@ def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantSta
     J1E = ln(l1 l2), J2E = (ln sqrt(l1/l2))^2, and
     J3E = (ln sqrt(l1/l2))^3 cos 6 dtheta.
     """
-    c.require_positive_definite()
+    if not (c.det() > 0.0 and c.trace() > 0.0):
+        raise _not_positive_definite(*c)
     sd = spectral(c)
     J1E = math.log(sd.lambda1 * sd.lambda2)
     lam = 0.5 * math.log(sd.lambda1 / sd.lambda2)

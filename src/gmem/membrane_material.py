@@ -18,7 +18,6 @@ import numpy as np
 from . import invariants as _inv
 from .lattice import LatticeFrame
 from .surface_tensors import (
-    NotPositiveDefiniteError,
     SurfTensor2,
     Tangent4,
     boxtimes_product,
@@ -79,8 +78,8 @@ def _unpack(c: SurfTensor2, frame: LatticeFrame):
 
 
 def _h_coefficients(J, det, J2, J3, p: MaterialParams, order: int):
-    """Energy W, coefficients (H1, H2, H3), and for order >= 2 the table of
-    partials dHi/dJj, all analytic."""
+    """Energy W, coefficients (H1, H2, H3), and for order >= 2 the partials
+    dHi/dJj the tangent reads, (H11, H12, H13, H22, H23), all analytic."""
     lnJ = 0.5 * math.log(det)
     Jb = J ** p.beta_hat
     mu = p.mu0 - p.mu1 * Jb
@@ -110,15 +109,23 @@ def _h_coefficients(J, det, J2, J3, p: MaterialParams, order: int):
     H23 = -2.0 * _G2 * eta
     H31 = eta_p * g1m
     H32 = -_G2 * eta
-    H33 = 0.0
     H11 = (p.epsilon * a2 / J * (1.0 - p.alpha_hat * lnJ) * ea
            - 2.0 * mu1b * p.beta_hat * Jb / J * f1 - 2.0 * p.eta1 / J * f2
            - H21 * J2 - 3.0 * H31 * J3)
     H12 = (-2.0 * mu1b * Jb * e1m + 2.0 * p.eta1 * _G2 * lnJ * J3
            - H2 - H22 * J2 - 3.0 * H32 * J3)
     H13 = -2.0 * p.eta1 * lnJ * g1m + 2.0 * _G2 * eta * J2 - 3.0 * H3
-    dH = ((H11, H12, H13), (H21, H22, H23), (H31, H32, H33))
-    return W, (H1, H2, H3), dH
+    return W, (H1, H2, H3), (H11, H12, H13, H22, H23)
+
+
+def _tangent_scalars(J, J2, J3, H3, dH):
+    """The tangent's scalar coefficients from the order-2 partials dH:
+    (1/J^2, g_cc, g_pp, g_cp, g_cz, g_pz, g_k), shared by the pair-matrix
+    kernel and the cross-check term list."""
+    H11, H12, H13, H22, H23 = dH
+    J2i = 1.0 / (J * J)
+    return (J2i, J * H11 - 2.0 * J2 * H12 - 3.0 * J3 * H13, 2.0 * H22 * J2i,
+            2.0 * H12 / J, 0.25 * H13 / J, 0.25 * H23 * J2i, 3.0 * H3 * J2i)
 
 
 def _metric_core(cc, p: MaterialParams, order: int):
@@ -151,17 +158,12 @@ def _metric_core(cc, p: MaterialParams, order: int):
     if order == 1:
         return W, (s11, s22, s12), None
 
-    (H11, H12, H13), (_h21, H22, H23), _h3row = dH
-    J2i = 1.0 / (J * J)
-    g_cc = J * H11 - 2.0 * J2 * H12 - 3.0 * J3 * H13
-    g_pp = 2.0 * H22 * J2i
-    g_cp = 2.0 * H12 / J
-    g_cz = 0.25 * H13 / J
-    g_pz = 0.25 * H23 * J2i
+    J2i, g_cc, g_pp, g_cp, g_cz, g_pz, g_k = _tangent_scalars(
+        J, J2, J3, H3, dH)
     g_inv = -H1
     g_iso = H2 * J2i
-    kM = 3.0 * H3 * J2i * mC
-    kN = 3.0 * H3 * J2i * nC
+    kM = g_k * mC
+    kN = g_k * nC
 
     # partners of ci, cp, zz, m and n; the cp, zz, m, n pair vectors are
     # (x11, -x11, x12), so their 22 entries are the negated 11 entries
@@ -239,12 +241,13 @@ def stress_tangent_metric(c: SurfTensor2, frame: LatticeFrame,
 
 def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
     """The tangent as a list of (coefficient, A, B, product-kind) terms with
-    kind in {"ot", "op", "bt"}; the direct assembly and the alternative
-    component-order assembly are both generated from this list."""
+    kind in {"ot", "op", "bt"} for (x), (+) and [x]: the term list that
+    tangent_metric_oplus assembles in the alternative component order."""
     cc = _unpack(c, frame)
     det, J, p11, p12, J2, mC, nC, J3 = _inv._c_scalars(*cc)
     _w, (H1, H2, H3), dH = _h_coefficients(J, det, J2, J3, p, order=2)
-    (H11, H12, H13), (H21, H22, H23), _h3row = dH
+    J2i, g_cc, g_pp, g_cp, g_cz, g_pz, g_k = _tangent_scalars(
+        J, J2, J3, H3, dH)
     c11, c22, c12, m11, m12, n11, n12 = cc
     i11, i22, i12 = c22 / det, c11 / det, -c12 / det
     aM = 3.0 * (mC * mC - nC * nC)
@@ -256,13 +259,6 @@ def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
     mv = frame.m_hat
     nv = frame.n_hat
     ident = _new(SurfTensor2, (1.0, 1.0, 0.0))
-    J2i = 1.0 / (J * J)
-    g_cc = J * H11 - 2.0 * J2 * H12 - 3.0 * J3 * H13
-    g_pp = 2.0 * H22 * J2i
-    g_cp = 2.0 * H12 / J
-    g_cz = 0.25 * H13 / J
-    g_pz = 0.25 * H23 * J2i
-    g_k = 3.0 * H3 * J2i
     terms = [
         (g_cc, ci, ci, "ot"),
         (g_pp, cp, cp, "ot"),
@@ -278,41 +274,24 @@ def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
     return terms
 
 
-_PRODUCT = {"ot": tensor_product, "op": oplus_product, "bt": boxtimes_product}
-# Component-order substitution: (x) -> (+), (+) -> [x], [x] -> (x); all
-# arguments here are symmetric so the transposes in the mapping are free.
-_OPLUS_SUBST = {"ot": "op", "op": "bt", "bt": "ot"}
-
-
-def _assembled(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
-               kinds) -> Tangent4:
-    """Sum of the term list's k * product, each product of kind
-    kinds[kind]. The 17 scaled products are stacked and summed in one
-    reduction over the stack, which adds row after row to 0.0: the same
-    bits, signed zeros included, as `out += k * product` on a zeroed out."""
-    terms = _tangent_terms(c, frame, p)
-    prods = np.array([_PRODUCT[kinds[kind]](a, b).comp
-                      for _k, a, b, kind in terms])
-    prods *= np.array([t[0] for t in terms])[:, None, None, None, None]
-    return _new(Tangent4, (np.add.reduce(prods, axis=0, initial=0.0),))
-
-
-_SAME_KIND = {"ot": "ot", "op": "op", "bt": "bt"}
-
-
-def tangent_metric_reference(c: SurfTensor2, frame: LatticeFrame,
-                             p: MaterialParams) -> Tangent4:
-    """Term-list assembly of the tangent; slow, used to validate the fast
-    pair-matrix assembly."""
-    return _assembled(c, frame, p, _SAME_KIND)
+# The product each term kind takes in the alternative component order:
+# (x) -> (+), (+) -> [x], [x] -> (x); all arguments here are symmetric so
+# the transposes in the mapping are free.
+_PRODUCT = {"ot": oplus_product, "op": boxtimes_product, "bt": tensor_product}
 
 
 def tangent_metric_oplus(c: SurfTensor2, frame: LatticeFrame,
                          p: MaterialParams) -> Tangent4:
     """The tangent assembled directly in the alternative component order
     used for matrix assembly; rearrange() maps it back to the standard
-    order."""
-    return _assembled(c, frame, p, _OPLUS_SUBST)
+    order. The 17 scaled products of the term list are stacked and summed
+    in one reduction over the stack, which adds row after row to 0.0: the
+    same bits, signed zeros included, as `out += k * product` on a zeroed
+    out."""
+    terms = _tangent_terms(c, frame, p)
+    prods = np.array([_PRODUCT[kind](a, b).comp for _k, a, b, kind in terms])
+    prods *= np.array([t[0] for t in terms])[:, None, None, None, None]
+    return _new(Tangent4, (np.add.reduce(prods, axis=0, initial=0.0),))
 
 
 LN_SERIES_U = 1e-3
@@ -359,8 +338,7 @@ def _log_core(cc, p: MaterialParams, order: int):
     L1 = mean + disc
     L2 = mean - disc
     if L2 <= 0.0:
-        raise NotPositiveDefiniteError(f"C is not positive definite: "
-                                       f"eigenvalues {L1}, {L2}")
+        raise _inv._not_positive_definite(c11, c22, c12)
     th = 0.5 * math.atan2(2.0 * c12, c11 - c22)
     l1 = 0.5 * math.log(L1)
     l2 = 0.5 * math.log(L2)

@@ -118,13 +118,18 @@ def test_not_positive_definite_rejected():
 
 @pytest.mark.parametrize("comps", [(1.0, 1.0, 1.0), (-1.0, -1.0, 0.0)])
 def test_one_message_for_a_non_positive_definite_C(comps):
-    """invariants_C and the metric calls reject C in one check, with one
-    text."""
+    """Every public path that takes C rejects it with one text: the
+    invariants, the metric and log calls and the cross-check route."""
     c, fr = SurfTensor2(*comps), make_frame(0.3)
     calls = (lambda: invariants_C(c, fr),
+             lambda: invariants_log_exact(c, fr),
              lambda: mm.energy_metric(c, fr, mm.GGA),
              lambda: mm.stress_metric(c, fr, mm.GGA),
-             lambda: mm.tangent_metric(c, fr, mm.GGA))
+             lambda: mm.tangent_metric(c, fr, mm.GGA),
+             lambda: mm.tangent_metric_oplus(c, fr, mm.GGA),
+             lambda: mm.energy_log(c, fr, mm.GGA),
+             lambda: mm.stress_log(c, fr, mm.GGA),
+             lambda: mm.tangent_log(c, fr, mm.GGA))
     texts = set()
     for call in calls:
         with pytest.raises(NotPositiveDefiniteError) as err:

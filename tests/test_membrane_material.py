@@ -17,12 +17,31 @@ from gmem.surface_tensors import (
     NotPositiveDefiniteError,
     SurfTensor2,
     Tangent4,
+    boxtimes_product,
+    oplus_product,
     rearrange,
     sqrt_spd,
+    tensor_product,
 )
 
 FRAME = make_frame(0.2)
 C0 = SurfTensor2(1.3, 0.9, 0.15)
+
+# the product each term kind of mm._tangent_terms names, in the standard
+# component order: (x), (+) and [x]
+DIRECT_PRODUCT = {"ot": tensor_product, "op": oplus_product,
+                  "bt": boxtimes_product}
+
+
+def tangent_metric_reference(c, frame, p):
+    """Term-list assembly of the tangent in the standard component order:
+    the cross-check of the pair-matrix assembly, summed by the same stacked
+    reduction as mm.tangent_metric_oplus."""
+    terms = mm._tangent_terms(c, frame, p)
+    prods = np.array([DIRECT_PRODUCT[kind](a, b).comp
+                      for _k, a, b, kind in terms])
+    prods *= np.array([t[0] for t in terms])[:, None, None, None, None]
+    return Tangent4(np.add.reduce(prods, axis=0, initial=0.0))
 
 
 def pair_of(t4):
@@ -141,7 +160,7 @@ def test_tangent_matches_stress_differences_at_frozen_state():
 def test_tangent_assemblies_agree():
     for c in (C0, SurfTensor2(0.8, 1.45, -0.3), SurfTensor2(1.05, 1.0, 0.02)):
         fast = mm.tangent_metric(c, FRAME, mm.GGA)
-        ref = mm.tangent_metric_reference(c, FRAME, mm.GGA)
+        ref = tangent_metric_reference(c, FRAME, mm.GGA)
         alt = mm.tangent_metric_oplus(c, FRAME, mm.GGA)
         scale = np.max(np.abs(fast.comp))
         assert np.max(np.abs(ref.comp - fast.comp)) < 1e-12 * scale
@@ -173,19 +192,19 @@ def test_pair_assembly_matches_cross_check_routes(l1, sp, phi, theta, p):
     fast = mm.tangent_metric(c, fr, p).comp
     assert np.array_equal(fast, fast.transpose(2, 3, 0, 1))
     scale = np.max(np.abs(fast))
-    ref = mm.tangent_metric_reference(c, fr, p).comp
+    ref = tangent_metric_reference(c, fr, p).comp
     alt = rearrange(mm.tangent_metric_oplus(c, fr, p)).comp
     assert np.max(np.abs(ref - fast)) <= 1e-12 * scale
     assert np.max(np.abs(alt - fast)) <= 1e-12 * scale
 
 
-def tangent_route_loop(c, frame, p, kinds):
+def tangent_route_loop(c, frame, p, products):
     """The 17-step `out += k * product` loop that both cross-check routes
-    replaced, kept as their reference; kinds maps each term's product kind
-    to the product the route uses."""
+    replaced, kept as their reference; products maps each term's product
+    kind to the product the route uses."""
     out = np.zeros((2, 2, 2, 2))
     for k, a, b, kind in mm._tangent_terms(c, frame, p):
-        out += k * mm._PRODUCT[kinds[kind]](a, b).comp
+        out += k * products[kind](a, b).comp
     return out
 
 
@@ -205,17 +224,40 @@ def test_cross_check_routes_match_loop_form_bitwise():
               c_from_stretches(1.3, 0.8, 0.0)):
         for fr in (armchair, make_frame(math.pi / 6.0), FRAME):
             cases += [(c, fr, mm.GGA), (c, fr, mm.LDA)]
-    same = {k: k for k in mm._OPLUS_SUBST}
     for c, fr, p in cases:
-        for route, kinds in ((mm.tangent_metric_reference, same),
-                             (mm.tangent_metric_oplus, mm._OPLUS_SUBST)):
+        for route, products in ((tangent_metric_reference, DIRECT_PRODUCT),
+                                (mm.tangent_metric_oplus, mm._PRODUCT)):
             got = route(c, fr, p)
-            want = tangent_route_loop(c, fr, p, kinds)
+            want = tangent_route_loop(c, fr, p, products)
             assert type(got) is Tangent4 and len(got) == 1
             assert got.comp.dtype == want.dtype
             assert got.comp.shape == want.shape
             assert got.comp.flags.c_contiguous
             assert got.comp.tobytes() == want.tobytes()
+
+
+def test_oplus_route_takes_the_pinned_product_mix():
+    """One tangent_metric_oplus call looks up 13 oplus, 2 boxtimes and 2
+    tensor products in mm._PRODUCT, the mix the traced benchmark counts;
+    counting wrappers go into the table and come out, as the tracer's do."""
+    counts = dict.fromkeys(
+        ("oplus_product", "boxtimes_product", "tensor_product"), 0)
+    saved = dict(mm._PRODUCT)
+
+    def counting(fn):
+        def wrapped(a, b):
+            counts[fn.__name__] += 1
+            return fn(a, b)
+        return wrapped
+
+    try:
+        for kind, fn in saved.items():
+            mm._PRODUCT[kind] = counting(fn)
+        mm.tangent_metric_oplus(C0, FRAME, mm.GGA)
+    finally:
+        mm._PRODUCT.update(saved)
+    assert counts == {"oplus_product": 13, "boxtimes_product": 2,
+                      "tensor_product": 2}
 
 
 @settings(deadline=None, max_examples=60)
@@ -388,6 +430,38 @@ def test_definiteness_guards():
         mm.stress_metric(SurfTensor2(-1.0, 1.0, 0.0), make_frame(0.0), mm.GGA)
     with pytest.raises(NotPositiveDefiniteError):
         mm.stress_log(SurfTensor2(1.0, 1.0, 1.0), make_frame(0.0), mm.GGA)
+
+
+def test_order_two_partials_match_differences_of_the_coefficients():
+    """_h_coefficients' order-2 partials (H11, H12, H13, H22, H23) are the
+    derivatives of its order-1 (H1, H2, H3) in (J, J2, J3) with det = J^2:
+    central differences at step 1e-5 max(|x|, 1), within 1e-7 of the
+    table's largest partial (eta, and with it H23, vanishes in the range)."""
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        c = c_from_stretches(*rng.uniform(0.7, 1.6, size=2),
+                             rng.uniform(0.0, math.pi))
+        fr = make_frame(rng.uniform(0.0, 2.0 * math.pi))
+        _det, j, _p11, _p12, J2, _mC, _nC, J3 = iv._c_scalars(
+            *mm._unpack(c, fr))
+        x = (j, J2, J3)
+        for p in (mm.GGA, mm.LDA):
+            _w, _h, dH = mm._h_coefficients(j, j * j, J2, J3, p, order=2)
+            fd = []
+            for k in range(3):
+                h = 1e-5 * max(abs(x[k]), 1.0)
+                up, dn = list(x), list(x)
+                up[k] += h
+                dn[k] -= h
+                hu = mm._h_coefficients(up[0], up[0] ** 2, *up[1:], p, 1)[1]
+                hd = mm._h_coefficients(dn[0], dn[0] ** 2, *dn[1:], p, 1)[1]
+                fd.append([(u - d) / (2.0 * h) for u, d in zip(hu, hd)])
+            # fd[k][i] = dHi/dJk; dH holds dH1/dJ, dH1/dJ2, dH1/dJ3,
+            # dH2/dJ2, dH2/dJ3
+            want = (fd[0][0], fd[1][0], fd[2][0], fd[1][1], fd[2][1])
+            scale = max(abs(v) for v in dH)
+            assert len(dH) == 5
+            assert max(abs(a - b) for a, b in zip(dH, want)) <= 1e-7 * scale
 
 
 def test_coefficient_set_matches_stress_assembly():

@@ -21,7 +21,9 @@ median, so the runs spread too widely to tell) and `gain` (the change wins
 at least 9 in 10 pairs and its median is better by more than the parent's
 quartile distance). Per traced span it holds each side's median and
 quartile distance and the median over pairs of the change/parent ratio;
-and the environment. Runs are sequential, one benchmark process at a time.
+each side's commit and the git tree hash of its src/ (equal hashes mean
+that the two sides ran the same program code); and the environment. Runs
+are sequential, one benchmark process at a time.
 """
 
 from __future__ import annotations
@@ -220,8 +222,10 @@ def main(argv=None) -> int:
     e2e, layers = [], []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        result["parent_commit"] = export(args.parent, trees["parent"])
-        result["change_commit"] = export(args.change, trees["change"])
+        for side in ("parent", "change"):
+            sha = export(getattr(args, side), trees[side])
+            result[f"{side}_commit"] = sha
+            result[f"{side}_src_tree"] = git("rev-parse", f"{sha}:src")
         for k, w in enumerate(WORKLOADS):
             base = SEED_BASE + 100 * (k + 1) + 1
             seeds = list(range(base, base + PAIRS))

@@ -11,8 +11,8 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   angles, stretches in [0.7, 1.6], one state in eight with its principal
   stretches within 1e-9 relative of each other (the log model's
   divided-difference limit);
-* the metric tangent's cross-check routes (term-list reference and the
-  oplus-order assembly) on the same states;
+* the metric tangent's cross-check route (the oplus-order assembly that
+  verify runs) on the same states;
 * one invariants group: invariants_C, invariants_log_exact,
   approx_log_invariants and, with a seeded curvature tensor,
   invariants_C_kappa on the same states, then invariant_approximation_errors
@@ -148,7 +148,6 @@ def dump(tree: Path, out: Path) -> None:
             r, t = getattr(mm, f"stress_tangent_{model}")(c, fr, p)
             add(f"stress_tangent_{model}",
                 np.concatenate([wl.stress_row(r), t.comp.ravel()]))
-        add("tangent_metric_reference", mm.tangent_metric_reference(c, fr, p).comp)
         add("tangent_metric_oplus", mm.tangent_metric_oplus(c, fr, p).comp)
         inv = iv.invariants_C(c, fr)
         kappa = SurfTensor2(*kappa_rng.uniform(-1.0, 1.0, 3))
