@@ -118,8 +118,8 @@ def test_not_positive_definite_rejected():
 
 @pytest.mark.parametrize("comps", [(1.0, 1.0, 1.0), (-1.0, -1.0, 0.0)])
 def test_one_message_for_a_non_positive_definite_C(comps):
-    """Every public path that takes C rejects it with one text: the
-    invariants, the metric and log calls and the cross-check route."""
+    """Every invariants and model call that takes C rejects it with one
+    text: the metric and log calls and the cross-check route included."""
     c, fr = SurfTensor2(*comps), make_frame(0.3)
     calls = (lambda: invariants_C(c, fr),
              lambda: invariants_log_exact(c, fr),
