@@ -103,6 +103,27 @@ def _c_scalars(c11, c22, c12, m11, m12, n11, n12):
     return det, J, p11, p12, p11 * p11 + p12 * p12, mC, nC, J3
 
 
+def _log_scalars(L1, L2, th, m11, m12, n11, n12):
+    """The one evaluation of the log-strain invariants from the eigenvalues
+    L1 >= L2 > 0 of C and the angle th of the L1 axis, shared by
+    invariants_log_exact and the log kernel: (J1E, ed, cos th, sin th,
+    ed11, ed12, M:E, N:E, J2E, J3E), with E the deviator of (1/2) ln C."""
+    l1 = 0.5 * math.log(L1)
+    l2 = 0.5 * math.log(L2)
+    J1E = l1 + l2
+    ed = 0.5 * (l1 - l2)
+    ct, st = math.cos(th), math.sin(th)
+    c2t = ct * ct - st * st
+    s2t = 2.0 * ct * st
+    ed11 = ed * c2t
+    ed12 = ed * s2t
+    mE = 2.0 * (m11 * ed11 + m12 * ed12)
+    nE = 2.0 * (n11 * ed11 + n12 * ed12)
+    J2E = 0.25 * (mE * mE + nE * nE)
+    J3E = 0.125 * mE * (mE * mE - 3.0 * nE * nE)
+    return J1E, ed, ct, st, ed11, ed12, mE, nE, J2E, J3E
+
+
 def invariants_C(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
     """Invariants of C: J1 = sqrt(det C), J2 = (1/2) Cp:Cp with Cp the
     traceless part of C/J1, and J3 = ((M:Cb)^3 - 3 (M:Cb)(N:Cb)^2) / 8."""
@@ -122,10 +143,10 @@ def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantSta
     if not (c.det() > 0.0 and c.trace() > 0.0):
         raise _not_positive_definite(*c)
     sd = spectral(c)
-    J1E = math.log(sd.lambda1 * sd.lambda2)
-    lam = 0.5 * math.log(sd.lambda1 / sd.lambda2)
-    dtheta = sd.theta - frame.theta_lattice
-    return LogInvariantState(J1E, lam * lam, lam ** 3 * math.cos(6.0 * dtheta))
+    m, n = frame.m_hat, frame.n_hat
+    J1E, _ed, _ct, _st, _e11, _e12, _mE, _nE, J2E, J3E = _log_scalars(
+        sd.Lambda1, sd.Lambda2, sd.theta, m.c11, m.c12, n.c11, n.c12)
+    return tuple.__new__(LogInvariantState, (J1E, J2E, J3E))
 
 
 def approx_log_invariants(inv: InvariantState) -> tuple:

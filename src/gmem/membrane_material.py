@@ -339,20 +339,8 @@ def _log_core(cc, p: MaterialParams, order: int):
     L2 = mean - disc
     if L2 <= 0.0:
         raise _inv._not_positive_definite(c11, c22, c12)
-    th = 0.5 * math.atan2(2.0 * c12, c11 - c22)
-    l1 = 0.5 * math.log(L1)
-    l2 = 0.5 * math.log(L2)
-    J1E = l1 + l2
-    ed = 0.5 * (l1 - l2)
-    ct, st = math.cos(th), math.sin(th)
-    c2t = ct * ct - st * st
-    s2t = 2.0 * ct * st
-    ed11 = ed * c2t
-    ed12 = ed * s2t
-    mE = 2.0 * (m11 * ed11 + m12 * ed12)
-    nE = 2.0 * (n11 * ed11 + n12 * ed12)
-    J2E = 0.25 * (mE * mE + nE * nE)
-    J3E = 0.125 * mE * (mE * mE - 3.0 * nE * nE)
+    J1E, ed, ct, st, ed11, ed12, mE, nE, J2E, J3E = _inv._log_scalars(
+        L1, L2, 0.5 * math.atan2(2.0 * c12, c11 - c22), m11, m12, n11, n12)
     eb = math.exp(p.beta_hat * J1E)
     mu = p.mu0 - p.mu1 * eb
     eta = p.eta0 - p.eta1 * J1E * J1E
@@ -394,6 +382,7 @@ def _log_core(cc, p: MaterialParams, order: int):
 
     # tangent in the eigenframe: first and second divided differences of ln
     c2_ = cc_ - ss_
+    s2t = 2.0 * cs_
     f1 = 1.0 / L1
     f2 = 1.0 / L2
     f112, f122 = _ln_divided2(mean, disc / mean)
@@ -427,8 +416,7 @@ def _log_core(cc, p: MaterialParams, order: int):
     h12 = f2 * k12 * (vq - qpq) + 2.0 * f122 * tp12
     h22 = k12 * k12 * qqq + f112 * tp11 + f122 * tp22
     # back to the storage frame, G = P h P^T with the rows of P the
-    # coefficients of s11, s22, s12 above (s2t = 2 cs_ exactly); six upper
-    # entries, mirrored
+    # coefficients of s11, s22, s12 above; six upper entries, mirrored
     x0 = cc_ * h00 + ss_ * h01 - s2t * h02
     x1 = cc_ * h01 + ss_ * h11 - s2t * h12
     x2 = cc_ * h02 + ss_ * h12 - s2t * h22

@@ -42,11 +42,6 @@ class SurfTensor2(NamedTuple):
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.c11, self.c12], [self.c12, self.c22]])
 
-    def require_positive_definite(self) -> None:
-        if not (self.det() > 0.0 and self.trace() > 0.0):
-            raise NotPositiveDefiniteError(
-                f"tensor is not positive definite: det={self.det()}, tr={self.trace()}")
-
 
 class SpectralDecomp(NamedTuple):
     """Eigenvalues Lambda1 >= Lambda2, principal stretches, and the angle of
@@ -74,14 +69,6 @@ def spectral(t: SurfTensor2) -> SpectralDecomp:
     s1 = math.sqrt(L1) if L1 > 0.0 else 0.0
     s2 = math.sqrt(L2) if L2 > 0.0 else 0.0
     return SpectralDecomp(L1, L2, s1, s2, theta)
-
-
-def reconstruct(sd: SpectralDecomp) -> SurfTensor2:
-    """Sum of Lambda_a Y_a (x) Y_a; inverse of spectral up to rounding."""
-    c, s = math.cos(sd.theta), math.sin(sd.theta)
-    return SurfTensor2(sd.Lambda1 * c * c + sd.Lambda2 * s * s,
-                       sd.Lambda1 * s * s + sd.Lambda2 * c * c,
-                       (sd.Lambda1 - sd.Lambda2) * s * c)
 
 
 def sqrt_spd(t: SurfTensor2) -> SurfTensor2:

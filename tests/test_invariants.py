@@ -3,6 +3,7 @@ polynomial surrogates."""
 
 import decimal
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,6 @@ def invariants_C_eigen(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
     with l_a the principal stretches and dtheta the angle between the
     maximum-stretch axis and the armchair axis.
     """
-    c.require_positive_definite()
     sd = spectral(c)
     J = sd.lambda1 * sd.lambda2
     r = sd.Lambda1 / sd.Lambda2
@@ -163,6 +163,117 @@ def test_kernel_scalars_match_invariants_C(l1, l2, d, near, phi, thL):
     _det, J, _p11, _p12, J2, mC, nC, J3 = iv._c_scalars(*mm._unpack(c, fr))
     a = invariants_C(c, fr)
     assert [x.hex() for x in (J, J2, J3, mC, nC)] == [x.hex() for x in a]
+
+
+def log_energy(J1E, J2E, J3E, p):
+    """The log model's energy on given invariants, in _log_core's
+    operation order."""
+    eb = math.exp(p.beta_hat * J1E)
+    mu = p.mu0 - p.mu1 * eb
+    eta = p.eta0 - p.eta1 * J1E * J1E
+    ea = math.exp(-p.alpha_hat * J1E)
+    return (p.epsilon * (1.0 - (1.0 + p.alpha_hat * J1E) * ea)
+            + 2.0 * mu * J2E + eta * J3E)
+
+
+def test_energy_log_matches_energy_of_invariants_log_exact():
+    """energy_log equals its energy formula on invariants_log_exact's
+    (J1E, J2E, J3E) bitwise, on 2,000 seeded states with stretches in
+    [0.7, 1.6], one in eight within 1e-9 relative of isotropy, GGA and
+    LDA: the report and the kernel form the invariants alike."""
+    rng = random.Random(20240)
+    differ = []
+    for i in range(2000):
+        l1 = rng.uniform(math.sqrt(0.7), math.sqrt(1.6))
+        l2 = (l1 * (1.0 + rng.uniform(-1e-9, 1e-9)) if i % 8 == 0
+              else rng.uniform(math.sqrt(0.7), math.sqrt(1.6)))
+        c = spd(l1 * l1, l2 * l2, rng.uniform(0.0, math.pi))
+        fr = make_frame(rng.uniform(0.0, 2.0 * math.pi))
+        ex = invariants_log_exact(c, fr)
+        for p in (mm.GGA, mm.LDA):
+            if mm.energy_log(c, fr, p) != log_energy(*ex, p):
+                differ.append((i, p.name))
+    assert differ == []
+
+
+# (c11, c22, c12, theta_lattice, J2E, J3E): J2E = ed^2 and
+# J3E = ed^3 cos 6 (theta - theta_lattice), with ed = (ln L1 - ln L2) / 4
+# and theta the L1 axis of the same double C, evaluated offline with
+# mpmath at 50 digits and rounded to the nearest double. Eigenvalue gaps
+# u = (L1 - L2) / (L1 + L2) from 2.7e-9 to 0.46, two or more per decade.
+LOG_INVARIANT_LITERALS = (
+    (1.3542702276799643, 1.354270235059592, -1.7147802657397825e-10, 2.1994148984049,
+     1.8598385056633626e-18, -2.236969439221604e-27),
+    (1.1809999678933, 1.1809999598708665, 7.899582430650809e-09, 4.380697731506135,
+     1.4069304278943546e-17, -2.894719491893931e-26),
+    (1.362908972996075, 1.3629088253800639, -6.694344290763784e-08, 1.2168877262046391,
+     1.3363305200601959e-15, -4.866786639371099e-23),
+    (1.5407765383170733, 1.540776258306555, -2.5244764063111372e-08, 1.1342782680969627,
+     2.1313015668174877e-15, 4.8301588088788285e-23),
+    (1.4278894592352394, 1.4278890993517777, 1.0778442912877913e-07, 1.6020373024289558,
+     5.394723212893643e-15, -5.497757831356783e-23),
+    (1.035245782814197, 1.035245912741757, -2.8123219795940215e-07, 3.435873053172167,
+     1.9433890447170666e-14, 1.734645815186736e-21),
+    (0.9444322924890546, 0.9444326343363627, -2.489970758194885e-07, 0.12512223332485467,
+     2.5565941316250488e-14, 2.2611816756960228e-21),
+    (1.457238427137162, 1.4572356046360317, -4.287129953917948e-07, 2.991148953646598,
+     2.561081114794717e-13, 1.295882062273644e-19),
+    (1.2451251079772372, 1.2451215852447273, -1.2812973354402408e-06, 4.717163634922565,
+     7.650189591958571e-13, 2.2603111266183075e-19),
+    (0.8740888676586434, 0.87409188697509, 7.072095757552322e-06, 4.8977252834644505,
+     1.7111020974932745e-11, 3.275319673071149e-17),
+    (0.9896928457780361, 0.9896647721371841, 2.7665153637065873e-06, 6.253778424468633,
+     5.224436647930081e-11, 2.73655714252085e-16),
+    (1.2512947853314307, 1.2513151121683452, 1.8751597415860834e-05, 0.5981015150091838,
+     7.263506166156228e-11, -5.348111303608591e-16),
+    (1.0220816401659087, 1.022099532766021, 1.863004242045819e-05, 1.081126818779711,
+     1.0221292513313264e-10, 9.387414918527442e-16),
+    (1.4558147134654473, 1.455893276812427, -2.6917306888686653e-06, 4.731428336896716,
+     1.8286003150762107e-10, 2.462503901199776e-15),
+    (1.1051323274149372, 1.1051428593687491, -0.00018255950214001427, 0.9741731957596624,
+     6.8277467008578156e-09, -1.9432127240738208e-13),
+    (1.5816511815054013, 1.5814824939464014, 0.0003455219361655765, 5.087837374012664,
+     1.2643082792407184e-08, 2.4139727282166636e-13),
+    (0.9263195713492071, 0.9316946303306448, -0.0010453959123477004, 2.831053008970477,
+     2.4088060912403137e-06, 3.6874983836131176e-09),
+    (0.8258878844106866, 0.8230516354402286, 0.007699412924967002, 2.9888012056436986,
+     2.254346685724267e-05, 3.873738439794732e-08),
+    (1.0734709780329144, 1.0748119926901558, 0.013240688428557277, 3.8138339588529417,
+     3.808855964581105e-05, 1.5851419457940603e-07),
+    (1.1990922708568155, 1.3102253779360244, -0.03490736254999563, 1.4418284215991426,
+     0.0006851291128986143, -1.3886973151631106e-05),
+    (0.7319620813602747, 0.5760106789461633, 0.045802229769859024, 0.3028787796356445,
+     0.004842115282660813, 0.0003285235112705703),
+    (0.8776349157656809, 1.0982849774506394, 0.08299502906590053, 2.687557981769412,
+     0.004946311904033934, -0.0002450134623300351),
+    (0.6085713209880095, 1.50510842575463, -0.04166076578222608, 5.968954162412514,
+     0.051752614174242574, 0.006575652953036357),
+    (1.552691856600772, 0.643376194763426, 0.12445963407830948, 5.193107753082018,
+     0.05267879503680035, 0.005922719172971038),
+    (0.9936898319815195, 0.4062730912668443, 0.09511934073283099, 5.279789110215125,
+     0.056058555879048795, 0.010347365193856786),
+    (0.9550220077845182, 0.3592247551914877, 0.049462046057204175, 4.595609843441477,
+     0.061685862313041004, -0.005633141877152042),
+    (0.5907259593616021, 0.48837695716776774, -0.24281124900714657, 4.745640901542715,
+     0.06180140872930402, 0.006315808515396362),
+)
+EPS = 2.0 ** -52
+
+
+@pytest.mark.parametrize("c11, c22, c12, thL, J2E, J3E", LOG_INVARIANT_LITERALS,
+                         ids=[f"s{i:02d}" for i in
+                              range(len(LOG_INVARIANT_LITERALS))])
+def test_log_invariants_match_high_precision_literals(c11, c22, c12, thL,
+                                                      J2E, J3E):
+    """invariants_log_exact's J2E within 2.5 eps/u relative and J3E within
+    3 eps/u of |ed|^3 of 50-digit values: ln of the principal stretch
+    ratio and cos 6 dtheta route missed J3E by up to 6.7 eps/u here."""
+    c = SurfTensor2(c11, c22, c12)
+    mean = 0.5 * (c11 + c22)
+    u = math.hypot(0.5 * (c11 - c22), c12) / mean
+    ex = invariants_log_exact(c, make_frame(thL))
+    assert abs(ex.J2E - J2E) <= 2.5 * EPS / u * J2E
+    assert abs(ex.J3E - J3E) <= 3.0 * EPS / u * J2E ** 1.5
 
 
 def invariants_C_decimal(c: SurfTensor2, frame: LatticeFrame):

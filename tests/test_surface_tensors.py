@@ -14,7 +14,6 @@ from gmem.surface_tensors import (
     boxtimes_product,
     oplus_product,
     rearrange,
-    reconstruct,
     spectral,
     sqrt_spd,
     tangent_from_pairs,
@@ -35,14 +34,6 @@ def test_plus_and_scaled():
     a = SurfTensor2(1.0, 2.0, 3.0)
     assert a.scaled(2.0).c12 == 6.0
     assert a.scaled(2.0) == (2.0, 4.0, 6.0)
-
-
-def test_positive_definite_guard():
-    SurfTensor2(2.0, 1.0, 0.5).require_positive_definite()
-    with pytest.raises(NotPositiveDefiniteError):
-        SurfTensor2(1.0, -1.0, 0.0).require_positive_definite()
-    with pytest.raises(NotPositiveDefiniteError):
-        SurfTensor2(-1.0, -2.0, 0.0).require_positive_definite()
 
 
 def test_spectral_diagonal():
@@ -175,7 +166,11 @@ def test_spectral_reconstruct_round_trip(l1, l2, th):
     t = SurfTensor2(l1 * c * c + l2 * s * s, l1 * s * s + l2 * c * c,
                     (l1 - l2) * s * c)
     sd = spectral(t)
-    back = reconstruct(sd)
+    # the sum of Lambda_a Y_a (x) Y_a rebuilds t up to rounding
+    cb, sb = math.cos(sd.theta), math.sin(sd.theta)
+    back = SurfTensor2(sd.Lambda1 * cb * cb + sd.Lambda2 * sb * sb,
+                       sd.Lambda1 * sb * sb + sd.Lambda2 * cb * cb,
+                       (sd.Lambda1 - sd.Lambda2) * sb * cb)
     scale = l1 + l2
     assert abs(back.c11 - t.c11) <= 1e-13 * scale
     assert abs(back.c22 - t.c22) <= 1e-13 * scale

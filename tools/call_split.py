@@ -15,9 +15,9 @@ the whole call are timed as a loop over the states with the parts' inputs
 precomputed. Each figure is the minimum over REPEAT rounds, in
 microseconds per state, and includes the loop's own per-state cost (tens
 of nanoseconds). The last column is the core's share of the whole call.
-The table's last row times invariants_C, whole, on the same states: the
-sweep's one invariants call, which shares the metric kernel's invariant
-scalars.
+The table's last two rows time invariants_C and invariants_log_exact,
+whole, on the same states: the sweep's invariants calls, which share the
+metric and log kernels' invariant scalars (`_c_scalars`, `_log_scalars`).
 
 A second table times, the same way, the bending calls and the pair
 products on the single-state path of `gmem verify`: geometry_from_metrics,
@@ -123,6 +123,8 @@ def jobs(states, params):
             out.append((name, "call", getattr(mm, name),
                         [(c, f, params) for c, f in states]))
     out.append(("invariants_C", "call", iv.invariants_C, states))
+    out.append(("invariants_log_exact", "call", iv.invariants_log_exact,
+                states))
     return out
 
 

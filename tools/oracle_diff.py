@@ -13,10 +13,12 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   divided-difference limit);
 * the metric tangent's cross-check route (the oplus-order assembly that
   verify runs) on the same states;
-* one invariants group: invariants_C, invariants_log_exact,
-  approx_log_invariants and, with a seeded curvature tensor,
-  invariants_C_kappa on the same states, then invariant_approximation_errors
-  over the perfbench scan grid (SCAN_RATIOS);
+* three invariants groups: invariants_C, approx_log_invariants and, with a
+  seeded curvature tensor, invariants_C_kappa on the same states
+  (invariants_C); invariants_log_exact on the same states
+  (invariants_log_exact); and invariant_approximation_errors over the
+  perfbench scan grid, SCAN_RATIOS (invariant_scan). A move of the log
+  invariants therefore cannot hide a move on the C side;
 * run_curve (points and peak) and compare_models over the perfbench sweep
   grid: every protocol kind, the armchair, zigzag and all generic
   directions, both parameter sets, the benchmark's ranges and step counts;
@@ -151,13 +153,13 @@ def dump(tree: Path, out: Path) -> None:
         add("tangent_metric_oplus", mm.tangent_metric_oplus(c, fr, p).comp)
         inv = iv.invariants_C(c, fr)
         kappa = SurfTensor2(*kappa_rng.uniform(-1.0, 1.0, 3))
-        add("invariants", inv)
-        add("invariants", iv.invariants_log_exact(c, fr))
-        add("invariants", iv.approx_log_invariants(inv))
-        add("invariants",
+        add("invariants_C", inv)
+        add("invariants_C", iv.approx_log_invariants(inv))
+        add("invariants_C",
             dataclasses.astuple(iv.invariants_C_kappa(c, kappa, fr)))
+        add("invariants_log_exact", iv.invariants_log_exact(c, fr))
     scan = sc.invariant_approximation_errors(np.linspace(*wl.SCAN_RATIOS))
-    add("invariants", [scan["f1_vs_J2E"], scan["f2_vs_J3E"]])
+    add("invariant_scan", [scan["f1_vs_J2E"], scan["f2_vs_J3E"]])
 
     directions = (wl.ARMCHAIR_DEG, wl.ZIGZAG_DEG) + wl.GENERIC_DEG
     frame = la.make_frame(0.0)
