@@ -140,9 +140,9 @@ def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantSta
     J1E = ln(l1 l2), J2E = (ln sqrt(l1/l2))^2, and
     J3E = (ln sqrt(l1/l2))^3 cos 6 dtheta.
     """
-    if not (c.det() > 0.0 and c.trace() > 0.0):
-        raise _not_positive_definite(*c)
     sd = spectral(c)
+    if not sd.Lambda2 > 0.0:
+        raise _not_positive_definite(*c)
     m, n = frame.m_hat, frame.n_hat
     J1E, _ed, _ct, _st, _e11, _e12, _mE, _nE, J2E, J3E = _log_scalars(
         sd.Lambda1, sd.Lambda2, sd.theta, m.c11, m.c12, n.c11, n.c12)

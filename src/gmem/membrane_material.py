@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import invariants as _inv
+from . import surface_tensors as _st
 from .lattice import LatticeFrame
 from .surface_tensors import (
     SurfTensor2,
@@ -332,15 +333,11 @@ def _log_core(cc, p: MaterialParams, order: int):
     symmetric.
     """
     c11, c22, c12, m11, m12, n11, n12 = cc
-    mean = 0.5 * (c11 + c22)
-    hd = 0.5 * (c11 - c22)
-    disc = math.hypot(hd, c12)
-    L1 = mean + disc
-    L2 = mean - disc
-    if L2 <= 0.0:
+    mean, disc, L1, L2, th = _st._eigen_head(c11, c22, c12)
+    if not L2 > 0.0:
         raise _inv._not_positive_definite(c11, c22, c12)
     J1E, ed, ct, st, ed11, ed12, mE, nE, J2E, J3E = _inv._log_scalars(
-        L1, L2, 0.5 * math.atan2(2.0 * c12, c11 - c22), m11, m12, n11, n12)
+        L1, L2, th, m11, m12, n11, n12)
     eb = math.exp(p.beta_hat * J1E)
     mu = p.mu0 - p.mu1 * eb
     eta = p.eta0 - p.eta1 * J1E * J1E

@@ -15,7 +15,8 @@ _new = tuple.__new__  # a record from a tuple holding every field
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when a right Cauchy-Green input fails det > 0, tr > 0."""
+    """Raised when C is not positive definite: the metric paths require
+    det C > 0 and tr C > 0, the log paths the computed eigenvalue L2 > 0."""
 
 
 class SurfTensor2(NamedTuple):
@@ -44,15 +45,21 @@ class SurfTensor2(NamedTuple):
 
 
 class SpectralDecomp(NamedTuple):
-    """Eigenvalues Lambda1 >= Lambda2, principal stretches, and the angle of
-    the maximum-stretch direction, counter-clockwise from the frame's first
-    axis, in (-pi/2, pi/2]."""
+    """Eigenvalues Lambda1 >= Lambda2 and the angle of the Lambda1 axis,
+    counter-clockwise from the frame's first axis, in (-pi/2, pi/2]."""
 
     Lambda1: float
     Lambda2: float
-    lambda1: float
-    lambda2: float
     theta: float
+
+
+def _eigen_head(c11, c22, c12):
+    """(mean, disc, L1, L2, theta) of a symmetric 2x2 tensor, L1,2 = mean
+    +- disc: the one eigen head, shared by spectral and the log kernel."""
+    mean = 0.5 * (c11 + c22)
+    disc = math.hypot(0.5 * (c11 - c22), c12)
+    return (mean, disc, mean + disc, mean - disc,
+            0.5 * math.atan2(2.0 * c12, c11 - c22))
 
 
 def spectral(t: SurfTensor2) -> SpectralDecomp:
@@ -60,15 +67,8 @@ def spectral(t: SurfTensor2) -> SpectralDecomp:
 
     Coincident eigenvalues take theta = 0 by convention.
     """
-    mean = 0.5 * (t.c11 + t.c22)
-    half_diff = 0.5 * (t.c11 - t.c22)
-    disc = math.hypot(half_diff, t.c12)
-    L1 = mean + disc
-    L2 = mean - disc
-    theta = 0.5 * math.atan2(2.0 * t.c12, t.c11 - t.c22)
-    s1 = math.sqrt(L1) if L1 > 0.0 else 0.0
-    s2 = math.sqrt(L2) if L2 > 0.0 else 0.0
-    return SpectralDecomp(L1, L2, s1, s2, theta)
+    _mean, _disc, L1, L2, theta = _eigen_head(*t)
+    return _new(SpectralDecomp, (L1, L2, theta))
 
 
 def sqrt_spd(t: SurfTensor2) -> SurfTensor2:

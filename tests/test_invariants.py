@@ -42,10 +42,11 @@ def invariants_C_eigen(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
     maximum-stretch axis and the armchair axis.
     """
     sd = spectral(c)
-    J = sd.lambda1 * sd.lambda2
+    s1, s2 = math.sqrt(sd.Lambda1), math.sqrt(sd.Lambda2)
+    J = s1 * s2
     r = sd.Lambda1 / sd.Lambda2
     J2 = 0.25 * (r + 1.0 / r - 2.0)
-    rs = sd.lambda1 / sd.lambda2
+    rs = s1 / s2
     dtheta = sd.theta - frame.theta_lattice
     J3 = 0.125 * (rs - 1.0 / rs) ** 3 * math.cos(6.0 * dtheta)
     cb = c.scaled(1.0 / J)
@@ -116,10 +117,12 @@ def test_not_positive_definite_rejected():
         invariants_log_exact(SurfTensor2(1.0, -0.5, 0.0), make_frame(0.0))
 
 
-@pytest.mark.parametrize("comps", [(1.0, 1.0, 1.0), (-1.0, -1.0, 0.0)])
+@pytest.mark.parametrize("comps", [(1.0, 1.0, 1.0), (-1.0, -1.0, 0.0),
+                                   (math.nan, 1.0, 0.0), (1.0, 1.0, math.nan)])
 def test_one_message_for_a_non_positive_definite_C(comps):
     """Every invariants and model call that takes C rejects it with one
-    text: the metric and log calls and the cross-check route included."""
+    text: the metric and log calls and the cross-check route included.
+    A NaN component is rejected too, never passed through as a NaN."""
     c, fr = SurfTensor2(*comps), make_frame(0.3)
     calls = (lambda: invariants_C(c, fr),
              lambda: invariants_log_exact(c, fr),
@@ -129,7 +132,8 @@ def test_one_message_for_a_non_positive_definite_C(comps):
              lambda: mm.tangent_metric_oplus(c, fr, mm.GGA),
              lambda: mm.energy_log(c, fr, mm.GGA),
              lambda: mm.stress_log(c, fr, mm.GGA),
-             lambda: mm.tangent_log(c, fr, mm.GGA))
+             lambda: mm.tangent_log(c, fr, mm.GGA),
+             lambda: mm.stress_tangent_log(c, fr, mm.GGA))
     texts = set()
     for call in calls:
         with pytest.raises(NotPositiveDefiniteError) as err:
@@ -138,6 +142,37 @@ def test_one_message_for_a_non_positive_definite_C(comps):
     c11, c22, c12 = comps
     assert texts == {f"C is not positive definite: "
                      f"det={c11 * c22 - c12 * c12}, tr={c11 + c22}"}
+
+
+@pytest.mark.parametrize("comps", [(1.0, 1e-17, 0.0), (math.inf, 1.0, 0.0),
+                                   (math.inf, math.inf, 0.0)])
+def test_log_paths_reject_a_C_without_a_positive_smaller_eigenvalue(comps):
+    """det C > 0 and tr C > 0 hold for each of these, but the smaller
+    eigenvalue mean - disc rounds to 0 (diag(1, 1e-17)) or is NaN (an
+    infinite component): every log path rejects C with the one text,
+    none with a bare math domain error or a NaN result."""
+    c, fr = SurfTensor2(*comps), make_frame(0.3)
+    calls = (lambda: invariants_log_exact(c, fr),
+             lambda: mm.energy_log(c, fr, mm.GGA),
+             lambda: mm.stress_log(c, fr, mm.GGA),
+             lambda: mm.tangent_log(c, fr, mm.GGA),
+             lambda: mm.stress_tangent_log(c, fr, mm.GGA))
+    texts = set()
+    for call in calls:
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            call()
+        texts.add(str(err.value))
+    c11, c22, c12 = comps
+    assert texts == {f"C is not positive definite: "
+                     f"det={c11 * c22 - c12 * c12}, tr={c11 + c22}"}
+
+
+def test_metric_paths_accept_an_ill_conditioned_C():
+    """diag(1, 1e-17) passes the metric rule det C > 0 and tr C > 0."""
+    c, fr = SurfTensor2(1.0, 1e-17, 0.0), make_frame(0.3)
+    assert invariants_C(c, fr).J1 == math.sqrt(1e-17)
+    assert math.isfinite(mm.energy_metric(c, fr, mm.GGA))
+    assert math.isfinite(mm.stress_tangent_metric(c, fr, mm.GGA)[0].W)
 
 
 @settings(deadline=None)

@@ -15,7 +15,7 @@ from gmem.membrane_material import StressResult
 from gmem.scenarios import (PROTOCOL_KINDS, CurvePoint, DeformationProtocol,
                             run_curve)
 from gmem.surface_tensors import (SpectralDecomp, SurfTensor2, Tangent4,
-                                  sqrt_spd)
+                                  spectral, sqrt_spd)
 
 T = SurfTensor2(1.25, 0.75, 0.125)
 A = np.arange(16.0).reshape(2, 2, 2, 2)
@@ -24,8 +24,7 @@ M = np.array([[1.0, 0.5], [0.5, 2.0]])
 # class, field order, one value per field, defaults of the trailing fields
 RECORDS = [
     (SurfTensor2, ("c11", "c22", "c12"), (1.25, 0.75, 0.125), {}),
-    (SpectralDecomp, ("Lambda1", "Lambda2", "lambda1", "lambda2", "theta"),
-     (1.21, 0.81, 1.1, 0.9, 0.25), {}),
+    (SpectralDecomp, ("Lambda1", "Lambda2", "theta"), (1.21, 0.81, 0.25), {}),
     (Tangent4, ("comp",), (A,), {}),
     (StressResult, ("S", "tau", "sigma", "W"),
      (T, T.scaled(2.0), T.scaled(3.0), 0.5), {}),
@@ -120,6 +119,9 @@ def _float_tensor(t):
 def test_membrane_outputs_are_well_formed(c):
     fr = make_frame(0.3)
     _float_tensor(sqrt_spd(c))
+    sd = spectral(c)
+    _well_formed(sd, SpectralDecomp)
+    assert all(type(x) is float for x in sd)
     stresses, tangents = [], []
     for model in ("metric", "log"):
         stresses.append(getattr(mm, f"stress_{model}")(c, fr, mm.GGA))

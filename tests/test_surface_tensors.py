@@ -38,9 +38,7 @@ def test_plus_and_scaled():
 
 def test_spectral_diagonal():
     sd = spectral(SurfTensor2(4.0, 1.0, 0.0))
-    assert sd.Lambda1 == 4.0 and sd.Lambda2 == 1.0
-    assert sd.lambda1 == 2.0 and sd.lambda2 == 1.0
-    assert sd.theta == 0.0
+    assert sd == (4.0, 1.0, 0.0)
 
 
 def test_spectral_rotated_by_30_degrees():

@@ -15,9 +15,11 @@ the whole call are timed as a loop over the states with the parts' inputs
 precomputed. Each figure is the minimum over REPEAT rounds, in
 microseconds per state, and includes the loop's own per-state cost (tens
 of nanoseconds). The last column is the core's share of the whole call.
-The table's last two rows time invariants_C and invariants_log_exact,
-whole, on the same states: the sweep's invariants calls, which share the
-metric and log kernels' invariant scalars (`_c_scalars`, `_log_scalars`).
+The table's last three rows time invariants_C, invariants_log_exact and
+spectral, whole, on the same states: the sweep's invariants calls, which
+share the metric and log kernels' invariant scalars (`_c_scalars`,
+`_log_scalars`), and the eigendecomposition invariants_log_exact takes
+through spectral, whose eigen head (`_eigen_head`) the log core shares.
 
 A second table times, the same way, the bending calls and the pair
 products on the single-state path of `gmem verify`: geometry_from_metrics,
@@ -52,7 +54,7 @@ from gmem import scenarios as sc
 from gmem.lattice import make_frame
 from gmem.numdiff import STRESS_STEP, partials_sym
 from gmem.surface_tensors import (SurfTensor2, boxtimes_product, oplus_product,
-                                  tangent_from_pairs, tensor_product)
+                                  spectral, tangent_from_pairs, tensor_product)
 
 STATES = 256
 SEED = 0
@@ -125,6 +127,7 @@ def jobs(states, params):
     out.append(("invariants_C", "call", iv.invariants_C, states))
     out.append(("invariants_log_exact", "call", iv.invariants_log_exact,
                 states))
+    out.append(("spectral", "call", spectral, [(c,) for c, _f in states]))
     return out
 
 

@@ -13,6 +13,10 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   divided-difference limit);
 * the metric tangent's cross-check route (the oplus-order assembly that
   verify runs) on the same states;
+* one spectral group: Lambda1, Lambda2 and theta of spectral, read by
+  name, on the same states and on seeded indefinite and coincident
+  tensors (signed zeros included), so the one eigen head that spectral
+  and the log kernel share is guarded bit by bit;
 * three invariants groups: invariants_C, approx_log_invariants and, with a
   seeded curvature tensor, invariants_C_kappa on the same states
   (invariants_C); invariants_log_exact on the same states
@@ -57,6 +61,7 @@ N_STATES = 2000
 SEED = 20240
 NEAR_ISOTROPIC_EVERY = 8
 N_BENDING = 100  # points per surface kind, and metric triples
+N_SPECTRAL = 100  # indefinite tensors, and coincident eigenvalues
 VERIFY_SEEDS = range(8)
 VERIFY_SAMPLES = 5
 
@@ -116,6 +121,21 @@ def _states(rng):
     return out
 
 
+def _spectral_extras(rng):
+    """Seeded indefinite tensors, then coincident ones (c12 = +-0.0) of
+    either sign, and the zero tensor."""
+    out = []
+    for _ in range(N_SPECTRAL):
+        e1, e2 = rng.uniform(0.1, 1.6), -rng.uniform(0.1, 1.6)
+        phi = rng.uniform(0.0, math.pi)
+        c, s = math.cos(phi), math.sin(phi)
+        out.append((e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
+                    (e1 - e2) * s * c))
+    for e in rng.uniform(-1.6, 1.6, N_SPECTRAL).tolist():
+        out += [(e, e, 0.0), (e, e, -0.0)]
+    return out + [(0.0, 0.0, 0.0), (0.0, 0.0, -0.0)]
+
+
 def dump(tree: Path, out: Path) -> None:
     """Write every output group of the gmem under tree/src to out (.npz)."""
     import gmem
@@ -124,7 +144,7 @@ def dump(tree: Path, out: Path) -> None:
     from gmem import lattice as la
     from gmem import membrane_material as mm
     from gmem import scenarios as sc
-    from gmem.surface_tensors import SurfTensor2
+    from gmem.surface_tensors import SurfTensor2, spectral
 
     if Path(gmem.__file__).resolve().parent != (tree / "src" / "gmem").resolve():
         raise SystemExit(f"imported gmem from {gmem.__file__}, not {tree}")
@@ -135,6 +155,10 @@ def dump(tree: Path, out: Path) -> None:
 
     def add(name, values):
         groups.setdefault(name, []).append(np.asarray(values, dtype=float).ravel())
+
+    def add_spectral(c):
+        sd = spectral(c)
+        add("spectral", [sd.Lambda1, sd.Lambda2, sd.theta])
 
     kappa_rng = np.random.default_rng(SEED + 1)
     for triple, theta, pname in _states(np.random.default_rng(SEED)):
@@ -151,6 +175,7 @@ def dump(tree: Path, out: Path) -> None:
             add(f"stress_tangent_{model}",
                 np.concatenate([wl.stress_row(r), t.comp.ravel()]))
         add("tangent_metric_oplus", mm.tangent_metric_oplus(c, fr, p).comp)
+        add_spectral(c)
         inv = iv.invariants_C(c, fr)
         kappa = SurfTensor2(*kappa_rng.uniform(-1.0, 1.0, 3))
         add("invariants_C", inv)
@@ -158,6 +183,8 @@ def dump(tree: Path, out: Path) -> None:
         add("invariants_C",
             dataclasses.astuple(iv.invariants_C_kappa(c, kappa, fr)))
         add("invariants_log_exact", iv.invariants_log_exact(c, fr))
+    for triple in _spectral_extras(np.random.default_rng(SEED + 2)):
+        add_spectral(SurfTensor2(*triple))
     scan = sc.invariant_approximation_errors(np.linspace(*wl.SCAN_RATIOS))
     add("invariant_scan", [scan["f1_vs_J2E"], scan["f2_vs_J3E"]])
 
