@@ -16,6 +16,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import surface_tensors as _st
+
 _new = tuple.__new__  # a record from a tuple holding every field
 
 
@@ -184,14 +186,6 @@ def reparametrized(surface: AnalyticSurface, scale_u: float,
     )
 
 
-def _require_positive_definite(m, what):
-    """ValueError unless the 2x2 matrix m, given as nested lists, has
-    det > 0 and m00 > 0."""
-    (m00, m01), (m10, m11) = m
-    if not (m00 * m11 - m01 * m10 > 0.0 and m00 > 0.0):
-        raise ValueError(f"{what} must be positive definite")
-
-
 def evaluate_geometry(surface: AnalyticSurface, xi,
                       reference: Optional[AnalyticSurface] = None
                       ) -> SurfacePointGeometry:
@@ -201,7 +195,8 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
     reference surface is evaluated at the same xi and J is the area stretch
     between the two parametrizations. The metric record comes from
     geometry_from_metrics; the embedding supplies the tangent vectors, the
-    normal and the Christoffel symbols.
+    normal and the Christoffel symbols. Raises NotPositiveDefiniteError
+    for a bad metric: `<surface>: metric at (u, v)` or `reference metric`.
     """
     u, v = float(xi[0]), float(xi[1])
     if surface.singular is not None and surface.singular(u, v):
@@ -210,13 +205,15 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
     a_alpha = np.asarray(surface.jacobian(u, v), dtype=float)
     second = np.asarray(surface.hessian(u, v), dtype=float)
     a_cov = a_alpha @ a_alpha.T
-    _require_positive_definite(a_cov.tolist(),
-                               f"{surface.name}: metric at ({u}, {v})")
+    (a00, a01), (a10, a11) = a_cov.tolist()
+    deta = a00 * a11 - a01 * a10
+    if not (0.0 < deta < math.inf and a00 > 0.0):
+        raise _st._not_positive_definite(
+            deta, a00 + a11, f"{surface.name}: metric at ({u}, {v})")
     A_alpha, A_cov = a_alpha, a_cov
     if reference is not None:
         A_alpha = np.asarray(reference.jacobian(u, v), dtype=float)
         A_cov = A_alpha @ A_alpha.T
-        _require_positive_definite(A_cov.tolist(), "reference metric")
     cr = np.cross(a_alpha[0], a_alpha[1])
     n = cr / np.linalg.norm(cr)
     g = geometry_from_metrics(A_cov, a_cov, np.einsum("abk,k->ab", second, n))
@@ -233,7 +230,8 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     is zero. Determinants, inverses, Cholesky rows, J, the curvature scalars
     and b^ab = a^-1 b a^-1 (upper triangle mirrored) are closed-form 2x2
     arithmetic on plain floats, written into one array that the tangent
-    vectors and contravariant fields view.
+    vectors and contravariant fields view. Raises NotPositiveDefiniteError
+    for a bad A_cov (`reference metric`) or a_cov (`metric`).
     """
     A_cov = np.asarray(A_cov, dtype=float)
     a_cov = np.asarray(a_cov, dtype=float)
@@ -242,11 +240,11 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     (a00, a01), (a10, a11) = a_cov.tolist()
     (b00, b01), (b10, b11) = b_cov.tolist()
     detA = A00 * A11 - A01 * A10
-    if not (detA > 0.0 and A00 > 0.0):
-        raise ValueError("metric must be positive definite")
+    if not (0.0 < detA < math.inf and A00 > 0.0):
+        raise _st._not_positive_definite(detA, A00 + A11, "reference metric")
     deta = a00 * a11 - a01 * a10
-    if not (deta > 0.0 and a00 > 0.0):
-        raise ValueError("metric must be positive definite")
+    if not (0.0 < deta < math.inf and a00 > 0.0):
+        raise _st._not_positive_definite(deta, a00 + a11, "metric")
     i00, i01, i10, i11 = a11 / deta, -a01 / deta, -a10 / deta, a00 / deta
     H = 0.5 * (i00 * b00 + i01 * b01 + i10 * b10 + i11 * b11)
     kappa = (b00 * b11 - b01 * b10) / deta

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice import LatticeFrame, structural_contraction
-from .surface_tensors import NotPositiveDefiniteError, SurfTensor2, spectral
+from . import surface_tensors as _st
+from .surface_tensors import SurfTensor2, spectral
 
 
 class InvariantState(NamedTuple):
@@ -76,13 +77,6 @@ class CurvatureInvariants:
     J9: float
 
 
-def _not_positive_definite(c11, c22, c12) -> NotPositiveDefiniteError:
-    """The one rejection of a C that is not positive definite, for every
-    path that takes C: it names det C and tr C."""
-    return NotPositiveDefiniteError(f"C is not positive definite: "
-                                    f"det={c11 * c22 - c12 * c12}, tr={c11 + c22}")
-
-
 def _c_scalars(c11, c22, c12, m11, m12, n11, n12):
     """The one evaluation of the C invariants on plain floats, shared by
     invariants_C and the metric kernel: (det C, J1 = sqrt(det C), the
@@ -91,8 +85,8 @@ def _c_scalars(c11, c22, c12, m11, m12, n11, n12):
     p11 is formed as (c11 - c22) / (2 J1), which keeps its relative
     precision near isotropy, where c11/J1 - tr(C/J1)/2 would cancel."""
     det = c11 * c22 - c12 * c12
-    if not (det > 0.0 and c11 + c22 > 0.0):
-        raise _not_positive_definite(c11, c22, c12)
+    if not (0.0 < det < math.inf and c11 > 0.0):
+        raise _st._not_positive_definite(det, c11 + c22)
     J = math.sqrt(det)
     p11 = 0.5 * (c11 - c22) / J
     p12 = c12 / J
@@ -140,11 +134,12 @@ def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantSta
     J1E = ln(l1 l2), J2E = (ln sqrt(l1/l2))^2, and
     J3E = (ln sqrt(l1/l2))^3 cos 6 dtheta.
     """
+    det = c.det()
     sd = spectral(c)
-    if not sd.Lambda2 > 0.0:
-        raise _not_positive_definite(*c)
+    if not (0.0 < det < math.inf and c.c11 > 0.0 and sd.Lambda2 > 0.0):
+        raise _st._not_positive_definite(det, c.trace())
     m, n = frame.m_hat, frame.n_hat
-    J1E, _ed, _ct, _st, _e11, _e12, _mE, _nE, J2E, J3E = _log_scalars(
+    J1E, _ed, _ct, _sn, _e11, _e12, _mE, _nE, J2E, J3E = _log_scalars(
         sd.Lambda1, sd.Lambda2, sd.theta, m.c11, m.c12, n.c11, n.c12)
     return tuple.__new__(LogInvariantState, (J1E, J2E, J3E))
 

@@ -333,9 +333,10 @@ def _log_core(cc, p: MaterialParams, order: int):
     symmetric.
     """
     c11, c22, c12, m11, m12, n11, n12 = cc
+    det = c11 * c22 - c12 * c12
     mean, disc, L1, L2, th = _st._eigen_head(c11, c22, c12)
-    if not L2 > 0.0:
-        raise _inv._not_positive_definite(c11, c22, c12)
+    if not (0.0 < det < math.inf and c11 > 0.0 and L2 > 0.0):
+        raise _st._not_positive_definite(det, c11 + c22)
     J1E, ed, ct, st, ed11, ed12, mE, nE, J2E, J3E = _inv._log_scalars(
         L1, L2, th, m11, m12, n11, n12)
     eb = math.exp(p.beta_hat * J1E)

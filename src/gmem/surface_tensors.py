@@ -15,8 +15,14 @@ _new = tuple.__new__  # a record from a tuple holding every field
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when C is not positive definite: the metric paths require
-    det C > 0 and tr C > 0, the log paths the computed eigenvalue L2 > 0."""
+    """C or a metric fails the one rule, 0 < det < inf and first diagonal
+    entry > 0, or on the log paths the guard L2 > 0 on C's eigenvalues."""
+
+
+def _not_positive_definite(det, tr, what="C") -> NotPositiveDefiniteError:
+    """The one rejection text of every positive-definiteness check."""
+    return NotPositiveDefiniteError(
+        f"{what} is not positive definite: det={det}, tr={tr}")
 
 
 class SurfTensor2(NamedTuple):
@@ -79,9 +85,8 @@ def sqrt_spd(t: SurfTensor2) -> SurfTensor2:
     c11, c22, c12 = t.c11, t.c22, t.c12
     det = c11 * c22 - c12 * c12
     tr = c11 + c22
-    if not (det > 0.0 and tr > 0.0):
-        raise NotPositiveDefiniteError(
-            f"tensor is not positive definite: det={det}, tr={tr}")
+    if not (0.0 < det < math.inf and c11 > 0.0):
+        raise _not_positive_definite(det, tr, "tensor")
     rd = math.sqrt(det)
     scale = 1.0 / math.sqrt(tr + 2.0 * rd)
     return _new(SurfTensor2, ((c11 + rd) * scale, (c22 + rd) * scale,

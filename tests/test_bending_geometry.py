@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmem import bending_geometry as bg
+from gmem.surface_tensors import NotPositiveDefiniteError
 
 CB = 0.238
 
@@ -36,11 +37,12 @@ def test_flat_patch_geometry():
 
 def test_flat_patch_degenerate_basis_rejected():
     bad = bg.flat_patch(e1=(1.0, 0.0, 0.0), e2=(2.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match=r"^flat-patch: metric at "
-                       r"\(0\.0, 0\.5\) must be positive definite$"):
+    with pytest.raises(NotPositiveDefiniteError, match=r"^flat-patch: metric "
+                       r"at \(0\.0, 0\.5\) is not positive definite: "
+                       r"det=0\.0, tr=5\.0$"):
         bg.evaluate_geometry(bad, (0.0, 0.5))
-    with pytest.raises(ValueError, match="^reference metric must be "
-                       "positive definite$"):
+    with pytest.raises(NotPositiveDefiniteError, match=r"^reference metric is "
+                       r"not positive definite: det=0\.0, tr=5\.0$"):
         bg.evaluate_geometry(bg.flat_patch(), (0.0, 0.5), reference=bad)
 
 
@@ -358,6 +360,20 @@ def test_non_positive_definite_metric_is_rejected(l1, l2, phi, as_reference,
     with pytest.raises(ValueError):
         bg.geometry_from_metrics(*((rank_one, A0, b) if as_reference
                                    else (A0, rank_one, b)))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
+@pytest.mark.parametrize("as_reference", [False, True])
+def test_infinite_metric_entry_is_rejected(entry, as_reference):
+    """An inf entry makes det non-finite, which fails the rule
+    0 < det < inf: the record is never built with J = inf or J = 0."""
+    bad = A0.copy()
+    bad[entry] = math.inf
+    args = (bad, A0, b0) if as_reference else (A0, bad, b0)
+    what = "reference metric" if as_reference else "metric"
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=f"^{what} is not positive definite: det="):
+        bg.geometry_from_metrics(*args)
 
 
 # The forms that geometry_from_metrics, bending_stress_moment and

@@ -118,17 +118,22 @@ def test_not_positive_definite_rejected():
 
 
 @pytest.mark.parametrize("comps", [(1.0, 1.0, 1.0), (-1.0, -1.0, 0.0),
-                                   (math.nan, 1.0, 0.0), (1.0, 1.0, math.nan)])
+                                   (math.nan, 1.0, 0.0), (1.0, 1.0, math.nan),
+                                   (math.inf, 1.0, 0.0),
+                                   (math.inf, math.inf, 0.0),
+                                   (1e200, 1e200, 0.0)])
 def test_one_message_for_a_non_positive_definite_C(comps):
     """Every invariants and model call that takes C rejects it with one
     text: the metric and log calls and the cross-check route included.
-    A NaN component is rejected too, never passed through as a NaN."""
+    A NaN or infinite component, or a det C that overflows, is rejected
+    too, never passed through as a NaN, an inf or an OverflowError."""
     c, fr = SurfTensor2(*comps), make_frame(0.3)
     calls = (lambda: invariants_C(c, fr),
              lambda: invariants_log_exact(c, fr),
              lambda: mm.energy_metric(c, fr, mm.GGA),
              lambda: mm.stress_metric(c, fr, mm.GGA),
              lambda: mm.tangent_metric(c, fr, mm.GGA),
+             lambda: mm.stress_tangent_metric(c, fr, mm.GGA),
              lambda: mm.tangent_metric_oplus(c, fr, mm.GGA),
              lambda: mm.energy_log(c, fr, mm.GGA),
              lambda: mm.stress_log(c, fr, mm.GGA),
@@ -147,10 +152,10 @@ def test_one_message_for_a_non_positive_definite_C(comps):
 @pytest.mark.parametrize("comps", [(1.0, 1e-17, 0.0), (math.inf, 1.0, 0.0),
                                    (math.inf, math.inf, 0.0)])
 def test_log_paths_reject_a_C_without_a_positive_smaller_eigenvalue(comps):
-    """det C > 0 and tr C > 0 hold for each of these, but the smaller
-    eigenvalue mean - disc rounds to 0 (diag(1, 1e-17)) or is NaN (an
-    infinite component): every log path rejects C with the one text,
-    none with a bare math domain error or a NaN result."""
+    """diag(1, 1e-17) passes the determinant rule, but its smaller
+    eigenvalue mean - disc rounds to 0; an infinite component fails the
+    rule (det C = inf). Every log path rejects C with the one text, none
+    with a bare math domain error or a NaN result."""
     c, fr = SurfTensor2(*comps), make_frame(0.3)
     calls = (lambda: invariants_log_exact(c, fr),
              lambda: mm.energy_log(c, fr, mm.GGA),
@@ -168,7 +173,7 @@ def test_log_paths_reject_a_C_without_a_positive_smaller_eigenvalue(comps):
 
 
 def test_metric_paths_accept_an_ill_conditioned_C():
-    """diag(1, 1e-17) passes the metric rule det C > 0 and tr C > 0."""
+    """diag(1, 1e-17) passes the rule 0 < det C < inf and c11 > 0."""
     c, fr = SurfTensor2(1.0, 1e-17, 0.0), make_frame(0.3)
     assert invariants_C(c, fr).J1 == math.sqrt(1e-17)
     assert math.isfinite(mm.energy_metric(c, fr, mm.GGA))

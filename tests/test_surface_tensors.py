@@ -69,6 +69,19 @@ def test_sqrt_spd_diagonal_and_square():
         sqrt_spd(SurfTensor2(1.0, -1.0, 0.0))
 
 
+@pytest.mark.parametrize("comps", [(math.inf, 1.0, 0.0),
+                                   (math.inf, math.inf, 0.0),
+                                   (1e200, 1e200, 0.0)])
+def test_sqrt_spd_rejects_infinite_and_overflowing_input(comps):
+    """An infinite component or a determinant that overflows fails the
+    rule 0 < det < inf; sqrt_spd raises instead of returning NaN."""
+    c11, c22, c12 = comps
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        sqrt_spd(SurfTensor2(*comps))
+    assert str(err.value) == (f"tensor is not positive definite: "
+                              f"det={c11 * c22 - c12 * c12}, tr={c11 + c22}")
+
+
 def test_product_component_conventions():
     a = SurfTensor2(2.0, 3.0, 0.0)
     b = SurfTensor2(5.0, 7.0, 0.0)
