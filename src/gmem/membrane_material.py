@@ -72,12 +72,6 @@ class StressResult(NamedTuple):
     W: float
 
 
-def _unpack(c: SurfTensor2, frame: LatticeFrame):
-    m = frame.m_hat
-    return (c.c11, c.c22, c.c12, m.c11, m.c12,
-            frame.n_hat.c11, frame.n_hat.c12)
-
-
 def _h_coefficients(J, det, J2, J3, p: MaterialParams, order: int):
     """Energy W, coefficients (H1, H2, H3), and for order >= 2 the partials
     dHi/dJj the tangent reads, (H11, H12, H13, H22, H23), all analytic."""
@@ -129,23 +123,27 @@ def _tangent_scalars(J, J2, J3, H3, dH):
             2.0 * H12 / J, 0.25 * H13 / J, 0.25 * H23 * J2i, 3.0 * H3 * J2i)
 
 
-def _metric_core(cc, p: MaterialParams, order: int):
-    """Closed-form evaluation of the metric model for raw components.
+def _metric_core(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
+                 order: int):
+    """Closed-form evaluation of the metric model.
 
-    Returns (W, S pair triple or None, tangent 3x3 pair matrix or None);
-    order 0 gives the energy, 1 adds the stress, 2 the tangent. The pair
-    matrix is the sum of outer products left[a] * right[b] of the pair
-    vectors ci = C^-1, cp, zz, m, n with pre-combined partners, plus
-    -H1 (C^-1 [x] C^-1 + C^-1 (+) C^-1) and (H2/J^2)(I [x] I + I (+) I -
-    I (x) I). Only the six upper entries are formed; the lower three mirror
-    them, so the matrix is exactly symmetric.
+    Returns (W, S pair triple or None, tangent 3x3 pair matrix or None,
+    J = sqrt(det C) or None); order 0 gives the energy, 1 adds the stress
+    and J, 2 the tangent. The pair matrix is the sum of outer products
+    left[a] * right[b] of the pair vectors ci = C^-1, cp, zz, m, n with
+    pre-combined partners, plus -H1 (C^-1 [x] C^-1 + C^-1 (+) C^-1) and
+    (H2/J^2)(I [x] I + I (+) I - I (x) I). Only the six upper entries are
+    formed; the lower three mirror them, so the matrix is exactly symmetric.
     """
-    det, J, p11, p12, J2, mC, nC, J3 = _inv._c_scalars(*cc)
+    c11, c22, c12 = c
+    m, n = frame.m_hat, frame.n_hat
+    m11, m12, n11, n12 = m.c11, m.c12, n.c11, n.c12
+    det, J, p11, p12, J2, mC, nC, J3 = _inv._c_scalars(
+        c11, c22, c12, m11, m12, n11, n12)
     W, H, dH = _h_coefficients(J, det, J2, J3, p, order)
     if order == 0:
-        return W, None, None
+        return W, None, None, None
     H1, H2, H3 = H
-    c11, c22, c12, m11, m12, n11, n12 = cc
     i11, i22, i12 = c22 / det, c11 / det, -c12 / det
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC
@@ -157,7 +155,7 @@ def _metric_core(cc, p: MaterialParams, order: int):
     s22 = H1 * i22 - qh * p11 - rh * z11
     s12 = H1 * i12 + qh * p12 + rh * z12
     if order == 1:
-        return W, (s11, s22, s12), None
+        return W, (s11, s22, s12), None, J
 
     J2i, g_cc, g_pp, g_cp, g_cz, g_pz, g_k = _tangent_scalars(
         J, J2, J3, H3, dH)
@@ -193,16 +191,15 @@ def _metric_core(cc, p: MaterialParams, order: int):
     g22 = (i12 * a2 + p12 * b2 + z12 * z2 + m12 * mb2 + n12 * nb2
            + g_inv * (i11 * i22 + i12 * i12) + g_iso)
     g = ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))
-    return W, (s11, s22, s12), g
+    return W, (s11, s22, s12), g, J
 
 
 def energy_metric(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams) -> float:
-    W, _s, _g = _metric_core(_unpack(c, frame), p, order=0)
-    return W
+    return _metric_core(c, frame, p, 0)[0]
 
 
-def _package_stress(c: SurfTensor2, W, s_pair) -> StressResult:
-    """S, tau = U S U and sigma = tau / J, with U = sqrt(C)."""
+def _package_stress(c: SurfTensor2, W, s_pair, J) -> StressResult:
+    """S, tau = U S U and sigma = tau / J; U = sqrt(C), J = sqrt(det C)."""
     u11, u22, u12 = sqrt_spd(c)
     s11, s22, s12 = s_pair
     a11 = u11 * s11 + u12 * s12
@@ -212,8 +209,7 @@ def _package_stress(c: SurfTensor2, W, s_pair) -> StressResult:
     t11 = a11 * u11 + a12 * u12
     t22 = a21 * u12 + a22 * u22
     t12 = a11 * u12 + a12 * u22
-    c11, c22, c12 = c
-    r = 1.0 / math.sqrt(c11 * c22 - c12 * c12)
+    r = 1.0 / J
     return _new(StressResult, (_new(SurfTensor2, s_pair),
                                _new(SurfTensor2, (t11, t22, t12)),
                                _new(SurfTensor2, (r * t11, r * t22, r * t12)),
@@ -222,34 +218,35 @@ def _package_stress(c: SurfTensor2, W, s_pair) -> StressResult:
 
 def stress_metric(c: SurfTensor2, frame: LatticeFrame,
                   p: MaterialParams) -> StressResult:
-    W, s_pair, _g = _metric_core(_unpack(c, frame), p, order=1)
-    return _package_stress(c, W, s_pair)
+    W, s_pair, _g, J = _metric_core(c, frame, p, 1)
+    return _package_stress(c, W, s_pair, J)
 
 
 def tangent_metric(c: SurfTensor2, frame: LatticeFrame,
                    p: MaterialParams) -> Tangent4:
     """Analytic elasticity tensor 2 dS/dC of the metric model."""
-    _w, _s, g = _metric_core(_unpack(c, frame), p, order=2)
-    return tangent_from_pairs(g)
+    return tangent_from_pairs(_metric_core(c, frame, p, 2)[2])
 
 
 def stress_tangent_metric(c: SurfTensor2, frame: LatticeFrame,
                           p: MaterialParams):
     """One-pass (StressResult, Tangent4) evaluation."""
-    W, s_pair, g = _metric_core(_unpack(c, frame), p, order=2)
-    return _package_stress(c, W, s_pair), tangent_from_pairs(g)
+    W, s_pair, g, J = _metric_core(c, frame, p, 2)
+    return _package_stress(c, W, s_pair, J), tangent_from_pairs(g)
 
 
 def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
     """The tangent as a list of (coefficient, A, B, product-kind) terms with
     kind in {"ot", "op", "bt"} for (x), (+) and [x]: the term list that
     tangent_metric_oplus assembles in the alternative component order."""
-    cc = _unpack(c, frame)
-    det, J, p11, p12, J2, mC, nC, J3 = _inv._c_scalars(*cc)
+    c11, c22, c12 = c
+    mv, nv = frame.m_hat, frame.n_hat
+    m11, m12, n11, n12 = mv.c11, mv.c12, nv.c11, nv.c12
+    det, J, p11, p12, J2, mC, nC, J3 = _inv._c_scalars(
+        c11, c22, c12, m11, m12, n11, n12)
     _w, (H1, H2, H3), dH = _h_coefficients(J, det, J2, J3, p, order=2)
     J2i, g_cc, g_pp, g_cp, g_cz, g_pz, g_k = _tangent_scalars(
         J, J2, J3, H3, dH)
-    c11, c22, c12, m11, m12, n11, n12 = cc
     i11, i22, i12 = c22 / det, c11 / det, -c12 / det
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC
@@ -257,8 +254,6 @@ def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
     cp = _new(SurfTensor2, (p11, -p11, p12))
     zz = _new(SurfTensor2, (aM * m11 + aN * n11, -(aM * m11 + aN * n11),
                             aM * m12 + aN * n12))
-    mv = frame.m_hat
-    nv = frame.n_hat
     ident = _new(SurfTensor2, (1.0, 1.0, 0.0))
     terms = [
         (g_cc, ci, ci, "ot"),
@@ -313,11 +308,12 @@ def _ln_divided2(mean, u):
     return q * (1.0 / (1.0 + u) - a), q * (a - 1.0 / (1.0 - u))
 
 
-def _log_core(cc, p: MaterialParams, order: int):
+def _log_core(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
+              order: int):
     """Spectral evaluation of the logarithmic-strain model.
 
-    Returns (W, S pair triple or None, tangent 3x3 pair matrix or None),
-    the contract of _metric_core. The stress is the energy gradient mapped
+    Returns (W, S pair triple or None, tangent 3x3 pair matrix or None,
+    J = sqrt(det C) or None), the contract of _metric_core. The stress is the energy gradient mapped
     through the derivative of (1/2) ln C: eigenvalue directions scale by
     1/Lambda_a, the mixed direction by the divided difference of ln, which
     switches to its analytic limit at near-coincident eigenvalues.
@@ -332,7 +328,9 @@ def _log_core(cc, p: MaterialParams, order: int):
     coefficients; only its six upper entries are formed, so it is exactly
     symmetric.
     """
-    c11, c22, c12, m11, m12, n11, n12 = cc
+    c11, c22, c12 = c
+    m, n = frame.m_hat, frame.n_hat
+    m11, m12, n11, n12 = m.c11, m.c12, n.c11, n.c12
     det = c11 * c22 - c12 * c12
     mean, disc, L1, L2, th = _st._eigen_head(c11, c22, c12)
     if not (0.0 < det < math.inf and c11 > 0.0 and L2 > 0.0):
@@ -346,7 +344,7 @@ def _log_core(cc, p: MaterialParams, order: int):
     W = (p.epsilon * (1.0 - (1.0 + p.alpha_hat * J1E) * ea)
          + 2.0 * mu * J2E + eta * J3E)
     if order == 0:
-        return W, None, None
+        return W, None, None, None
 
     dW1 = (p.epsilon * p.alpha_hat * p.alpha_hat * J1E * ea
            - 2.0 * p.mu1 * p.beta_hat * eb * J2E - 2.0 * p.eta1 * J1E * J3E)
@@ -376,7 +374,7 @@ def _log_core(cc, p: MaterialParams, order: int):
     s22 = ss_ * sp11 + 2.0 * cs_ * sp12 + cc_ * sp22
     s12 = cs_ * (sp11 - sp22) + (cc_ - ss_) * sp12
     if order == 1:
-        return W, (s11, s22, s12), None
+        return W, (s11, s22, s12), None, math.sqrt(det)
 
     # tangent in the eigenframe: first and second divided differences of ln
     c2_ = cc_ - ss_
@@ -431,55 +429,54 @@ def _log_core(cc, p: MaterialParams, order: int):
     g12 = ss_ * z0 + cc_ * z1 + s2t * z2
     g22 = cs_ * (z0 - z1) + c2_ * z2
     g = ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))
-    return W, (s11, s22, s12), g
+    return W, (s11, s22, s12), g, math.sqrt(det)
 
 
 LOG_TANGENT_STEP = 1e-5
 
 
-def _log_core_fd(cc, p: MaterialParams, order: int):
-    """_log_core with the tangent taken as the central difference of its
-    stress at relative step LOG_TANGENT_STEP: the differenced route that
-    benchmark_models times against the metric model."""
-    W, s, _g = _log_core(cc, p, order=min(order, 1))
+def _log_core_fd(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
+                 order: int):
+    """_log_core with the tangent the central difference of its stress in
+    C's components at relative step LOG_TANGENT_STEP: the differenced route
+    that benchmark_models times against the metric model."""
+    W, s, _g, J = _log_core(c, frame, p, min(order, 1))
     if order < 2:
-        return W, s, None
+        return W, s, None, J
     g = [[0.0, 0.0, 0.0] for _ in range(3)]
     for j in range(3):
-        h = LOG_TANGENT_STEP * max(abs(cc[j]), 1.0)
-        up = list(cc)
-        dn = list(cc)
+        h = LOG_TANGENT_STEP * max(abs(c[j]), 1.0)
+        up = list(c)
+        dn = list(c)
         up[j] += h
         dn[j] -= h
-        su = _log_core(tuple(up), p, order=1)[1]
-        sd = _log_core(tuple(dn), p, order=1)[1]
+        su = _log_core(_new(SurfTensor2, up), frame, p, 1)[1]
+        sd = _log_core(_new(SurfTensor2, dn), frame, p, 1)[1]
         w = 0.5 if j == 2 else 1.0
         for a in range(3):
             g[a][j] = 2.0 * w * (su[a] - sd[a]) / (2.0 * h)
-    return W, s, g
+    return W, s, g, J
 
 
 def energy_log(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams) -> float:
-    W, _s, _g = _log_core(_unpack(c, frame), p, order=0)
-    return W
+    return _log_core(c, frame, p, 0)[0]
 
 
 def stress_log(c: SurfTensor2, frame: LatticeFrame,
                p: MaterialParams) -> StressResult:
-    W, s_pair, _g = _log_core(_unpack(c, frame), p, order=1)
-    return _package_stress(c, W, s_pair)
+    W, s_pair, _g, J = _log_core(c, frame, p, 1)
+    return _package_stress(c, W, s_pair, J)
 
 
 def tangent_log(c: SurfTensor2, frame: LatticeFrame,
                 p: MaterialParams) -> Tangent4:
     """Closed-form elasticity tensor 2 dS/dC of the log model."""
-    _w, _s, g = _log_core(_unpack(c, frame), p, order=2)
-    return tangent_from_pairs(g)
+    return tangent_from_pairs(_log_core(c, frame, p, 2)[2])
 
 
 def stress_tangent_log(c: SurfTensor2, frame: LatticeFrame,
                        p: MaterialParams):
     """One-pass (StressResult, Tangent4) evaluation."""
-    W, s_pair, g = _log_core(_unpack(c, frame), p, order=2)
-    return _package_stress(c, W, s_pair), tangent_from_pairs(g)
+    W, s_pair, g, J = _log_core(c, frame, p, 2)
+    return _package_stress(c, W, s_pair, J), tangent_from_pairs(g)
 

@@ -154,4 +154,5 @@ def tangent_from_pairs(pairs) -> Tangent4:
             raise ValueError
     except (TypeError, ValueError):
         raise ValueError(f"pair matrix must be 3x3, got {pairs!r}") from None
-    return _new(Tangent4, (comp.reshape(2, 2, 2, 2),))
+    comp.shape = (2, 2, 2, 2)  # in place: comp owns its data, no view
+    return _new(Tangent4, (comp,))

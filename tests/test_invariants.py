@@ -195,12 +195,14 @@ def test_contraction_and_eigen_routes_agree(l1, l2, phi, thL):
 @settings(deadline=None)
 @given(EIG, EIG, NEAR_ISOTROPIC, st.booleans(), ANGLE, ANGLE)
 def test_kernel_scalars_match_invariants_C(l1, l2, d, near, phi, thL):
-    """The scalars the metric kernel takes from _c_scalars on its
-    unpacked components equal invariants_C bitwise, signed zeros
-    included, on generic and near-isotropic states."""
+    """The scalars the metric kernel takes from _c_scalars on the
+    components of C and the frame equal invariants_C bitwise, signed
+    zeros included, on generic and near-isotropic states."""
     c = spd(l1, l1 * (1.0 + d) if near else l2, phi)
     fr = make_frame(thL)
-    _det, J, _p11, _p12, J2, mC, nC, J3 = iv._c_scalars(*mm._unpack(c, fr))
+    m, n = fr.m_hat, fr.n_hat
+    _det, J, _p11, _p12, J2, mC, nC, J3 = iv._c_scalars(
+        *c, m.c11, m.c12, n.c11, n.c12)
     a = invariants_C(c, fr)
     assert [x.hex() for x in (J, J2, J3, mC, nC)] == [x.hex() for x in a]
 

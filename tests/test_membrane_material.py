@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmem import invariants as iv
@@ -187,7 +187,7 @@ params = st.sampled_from([mm.GGA, mm.LDA])
 def test_pair_assembly_matches_cross_check_routes(l1, sp, phi, theta, p):
     c = c_from_stretches(l1, l1 * (1.0 + sp), phi)
     fr = make_frame(theta)
-    _w, _s, g = mm._metric_core(mm._unpack(c, fr), p, order=2)
+    _w, _s, g, _j = mm._metric_core(c, fr, p, 2)
     assert all(g[a][b] == g[b][a] for a in range(3) for b in range(3))
     fast = mm.tangent_metric(c, fr, p).comp
     assert np.array_equal(fast, fast.transpose(2, 3, 0, 1))
@@ -260,8 +260,16 @@ def test_oplus_route_takes_the_pinned_product_mix():
                       "tensor_product": 2}
 
 
+# the log tangent's divided differences also switch to a series, at
+# (L1 - L2)/(L1 + L2) = 1e-3, so splits around it are drawn as well
+log_split = st.one_of(split, st.floats(-1e-3, 1e-3))
+
+
 @settings(deadline=None, max_examples=60)
-@given(stretch, split, angle, angle, params)
+@given(stretch, log_split, angle, angle, params)
+@example(1.1, 0.2, 0.4, 0.3, mm.GGA)  # generic
+@example(1.1, 5e-10, 0.4, 0.3, mm.LDA)  # near-isotropic
+@example(1.1, 5e-4, 0.4, 0.3, mm.GGA)  # in the log series band
 def test_one_pass_stress_and_push_forwards_are_exact(l1, sp, phi, theta, p):
     c = c_from_stretches(l1, l1 * (1.0 + sp), phi)
     fr = make_frame(theta)
@@ -275,24 +283,21 @@ def test_one_pass_stress_and_push_forwards_are_exact(l1, sp, phi, theta, p):
     assert mm.stress_tangent_log(c, fr, p)[0] == r_l
     for r in (r_m, r_l):
         assert r.sigma == r.tau.scaled(1.0 / math.sqrt(c.det()))
-    # both cores share one (cc, p, order) -> (W, S, G) contract: None below
-    # the requested order, W and S bitwise equal across the orders, and the
+    # both cores share one (c, frame, p, order) -> (W, S, G, J) contract:
+    # None below the requested order, W and S bitwise equal across the
+    # orders, J = sqrt(det C) bitwise from order 1 (sigma's 1/J), and the
     # one-pass tangent is the tangent-only one
-    cc = mm._unpack(c, fr)
     for model, core in (("metric", mm._metric_core), ("log", mm._log_core)):
-        out = [core(cc, p, order=k) for k in (0, 1, 2)]
-        assert all(len(o) == 3 for o in out)
-        assert out[0][1:] == (None, None) and out[1][2] is None
+        out = [core(c, fr, p, k) for k in (0, 1, 2)]
+        assert all(len(o) == 4 for o in out)
+        assert out[0][1:] == (None, None, None) and out[1][2] is None
         assert out[0][0] == out[1][0] == out[2][0]
         assert out[1][1] == out[2][1]
+        assert (out[1][3].hex() == out[2][3].hex()
+                == math.sqrt(c.det()).hex())
         assert np.array_equal(
             getattr(mm, f"stress_tangent_{model}")(c, fr, p)[1].comp,
             getattr(mm, f"tangent_{model}")(c, fr, p).comp)
-
-
-# the log tangent's divided differences also switch to a series, at
-# (L1 - L2)/(L1 + L2) = 1e-3, so splits around it are drawn as well
-log_split = st.one_of(split, st.floats(-1e-3, 1e-3))
 
 
 @settings(deadline=None, max_examples=200)
@@ -301,7 +306,7 @@ def test_log_tangent_is_exactly_symmetric_and_matches_differences(
         l1, sp, phi, theta, p):
     c = c_from_stretches(l1, l1 * (1.0 + sp), phi)
     fr = make_frame(theta)
-    _w, _s, g = mm._log_core(mm._unpack(c, fr), p, order=2)
+    _w, _s, g, _j = mm._log_core(c, fr, p, 2)
     assert all(g[a][b] == g[b][a] for a in range(3) for b in range(3))
     t = mm.tangent_log(c, fr, p).comp
     assert np.array_equal(t, t.transpose(2, 3, 0, 1))
@@ -349,14 +354,13 @@ def test_ln_divided_difference_branches_agree_at_the_switch(mean):
 
 
 def test_differenced_log_route_keeps_the_contract():
-    cc = mm._unpack(C0, FRAME)
     for order in (0, 1, 2):
-        fd = mm._log_core_fd(cc, mm.GGA, order)
-        an = mm._log_core(cc, mm.GGA, order)
-        assert fd[:2] == an[:2]
+        fd = mm._log_core_fd(C0, FRAME, mm.GGA, order)
+        an = mm._log_core(C0, FRAME, mm.GGA, order)
+        assert fd[:2] == an[:2] and fd[3] == an[3]
         assert (fd[2] is None) == (order < 2)
-    g_fd = np.array(mm._log_core_fd(cc, mm.GGA, 2)[2])
-    g = np.array(mm._log_core(cc, mm.GGA, 2)[2])
+    g_fd = np.array(mm._log_core_fd(C0, FRAME, mm.GGA, 2)[2])
+    g = np.array(mm._log_core(C0, FRAME, mm.GGA, 2)[2])
     assert np.max(np.abs(g_fd - g)) <= 1e-8 * np.max(np.abs(g))
 
 
@@ -443,7 +447,7 @@ def test_order_two_partials_match_differences_of_the_coefficients():
                              rng.uniform(0.0, math.pi))
         fr = make_frame(rng.uniform(0.0, 2.0 * math.pi))
         _det, j, _p11, _p12, J2, _mC, _nC, J3 = iv._c_scalars(
-            *mm._unpack(c, fr))
+            *c, fr.m_hat.c11, fr.m_hat.c12, fr.n_hat.c11, fr.n_hat.c12)
         x = (j, J2, J3)
         for p in (mm.GGA, mm.LDA):
             _w, _h, dH = mm._h_coefficients(j, j * j, J2, J3, p, order=2)
@@ -468,7 +472,8 @@ def test_coefficient_set_matches_stress_assembly():
     """S = H1 C^-1 + (H2/J) dev(C/J) + (H3/4J)(aM M + aN N), assembled from
     tensor algebra with the kernel's scalars and coefficients."""
     det, j, _p11, _p12, J2, mC, nC, J3 = iv._c_scalars(
-        *mm._unpack(C0, FRAME))
+        *C0, FRAME.m_hat.c11, FRAME.m_hat.c12, FRAME.n_hat.c11,
+        FRAME.n_hat.c12)
     _w, (H1, H2, H3), _dh = mm._h_coefficients(j, det, J2, J3, mm.GGA,
                                                  order=1)
     aM = 3.0 * (mC * mC - nC * nC)

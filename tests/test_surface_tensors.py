@@ -148,6 +148,18 @@ def test_tangent_from_pairs_matches_explicit_expansion():
             tangent_from_pairs(bad)
 
 
+def test_tangent_from_pairs_owns_its_components():
+    """The 16 components come back as a (2, 2, 2, 2) float64 array that
+    owns its data, not a view of a flat one."""
+    p = np.random.default_rng(5).normal(size=(3, 3))
+    t = tangent_from_pairs(p).comp
+    assert t.shape == (2, 2, 2, 2) and t.base is None
+    ints = tangent_from_pairs(np.arange(1, 10).reshape(3, 3)).comp
+    assert ints.dtype == np.float64 and ints.shape == (2, 2, 2, 2)
+    with pytest.raises(ValueError, match="3x3"):
+        tangent_from_pairs(np.zeros((2, 3)))
+
+
 def test_pair_products_match_explicit_expansion():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -3,10 +3,11 @@ verify workload makes per bending sample.
 
     PYTHONPATH=src python3 tools/call_split.py
 
-Each public membrane call is `_unpack`, then the model's core
-(`_metric_core` or `_log_core`) at the call's order, then the packaging:
-`_package_stress` for a stress, `tangent_from_pairs` for a tangent. The
-span tracer cannot show this split, because those functions are private.
+Each public membrane call is the model's core (`_metric_core` or
+`_log_core`) on (C, frame) at the call's order, then the packaging:
+`_package_stress`, given the core's W, S and J = sqrt(det C), for a
+stress, and `tangent_from_pairs` for a tangent. The span tracer cannot show
+the core and `_package_stress`, because they are private.
 
 On STATES point_stream-like states from seed SEED (stretches in
 [0.7, 1.6], one state in eight with its principal stretches within 1e-9
@@ -105,23 +106,21 @@ def bending_states(seed: int):
 
 def jobs(states, params):
     """(call, part, fn, argument tuples) for every figure of the split."""
-    ccs = [mm._unpack(c, f) for c, f in states]
     out = []
     for model in ("metric", "log"):
         core = getattr(mm, f"_{model}_core")
         for kind, order in CALLS:
             name = f"{kind}_{model}"
-            res = [core(cc, params, order) for cc in ccs]
-            out.append((name, "unpack", mm._unpack, states))
-            out.append((name, "core", core,
-                        [(cc, params, order) for cc in ccs]))
+            args = [(c, f, params, order) for c, f in states]
+            res = [core(*a) for a in args]
+            out.append((name, "core", core, args))
             if kind.startswith("stress"):
                 out.append((name, "package", mm._package_stress,
-                            [(c, w, s) for (c, _f), (w, s, _g)
+                            [(c, w, s, j) for (c, _f), (w, s, _g, j)
                              in zip(states, res)]))
             if kind.endswith("tangent"):
                 out.append((name, "pairs", tangent_from_pairs,
-                            [(g,) for _w, _s, g in res]))
+                            [(g,) for _w, _s, g, _j in res]))
             out.append((name, "call", getattr(mm, name),
                         [(c, f, params) for c, f in states]))
     out.append(("invariants_C", "call", iv.invariants_C, states))
@@ -216,7 +215,7 @@ def split(table, repeat: int) -> dict:
 def main() -> int:
     states = seeded_states(SEED)
     rows = split(jobs(states, mm.GGA), REPEAT)
-    cols = ("unpack", "core", "package", "pairs", "call")
+    cols = ("core", "package", "pairs", "call")
     print(f"{'call (us/state)':24}" + "".join(f"{c:>9}" for c in cols)
           + f"{'core %':>9}")
     for name, parts in rows.items():
