@@ -14,8 +14,9 @@ its own SurfTensor2 and make_frame inputs. Every public membrane call and
 invariants_C, invariants_log_exact and spectral are then timed as a loop
 over the states, the two sides alternately: ROUNDS rounds, parent first in
 even rounds and change first in odd ones. Within a round each call's loop
-runs REPEAT times per side and keeps its minimum, in microseconds per
-state (the loop's own per-state cost, tens of nanoseconds, included).
+runs REPEAT times per side, the sides taking turns, and each side keeps
+its minimum, in microseconds per state (the loop's own per-state cost,
+tens of nanoseconds, included).
 
 Prints per call the median over rounds on each side, the relative change
 of the medians and the number of rounds in which the change was faster.
@@ -43,7 +44,7 @@ from bench_pairs import exit_on_sigterm, export, git  # noqa: E402
 STATES = 256
 SEED = 0
 ROUNDS = 31
-REPEAT = 3
+REPEAT = 5
 NEAR_ISOTROPIC_EVERY = 8
 MEMBRANE_CALLS = tuple(f"{kind}_{model}" for model in ("metric", "log")
                        for kind in ("energy", "stress", "tangent",
@@ -100,8 +101,7 @@ def time_loop(fn, args) -> float:
     def loop():
         for a in args:
             fn(*a)
-    return min(1e6 * timeit.timeit(loop, number=1) / len(args)
-               for _ in range(REPEAT))
+    return 1e6 * timeit.timeit(loop, number=1) / len(args)
 
 
 def rounds(jobs: dict) -> dict:
@@ -109,9 +109,14 @@ def rounds(jobs: dict) -> dict:
     out = {call: {"parent": [], "change": []} for call in jobs["parent"]}
     for r in range(ROUNDS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-        for call in out:
+        for call, sides in out.items():
+            best = dict.fromkeys(order, math.inf)
+            for _ in range(REPEAT):
+                for side in order:
+                    best[side] = min(best[side],
+                                     time_loop(*jobs[side][call]))
             for side in order:
-                out[call][side].append(time_loop(*jobs[side][call]))
+                sides[side].append(best[side])
     return out
 
 
