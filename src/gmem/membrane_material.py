@@ -432,32 +432,6 @@ def _log_core(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
     return W, (s11, s22, s12), g, math.sqrt(det)
 
 
-LOG_TANGENT_STEP = 1e-5
-
-
-def _log_core_fd(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
-                 order: int):
-    """_log_core with the tangent the central difference of its stress in
-    C's components at relative step LOG_TANGENT_STEP: the differenced route
-    that benchmark_models times against the metric model."""
-    W, s, _g, J = _log_core(c, frame, p, min(order, 1))
-    if order < 2:
-        return W, s, None, J
-    g = [[0.0, 0.0, 0.0] for _ in range(3)]
-    for j in range(3):
-        h = LOG_TANGENT_STEP * max(abs(c[j]), 1.0)
-        up = list(c)
-        dn = list(c)
-        up[j] += h
-        dn[j] -= h
-        su = _log_core(_new(SurfTensor2, up), frame, p, 1)[1]
-        sd = _log_core(_new(SurfTensor2, dn), frame, p, 1)[1]
-        w = 0.5 if j == 2 else 1.0
-        for a in range(3):
-            g[a][j] = 2.0 * w * (su[a] - sd[a]) / (2.0 * h)
-    return W, s, g, J
-
-
 def energy_log(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams) -> float:
     return _log_core(c, frame, p, 0)[0]
 

@@ -444,14 +444,38 @@ def apex_angle(d_theta: float) -> float:
     return math.degrees(2.0 * math.asin(1.0 - float(d_theta) / 360.0))
 
 
+def _log_core_fd(c: SurfTensor2, frame: LatticeFrame, p: mm.MaterialParams,
+                 order: int):
+    """membrane_material._log_core with the tangent the central difference
+    of its stress in C's components at relative step TANGENT_STEP: the
+    differenced route that benchmark_models times against the metric
+    model."""
+    W, s, _g, J = mm._log_core(c, frame, p, min(order, 1))
+    if order < 2:
+        return W, s, None, J
+    g = [[0.0, 0.0, 0.0] for _ in range(3)]
+    for j in range(3):
+        h = TANGENT_STEP * max(abs(c[j]), 1.0)
+        up = list(c)
+        dn = list(c)
+        up[j] += h
+        dn[j] -= h
+        su = mm._log_core(_new(SurfTensor2, up), frame, p, 1)[1]
+        sd = mm._log_core(_new(SurfTensor2, dn), frame, p, 1)[1]
+        w = 0.5 if j == 2 else 1.0
+        for a in range(3):
+            g[a][j] = 2.0 * w * (su[a] - sd[a]) / (2.0 * h)
+    return W, s, g, J
+
+
 def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
                      seed: int = 0) -> dict:
     """Single-threaded throughput of the analytic metric stress+tangent
     path against the spectral log path with differenced tangent.
 
     The log stress+tangent is timed on the central-difference route
-    (membrane_material._log_core_fd), which speedup_stress_tangent has
-    always measured. The closed-form log tangent that the public calls use
+    (_log_core_fd, at numdiff's TANGENT_STEP), which speedup_stress_tangent
+    has always measured. The closed-form log tangent that the public calls use
     is timed beside it as log_analytic and reported as
     speedup_stress_tangent_analytic.
 
@@ -480,7 +504,7 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
     # times of two adjacent loops
     loops = {("metric", 1): mm._metric_core, ("log", 1): mm._log_core,
              ("log_analytic", 2): mm._log_core,
-             ("metric", 2): mm._metric_core, ("log", 2): mm._log_core_fd}
+             ("metric", 2): mm._metric_core, ("log", 2): _log_core_fd}
     gate = []
     for st in states[:100]:
         sm = mm._metric_core(st, frame, params, 1)[1]
@@ -492,7 +516,7 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
         raise RuntimeError(f"consistency gate failed: max componentwise "
                            f"difference {gate_max:.3g}%")
 
-    for core in (mm._metric_core, mm._log_core, mm._log_core_fd):
+    for core in (mm._metric_core, mm._log_core, _log_core_fd):
         for st in states[:200]:  # warmup
             core(st, frame, params, 2)
 

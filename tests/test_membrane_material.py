@@ -353,17 +353,6 @@ def test_ln_divided_difference_branches_agree_at_the_switch(mean):
     assert iso[0] == iso[1] == pytest.approx(-0.5 / mean ** 2, rel=1e-15)
 
 
-def test_differenced_log_route_keeps_the_contract():
-    for order in (0, 1, 2):
-        fd = mm._log_core_fd(C0, FRAME, mm.GGA, order)
-        an = mm._log_core(C0, FRAME, mm.GGA, order)
-        assert fd[:2] == an[:2] and fd[3] == an[3]
-        assert (fd[2] is None) == (order < 2)
-    g_fd = np.array(mm._log_core_fd(C0, FRAME, mm.GGA, 2)[2])
-    g = np.array(mm._log_core(C0, FRAME, mm.GGA, 2)[2])
-    assert np.max(np.abs(g_fd - g)) <= 1e-8 * np.max(np.abs(g))
-
-
 def test_tangent_major_symmetry():
     for c in (C0, SurfTensor2(1.5, 0.75, 0.4)):
         t = mm.tangent_metric(c, FRAME, mm.GGA).comp

@@ -513,6 +513,18 @@ def test_apex_angles():
             sc.apex_angle(bad)
 
 
+def test_differenced_log_route_keeps_the_contract():
+    c, frame = SurfTensor2(1.3, 0.9, 0.15), make_frame(0.2)
+    for order in (0, 1, 2):
+        fd = sc._log_core_fd(c, frame, mm.GGA, order)
+        an = mm._log_core(c, frame, mm.GGA, order)
+        assert fd[:2] == an[:2] and fd[3] == an[3]
+        assert (fd[2] is None) == (order < 2)
+    g_fd = np.array(sc._log_core_fd(c, frame, mm.GGA, 2)[2])
+    g = np.array(mm._log_core(c, frame, mm.GGA, 2)[2])
+    assert np.max(np.abs(g_fd - g)) <= 1e-8 * np.max(np.abs(g))
+
+
 def test_benchmark_report_shape():
     rep = sc.benchmark_models(mm.GGA, n_evals=10_000, seed=1)
     assert rep["n_evals"] == 10_000

@@ -7,27 +7,30 @@ does) into a temporary directory and imports each tree's src/gmem under its
 own package name, gmem_parent and gmem_change; gmem uses only relative
 imports, so the two copies do not share a module.
 
-On STATES point_stream-like states from seed SEED (stretches in
-[0.7, 1.6], one state in eight with its principal stretches within 1e-9
-relative of each other, a fresh lattice angle per state), each side builds
-its own SurfTensor2 and make_frame inputs. Every public membrane call and
-invariants_C, invariants_log_exact and spectral are then timed as a loop
-over the states, the two sides alternately: ROUNDS rounds, parent first in
-even rounds and change first in odd ones. Within a round each call's loop
-runs REPEAT times per side, the sides taking turns, and each side keeps
-its minimum, in microseconds per state (the loop's own per-state cost,
-tens of nanoseconds, included).
+On STATES point_stream-like states from seed SEED (raw_states: stretches
+in [0.7, 1.6], one state in eight with its principal stretches within
+1e-9 relative of each other, a fresh lattice angle per state), each side
+builds its own SurfTensor2 and make_frame records. The calls of CALLS
+(every public membrane call, invariants_C, invariants_log_exact and
+spectral) are then timed as a loop over the states, the two sides
+alternately: ROUNDS rounds, parent first in even rounds and change first
+in odd ones. Within a round each call's loop (time_loop) runs REPEAT times
+per side, the sides taking turns, and each side keeps its minimum, in
+microseconds per state (the loop's own per-state cost, tens of
+nanoseconds, included). tools/call_split.py times its "call" rows from the
+same states, table and loop.
 
 Prints per call the median over rounds on each side, the relative change
 of the medians and the number of rounds in which the change was faster.
 Per-call moves of a few per cent resolve here that a paired end-to-end
-benchmark cannot.
+benchmark cannot, but the medians themselves move by up to +-5% between
+processes for the same two commits (energy_metric read -4.7% in one run
+and +4.9% in the next on a shared 2-core host), so quote the win count.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import importlib.util
 import math
 import statistics
@@ -46,11 +49,12 @@ SEED = 0
 ROUNDS = 31
 REPEAT = 5
 NEAR_ISOTROPIC_EVERY = 8
-MEMBRANE_CALLS = tuple(f"{kind}_{model}" for model in ("metric", "log")
-                       for kind in ("energy", "stress", "tangent",
-                                    "stress_tangent")) + (
-    "tangent_metric_oplus",)
-INVARIANT_CALLS = ("invariants_C", "invariants_log_exact")
+# the public calls both per-call tools time, each on the first n of
+# (C, frame, GGA)
+CALLS = {**{f"{kind}_{model}": 3 for model in ("metric", "log")
+            for kind in ("energy", "stress", "tangent", "stress_tangent")},
+         "tangent_metric_oplus": 3, "invariants_C": 2,
+         "invariants_log_exact": 2, "spectral": 1}
 
 
 def load(tree: Path, name: str):
@@ -82,22 +86,21 @@ def raw_states(seed: int):
     return out
 
 
-def side_jobs(pkg, states) -> dict:
-    """{call: (fn, argument tuples)} on one side's own inputs."""
-    name = pkg.__name__
-    mm = importlib.import_module(f"{name}.membrane_material")
-    iv = importlib.import_module(f"{name}.invariants")
-    st = importlib.import_module(f"{name}.surface_tensors")
-    la = importlib.import_module(f"{name}.lattice")
-    cs = [(st.SurfTensor2(*t), la.make_frame(th)) for t, th in states]
-    jobs = {call: (getattr(mm, call), [(c, f, mm.GGA) for c, f in cs])
-            for call in MEMBRANE_CALLS}
-    jobs.update({call: (getattr(iv, call), cs) for call in INVARIANT_CALLS})
-    jobs["spectral"] = (st.spectral, [(c,) for c, _f in cs])
-    return jobs
+def records(pkg, states) -> list:
+    """(C, frame) per raw state, built with pkg's own SurfTensor2 and
+    make_frame."""
+    return [(pkg.SurfTensor2(*t), pkg.make_frame(th)) for t, th in states]
+
+
+def side_jobs(pkg, recs) -> dict:
+    """{call: (fn, argument tuples)}: pkg's CALLS on its records recs."""
+    args = [(c, f, pkg.GGA) for c, f in recs]
+    return {call: (getattr(pkg, call), [a[:n] for a in args])
+            for call, n in CALLS.items()}
 
 
 def time_loop(fn, args) -> float:
+    """µs per argument tuple of one loop calling fn on each."""
     def loop():
         for a in args:
             fn(*a)
@@ -133,7 +136,8 @@ def main() -> int:
             tree = Path(tmp) / side
             sha = export(getattr(args, side), tree)
             print(f"{side}: {sha} (src tree {git('rev-parse', f'{sha}:src')})")
-            jobs[side] = side_jobs(load(tree, f"gmem_{side}"), states)
+            pkg = load(tree, f"gmem_{side}")
+            jobs[side] = side_jobs(pkg, records(pkg, states))
         times = rounds(jobs)
     print(f"{STATES} states, {ROUNDS} alternating rounds, minimum of "
           f"{REPEAT} loops per round; medians over rounds, GGA")

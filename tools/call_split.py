@@ -9,13 +9,12 @@ Each public membrane call is the model's core (`_metric_core` or
 stress, and `tangent_from_pairs` for a tangent. The span tracer cannot show
 the core and `_package_stress`, because they are private.
 
-On STATES point_stream-like states from seed SEED (stretches in
-[0.7, 1.6], one state in eight with its principal stretches within 1e-9
-relative of each other, a fresh lattice frame per state), every part and
-the whole call are timed as a loop over the states with the parts' inputs
-precomputed. Each figure is the minimum over REPEAT rounds, in
-microseconds per state, and includes the loop's own per-state cost (tens
-of nanoseconds). The last column is the core's share of the whole call.
+The states, the whole calls and the timing loop are tools/call_pairs.py's:
+its STATES point_stream-like records from seed SEED (raw_states), its call
+table (side_jobs) and its time_loop. Every part and the whole call are
+timed as a loop over the states with the parts' inputs precomputed. Each
+figure is the minimum over REPEAT rounds, in microseconds per state, and
+includes the loop's own per-state cost (tens of nanoseconds). The last column is the core's share of the whole call.
 The table's last three rows time invariants_C, invariants_log_exact and
 spectral, whole, on the same states: the sweep's invariants calls, which
 share the metric and log kernels' invariant scalars (`_c_scalars`,
@@ -35,8 +34,9 @@ pair matrix against a copy perturbed by 1e-7 relative) and on a 16-entry
 pair (a state's tangent against its major transpose, verify's symmetry
 check), `_pair_of` on a state's tangent, `_summary` over 10 rows of one
 float each, and the stencil overhead of `partials_sym`: its time minus
-six calls of its callback at the stencil's points, for a scalar callback
-and for one returning a 3-tuple, both a few float operations.
+six calls of its callback at the points partials_sym itself passes it
+(recorded by stencil_points), for a scalar callback and for one returning
+a 3-tuple, both a few float operations.
 
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
 """
@@ -44,53 +44,22 @@ Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
 from __future__ import annotations
 
 import math
-import timeit
 
 import numpy as np
 
+import gmem
+from call_pairs import SEED, STATES, raw_states, records, side_jobs, time_loop
 from gmem import bending_geometry as bg
-from gmem import invariants as iv
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
-from gmem.lattice import make_frame
 from gmem.numdiff import STRESS_STEP, partials_sym
-from gmem.surface_tensors import (SurfTensor2, boxtimes_product, oplus_product,
-                                  spectral, tangent_from_pairs, tensor_product)
+from gmem.surface_tensors import (boxtimes_product, oplus_product,
+                                  tangent_from_pairs, tensor_product)
+from oracle_diff import _spd
 
-STATES = 256
-SEED = 0
 REPEAT = 25
-NEAR_ISOTROPIC_EVERY = 8
-CALLS = (("energy", 0), ("stress", 1), ("tangent", 2), ("stress_tangent", 2))
+ORDER = {"energy": 0, "stress": 1, "tangent": 2, "stress_tangent": 2}
 C_BEND = 0.238  # the verify workload's bending stiffness
-
-
-def seeded_states(seed: int):
-    """(C, frame) pairs like point_stream's stream."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(STATES):
-        lam1, lam2 = rng.uniform(0.7, 1.6, size=2)
-        if i % NEAR_ISOTROPIC_EVERY == 0:
-            lam2 = lam1 * (1.0 + rng.uniform(-1e-9, 1e-9))
-        phi = rng.uniform(0.0, math.pi)
-        e1, e2 = lam1 * lam1, lam2 * lam2
-        c, s = math.cos(phi), math.sin(phi)
-        cst = SurfTensor2(float(e1 * c * c + e2 * s * s),
-                          float(e1 * s * s + e2 * c * c),
-                          float((e1 - e2) * s * c))
-        out.append((cst, make_frame(rng.uniform(0.0, 2.0 * math.pi))))
-    return out
-
-
-def _spd(rng, lo, hi):
-    """Symmetric positive-definite 2x2 array with eigenvalues in [lo, hi]."""
-    e1, e2 = rng.uniform(lo, hi, size=2)
-    phi = rng.uniform(0.0, math.pi)
-    c, s = math.cos(phi), math.sin(phi)
-    m12 = (e1 - e2) * s * c
-    return np.array([[e1 * c * c + e2 * s * s, m12],
-                     [m12, e1 * s * s + e2 * c * c]])
 
 
 def bending_states(seed: int):
@@ -104,35 +73,31 @@ def bending_states(seed: int):
     return out
 
 
-def jobs(states, params):
-    """(call, part, fn, argument tuples) for every figure of the split."""
+def jobs(calls):
+    """(call, part, fn, argument tuples) for every figure of the split: each
+    call of calls whole, a membrane call also as its core and packaging."""
     out = []
-    for model in ("metric", "log"):
-        core = getattr(mm, f"_{model}_core")
-        for kind, order in CALLS:
-            name = f"{kind}_{model}"
-            args = [(c, f, params, order) for c, f in states]
-            res = [core(*a) for a in args]
-            out.append((name, "core", core, args))
+    for name, (fn, args) in calls.items():
+        kind, _, model = name.rpartition("_")
+        if kind in ORDER:
+            core = getattr(mm, f"_{model}_core")
+            core_args = [(c, f, p, ORDER[kind]) for c, f, p in args]
+            res = [core(*a) for a in core_args]
+            out.append((name, "core", core, core_args))
             if kind.startswith("stress"):
                 out.append((name, "package", mm._package_stress,
-                            [(c, w, s, j) for (c, _f), (w, s, _g, j)
-                             in zip(states, res)]))
+                            [(c, w, s, j) for (c, _f, _p), (w, s, _g, j)
+                             in zip(args, res)]))
             if kind.endswith("tangent"):
                 out.append((name, "pairs", tangent_from_pairs,
                             [(g,) for _w, _s, g, _j in res]))
-            out.append((name, "call", getattr(mm, name),
-                        [(c, f, params) for c, f in states]))
-    out.append(("invariants_C", "call", iv.invariants_C, states))
-    out.append(("invariants_log_exact", "call", iv.invariants_log_exact,
-                states))
-    out.append(("spectral", "call", spectral, [(c,) for c, _f in states]))
+        out.append((name, "call", fn, args))
     return out
 
 
-def call_jobs(states, bstates, params):
+def call_jobs(states, bstates, oplus):
     """(call, "call", fn, argument tuples) for every row of the per-call
-    table."""
+    table; oplus is tangent_metric_oplus's (fn, argument tuples)."""
     geoms = [bg.geometry_from_metrics(*m) for m in bstates]
     cs = [c for c, _f in states]
     pairs = list(zip(cs, cs[1:] + cs[:1]))
@@ -143,8 +108,7 @@ def call_jobs(states, bstates, params):
                      bg.bending_tangents)],
         *[(fn.__name__, "call", fn, pairs)
           for fn in (tensor_product, oplus_product, boxtimes_product)],
-        ("tangent_metric_oplus", "call", mm.tangent_metric_oplus,
-         [(c, f, params) for c, f in states]),
+        ("tangent_metric_oplus", "call", *oplus),
     ]
 
 
@@ -157,24 +121,19 @@ def _vector_f(x, y, z):
 
 
 def stencil_points(comps, rel_step):
-    """The six argument triples at which partials_sym evaluates its
-    callback, in its order."""
+    """The argument triples partials_sym passes to its callback, in its
+    order."""
     out = []
-    for i in range(3):
-        h = rel_step * max(abs(comps[i]), 1.0)
-        for sign in (1.0, -1.0):
-            pt = list(comps)
-            pt[i] += sign * h
-            out.append(tuple(pt))
+    partials_sym(lambda *pt: out.append(pt) or 0.0, comps, rel_step)
     return out
 
 
-def verify_jobs(states, params):
+def verify_jobs(states):
     """(row, part, fn, argument tuples) for the verification layer's own
     calls; a stencil row has a "call" and a "callback" part, the latter
     per callback call."""
     rng = np.random.default_rng(SEED)
-    tangents = [mm.tangent_metric(c, f, params).comp for c, f in states]
+    tangents = [mm.tangent_metric(c, f, mm.GGA).comp for c, f in states]
     pairs = [sc._pair_of(t) for t in tangents]
     comps = [tuple(c) for c, _f in states]
     points = [pt for cc in comps for pt in stencil_points(cc, STRESS_STEP)]
@@ -203,18 +162,16 @@ def split(table, repeat: int) -> dict:
     best = {}
     for _ in range(repeat):
         for name, part, fn, args in table:
-            def loop():
-                for a in args:
-                    fn(*a)
-            t = 1e6 * timeit.timeit(loop, number=1) / len(args)
             row = best.setdefault(name, {})
-            row[part] = min(row.get(part, math.inf), t)
+            row[part] = min(row.get(part, math.inf), time_loop(fn, args))
     return best
 
 
 def main() -> int:
-    states = seeded_states(SEED)
-    rows = split(jobs(states, mm.GGA), REPEAT)
+    states = records(gmem, raw_states(SEED))
+    calls = side_jobs(gmem, states)
+    oplus = calls.pop("tangent_metric_oplus")  # a verify-path row
+    rows = split(jobs(calls), REPEAT)
     cols = ("core", "package", "pairs", "call")
     print(f"{'call (us/state)':24}" + "".join(f"{c:>9}" for c in cols)
           + f"{'core %':>9}")
@@ -225,10 +182,10 @@ def main() -> int:
                  if "core" in parts else f"{'-':>9}")
         print(f"{name:24}{cells}{share}")
     print()
-    calls = split(call_jobs(states, bending_states(SEED), mm.GGA)
-                  + verify_jobs(states, mm.GGA), REPEAT)
+    per_call = split(call_jobs(states, bending_states(SEED), oplus)
+                     + verify_jobs(states), REPEAT)
     print(f"{'verify-path call':30}{'us/call':>9}")
-    for name, parts in calls.items():
+    for name, parts in per_call.items():
         if "callback" in parts:  # the stencil's overhead over its callbacks
             name = f"{name} stencil"
             parts = {"call": parts["call"] - 6.0 * parts["callback"]}
