@@ -475,8 +475,8 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
 
     The log stress+tangent is timed on the central-difference route
     (_log_core_fd, at numdiff's TANGENT_STEP), which speedup_stress_tangent
-    has always measured. The closed-form log tangent that the public calls use
-    is timed beside it as log_analytic and reported as
+    has always measured. The closed-form log tangent that the public calls
+    use is timed beside it as log_analytic and reported as
     speedup_stress_tangent_analytic.
 
     All paths consume the same precomputed state stream and produce the

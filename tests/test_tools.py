@@ -38,7 +38,6 @@ def test_every_job_table_runs_once():
     assert list(calls) == list(cp.CALLS)
     assert all(cp.time_loop(fn, args) > 0.0 for fn, args in calls.values())
 
-    calls = dict(calls)
     oplus = calls.pop("tangent_metric_oplus")
     split = cs.split(cs.jobs(calls), 1)
     assert list(split) == list(calls)

@@ -14,12 +14,13 @@ its STATES point_stream-like records from seed SEED (raw_states), its call
 table (side_jobs) and its time_loop. Every part and the whole call are
 timed as a loop over the states with the parts' inputs precomputed. Each
 figure is the minimum over REPEAT rounds, in microseconds per state, and
-includes the loop's own per-state cost (tens of nanoseconds). The last column is the core's share of the whole call.
-The table's last three rows time invariants_C, invariants_log_exact and
-spectral, whole, on the same states: the sweep's invariants calls, which
-share the metric and log kernels' invariant scalars (`_c_scalars`,
-`_log_scalars`), and the eigendecomposition invariants_log_exact takes
-through spectral, whose eigen head (`_eigen_head`) the log core shares.
+includes the loop's own per-state cost (tens of nanoseconds). The last
+column is the core's share of the whole call. The table's last three rows
+time invariants_C, invariants_log_exact and spectral, whole, on the same
+states: the sweep's invariants calls, which share the metric and log
+kernels' invariant scalars (`_c_scalars`, `_log_scalars`), and the
+eigendecomposition invariants_log_exact takes through spectral, whose eigen
+head (`_eigen_head`) the log core shares.
 
 A second table times, the same way, the bending calls and the pair
 products on the single-state path of `gmem verify`: geometry_from_metrics,
