@@ -17,8 +17,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import surface_tensors as _st
-
-_new = tuple.__new__  # a record from a tuple holding every field
+from .surface_tensors import _new
 
 
 class SurfacePointGeometry(NamedTuple):

@@ -97,7 +97,7 @@ def cmd_verify(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
     tol = _parse_tolerances(args.tolerance)
-    models = (["metric", "log", "bending"] if args.model == "all"
+    models = (list(sc.VERIFY_TOLERANCES) if args.model == "all"
               else [args.model])
     known = set().union(*(sc.VERIFY_TOLERANCES[m] for m in models))
     unknown = sorted(set(tol) - known)
@@ -221,22 +221,23 @@ def _add_output(sp):
 
 
 def _add_common(sp, with_seed=True):
-    sp.add_argument("--param-set", default="GGA", choices=["GGA", "LDA"])
+    sp.add_argument("--param-set", default="GGA", choices=list(mm.PARAM_SETS))
     if with_seed:
         sp.add_argument("--seed", type=int, default=0)
     _add_output(sp)
 
 
 def _add_protocol(sp):
+    proto = sc.DeformationProtocol  # its field defaults are the flags'
     sp.add_argument("--protocol", default="uniaxial-constrained",
                     choices=list(sc.PROTOCOL_KINDS))
     sp.add_argument("--theta-deg", type=float, default=0.0,
                     help="pull direction from the armchair axis, degrees")
     sp.add_argument("--lattice-deg", type=float, default=0.0,
                     help="armchair axis direction in the storage frame")
-    sp.add_argument("--range", type=float, nargs=2, default=(1.0, 1.25),
-                    metavar=("LO", "HI"))
-    sp.add_argument("--steps", type=int, default=26)
+    sp.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"),
+                    default=(proto.start, proto.end))
+    sp.add_argument("--steps", type=int, default=proto.steps)
 
 
 def _new_parser() -> argparse.ArgumentParser:
@@ -249,7 +250,7 @@ def _new_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="finite-difference derivative checks")
     sp.add_argument("--model", default="all",
-                    choices=["metric", "log", "bending", "all"])
+                    choices=[*sc.VERIFY_TOLERANCES, "all"])
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                     help="override a check tolerance")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .lattice import LatticeFrame, structural_contraction
 from . import surface_tensors as _st
-from .surface_tensors import SurfTensor2, spectral
+from .surface_tensors import SurfTensor2, _new, spectral
 
 
 class InvariantState(NamedTuple):
@@ -125,7 +125,7 @@ def invariants_C(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
     m, n = frame.m_hat, frame.n_hat
     _det, J, _p11, _p12, J2, mC, nC, J3 = _c_scalars(
         c11, c22, c12, m.c11, m.c12, n.c11, n.c12)
-    return tuple.__new__(InvariantState, (J, J2, J3, mC, nC))
+    return _new(InvariantState, (J, J2, J3, mC, nC))
 
 
 def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantState:
@@ -141,7 +141,7 @@ def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantSta
     m, n = frame.m_hat, frame.n_hat
     J1E, _ed, _ct, _sn, _e11, _e12, _mE, _nE, J2E, J3E = _log_scalars(
         sd.Lambda1, sd.Lambda2, sd.theta, m.c11, m.c12, n.c11, n.c12)
-    return tuple.__new__(LogInvariantState, (J1E, J2E, J3E))
+    return _new(LogInvariantState, (J1E, J2E, J3E))
 
 
 def approx_log_invariants(inv: InvariantState) -> tuple:

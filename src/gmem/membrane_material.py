@@ -21,6 +21,7 @@ from .lattice import LatticeFrame
 from .surface_tensors import (
     SurfTensor2,
     Tangent4,
+    _new,
     boxtimes_product,
     oplus_product,
     sqrt_spd,
@@ -32,7 +33,6 @@ _E1 = _inv.DEFAULT_APPROX.e1
 _E2 = _inv.DEFAULT_APPROX.e2
 _G1 = _inv.DEFAULT_APPROX.g1
 _G2 = _inv.DEFAULT_APPROX.g2
-_new = tuple.__new__  # a record from a tuple holding every field
 
 
 @dataclass(frozen=True, slots=True)

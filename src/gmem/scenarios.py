@@ -18,17 +18,22 @@ import numpy as np
 
 from . import bending_geometry as bg
 from . import membrane_material as mm
+from . import surface_tensors as _st
 from .invariants import (FITTED_STRETCH_RATIO, approx_log_invariants,
                          invariants_C, invariants_log_exact)
 from .lattice import ZIGZAG_OFFSET, LatticeFrame, make_frame
 from .numdiff import (STRESS_STEP, TANGENT_STEP, partials_sym,
                       partials_sym_richardson)
-from .surface_tensors import SurfTensor2, rearrange
+from .surface_tensors import SurfTensor2, _new, rearrange
 
 STRETCH_RANGE = (0.7, 1.6)
 PROTOCOL_KINDS = ("dilatation", "uniaxial-constrained", "pure-shear")
-MODEL_NAMES = ("metric", "log")
-_new = tuple.__new__  # a record from a tuple holding every field
+# One table per call kind, model name to function. perfbench's span tracer
+# wraps the entries of flat module-level tables of functions only.
+_STRESS_FN = {"metric": mm.stress_metric, "log": mm.stress_log}
+_ENERGY_FN = {"metric": mm.energy_metric, "log": mm.energy_log}
+_TANGENT_FN = {"metric": mm.tangent_metric, "log": mm.tangent_log}
+MODEL_NAMES = tuple(_STRESS_FN)
 
 
 @dataclass(frozen=True)
@@ -104,20 +109,13 @@ class CurvePoint(NamedTuple):
     W: float
 
 
-_STRESS_FN = {"metric": mm.stress_metric, "log": mm.stress_log}
-
-
-def _require_model(model: str):
-    if model not in MODEL_NAMES:
-        raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
-
-
 def run_curve(protocol: DeformationProtocol, model: str,
               params: mm.MaterialParams,
               frame: LatticeFrame) -> List[CurvePoint]:
     """Cauchy stress components in the pull-aligned Cartesian frame along
     the sweep."""
-    _require_model(model)
+    if model not in MODEL_NAMES:
+        raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
     stress = _STRESS_FN[model]
     phi = (0.0 if protocol.kind == "dilatation"
            else frame.theta_lattice + protocol.direction_angle)
@@ -188,15 +186,6 @@ def _random_spd_triple(rng, lo=0.7, hi=1.6):
             (e1 - e2) * s * c)
 
 
-# flat indices of the pair entries (11, 22, 12) x (11, 22, 12) of a
-# (2, 2, 2, 2) tangent, in row order
-_PAIR_TAKE = np.array([[0, 3, 1], [12, 15, 13], [4, 7, 5]])
-
-
-def _pair_of(t4: np.ndarray) -> np.ndarray:
-    return t4.take(_PAIR_TAKE)
-
-
 def _rel_err(x, ref):
     """max |x - ref| over max |ref|, the latter floored at 1e-12."""
     ref = np.asarray(ref)
@@ -222,7 +211,7 @@ def _membrane_sample(model, params, rng, tols):
     triple = tuple(map(float, _random_spd_triple(rng)))
     c0 = _new(SurfTensor2, triple)
     stress = _STRESS_FN[model]
-    energy = mm.energy_metric if model == "metric" else mm.energy_log
+    energy = _ENERGY_FN[model]
 
     def w_of(c11, c22, c12):
         return energy(_new(SurfTensor2, (c11, c22, c12)), frame, params)
@@ -232,12 +221,10 @@ def _membrane_sample(model, params, rng, tols):
 
     errs = {"stress_fd": _fd_err(w_of, triple, STRESS_STEP, s_of(*triple),
                                  tols["stress_fd"])}
-    if model == "metric":
-        t = mm.tangent_metric(c0, frame, params).comp
-        errs["tangent_fd"] = _fd_err(s_of, triple, TANGENT_STEP, _pair_of(t),
-                                     tols["tangent_fd"])
-    else:
-        t = mm.tangent_log(c0, frame, params).comp
+    t = _TANGENT_FN[model](c0, frame, params).comp
+    if "tangent_fd" in tols:
+        errs["tangent_fd"] = _fd_err(s_of, triple, TANGENT_STEP,
+                                     _st._pair_of(t), tols["tangent_fd"])
     errs["major_symmetry"] = _rel_err(t.transpose(2, 3, 0, 1), t)
     if model == "metric":
         t_alt = mm.tangent_metric_oplus(c0, frame, params)
@@ -289,10 +276,10 @@ def _bending_sample(rng):
     fd_a = partials_sym(tm_of_a, tuple(a_cur), TANGENT_STEP)
     fd_b = partials_sym(tm_of_b, tuple(b_cur), TANGENT_STEP)
     errs = {"stress_fd": _rel_err(fd, an),
-            "tangent_fd": (_rel_err(2.0 * fd_a[:3], _pair_of(tg.c)),
-                           _rel_err(fd_b[:3], _pair_of(tg.d)),
-                           _rel_err(2.0 * fd_a[3:], _pair_of(tg.e)),
-                           _rel_err(fd_b[3:], _pair_of(tg.f))),
+            "tangent_fd": (_rel_err(2.0 * fd_a[:3], _st._pair_of(tg.c)),
+                           _rel_err(fd_b[:3], _st._pair_of(tg.d)),
+                           _rel_err(2.0 * fd_a[3:], _st._pair_of(tg.e)),
+                           _rel_err(fd_b[3:], _st._pair_of(tg.f))),
             "transpose_identity": np.abs(
                 tg.e - tg.d.transpose(2, 3, 0, 1)).max()}
     return errs, dict(a_ref=tuple(a_ref.tolist()), a_cur=tuple(a_cur.tolist()),
@@ -563,16 +550,21 @@ CSV_HEADER = ("step", "lambda_or_J", "sigma11", "sigma22", "sigma12", "W",
               "model", "param_set", "theta_deg")
 
 
-def write_curve_csv(path, points: Sequence[CurvePoint], model: str,
-                    param_set: str, theta_deg: float) -> None:
+def _write_csv(path, header, rows, tail=()) -> None:
+    """A header, then per row its 0-based step, its floats as %.17g and
+    the fields of tail; every line is formed before the file is opened."""
+    lines = [[i, *(f"{x:.17g}" for x in row), *tail]
+             for i, row in enumerate(rows)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for i, q in enumerate(points):
-            w.writerow([i, f"{q.lam:.17g}", f"{q.sigma11:.17g}",
-                        f"{q.sigma22:.17g}", f"{q.sigma12:.17g}",
-                        f"{q.W:.17g}", model, param_set,
-                        f"{theta_deg:.17g}"])
+        w.writerow(header)
+        w.writerows(lines)
+
+
+def write_curve_csv(path, points: Sequence[CurvePoint], model: str,
+                    param_set: str, theta_deg: float) -> None:
+    _write_csv(path, CSV_HEADER, points,
+               (model, param_set, f"{theta_deg:.17g}"))
 
 
 def write_contact_csv(path, radii: Sequence[float],
@@ -589,11 +581,7 @@ def write_contact_csv(path, radii: Sequence[float],
         if not (math.isfinite(psi) and math.isfinite(tr)):
             raise OverflowError(f"psi or traction overflows at r = {r} nm")
         rows.append((r, psi, tr))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("step", "r_nm", "psi", "traction"))
-        for i, (r, psi, tr) in enumerate(rows):
-            w.writerow([i, f"{r:.17g}", f"{psi:.17g}", f"{tr:.17g}"])
+    _write_csv(path, ("step", "r_nm", "psi", "traction"), rows)
 
 
 __all__ = [

@@ -156,3 +156,14 @@ def tangent_from_pairs(pairs) -> Tangent4:
         raise ValueError(f"pair matrix must be 3x3, got {pairs!r}") from None
     comp.shape = (2, 2, 2, 2)  # in place: comp owns its data, no view
     return _new(Tangent4, (comp,))
+
+
+# flat indices of the pair entries (11, 22, 12) x (11, 22, 12) of a
+# (2, 2, 2, 2) tangent, in row order
+_PAIR_TAKE = np.array([[0, 3, 1], [12, 15, 13], [4, 7, 5]])
+
+
+def _pair_of(t4: np.ndarray) -> np.ndarray:
+    """The 3x3 pair matrix of a tangent's components: tangent_from_pairs'
+    inverse."""
+    return t4.take(_PAIR_TAKE)

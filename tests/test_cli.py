@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config handling, and
 report stability."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from gmem import cli
 from gmem import membrane_material as mm
+from gmem import scenarios as sc
 from gmem.surface_tensors import Tangent4
 
 
@@ -161,7 +163,7 @@ def test_verify_nan_error_exits_one(monkeypatch, capsys):
         comp[0, 1, 0, 1] = math.nan
         return Tangent4(comp)
 
-    monkeypatch.setattr(mm, "tangent_metric", one_nan_entry)
+    monkeypatch.setitem(sc._TANGENT_FN, "metric", one_nan_entry)
     code, out, err = run_cli(["verify", "--model", "metric", "--samples", "3"],
                              capsys)
     assert code == 1
@@ -394,6 +396,39 @@ def test_bench_rejects_small_runs(capsys):
     assert "usage error" in err
 
 
+def test_bench_writes_and_prints_its_report(tmp_path, capsys):
+    path = tmp_path / "bench.json"
+    code, out, err = run_cli(["bench", "--n-evals", "10000", "--out",
+                              str(path)], capsys)
+    assert code == 0
+    assert err == ""
+    assert out == path.read_text()
+    payload = json.loads(out)
+    assert payload["command"] == "bench" and payload["n_evals"] == 10000
+    assert payload["speedup_stress_tangent"] > 0.0
+    assert payload["speedup_stress_tangent_analytic"] > 0.0
+    assert payload["consistency_gate"]["pass"] is True
+
+
+def test_bench_consistency_gate_failure_exits_one(tmp_path, monkeypatch,
+                                                  capsys):
+    log_core = mm._log_core
+
+    def stress_scaled(c, frame, p, order):
+        W, s, g, J = log_core(c, frame, p, order)
+        return W, (None if s is None else tuple(1.05 * x for x in s)), g, J
+
+    monkeypatch.setattr(mm, "_log_core", stress_scaled)
+    path = tmp_path / "bench.json"
+    code, out, err = run_cli(["bench", "--n-evals", "10000", "--out",
+                              str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: consistency gate failed")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv, cfg", [
     (["verify", "--model", "log", "--samples", "1", "--seed", "-1"], None),
     (["bench", "--seed", "-1"], None),
@@ -511,6 +546,24 @@ def test_import_loads_no_scipy():
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_parser_names_and_defaults_come_from_their_owners():
+    parsers = cli.build_parser().subcommand_parsers
+
+    def action(command, dest):
+        return next(a for a in parsers[command]._actions if a.dest == dest)
+
+    for command in ("verify", "curve", "compare", "bench"):
+        assert action(command, "param_set").choices == list(mm.PARAM_SETS)
+    assert action("verify", "model").choices == [*sc.VERIFY_TOLERANCES, "all"]
+    assert action("curve", "model").choices == list(sc.MODEL_NAMES)
+    field = {f.name: f.default
+             for f in dataclasses.fields(sc.DeformationProtocol)}
+    for command in ("curve", "compare"):
+        assert tuple(action(command, "range").default) == (field["start"],
+                                                           field["end"])
+        assert action(command, "steps").default == field["steps"]
 
 
 def test_help_exits_zero():

@@ -10,7 +10,7 @@ from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.lattice import ZIGZAG_OFFSET, make_frame
 from gmem.numdiff import STRESS_STEP, partials_sym
-from gmem.surface_tensors import SurfTensor2, Tangent4
+from gmem.surface_tensors import SurfTensor2, Tangent4, _pair_of
 
 ARMCHAIR = make_frame(0.0)
 
@@ -402,7 +402,7 @@ def test_verify_helpers_match_replaced_forms_bitwise():
         if i % 5 == 0:
             t4[tuple(rng.integers(2, size=4))] = math.nan
         for t in (t4, t4.transpose(2, 3, 0, 1), t4.transpose(0, 3, 1, 2)):
-            assert same_bits(sc._pair_of(t), pair_of_nested(t))
+            assert same_bits(_pair_of(t), pair_of_nested(t))
         rows = [tuple(r) for r in np.abs(rng.normal(size=(10, 4)))]
         if i % 5 == 0:
             rows[rng.integers(10)] = (0.0, math.nan, 1.0, 0.0)
@@ -423,7 +423,7 @@ def test_verify_nan_error_fails_its_check(monkeypatch):
         comp[0, 1, 0, 1] = math.nan
         return Tangent4(comp)
 
-    monkeypatch.setattr(mm, "tangent_metric", one_nan_entry)
+    monkeypatch.setitem(sc._TANGENT_FN, "metric", one_nan_entry)
     rep = sc.verify_derivatives("metric", n_samples=3, seed=3)
     assert math.isnan(rep["checks"]["tangent_fd"]["max"])
     assert rep["checks"]["tangent_fd"]["pass"] is False

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmem import membrane_material as mm
+from gmem.lattice import make_frame
 from gmem.surface_tensors import (
     NotPositiveDefiniteError,
     SurfTensor2,
     Tangent4,
+    _pair_of,
     boxtimes_product,
     oplus_product,
     rearrange,
@@ -146,6 +149,32 @@ def test_tangent_from_pairs_matches_explicit_expansion():
                 None):
         with pytest.raises(ValueError, match="3x3"):
             tangent_from_pairs(bad)
+
+
+def test_pair_layout_round_trips_bitwise():
+    """_pair_of inverts tangent_from_pairs on seeded pair matrices, and
+    tangent_from_pairs inverts _pair_of on the four public membrane
+    tangents, near-isotropic states included."""
+    rng = np.random.default_rng(24)
+    for _ in range(100):
+        g = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-8, 8)
+        back = _pair_of(tangent_from_pairs(g).comp)
+        assert back.dtype == g.dtype and back.tobytes() == g.tobytes()
+    tangents = (mm.tangent_metric, mm.tangent_log,
+                lambda *a: mm.stress_tangent_metric(*a)[1],
+                lambda *a: mm.stress_tangent_log(*a)[1])
+    for i in range(40):
+        e1 = rng.uniform(0.7, 1.6)
+        e2 = e1 * (1.0 + 1e-10) if i % 8 == 0 else rng.uniform(0.7, 1.6)
+        phi = rng.uniform(0.0, math.pi)
+        c, s = math.cos(phi), math.sin(phi)
+        C = SurfTensor2(e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
+                        (e1 - e2) * s * c)
+        frame = make_frame(rng.uniform(0.0, 2.0 * math.pi))
+        for tangent in tangents:
+            t = tangent(C, frame, mm.GGA).comp
+            back = tangent_from_pairs(_pair_of(t)).comp
+            assert back.shape == t.shape and back.tobytes() == t.tobytes()
 
 
 def test_tangent_from_pairs_owns_its_components():

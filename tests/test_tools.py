@@ -52,6 +52,12 @@ def test_every_job_table_runs_once():
                for parts in table.values() for t in parts.values())
 
 
+def test_sign_threshold_at_31_rounds():
+    """24 of 31 wins: two-sided p = 0.0033; 23 wins give p = 0.0107."""
+    assert cp.ROUNDS == 31
+    assert cp.sign_threshold(cp.ROUNDS) == 24
+
+
 def test_stencil_points_are_the_callback_arguments():
     comps = (1.3, 0.9, 0.15)
     points = cs.stencil_points(comps, 1e-6)

@@ -22,10 +22,12 @@ same states, table and loop.
 
 Prints per call the median over rounds on each side, the relative change
 of the medians and the number of rounds in which the change was faster.
-Per-call moves of a few per cent resolve here that a paired end-to-end
-benchmark cannot, but the medians themselves move by up to +-5% between
-processes for the same two commits (energy_metric read -4.7% in one run
-and +4.9% in the next on a shared 2-core host), so quote the win count.
+A row is marked "*" when its win count passes a two-sided sign test at 1%
+over the ROUNDS rounds (sign_threshold: 24 or more, or 7 or fewer, of 31).
+Only marked rows back a per-call claim. The medians move by up to +-5%
+between processes for the same two commits (energy_metric read -4.7% in
+one run and +4.9% in the next on a shared 2-core host), and on unchanged
+code the win counts ranged from 7/31 to 22/31.
 """
 
 from __future__ import annotations
@@ -107,6 +109,18 @@ def time_loop(fn, args) -> float:
     return 1e6 * timeit.timeit(loop, number=1) / len(args)
 
 
+def sign_threshold(n: int, level: float = 0.01) -> int:
+    """Fewest wins out of n rounds that a two-sided sign test at level
+    tells from chance: the least k with 2 P(X >= k) <= level for X
+    binomial(n, 1/2). n - k or fewer wins pass the same test."""
+    tail = 0
+    for k in range(n, -1, -1):
+        tail += math.comb(n, k)
+        if 2 * tail > level * 2 ** n:
+            break
+    return k + 1
+
+
 def rounds(jobs: dict) -> dict:
     """{call: {side: [µs per state, one per round]}}."""
     out = {call: {"parent": [], "change": []} for call in jobs["parent"]}
@@ -139,16 +153,20 @@ def main() -> int:
             pkg = load(tree, f"gmem_{side}")
             jobs[side] = side_jobs(pkg, records(pkg, states))
         times = rounds(jobs)
+    k = sign_threshold(ROUNDS)
     print(f"{STATES} states, {ROUNDS} alternating rounds, minimum of "
-          f"{REPEAT} loops per round; medians over rounds, GGA")
+          f"{REPEAT} loops per round; medians over rounds, GGA; * marks "
+          f"wins >= {k} or <= {ROUNDS - k} (two-sided sign test, 1%), the "
+          f"only rows that back a per-call claim")
     print(f"{'call':24}{'parent us':>11}{'change us':>11}{'change':>9}"
           f"{'wins':>8}")
     for call, sides in times.items():
         p = statistics.median(sides["parent"])
         c = statistics.median(sides["change"])
         wins = sum(b < a for a, b in zip(sides["parent"], sides["change"]))
+        mark = " *" if wins >= k or wins <= ROUNDS - k else ""
         print(f"{call:24}{p:11.3f}{c:11.3f}{100.0 * (c / p - 1.0):+8.1f}%"
-              f"{wins:>5d}/{ROUNDS}")
+              f"{wins:>5d}/{ROUNDS}{mark}")
     return 0
 
 

@@ -54,13 +54,12 @@ from gmem import bending_geometry as bg
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.numdiff import STRESS_STEP, partials_sym
-from gmem.surface_tensors import (boxtimes_product, oplus_product,
+from gmem.surface_tensors import (_pair_of, boxtimes_product, oplus_product,
                                   tangent_from_pairs, tensor_product)
 from oracle_diff import _spd
 
 REPEAT = 25
 ORDER = {"energy": 0, "stress": 1, "tangent": 2, "stress_tangent": 2}
-C_BEND = 0.238  # the verify workload's bending stiffness
 
 
 def bending_states(seed: int):
@@ -104,7 +103,7 @@ def call_jobs(states, bstates, oplus):
     pairs = list(zip(cs, cs[1:] + cs[:1]))
     return [
         ("geometry_from_metrics", "call", bg.geometry_from_metrics, bstates),
-        *[(fn.__name__, "call", fn, [(g, C_BEND) for g in geoms])
+        *[(fn.__name__, "call", fn, [(g, sc.DEFAULT_BEND_STIFFNESS) for g in geoms])
           for fn in (bg.canham_energy, bg.bending_stress_moment,
                      bg.bending_tangents)],
         *[(fn.__name__, "call", fn, pairs)
@@ -135,7 +134,7 @@ def verify_jobs(states):
     per callback call."""
     rng = np.random.default_rng(SEED)
     tangents = [mm.tangent_metric(c, f, mm.GGA).comp for c, f in states]
-    pairs = [sc._pair_of(t) for t in tangents]
+    pairs = [_pair_of(t) for t in tangents]
     comps = [tuple(c) for c, _f in states]
     points = [pt for cc in comps for pt in stencil_points(cc, STRESS_STEP)]
     out = [
@@ -143,7 +142,7 @@ def verify_jobs(states):
          [(p * (1.0 + 1e-7 * rng.normal(size=(3, 3))), p) for p in pairs]),
         ("_rel_err 16", "call", sc._rel_err,
          [(t.transpose(2, 3, 0, 1), t) for t in tangents]),
-        ("_pair_of", "call", sc._pair_of, [(t,) for t in tangents]),
+        ("_pair_of", "call", _pair_of, [(t,) for t in tangents]),
         ("_summary 10 rows", "call", sc._summary,
          [(rng.uniform(0.0, 1e-8, size=10).tolist(), 1e-6)
           for _ in states]),

@@ -8,8 +8,9 @@ imports gmem from that tree's src/, dumps float64 arrays of:
 
 * energy, stress (S, tau, sigma, W), tangent and stress+tangent of the
   metric and log models on seeded states: GGA and LDA, random lattice
-  angles, stretches in [0.7, 1.6], one state in eight with its principal
-  stretches within 1e-9 relative of each other (the log model's
+  angles, principal stretches in [sqrt(0.7), sqrt(1.6)] (eigenvalues of C
+  in [0.7, 1.6]), one state in eight with its principal stretches within
+  1e-9 relative of each other (the log model's
   divided-difference limit);
 * the metric tangent's cross-check route (the oplus-order assembly that
   verify runs) on the same states;
@@ -76,8 +77,9 @@ def _spd(rng, lo, hi):
                      [m12, e1 * s * s + e2 * c * c]])
 
 
-def _bending_values(bg, rng) -> list:
-    """Seeded outputs of the bending layer, as arrays in a fixed order."""
+def _bending_values(bg, rng, c_bend) -> list:
+    """Seeded outputs of the bending layer at bending stiffness c_bend, as
+    arrays in a fixed order."""
     out = []
 
     def surfaces():
@@ -96,14 +98,15 @@ def _bending_values(bg, rng) -> list:
         g = bg.geometry_from_metrics(_spd(rng, 0.8, 1.3), _spd(rng, 0.7, 1.6),
                                      rng.uniform(-0.5, 0.5, (2, 2)))
         out.extend(g)
-        out.append(bg.canham_energy(g, 0.238))
-        out.extend(bg.bending_stress_moment(g, 0.238))
-        out.extend(bg.bending_tangents(g, 0.238))
+        out.append(bg.canham_energy(g, c_bend))
+        out.extend(bg.bending_stress_moment(g, c_bend))
+        out.extend(bg.bending_tangents(g, c_bend))
     return out
 
 
-def _states(rng):
-    """(C triple, lattice angle, parameter-set name) per seeded state."""
+def _states(rng, param_sets):
+    """(C triple, lattice angle, parameter-set name) per seeded state, the
+    names of param_sets taken in turn."""
     out = []
     for i in range(N_STATES):
         l1 = rng.uniform(math.sqrt(0.7), math.sqrt(1.6))
@@ -117,7 +120,7 @@ def _states(rng):
         triple = (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
                   (e1 - e2) * s * c)
         out.append((triple, rng.uniform(0.0, 2.0 * math.pi),
-                    ("GGA", "LDA")[i % 2]))
+                    param_sets[i % len(param_sets)]))
     return out
 
 
@@ -161,11 +164,12 @@ def dump(tree: Path, out: Path) -> None:
         add("spectral", [sd.Lambda1, sd.Lambda2, sd.theta])
 
     kappa_rng = np.random.default_rng(SEED + 1)
-    for triple, theta, pname in _states(np.random.default_rng(SEED)):
+    for triple, theta, pname in _states(np.random.default_rng(SEED),
+                                        list(mm.PARAM_SETS)):
         c = SurfTensor2(*triple)
         fr = la.make_frame(theta)
         p = mm.material_preset(pname)
-        for model in ("metric", "log"):
+        for model in sc.MODEL_NAMES:
             add(f"energy_{model}", getattr(mm, f"energy_{model}")(c, fr, p))
             add(f"stress_{model}",
                 wl.stress_row(getattr(mm, f"stress_{model}")(c, fr, p)))
@@ -198,9 +202,10 @@ def dump(tree: Path, out: Path) -> None:
             pts, peak = wl.run_sweep_item(kind, inputs, frame)
             add("run_curve", [tuple(q) for q in pts])
             add("peak_of_curve", peak)
-    for values in _bending_values(bg, np.random.default_rng(SEED)):
+    for values in _bending_values(bg, np.random.default_rng(SEED),
+                                  sc.DEFAULT_BEND_STIFFNESS):
         add("bending", values)
-    for model in ("metric", "log", "bending"):
+    for model in sc.VERIFY_TOLERANCES:
         for seed in VERIFY_SEEDS:
             rep = sc.verify_derivatives(model, n_samples=VERIFY_SAMPLES,
                                         seed=seed)
