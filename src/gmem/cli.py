@@ -228,7 +228,7 @@ def _add_common(sp, with_seed=True):
 
 
 def _add_protocol(sp):
-    proto = sc.DeformationProtocol  # its field defaults are the flags'
+    proto = sc.DeformationProtocol  # the flag defaults are its field defaults
     sp.add_argument("--protocol", default="uniaxial-constrained",
                     choices=list(sc.PROTOCOL_KINDS))
     sp.add_argument("--theta-deg", type=float, default=0.0,

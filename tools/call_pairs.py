@@ -109,14 +109,14 @@ def time_loop(fn, args) -> float:
     return 1e6 * timeit.timeit(loop, number=1) / len(args)
 
 
-def sign_threshold(n: int, level: float = 0.01) -> int:
-    """Fewest wins out of n rounds that a two-sided sign test at level
-    tells from chance: the least k with 2 P(X >= k) <= level for X
-    binomial(n, 1/2). n - k or fewer wins pass the same test."""
-    tail = 0
+def sign_threshold(n: int) -> int:
+    """Fewest wins out of n rounds that a two-sided sign test at 1% tells
+    from chance: the least k with 2 P(X >= k) <= 0.01 for X binomial(n,
+    1/2), in exact integers. n - k or fewer wins pass the same test."""
+    tail = 0  # sum of comb(n, j) over j >= k
     for k in range(n, -1, -1):
         tail += math.comb(n, k)
-        if 2 * tail > level * 2 ** n:
+        if 200 * tail > 2 ** n:
             break
     return k + 1
 

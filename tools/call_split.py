@@ -98,12 +98,13 @@ def jobs(calls):
 def call_jobs(states, bstates, oplus):
     """(call, "call", fn, argument tuples) for every row of the per-call
     table; oplus is tangent_metric_oplus's (fn, argument tuples)."""
-    geoms = [bg.geometry_from_metrics(*m) for m in bstates]
+    bend_args = [(bg.geometry_from_metrics(*m), sc.DEFAULT_BEND_STIFFNESS)
+                 for m in bstates]
     cs = [c for c, _f in states]
     pairs = list(zip(cs, cs[1:] + cs[:1]))
     return [
         ("geometry_from_metrics", "call", bg.geometry_from_metrics, bstates),
-        *[(fn.__name__, "call", fn, [(g, sc.DEFAULT_BEND_STIFFNESS) for g in geoms])
+        *[(fn.__name__, "call", fn, bend_args)
           for fn in (bg.canham_energy, bg.bending_stress_moment,
                      bg.bending_tangents)],
         *[(fn.__name__, "call", fn, pairs)
