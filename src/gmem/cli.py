@@ -341,7 +341,9 @@ def _config_value(action: argparse.Action, key: str, value):
 
 
 def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
+    sp = ap.subcommand_parsers[args.command]
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -356,25 +358,19 @@ def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
         unknown = set(cfg) - valid
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        # Defaults must land on the subcommand parser: option defaults
-        # declared there shadow any set on the top-level parser.
-        sp = ap.subcommand_parsers[args.command]
+        # argparse keeps a namespace value unless a flag sets its dest, so
+        # explicit flags win and --tolerance appends to the config's list
         actions = {a.dest: a for a in sp._actions}
-        cfg = {k: _config_value(actions[k], k, v) for k, v in cfg.items()}
-        # config supplies defaults; explicit flags win on the second pass.
-        # The parser is shared, so its own defaults are put back after.
-        saved = {k: sp.get_default(k) for k in cfg}
-        sp.set_defaults(**cfg)
-        try:
-            args = ap.parse_args(argv)
-        finally:
-            sp.set_defaults(**saved)
+        seeded = argparse.Namespace(command=args.command, **{
+            k: _config_value(actions[k], k, v) for k, v in cfg.items()})
+        args = sp.parse_args(argv[argv.index(args.command) + 1:], seeded)
     if getattr(args, "out_required", False) and not args.out:
         raise UsageError("--out is required for this subcommand")
-    for key, val in vars(args).items():
+    for a in sp._actions:  # parser order, whether a value came from config
+        val = getattr(args, a.dest, None)
         vals = val if isinstance(val, (list, tuple)) else (val,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
-            raise UsageError(f"--{key.replace('_', '-')} must be finite")
+            raise UsageError(f"--{a.dest.replace('_', '-')} must be finite")
     if getattr(args, "seed", 0) < 0:
         raise UsageError("--seed must be >= 0")
     return args

@@ -492,18 +492,15 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
     loops = {("metric", 1): mm._metric_core, ("log", 1): mm._log_core,
              ("log_analytic", 2): mm._log_core,
              ("metric", 2): mm._metric_core, ("log", 2): _log_core_fd}
-    gate = []
-    for st in states[:100]:
-        sm = mm._metric_core(st, frame, params, 1)[1]
-        sl = mm._log_core(st, frame, params, 1)[1]
-        scale = max(abs(x) for x in sl)
-        gate.append(100.0 * max(abs(a - b) for a, b in zip(sm, sl)) / scale)
-    gate_max = float(np.max(gate))  # NaN-propagating, so NaN fails
+    gate = [100.0 * _rel_err(mm._metric_core(st, frame, params, 1)[1],
+                             mm._log_core(st, frame, params, 1)[1])
+            for st in states[:100]]
+    gate_max = float(np.max(gate))  # NaN anywhere propagates, so NaN fails
     if not gate_max < 1.0:
         raise RuntimeError(f"consistency gate failed: max componentwise "
                            f"difference {gate_max:.3g}%")
 
-    for core in (mm._metric_core, mm._log_core, _log_core_fd):
+    for core in dict.fromkeys(loops.values()):
         for st in states[:200]:  # warmup
             core(st, frame, params, 2)
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config handling, and
 report stability."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -473,8 +474,28 @@ def test_explicit_flags_override_config(tmp_path, capsys):
     assert len(lines) == 4  # steps still from config
 
 
+def test_config_tolerances_merge_with_flag_tolerances(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerance": ["stress_fd=1e-3"]}))
+    code, out, _ = run_cli(["verify", "--model", "log", "--samples", "1",
+                            "--config", str(path), "--tolerance",
+                            "major_symmetry=1e-5"], capsys)
+    assert code == 0
+    checks = json.loads(out)["reports"][0]["checks"]
+    assert checks["stress_fd"]["tol"] == 1e-3
+    assert checks["major_symmetry"]["tol"] == 1e-5
+
+
+def parser_defaults() -> dict:
+    """Per subcommand, every action's default and out_required."""
+    return {name: ([copy.deepcopy(a.default) for a in sp._actions],
+                   sp.get_default("out_required"))
+            for name, sp in cli.build_parser().subcommand_parsers.items()}
+
+
 def test_config_does_not_leak_into_the_next_run(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
+    before = parser_defaults()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"h0": 0.5}))
     code, out, _ = run_cli(["contact", "--config", str(cfg)], capsys)
@@ -483,6 +504,15 @@ def test_config_does_not_leak_into_the_next_run(tmp_path, capsys):
     code, out, _ = run_cli(["contact"], capsys)
     assert code == 0
     assert out.startswith("psi(h0=0.34)")
+    # a scalar, a list and an append value, each then given as a flag too
+    for argv, values in (
+            (["compare", "--steps", "3"], {"steps": 2, "range": [1.0, 1.01]}),
+            (["verify", "--model", "log", "--samples", "1", "--tolerance",
+              "major_symmetry=1e-5"], {"tolerance": ["stress_fd=1e-3"]})):
+        cfg.write_text(json.dumps(values))
+        code, _, _ = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert code == 0
+    assert parser_defaults() == before
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

@@ -541,6 +541,24 @@ def test_benchmark_report_shape():
         sc.benchmark_models(mm.GGA, n_evals=5000)
 
 
+@pytest.mark.parametrize("component", [1, 2])
+def test_bench_gate_fails_on_nan_in_any_stress_component(monkeypatch,
+                                                         component):
+    """A NaN after the first component also fails the gate: a max() over
+    the components keeps a NaN only when it comes first."""
+    log_core = mm._log_core
+
+    def stress_with_nan(c, frame, p, order):
+        W, s, g, J = log_core(c, frame, p, order)
+        s = list(s)
+        s[component] = math.nan
+        return W, tuple(s), g, J
+
+    monkeypatch.setattr(mm, "_log_core", stress_with_nan)
+    with pytest.raises(RuntimeError, match="consistency gate failed"):
+        sc.benchmark_models(mm.GGA, n_evals=10_000, seed=1)
+
+
 def test_curve_csv_round_trip(tmp_path):
     pts = sc.run_curve(uniaxial(1.1, steps=3), "metric", mm.GGA, ARMCHAIR)
     path = tmp_path / "curve.csv"

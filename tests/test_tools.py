@@ -3,8 +3,11 @@ every job table they time, built on a few states and called once, so that a
 change to a private contract they reach fails here rather than in a tool
 run."""
 
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -30,6 +33,16 @@ def test_raw_states_are_the_recorded_stream():
          5.109927617709579),
         ((1.8846974770863802, 1.9826506914669064, -0.37806824283509094),
          3.415696558991173)]
+
+
+def test_raw_states_take_a_count_and_a_stretch_range():
+    states = cp.raw_states(3, 16, math.sqrt(0.7), math.sqrt(1.6))
+    assert len(states) == 16
+    for i, ((c11, c22, c12), _theta) in enumerate(states):
+        lam = np.linalg.eigvalsh([[c11, c12], [c12, c22]])
+        assert 0.7 <= lam[0] <= lam[1] <= 1.6
+        if i % 8 == 0:  # principal stretches within 1e-9 relative
+            assert math.sqrt(lam[1] / lam[0]) - 1.0 < 1e-9
 
 
 def test_every_job_table_runs_once():

@@ -24,6 +24,11 @@ quartile distance and the median over pairs of the change/parent ratio;
 each side's commit and the git tree hash of its src/ (equal hashes mean
 that the two sides ran the same program code); and the environment. Runs
 are sequential, one benchmark process at a time.
+
+The per-span ratios of TRACED_PAIRS pairs do not back a per-layer claim:
+at the same two commits one run read the sweep layers at 1.32-1.52x the
+parent, lattice.make_frame (unchanged code) included, and the next read
+0.83-1.01x. A per-call claim takes tools/call_pairs.py's marked rows.
 """
 
 from __future__ import annotations

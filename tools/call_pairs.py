@@ -70,12 +70,13 @@ def load(tree: Path, name: str):
     return module
 
 
-def raw_states(seed: int):
-    """(C triple, lattice angle) per state, as plain floats."""
+def raw_states(seed: int, n: int = STATES, lo: float = 0.7, hi: float = 1.6):
+    """(C triple, lattice angle) of n states as plain floats; stretches in
+    [lo, hi]."""
     rng = np.random.default_rng(seed)
     out = []
-    for i in range(STATES):
-        lam1, lam2 = rng.uniform(0.7, 1.6, size=2)
+    for i in range(n):
+        lam1, lam2 = rng.uniform(lo, hi, size=2)
         if i % NEAR_ISOTROPIC_EVERY == 0:
             lam2 = lam1 * (1.0 + rng.uniform(-1e-9, 1e-9))
         phi = rng.uniform(0.0, math.pi)

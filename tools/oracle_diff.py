@@ -7,11 +7,10 @@ does) into a temporary directory and, in a fresh interpreter per tree that
 imports gmem from that tree's src/, dumps float64 arrays of:
 
 * energy, stress (S, tau, sigma, W), tangent and stress+tangent of the
-  metric and log models on seeded states: GGA and LDA, random lattice
-  angles, principal stretches in [sqrt(0.7), sqrt(1.6)] (eigenvalues of C
-  in [0.7, 1.6]), one state in eight with its principal stretches within
-  1e-9 relative of each other (the log model's
-  divided-difference limit);
+  metric and log models, GGA and LDA in turn, on N_STATES states from
+  call_pairs.raw_states(SEED): random lattice angles, stretches in
+  [sqrt(0.7), sqrt(1.6)] (C's eigenvalues in [0.7, 1.6]), one in eight
+  near-isotropic to 1e-9 relative (the log model's divided-difference limit);
 * the metric tangent's cross-check route (the oplus-order assembly that
   verify runs) on the same states;
 * one spectral group: Lambda1, Lambda2 and theta of spectral, read by
@@ -46,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -57,10 +57,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import exit_on_sigterm, export  # noqa: E402
+from call_pairs import raw_states  # noqa: E402
 
 N_STATES = 2000
 SEED = 20240
-NEAR_ISOTROPIC_EVERY = 8
 N_BENDING = 100  # points per surface kind, and metric triples
 N_SPECTRAL = 100  # indefinite tensors, and coincident eigenvalues
 VERIFY_SEEDS = range(8)
@@ -104,26 +104,6 @@ def _bending_values(bg, rng, c_bend) -> list:
     return out
 
 
-def _states(rng, param_sets):
-    """(C triple, lattice angle, parameter-set name) per seeded state, the
-    names of param_sets taken in turn."""
-    out = []
-    for i in range(N_STATES):
-        l1 = rng.uniform(math.sqrt(0.7), math.sqrt(1.6))
-        if i % NEAR_ISOTROPIC_EVERY == 0:
-            l2 = l1 * (1.0 + rng.uniform(-1e-9, 1e-9))
-        else:
-            l2 = rng.uniform(math.sqrt(0.7), math.sqrt(1.6))
-        phi = rng.uniform(0.0, math.pi)
-        c, s = math.cos(phi), math.sin(phi)
-        e1, e2 = l1 * l1, l2 * l2
-        triple = (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
-                  (e1 - e2) * s * c)
-        out.append((triple, rng.uniform(0.0, 2.0 * math.pi),
-                    param_sets[i % len(param_sets)]))
-    return out
-
-
 def _spectral_extras(rng):
     """Seeded indefinite tensors, then coincident ones (c12 = +-0.0) of
     either sign, and the zero tensor."""
@@ -164,8 +144,8 @@ def dump(tree: Path, out: Path) -> None:
         add("spectral", [sd.Lambda1, sd.Lambda2, sd.theta])
 
     kappa_rng = np.random.default_rng(SEED + 1)
-    for triple, theta, pname in _states(np.random.default_rng(SEED),
-                                        list(mm.PARAM_SETS)):
+    states = raw_states(SEED, N_STATES, math.sqrt(0.7), math.sqrt(1.6))
+    for (triple, theta), pname in zip(states, itertools.cycle(mm.PARAM_SETS)):
         c = SurfTensor2(*triple)
         fr = la.make_frame(theta)
         p = mm.material_preset(pname)
