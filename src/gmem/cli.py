@@ -178,8 +178,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_contact(args) -> int:
-    if args.r_min <= 0 or args.r_max <= args.r_min or args.steps < 2:
-        raise UsageError("need 0 < r-min < r-max and steps >= 2")
+    if not (0 < args.r_min < args.r_max and 2 <= args.steps <= sc.MAX_STEPS):
+        raise UsageError("need 0 < r-min < r-max and 2 <= steps <= "
+                         f"{sc.MAX_STEPS}")
     cp = _usage_checked(sc.ContactParams, h0=args.h0, gamma=args.gamma)
     radii = np.linspace(args.r_min, args.r_max, args.steps)
     psi0, tr0 = sc.contact_potential(cp.h0, cp)

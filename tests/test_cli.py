@@ -222,6 +222,24 @@ def test_contact_rejects_non_positive_parameters(flag, value, capsys):
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("curve", ["--steps", "1000000000", "--out", "f.csv"]),
+    ("contact", ["--steps", "1000000000", "--out", "f.csv"]),
+    ("contact", ["--steps", "1000000000"]),
+])
+def test_steps_above_the_bound_is_a_usage_error(tmp_path, monkeypatch,
+                                                command, argv, capsys):
+    """--steps above sc.MAX_STEPS exits 2 with one line, before any sweep
+    array is built, and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([command, *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and err.count("\n") == 1
+    assert str(sc.MAX_STEPS) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("h0, rx", [("1e-300", "1.16499305e-300"),
                                     ("1e200", "1.16499305e+200")])
 def test_contact_extreme_spacing_is_finite(h0, rx, capsys):

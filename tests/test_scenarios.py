@@ -35,6 +35,12 @@ def test_protocol_validation():
         sc.DeformationProtocol("pure-shear", 0.0, 1.0, 1.7, 5)
     with pytest.raises(ValueError):
         sc.DeformationProtocol("dilatation", 0.0, 1.0, 1.2, 0)
+    # steps lies in [1, MAX_STEPS], checked before any sweep array is made
+    assert sc.MAX_STEPS == 100_000
+    assert sc.DeformationProtocol("dilatation", 0.0, 1.0, 1.2,
+                                  sc.MAX_STEPS).steps == sc.MAX_STEPS
+    with pytest.raises(ValueError, match=r"steps must be in \[1, 100000\]"):
+        sc.DeformationProtocol("dilatation", 0.0, 1.0, 1.2, sc.MAX_STEPS + 1)
 
 
 def test_protocol_values_and_states():
@@ -251,6 +257,45 @@ def test_verify_derivatives_tolerance_handling():
         sc.verify_derivatives("maxwell")
     with pytest.raises(ValueError):
         sc.verify_derivatives("metric", n_samples=0)
+
+
+@pytest.mark.parametrize("model", ["metric", "log"])
+def test_verify_errors_do_not_depend_on_tolerances(model):
+    """Each error is measured before its tolerance is applied: with every
+    tolerance at 0.0, each check reports the same max, mean, worst_sample
+    and worst_state as at the defaults; only tol and pass may differ."""
+    zero = dict.fromkeys(sc.VERIFY_TOLERANCES[model], 0.0)
+    loose = sc.verify_derivatives(model, n_samples=50, seed=0)["checks"]
+    strict = sc.verify_derivatives(model, n_samples=50, seed=0,
+                                   tolerances=zero)["checks"]
+    assert strict.keys() == loose.keys()
+    for name, check in loose.items():
+        for key in ("max", "mean", "worst_sample", "worst_state"):
+            assert strict[name][key] == check[key], (name, key)
+        assert strict[name]["tol"] == 0.0
+
+
+def test_verify_metric_tangent_fd_catches_a_one_percent_coefficient(
+        monkeypatch):
+    """Scaling one tangent coefficient, g_pz, by 1.01 fails tangent_fd at its
+    default tolerance (the error reads about 9.1e-5). rearrangement cannot
+    see it: the oplus route takes the same scalars from _tangent_scalars,
+    so its error stays at roundoff."""
+    scalars = mm._tangent_scalars
+
+    def g_pz_off_by_one_percent(*args):
+        out = list(scalars(*args))
+        out[5] *= 1.01
+        return tuple(out)
+
+    monkeypatch.setattr(mm, "_tangent_scalars", g_pz_off_by_one_percent)
+    rep = sc.verify_derivatives("metric", n_samples=200, seed=0)
+    checks = rep["checks"]
+    assert rep["pass"] is False
+    assert checks["tangent_fd"]["pass"] is False
+    assert 5e-5 < checks["tangent_fd"]["max"] < 2e-4
+    assert checks["rearrangement"]["max"] < 1e-14
+    assert checks["stress_fd"]["pass"] is True
 
 
 @pytest.mark.parametrize("model, check, seed", [
