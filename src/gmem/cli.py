@@ -96,6 +96,8 @@ def _params_from(args) -> mm.MaterialParams:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
+    if args.samples > sc.MAX_SAMPLES:
+        raise UsageError(f"--samples must be <= {sc.MAX_SAMPLES}")
     tol = _parse_tolerances(args.tolerance)
     models = (list(sc.VERIFY_TOLERANCES) if args.model == "all"
               else [args.model])

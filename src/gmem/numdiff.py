@@ -5,9 +5,21 @@ single-entry partials: the off-diagonal column is halved because a stored
 perturbation of the 12 component moves both the 12 and 21 tensor entries.
 With that convention every derived quantity takes a uniform prefactor
 (stress = 2x partials of the energy, and so on).
+
+partials_sym has two forms of one arithmetic. When its six evaluations are
+Python floats, or equal-length tuples of Python floats, it forms the
+quotients in float arithmetic and makes one array at the end; any other
+result (an ndarray, an np.float64, a nested or int-holding sequence) goes
+through NumPy. The float form exists because the verify callbacks return
+floats, a SurfTensor2 or a 6-tuple, and on those NumPy's set-up around six
+cheap evaluations costs more than the evaluations. Both forms give the same
+bits. The step must be finite and > 0 and the point three numbers; anything
+else raises ValueError.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,22 +31,49 @@ def partials_sym(f, comps, rel_step):
     """Single-entry partial derivatives of f with respect to a symmetric
     pair-storage triple; f may return a scalar or an array.
 
-    Returns an array of shape f(*comps).shape + (3,), formed from one array
-    of the six evaluations, made first in the order (+h, -h) per component.
+    f is evaluated six times, in the order (+h, -h) per component, with
+    h_i = rel_step * max(|c_i|, 1); each partial is (f+ - f-) / (2 h_i), and
+    the 12 column is then multiplied by 0.5. Returns an array of shape
+    f(*comps).shape + (3,) (for a tuple result, (len, 3)). Results that are
+    Python floats, or equal-length tuples of them, are differenced as
+    floats; any other result as one array of the six evaluations. The two
+    forms give the same bits, NaN included; the float form saves the
+    NumPy set-up that dominates a stencil of cheap callbacks.
+
+    Raises ValueError unless rel_step is finite and > 0 and comps is three
+    numbers.
     """
-    comps = tuple(float(x) for x in comps)
-    vals, steps = [], []
-    for i in range(3):
-        h = rel_step * max(abs(comps[i]), 1.0)
-        up = list(comps)
-        dn = list(comps)
-        up[i] += h
-        dn[i] -= h
-        vals.append(f(*up))
-        vals.append(f(*dn))
-        steps.append(2.0 * h)
+    if not 0.0 < rel_step < math.inf:
+        raise ValueError(f"rel_step must be finite and > 0, got {rel_step!r}")
+    try:
+        x, y, z = map(float, comps)
+    except (TypeError, ValueError):
+        raise ValueError(f"comps must be three numbers, got {comps!r}") from None
+    hx = rel_step * max(abs(x), 1.0)
+    hy = rel_step * max(abs(y), 1.0)
+    hz = rel_step * max(abs(z), 1.0)
+    vals = (f(x + hx, y, z), f(x - hx, y, z), f(x, y + hy, z),
+            f(x, y - hy, z), f(x, y, z + hz), f(x, y, z - hz))
+    sx, sy, sz = 2.0 * hx, 2.0 * hy, 2.0 * hz
+    v0, v1, v2, v3, v4, v5 = vals
+    t = type(v0)
+    if t is type(v1) is type(v2) is type(v3) is type(v4) is type(v5):
+        if t is float:
+            return np.array(((v0 - v1) / sx, (v2 - v3) / sy,
+                             (v4 - v5) / sz * 0.5))
+        if (issubclass(t, tuple)
+                and len(v0) == len(v1) == len(v2) == len(v3) == len(v4)
+                == len(v5)):
+            out = []
+            for a, b, c, d, e, g in zip(v0, v1, v2, v3, v4, v5):
+                if not (type(a) is type(b) is type(c) is type(d) is type(e)
+                        is type(g) is float):
+                    break
+                out += ((a - b) / sx, (c - d) / sy, (e - g) / sz * 0.5)
+            else:
+                return np.array(out).reshape(-1, 3)
     ev = np.array(vals, dtype=float)
-    d = (ev[0::2] - ev[1::2]).reshape(3, -1) / np.array(steps)[:, None]
+    d = (ev[0::2] - ev[1::2]).reshape(3, -1) / np.array((sx, sy, sz))[:, None]
     d[2] *= 0.5
     return d.T.reshape(ev.shape[1:] + (3,))
 
@@ -46,4 +85,3 @@ def partials_sym_richardson(f, comps, rel_step):
     p1 = partials_sym(f, comps, rel_step)
     p2 = partials_sym(f, comps, 0.5 * rel_step)
     return (4.0 * p2 - p1) / 3.0
-

@@ -27,6 +27,10 @@ from .surface_tensors import SurfTensor2, _new, rearrange
 
 STRETCH_RANGE = (0.7, 1.6)
 MAX_STEPS = 100_000
+# verify keeps every sample's errors and state until it reports, and bench
+# builds all its state records before timing (about 130 MB at MAX_EVALS)
+MAX_SAMPLES = 100_000
+MAX_EVALS = 1_000_000
 PROTOCOL_KINDS = ("dilatation", "uniaxial-constrained", "pure-shear")
 # One table per call kind, model name to function. perfbench's span tracer
 # wraps the entries of flat module-level tables of functions only.
@@ -316,6 +320,8 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be <= {MAX_SAMPLES}")
     if model not in VERIFY_TOLERANCES:
         raise ValueError(f"unknown model {model!r}")
     tols = dict(VERIFY_TOLERANCES[model])
@@ -465,6 +471,8 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
     """
     if n_evals < 10_000:
         raise ValueError("n_evals must be >= 10000")
+    if n_evals > MAX_EVALS:
+        raise ValueError(f"n_evals must be <= {MAX_EVALS}")
     rng = np.random.default_rng(seed)
     frame = make_frame(0.0)
     states = []

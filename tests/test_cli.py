@@ -240,6 +240,26 @@ def test_steps_above_the_bound_is_a_usage_error(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["verify", "--samples", "1000000000"], "MAX_SAMPLES"),
+    (["verify", "--model", "bending", "--samples", "100001"], "MAX_SAMPLES"),
+    (["bench", "--n-evals", "1000000000"], "MAX_EVALS"),
+])
+def test_samples_and_evals_above_their_bounds_are_usage_errors(
+        monkeypatch, argv, bound, capsys):
+    """verify --samples above sc.MAX_SAMPLES and bench --n-evals above
+    sc.MAX_EVALS exit 2 with one line, before any state is drawn."""
+    def draw(*_args):
+        raise AssertionError("a state was drawn")
+    for name in ("_membrane_sample", "_bending_sample", "make_frame"):
+        monkeypatch.setattr(sc, name, draw)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and err.count("\n") == 1
+    assert str(getattr(sc, bound)) in err
+
+
 @pytest.mark.parametrize("h0, rx", [("1e-300", "1.16499305e-300"),
                                     ("1e200", "1.16499305e+200")])
 def test_contact_extreme_spacing_is_finite(h0, rx, capsys):

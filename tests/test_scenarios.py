@@ -259,6 +259,30 @@ def test_verify_derivatives_tolerance_handling():
         sc.verify_derivatives("metric", n_samples=0)
 
 
+class Drawn(Exception):
+    pass
+
+
+def test_sample_and_eval_counts_are_bounded(monkeypatch):
+    """verify's n_samples lies in [1, MAX_SAMPLES] and bench's n_evals in
+    [10000, MAX_EVALS], checked before any state is drawn: a count at its
+    bound reaches the first draw, one above it raises ValueError first."""
+    def draw(*_args):
+        raise Drawn
+    for name in ("_membrane_sample", "_bending_sample", "make_frame"):
+        monkeypatch.setattr(sc, name, draw)
+    assert (sc.MAX_SAMPLES, sc.MAX_EVALS) == (100_000, 1_000_000)
+    for model in sc.VERIFY_TOLERANCES:
+        with pytest.raises(Drawn):
+            sc.verify_derivatives(model, n_samples=sc.MAX_SAMPLES)
+        with pytest.raises(ValueError, match="n_samples must be <= 100000"):
+            sc.verify_derivatives(model, n_samples=sc.MAX_SAMPLES + 1)
+    with pytest.raises(Drawn):
+        sc.benchmark_models(mm.GGA, n_evals=sc.MAX_EVALS)
+    with pytest.raises(ValueError, match="n_evals must be <= 1000000"):
+        sc.benchmark_models(mm.GGA, n_evals=sc.MAX_EVALS + 1)
+
+
 @pytest.mark.parametrize("model", ["metric", "log"])
 def test_verify_errors_do_not_depend_on_tolerances(model):
     """Each error is measured before its tolerance is applied: with every
@@ -376,11 +400,22 @@ def partials_sym_loop(f, comps, rel_step):
 
 
 def test_partials_sym_matches_loop_form_bitwise():
+    """Both forms of partials_sym, float results and the array form, against
+    the loop: a float, a SurfTensor2 and a flat 6-tuple of floats take the
+    float form; an ndarray, an np.float64, a nested tuple and a tuple of
+    ints the array form."""
     rng = np.random.default_rng(11)
     w = rng.normal(size=(2, 3, 3))
     callbacks = (lambda x, y, z: math.exp(x) * y - z * z,
                  lambda x, y, z: np.array([x * y, y / z, math.sin(z)]),
-                 lambda x, y, z: np.tanh(w * (x - y * z)))
+                 lambda x, y, z: np.tanh(w * (x - y * z)),
+                 lambda x, y, z: SurfTensor2(x * y, y / z, math.sin(z)),
+                 lambda x, y, z: (x, y * z, math.exp(z), -x, x * x, 0.0),
+                 lambda x, y, z: np.float64(x * y) - z,
+                 lambda x, y, z: ((x, y), (z, x * z)),
+                 lambda x, y, z: (round(1e7 * x), 3, round(1e7 * y * z)),
+                 # NaN at the +h point of the second component only
+                 lambda x, y, z: math.nan if y > comps[1] else x * y - z)
     for _ in range(50):
         comps = tuple(rng.uniform(-3.0, 3.0, size=3))
         for f in callbacks:
@@ -389,6 +424,33 @@ def test_partials_sym_matches_loop_form_bitwise():
                 want = partials_sym_loop(f, comps, step)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+def test_partials_sym_evaluates_in_its_documented_order():
+    """Six evaluations, (+h, -h) per component in turn, with
+    h_i = rel_step * max(|c_i|, 1), each point three Python floats."""
+    comps, step = (2.5, -0.25, 0.75), 1e-6
+    points = []
+    partials_sym(lambda *pt: points.append(pt) or 0.0, comps, step)
+    hx, hy, hz = 2.5 * step, step, step
+    assert points == [(2.5 + hx, -0.25, 0.75), (2.5 - hx, -0.25, 0.75),
+                      (2.5, -0.25 + hy, 0.75), (2.5, -0.25 - hy, 0.75),
+                      (2.5, -0.25, 0.75 + hz), (2.5, -0.25, 0.75 - hz)]
+    assert all(type(x) is float for pt in points for x in pt)
+
+
+@pytest.mark.parametrize("comps, step", [
+    ((1.0, 1.0, 0.0), 0.0), ((1.0, 1.0, 0.0), -1e-6),
+    ((1.0, 1.0, 0.0), math.nan), ((1.0, 1.0, 0.0), math.inf),
+    ((1.0, 1.0), 1e-6), ((1.0, 1.0, 0.0, 0.5), 1e-6),
+])
+def test_partials_sym_rejects_a_bad_step_or_point(comps, step):
+    """A step that is not finite and > 0, or a point that is not three
+    numbers, raises before f is called."""
+    calls = []
+    with pytest.raises(ValueError, match="rel_step|comps"):
+        partials_sym(lambda *pt: calls.append(pt) or 0.0, comps, step)
+    assert calls == []
 
 
 def rel_err_wrappers(x, ref):

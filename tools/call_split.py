@@ -36,8 +36,9 @@ pair (a state's tangent against its major transpose, verify's symmetry
 check), `_pair_of` on a state's tangent, `_summary` over 10 rows of one
 float each, and the stencil overhead of `partials_sym`: its time minus
 six calls of its callback at the points partials_sym itself passes it
-(recorded by stencil_points), for a scalar callback and for one returning
-a 3-tuple, both a few float operations.
+(recorded by stencil_points), for a scalar callback, for one returning
+a 3-tuple (a membrane stress) and for one returning a 6-tuple (bending's
+stress and moment), each a few float operations.
 
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
 """
@@ -121,6 +122,10 @@ def _vector_f(x, y, z):
     return (x * y, y - z, z * x)
 
 
+def _six_f(x, y, z):
+    return (x * y, y - z, z * x, x + y, y * z, z - x)
+
+
 def stencil_points(comps, rel_step):
     """The argument triples partials_sym passes to its callback, in its
     order."""
@@ -148,7 +153,8 @@ def verify_jobs(states):
          [(rng.uniform(0.0, 1e-8, size=10).tolist(), 1e-6)
           for _ in states]),
     ]
-    for label, f in (("scalar", _scalar_f), ("3-tuple", _vector_f)):
+    for label, f in (("scalar", _scalar_f), ("3-tuple", _vector_f),
+                     ("6-tuple", _six_f)):
         name = f"partials_sym {label}"
         out.append((name, "call", partials_sym,
                     [(f, cc, STRESS_STEP) for cc in comps]))
