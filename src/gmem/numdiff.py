@@ -6,15 +6,14 @@ perturbation of the 12 component moves both the 12 and 21 tensor entries.
 With that convention every derived quantity takes a uniform prefactor
 (stress = 2x partials of the energy, and so on).
 
-partials_sym has two forms of one arithmetic. When its six evaluations are
-Python floats, or equal-length tuples of Python floats, it forms the
-quotients in float arithmetic and makes one array at the end; any other
-result (an ndarray, an np.float64, a nested or int-holding sequence) goes
-through NumPy. The float form exists because the verify callbacks return
-floats, a SurfTensor2 or a 6-tuple, and on those NumPy's set-up around six
-cheap evaluations costs more than the evaluations. Both forms give the same
-bits. The step must be finite and > 0 and the point three numbers; anything
-else raises ValueError.
+partials_sym has two forms of one arithmetic. The verify callbacks return
+a float, a SurfTensor2 or a 6-tuple of floats, and for such cheap
+callbacks NumPy's set-up costs more than the six evaluations, so results
+that are Python floats, or equal-length tuples of them, are differenced in
+float arithmetic and put in one array at the end. Every other result goes
+through one array of the six evaluations. Both forms give the same bits.
+It raises ValueError unless its step is finite and > 0 and its point is
+three numbers.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ def partials_sym(f, comps, rel_step):
     f is evaluated six times, in the order (+h, -h) per component, with
     h_i = rel_step * max(|c_i|, 1); each partial is (f+ - f-) / (2 h_i), and
     the 12 column is then multiplied by 0.5. Returns an array of shape
-    f(*comps).shape + (3,) (for a tuple result, (len, 3)). Results that are
-    Python floats, or equal-length tuples of them, are differenced as
-    floats; any other result as one array of the six evaluations. The two
-    forms give the same bits, NaN included; the float form saves the
-    NumPy set-up that dominates a stencil of cheap callbacks.
+    f(*comps).shape + (3,), (n, 3) for an n-tuple. Floats and flat tuples
+    of floats take the float form; an ndarray, an np.float64 or a nested
+    sequence takes the array form, and so does a tuple holding an int,
+    whose exact int difference NumPy would round first.
 
     Raises ValueError unless rel_step is finite and > 0 and comps is three
     numbers.
@@ -48,7 +46,8 @@ def partials_sym(f, comps, rel_step):
     try:
         x, y, z = map(float, comps)
     except (TypeError, ValueError):
-        raise ValueError(f"comps must be three numbers, got {comps!r}") from None
+        raise ValueError(
+            f"comps must be three numbers, got {comps!r}") from None
     hx = rel_step * max(abs(x), 1.0)
     hy = rel_step * max(abs(y), 1.0)
     hz = rel_step * max(abs(z), 1.0)

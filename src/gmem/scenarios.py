@@ -28,7 +28,8 @@ from .surface_tensors import SurfTensor2, _new, rearrange
 STRETCH_RANGE = (0.7, 1.6)
 MAX_STEPS = 100_000
 # verify keeps every sample's errors and state until it reports, and bench
-# builds all its state records before timing (about 130 MB at MAX_EVALS)
+# builds all its state records before timing (144 bytes each with the list
+# slot, so about 144 MB at MAX_EVALS)
 MAX_SAMPLES = 100_000
 MAX_EVALS = 1_000_000
 PROTOCOL_KINDS = ("dilatation", "uniaxial-constrained", "pure-shear")
