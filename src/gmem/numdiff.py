@@ -13,7 +13,7 @@ that are Python floats, or equal-length tuples of them, are differenced in
 float arithmetic and put in one array at the end. Every other result goes
 through one array of the six evaluations. Both forms give the same bits.
 It raises ValueError unless its step is finite and > 0 and its point is
-three numbers.
+three numbers. partials_sym is the only central-difference stencil in src/.
 """
 
 from __future__ import annotations

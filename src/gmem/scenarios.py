@@ -429,26 +429,15 @@ def apex_angle(d_theta: float) -> float:
 
 def _log_core_fd(c: SurfTensor2, frame: LatticeFrame, p: mm.MaterialParams,
                  order: int):
-    """membrane_material._log_core with the tangent the central difference
-    of its stress in C's components at relative step TANGENT_STEP: the
-    differenced route that benchmark_models times against the metric
-    model."""
+    """membrane_material._log_core with G = 2 * partials_sym of its order-1
+    stress at relative step TANGENT_STEP, a (3, 3) ndarray: the differenced
+    route that benchmark_models times against the metric model."""
     W, s, _g, J = mm._log_core(c, frame, p, min(order, 1))
     if order < 2:
         return W, s, None, J
-    g = [[0.0, 0.0, 0.0] for _ in range(3)]
-    for j in range(3):
-        h = TANGENT_STEP * max(abs(c[j]), 1.0)
-        up = list(c)
-        dn = list(c)
-        up[j] += h
-        dn[j] -= h
-        su = mm._log_core(_new(SurfTensor2, up), frame, p, 1)[1]
-        sd = mm._log_core(_new(SurfTensor2, dn), frame, p, 1)[1]
-        w = 0.5 if j == 2 else 1.0
-        for a in range(3):
-            g[a][j] = 2.0 * w * (su[a] - sd[a]) / (2.0 * h)
-    return W, s, g, J
+    return W, s, 2.0 * partials_sym(
+        lambda *t: mm._log_core(_new(SurfTensor2, t), frame, p, 1)[1],
+        c, TANGENT_STEP), J
 
 
 def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
@@ -457,8 +446,8 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
     path against the spectral log path with differenced tangent.
 
     The log stress+tangent is timed on the central-difference route
-    (_log_core_fd, at numdiff's TANGENT_STEP), which speedup_stress_tangent
-    has always measured. The closed-form log tangent that the public calls
+    (_log_core_fd: numdiff.partials_sym of the log stress at TANGENT_STEP),
+    which speedup_stress_tangent has always measured. The closed-form log tangent that the public calls
     use is timed beside it as log_analytic and reported as
     speedup_stress_tangent_analytic.
 

@@ -9,7 +9,7 @@ import pytest
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.lattice import ZIGZAG_OFFSET, make_frame
-from gmem.numdiff import STRESS_STEP, partials_sym
+from gmem.numdiff import STRESS_STEP, TANGENT_STEP, partials_sym
 from gmem.surface_tensors import SurfTensor2, Tangent4, _pair_of
 
 ARMCHAIR = make_frame(0.0)
@@ -621,15 +621,24 @@ def test_apex_angles():
 
 
 def test_differenced_log_route_keeps_the_contract():
-    c, frame = SurfTensor2(1.3, 0.9, 0.15), make_frame(0.2)
-    for order in (0, 1, 2):
-        fd = sc._log_core_fd(c, frame, mm.GGA, order)
-        an = mm._log_core(c, frame, mm.GGA, order)
-        assert fd[:2] == an[:2] and fd[3] == an[3]
-        assert (fd[2] is None) == (order < 2)
-    g_fd = np.array(sc._log_core_fd(c, frame, mm.GGA, 2)[2])
-    g = np.array(mm._log_core(c, frame, mm.GGA, 2)[2])
-    assert np.max(np.abs(g_fd - g)) <= 1e-8 * np.max(np.abs(g))
+    """_log_core_fd is _log_core with G twice partials_sym of the order-1
+    stress, bit for bit, on a generic GGA state and a near-isotropic LDA
+    state (u ~ 1e-9, inside _ln_divided2's series band)."""
+    frame = make_frame(0.2)
+    for c, p in ((SurfTensor2(1.3, 0.9, 0.15), mm.GGA),
+                 (SurfTensor2(1.2 + 1.2e-9, 1.2 - 1.2e-9, 0.0), mm.LDA)):
+        for order in (0, 1, 2):
+            fd = sc._log_core_fd(c, frame, p, order)
+            an = mm._log_core(c, frame, p, order)
+            assert fd[:2] == an[:2] and fd[3] == an[3]
+            assert (fd[2] is None) == (order < 2)
+        g_fd = sc._log_core_fd(c, frame, p, 2)[2]
+        ref = 2.0 * partials_sym(
+            lambda *t: mm._log_core(SurfTensor2(*t), frame, p, 1)[1],
+            c, TANGENT_STEP)
+        assert g_fd.shape == (3, 3) and g_fd.tobytes() == ref.tobytes()
+        g = np.array(mm._log_core(c, frame, p, 2)[2])
+        assert np.max(np.abs(g_fd - g)) <= 1e-8 * np.max(np.abs(g))
 
 
 def test_benchmark_report_shape():

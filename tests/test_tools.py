@@ -1,7 +1,7 @@
 """The per-call measurement tools (tools/call_pairs.py, tools/call_split.py):
 every job table they time, built on a few states and called once, so that a
 change to a private contract they reach fails here rather than in a tool
-run."""
+run; and the bitwise verdict of tools/oracle_diff.py."""
 
 import math
 import sys
@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import call_pairs as cp  # noqa: E402
 import call_split as cs  # noqa: E402
+import oracle_diff as od  # noqa: E402
 import gmem  # noqa: E402
 
 N_STATES = 4
@@ -77,3 +78,15 @@ def test_stencil_points_are_the_callback_arguments():
     points = cs.stencil_points(comps, 1e-6)
     assert len(points) == 6
     assert all(sum(a != b for a, b in zip(pt, comps)) == 1 for pt in points)
+
+
+def test_oracle_verdict_is_bitwise():
+    """compare passes only equal bytes in the same groups and shapes: a
+    signed zero differs, a NaN equals the same NaN."""
+    a, nan = np.array([1.0, 2.5]), np.array([math.nan])
+    assert od.compare({"g": a}, {"g": a.copy()})
+    assert not od.compare({"g": np.array([0.0])}, {"g": np.array([-0.0])})
+    assert od.compare({"g": nan}, {"g": nan.copy()})
+    assert not od.compare({"g": a}, {"g": a, "h": a})
+    assert not od.compare({"g": a, "h": a}, {"g": a})
+    assert not od.compare({"g": a}, {"g": a.reshape(2, 1)})
