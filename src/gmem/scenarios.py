@@ -447,9 +447,9 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
 
     The log stress+tangent is timed on the central-difference route
     (_log_core_fd: numdiff.partials_sym of the log stress at TANGENT_STEP),
-    which speedup_stress_tangent has always measured. The closed-form log tangent that the public calls
-    use is timed beside it as log_analytic and reported as
-    speedup_stress_tangent_analytic.
+    which speedup_stress_tangent has always measured. The closed-form log
+    tangent that the public calls use is timed beside it as log_analytic
+    and reported as speedup_stress_tangent_analytic.
 
     All paths consume the same precomputed state stream and produce the
     same pair-matrix tangent representation; an empty-loop calibration is
