@@ -220,17 +220,26 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
     return g._replace(A_alpha=A_alpha, a_alpha=a_alpha, gamma=gamma, n=n)
 
 
+# the Christoffel symbols and normal of every metric-only record: shared,
+# so read-only
+_NO_GAMMA = np.zeros((2, 2, 2))
+_PLANE_NORMAL = np.array([0.0, 0.0, 1.0])
+_NO_GAMMA.flags.writeable = _PLANE_NORMAL.flags.writeable = False
+
+
 def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     """Geometry record built from metric data alone.
 
     Used by the derivative checks, which vary a_ab and b_ab independently;
     no embedding compatibility is implied. Tangent vectors are a canonical
-    planar realization of each metric (its lower Cholesky factor) and gamma
-    is zero. Determinants, inverses, Cholesky rows, J, the curvature scalars
-    and b^ab = a^-1 b a^-1 (upper triangle mirrored) are closed-form 2x2
-    arithmetic on plain floats, written into one array that the tangent
-    vectors and contravariant fields view. Raises NotPositiveDefiniteError
-    for a bad A_cov (`reference metric`) or a_cov (`metric`).
+    planar realization of each metric (its lower Cholesky factor); gamma is
+    zero and n is the plane's normal (0, 0, 1), read-only arrays that every
+    such record shares. Determinants, inverses, Cholesky rows, J, the
+    curvature scalars and b^ab = a^-1 b a^-1 (upper triangle mirrored) are
+    closed-form 2x2 arithmetic on plain floats, written into one array that
+    the tangent vectors and contravariant fields view. Raises
+    NotPositiveDefiniteError for a bad A_cov (`reference metric`) or a_cov
+    (`metric`).
     """
     A_cov = np.asarray(A_cov, dtype=float)
     a_cov = np.asarray(a_cov, dtype=float)
@@ -263,7 +272,7 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     mats = buf[12:].reshape(3, 2, 2)
     return _new(SurfacePointGeometry, (
         rows[0], rows[1], A_cov, mats[0], a_cov, mats[1], b_cov, mats[2],
-        np.zeros((2, 2, 2)), np.array([0.0, 0.0, 1.0]),
+        _NO_GAMMA, _PLANE_NORMAL,
         math.sqrt(deta / detA), H, kappa, H + disc, H - disc))
 
 
@@ -288,6 +297,12 @@ def bending_stress_moment(g: SurfacePointGeometry, c_bend: float):
     return out[0], out[1]
 
 
+# flat index 8a + 4b + 2g + d of [a, b, g, d] -> the flat indices of
+# [a, g, b, d] and [a, d, b, g]
+_SYM4 = tuple((8 * a + 4 * g + 2 * b + d, 8 * a + 4 * d + 2 * b + g)
+              for a in (0, 1) for b in (0, 1) for g in (0, 1) for d in (0, 1))
+
+
 class BendingTangents(NamedTuple):
     """The four bending moduli: c = 2 dtau/da, d = dtau/db, e = 2 dM0/da,
     f = dM0/db, all contravariant (2, 2, 2, 2) blocks. e equals the major
@@ -300,26 +315,29 @@ class BendingTangents(NamedTuple):
 
 
 def bending_tangents(g: SurfacePointGeometry, c_bend: float) -> BendingTangents:
-    au, bu, H, kappa = g.a_contra, g.b_contra, g.H, g.kappa_gauss
-    pref = g.J * c_bend
-    # the four outer products; + 0.0 makes every zero product +0.0, the
-    # sign an einsum outer product gives
-    aa = np.multiply.outer(au, au) + 0.0
-    ab = np.multiply.outer(au, bu) + 0.0
-    ba = np.multiply.outer(bu, au) + 0.0
-    bb = np.multiply.outer(bu, bu) + 0.0
-
-    def sym4(o):  # o = x (x) y; x^{ag} y^{bd} and x^{ad} y^{bg} are views
-        return 0.5 * (o.transpose(0, 2, 1, 3) + o.transpose(0, 2, 3, 1))
-
-    a4 = sym4(aa)
-    ab_s = sym4(ab) + sym4(ba)
-    c_t = pref * ((2.0 * H * H - kappa) * aa
-                  - 4.0 * H * (ab + ba)
-                  + 4.0 * bb
-                  - 2.0 * (2.0 * H * H + kappa) * a4
-                  + 8.0 * H * ab_s)
-    d_t = pref * (4.0 * H * aa - ab - 2.0 * ba - 4.0 * H * a4)
-    e_t = d_t.transpose(2, 3, 0, 1)
-    f_t = pref * a4
-    return BendingTangents(c_t, d_t, e_t, f_t)
+    """The four bending moduli at g. Each of the 48 entries of c, d and f
+    is formed in float arithmetic, in the operation order of the
+    outer-product form, and the three blocks are views of one array; e is
+    the major-transpose view of d."""
+    (a00, a01), (a10, a11) = g.a_contra.tolist()
+    (b00, b01), (b10, b11) = g.b_contra.tolist()
+    au, bu = (a00, a01, a10, a11), (b00, b01, b10, b11)
+    H, kappa, pref = g.H, g.kappa_gauss, g.J * c_bend
+    # the four outer products, flat; + 0.0 makes every zero product +0.0,
+    # the sign an einsum outer product gives
+    aa = [x * y + 0.0 for x in au for y in au]
+    ab = [x * y + 0.0 for x in au for y in bu]
+    ba = [x * y + 0.0 for x in bu for y in au]
+    bb = [x * y + 0.0 for x in bu for y in bu]
+    # sym4(o) = (o^{agbd} + o^{adbg}) / 2 of o = x (x) y
+    a4 = [0.5 * (aa[i] + aa[j]) for i, j in _SYM4]
+    ab_s = [0.5 * (ab[i] + ab[j]) + 0.5 * (ba[i] + ba[j]) for i, j in _SYM4]
+    k_aa, k_ab = 2.0 * H * H - kappa, 4.0 * H
+    k_a4, k_s = 2.0 * (2.0 * H * H + kappa), 8.0 * H
+    c_t = [pref * (k_aa * x - k_ab * (y + z) + 4.0 * w - k_a4 * s + k_s * t)
+           for x, y, z, w, s, t in zip(aa, ab, ba, bb, a4, ab_s)]
+    d_t = [pref * (k_ab * x - y - 2.0 * z - k_ab * s)
+           for x, y, z, s in zip(aa, ab, ba, a4)]
+    out = np.array(c_t + d_t + [pref * s for s in a4]).reshape(3, 2, 2, 2, 2)
+    return BendingTangents(out[0], out[1], out[1].transpose(2, 3, 0, 1),
+                           out[2])

@@ -184,7 +184,9 @@ def invariant_approximation_errors(ratios: Iterable[float]) -> dict:
 
 
 def _random_spd_triple(rng, lo=0.7, hi=1.6):
-    e1, e2 = rng.uniform(lo, hi, size=2)
+    """(c11, c22, c12) of a random SPD 2x2 with eigenvalues in [lo, hi],
+    as Python floats."""
+    e1, e2 = rng.uniform(lo, hi, size=2).tolist()
     phi = rng.uniform(0.0, math.pi)
     c, s = math.cos(phi), math.sin(phi)
     return (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
@@ -194,7 +196,8 @@ def _random_spd_triple(rng, lo=0.7, hi=1.6):
 def _rel_err(x, ref):
     """max |x - ref| over max |ref|, the latter floored at 1e-12."""
     ref = np.asarray(ref)
-    return np.abs(np.subtract(x, ref)).max() / max(np.abs(ref).max(), 1e-12)
+    return (np.maximum.reduce(np.abs(np.subtract(x, ref)), axis=None)
+            / max(np.maximum.reduce(np.abs(ref), axis=None), 1e-12))
 
 
 def _membrane_sample(model, params, rng):
@@ -202,7 +205,7 @@ def _membrane_sample(model, params, rng):
     state: its C triple and lattice angle."""
     theta = rng.uniform(0.0, 2.0 * math.pi)
     frame = make_frame(theta)
-    triple = tuple(map(float, _random_spd_triple(rng)))
+    triple = _random_spd_triple(rng)
     c0 = _new(SurfTensor2, triple)
     stress = _STRESS_FN[model]
     energy = _ENERGY_FN[model]
@@ -233,15 +236,15 @@ def _bending_sample(rng):
     state: its a_ref, a_cur and b_cur triples. tangent_fd holds one error
     per tangent block c, d, e, f."""
     c_bend = DEFAULT_BEND_STIFFNESS
-    a_ref = np.array(_random_spd_triple(rng, 0.8, 1.3))
-    a_cur = np.array(_random_spd_triple(rng, 0.7, 1.6))
-    b_cur = rng.uniform(-0.5, 0.5, size=3)
+    a_ref = _random_spd_triple(rng, 0.8, 1.3)
+    a_cur = _random_spd_triple(rng, 0.7, 1.6)
+    b_cur = tuple(rng.uniform(-0.5, 0.5, size=3).tolist())
 
-    def m2(t):
-        return np.array([[t[0], t[2]], [t[2], t[1]]])
+    def m2(t11, t22, t12):
+        return np.array((t11, t12, t12, t22)).reshape(2, 2)
 
     # the unperturbed metrics, built once for every perturbation
-    A_ref, a_0, b_0 = m2(a_ref), m2(a_cur), m2(b_cur)
+    A_ref, a_0, b_0 = m2(*a_ref), m2(*a_cur), m2(*b_cur)
 
     def tm(g):
         t, m = bg.bending_stress_moment(g, c_bend)
@@ -254,13 +257,13 @@ def _bending_sample(rng):
 
     # one geometry builder per perturbed metric, a_cur or b_cur
     def with_a(a11, a22, a12):
-        return bg.geometry_from_metrics(A_ref, m2((a11, a22, a12)), b_0)
+        return bg.geometry_from_metrics(A_ref, m2(a11, a22, a12), b_0)
 
     def with_b(b11, b22, b12):
-        return bg.geometry_from_metrics(A_ref, a_0, m2((b11, b22, b12)))
+        return bg.geometry_from_metrics(A_ref, a_0, m2(b11, b22, b12))
 
     def diff(out, geometry, x, step):
-        return partials_sym(lambda *t: out(geometry(*t)), tuple(x), step)
+        return partials_sym(lambda *t: out(geometry(*t)), x, step)
 
     g0 = bg.geometry_from_metrics(A_ref, a_0, b_0)
     an = tm(g0)
@@ -276,8 +279,7 @@ def _bending_sample(rng):
                            _rel_err(fd_b[3:], _st._pair_of(tg.f))),
             "transpose_identity": np.abs(
                 tg.e - tg.d.transpose(2, 3, 0, 1)).max()}
-    return errs, dict(a_ref=tuple(a_ref.tolist()), a_cur=tuple(a_cur.tolist()),
-                      b_cur=tuple(b_cur.tolist()))
+    return errs, dict(a_ref=a_ref, a_cur=a_cur, b_cur=b_cur)
 
 
 def _summary(rows, tol):
@@ -440,6 +442,9 @@ def _log_core_fd(c: SurfTensor2, frame: LatticeFrame, p: mm.MaterialParams,
         c, TANGENT_STEP), J
 
 
+BENCH_ROUNDS = 5
+
+
 def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
                      seed: int = 0) -> dict:
     """Single-threaded throughput of the analytic metric stress+tangent
@@ -452,9 +457,14 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
     and reported as speedup_stress_tangent_analytic.
 
     All paths consume the same precomputed state stream and produce the
-    same pair-matrix tangent representation; an empty-loop calibration is
-    subtracted from every timing, and a cross-consistency gate on a stream
-    prefix runs before any timing. States keep the ratio of the C
+    same pair-matrix tangent representation, and a cross-consistency gate
+    on a stream prefix runs before any timing. The stream is timed in
+    BENCH_ROUNDS rounds of n_evals / BENCH_ROUNDS consecutive states; each
+    round times every route's loop over its states, in alternating order
+    (reversed in odd rounds), less an empty loop over the same states.
+    Each speedup_* is the median over the rounds of the ratio of two
+    adjacent loops, and speedup_spread gives its median, min and max; the
+    *_s times are sums over the rounds. States keep the ratio of the C
     eigenvalues below 1.3, a principal stretch ratio of at most
     sqrt(1.3) ~ 1.14, inside the surrogate's fitted range, so the gate
     tolerance of the model comparison applies.
@@ -491,35 +501,50 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
         for st in states[:200]:  # warmup
             core(st, frame, params, 2)
 
-    t0 = time.perf_counter()
-    for st in states:
-        pass
-    calib = time.perf_counter() - t0
-
-    timed = {}
-    for (name, order), core in loops.items():
+    n = len(states)
+    ends = [n * k // BENCH_ROUNDS for k in range(BENCH_ROUNDS + 1)]
+    keys = list(loops)
+    timed = {key: [] for key in keys}  # seconds per round
+    calib = 0.0
+    for r in range(BENCH_ROUNDS):
+        chunk = states[ends[r]:ends[r + 1]]
         t0 = time.perf_counter()
-        for st in states:
-            core(st, frame, params, order)
-        timed[name, order] = time.perf_counter() - t0 - calib
+        for st in chunk:
+            pass
+        empty = time.perf_counter() - t0
+        calib += empty
+        for key in (keys if r % 2 == 0 else keys[::-1]):
+            core, order = loops[key], key[1]
+            t0 = time.perf_counter()
+            for st in chunk:
+                core(st, frame, params, order)
+            timed[key].append(time.perf_counter() - t0 - empty)
 
-    n = float(n_evals)
+    def spread(num, den):
+        ratios = sorted(a / b for a, b in zip(timed[num], timed[den]))
+        return {"median": ratios[len(ratios) // 2], "min": ratios[0],
+                "max": ratios[-1]}
+
+    speedups = {"stress_tangent": spread(("log", 2), ("metric", 2)),
+                "stress_tangent_analytic": spread(("log_analytic", 2),
+                                                  ("metric", 2)),
+                "stress_only": spread(("log", 1), ("metric", 1))}
+    total = {key: sum(t) for key, t in timed.items()}
     return {
         "n_evals": int(n_evals),
         "seed": int(seed),
         "param_set": params.name or "custom",
+        "rounds": BENCH_ROUNDS,
         "calibration_s": calib,
-        **{name: {"stress_s": timed[name, 1],
-                  "stress_tangent_s": timed[name, 2],
-                  "stress_tangent_us_per_eval": 1e6 * timed[name, 2] / n}
+        **{name: {"stress_s": total[name, 1],
+                  "stress_tangent_s": total[name, 2],
+                  "stress_tangent_us_per_eval": 1e6 * total[name, 2] / n}
            for name in ("metric", "log")},
         "log_analytic": {
-            "stress_tangent_s": timed["log_analytic", 2],
-            "stress_tangent_us_per_eval": 1e6 * timed["log_analytic", 2] / n},
-        "speedup_stress_tangent": timed["log", 2] / timed["metric", 2],
-        "speedup_stress_tangent_analytic": (timed["log_analytic", 2]
-                                            / timed["metric", 2]),
-        "speedup_stress_only": timed["log", 1] / timed["metric", 1],
+            "stress_tangent_s": total["log_analytic", 2],
+            "stress_tangent_us_per_eval": 1e6 * total["log_analytic", 2] / n},
+        **{f"speedup_{name}": s["median"] for name, s in speedups.items()},
+        "speedup_spread": speedups,
         "reference_ratio": 1.5,
         "consistency_gate": {"max_percent": gate_max,
                              "tol_percent": 1.0, "pass": True,

@@ -287,13 +287,17 @@ def test_10_beam_linearity_and_cone_apex_angles():
 
 def test_11_metric_path_throughput_advantage():
     """Stress+tangent throughput of the analytic path at least 1.2 times
-    the spectral path on 1e5 evaluations; the published reference ratio is
-    1.5 and is reported, not gated."""
+    the spectral path on 1e5 evaluations, as the median over the bench's
+    rounds; the published reference ratio is 1.5 and is reported, not
+    gated."""
     rep = sc.benchmark_models(mm.GGA, n_evals=100_000, seed=0)
     ratio = rep["speedup_stress_tangent"]
-    msg = (f"measured speedup {ratio:.3f} (stress only "
-           f"{rep['speedup_stress_only']:.3f}), reference "
-           f"{rep['reference_ratio']}, gate 1.2")
+    st, so = (rep["speedup_spread"][k] for k in ("stress_tangent",
+                                                 "stress_only"))
+    msg = (f"measured speedup {ratio:.3f} (median of {rep['rounds']} "
+           f"rounds, min {st['min']:.3f}, max {st['max']:.3f}; stress only "
+           f"{so['median']:.3f}, {so['min']:.3f}-{so['max']:.3f}), "
+           f"reference {rep['reference_ratio']}, gate 1.2")
     print(msg)
     assert rep["consistency_gate"]["pass"] is True
     assert ratio >= 1.2, msg

@@ -468,6 +468,30 @@ def bending_tangents_einsum(g, c_bend):
     return bg.BendingTangents(c_t, d_t, d_t.transpose(2, 3, 0, 1), pref * a4)
 
 
+def bending_tangents_outer(g, c_bend):
+    """The outer-product form that the float form of bending_tangents
+    replaced: sym4 averages two transposed views of an outer product."""
+    au, bu, H, kappa = g.a_contra, g.b_contra, g.H, g.kappa_gauss
+    pref = g.J * c_bend
+    aa = np.multiply.outer(au, au) + 0.0
+    ab = np.multiply.outer(au, bu) + 0.0
+    ba = np.multiply.outer(bu, au) + 0.0
+    bb = np.multiply.outer(bu, bu) + 0.0
+
+    def sym4(o):
+        return 0.5 * (o.transpose(0, 2, 1, 3) + o.transpose(0, 2, 3, 1))
+
+    a4 = sym4(aa)
+    ab_s = sym4(ab) + sym4(ba)
+    c_t = pref * ((2.0 * H * H - kappa) * aa
+                  - 4.0 * H * (ab + ba)
+                  + 4.0 * bb
+                  - 2.0 * (2.0 * H * H + kappa) * a4
+                  + 8.0 * H * ab_s)
+    d_t = pref * (4.0 * H * aa - ab - 2.0 * ba - 4.0 * H * a4)
+    return bg.BendingTangents(c_t, d_t, d_t.transpose(2, 3, 0, 1), pref * a4)
+
+
 def same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     return (x.dtype == y.dtype and x.shape == y.shape
@@ -535,3 +559,59 @@ def test_bending_tangents_match_einsum_form_bitwise(A, a, b, au, bu):
         want = bending_tangents_einsum(g, CB)
         for name, x, y in zip(got._fields, got, want):
             assert same_bits(x, y), name
+
+
+def seeded_bending_records(seed, n):
+    """(record, c_bend) pairs on n seeded states: random SPD metrics, every
+    fourth current metric diagonal (so a^12 = -0.0), and per state the
+    curvature random, +0.0, -0.0 and random with b_12 = -0.0, each also
+    with c_bend = -0.0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        A = rotated_metric(*rng.uniform(0.8, 1.3, size=2),
+                           rng.uniform(0.0, math.pi))
+        if i % 4 == 0:
+            a = np.diag(rng.uniform(0.7, 1.6, size=2))
+        else:
+            a = rotated_metric(*rng.uniform(0.7, 1.6, size=2),
+                               rng.uniform(0.0, math.pi))
+        b11, b22, b12 = rng.uniform(-0.5, 0.5, size=3).tolist()
+        for b in ([[b11, b12], [b12, b22]], np.zeros((2, 2)),
+                  np.full((2, 2), -0.0), [[b11, -0.0], [-0.0, b22]]):
+            g = bg.geometry_from_metrics(A, a, b)
+            out += [(g, CB), (g, -0.0)]
+    return out
+
+
+def test_bending_tangents_match_outer_product_form_bitwise():
+    """2,000 records: every block has the outer-product form's bits, signed
+    zeros included; c, d and f are views of one array and e the major
+    transpose of d."""
+    records = seeded_bending_records(29, 250)
+    zero_signs = set()
+    for g, c_bend in records:
+        got = bg.bending_tangents(g, c_bend)
+        want = bending_tangents_outer(g, c_bend)
+        for name, x, y in zip(got._fields, got, want):
+            assert same_bits(x, y), name
+        assert got.c.base is got.d.base is got.f.base
+        assert got.e.base is got.d.base
+        assert np.array_equal(got.e, got.d.transpose(2, 3, 0, 1))
+        zero_signs |= {math.copysign(1.0, x) for t in got for x in t.flat
+                       if x == 0.0}
+    assert len(records) == 2000 and zero_signs == {1.0, -1.0}
+
+
+def test_metric_only_records_share_read_only_gamma_and_normal():
+    g1 = bg.geometry_from_metrics(A0, a0, b0)
+    g2 = bg.geometry_from_metrics(np.eye(2), a0, np.zeros((2, 2)))
+    assert g1.gamma is g2.gamma and g1.n is g2.n
+    for x in (g1.gamma, g1.n):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+    assert np.all(g1.gamma == 0.0) and g1.n.tolist() == [0.0, 0.0, 1.0]
+    e = bg.evaluate_geometry(bg.sphere_surface(1.7), (0.5, 1.1))
+    for own, shared in ((e.gamma, g1.gamma), (e.n, g1.n)):
+        assert own.flags.writeable and not np.shares_memory(own, shared)

@@ -459,6 +459,13 @@ def rel_err_wrappers(x, ref):
                                                      1e-12)
 
 
+def rel_err_methods(x, ref):
+    """The ndarray-method form that the np.maximum.reduce one replaced,
+    kept as its reference."""
+    ref = np.asarray(ref)
+    return np.abs(np.subtract(x, ref)).max() / max(np.abs(ref).max(), 1e-12)
+
+
 def pair_of_nested(t4):
     """The nested-list form that _pair_of replaced, kept as its reference."""
     return np.array([
@@ -520,6 +527,26 @@ def test_verify_helpers_match_replaced_forms_bitwise():
                 assert same_bits(got[k], want[k]), k
     assert math.isnan(sc._rel_err([1.0, math.nan], [1.0, 2.0]))
     assert math.isnan(sc._rel_err([1.0, 2.0], [1.0, math.nan]))
+
+
+def test_rel_err_keeps_the_method_form_bits_and_every_nan():
+    """Seeded arrays, lists and tuples of 3 to 16 entries, scaled down past
+    the 1e-12 floor: the method form's bits. A NaN in x or in ref at the
+    first, a middle or the last position gives NaN."""
+    rng = np.random.default_rng(29)
+    for i in range(400):
+        shape = ((3,), (3, 3), (6,), (2, 2, 2, 2))[i % 4]
+        ref = rng.normal(size=shape) * 10.0 ** rng.integers(-14, 3)
+        x = ref * (1.0 + 1e-6 * rng.normal(size=shape))
+        for xs, r in ((x, ref), (x.tolist(), ref.tolist()),
+                      (tuple(x.ravel().tolist()), tuple(ref.ravel().tolist()))):
+            assert same_bits(sc._rel_err(xs, r), rel_err_methods(xs, r))
+        for pos in (0, x.size // 2, x.size - 1):
+            for which in (0, 1):
+                pair = [x.copy(), ref.copy()]
+                pair[which].flat[pos] = math.nan
+                assert math.isnan(sc._rel_err(*pair))
+                assert same_bits(sc._rel_err(*pair), rel_err_methods(*pair))
 
 
 def test_verify_nan_error_fails_its_check(monkeypatch):
@@ -653,8 +680,52 @@ def test_benchmark_report_shape():
     assert rep["metric"]["stress_tangent_s"] > 0.0
     assert rep["log_analytic"]["stress_tangent_s"] > 0.0
     assert rep["speedup_stress_tangent_analytic"] > 0.0
+    assert rep["rounds"] == sc.BENCH_ROUNDS == 5
+    assert list(rep["speedup_spread"]) == ["stress_tangent",
+                                           "stress_tangent_analytic",
+                                           "stress_only"]
+    for name, s in rep["speedup_spread"].items():
+        assert s["min"] <= s["median"] <= s["max"]
+        assert rep[f"speedup_{name}"] == s["median"]
     with pytest.raises(ValueError):
         sc.benchmark_models(mm.GGA, n_evals=5000)
+
+
+def test_bench_times_every_route_on_the_same_states_in_rounds(monkeypatch):
+    """Each of the BENCH_ROUNDS rounds times all five loops over the same
+    consecutive states, in the table's order in even rounds and reversed in
+    odd ones; the rounds cover the stream once, the last taking the
+    remainder."""
+    calls = []
+
+    def recorder(name, fn):
+        def core(c, frame, p, order):
+            calls.append((name, order, id(c)))
+            return fn(c, frame, p, order)
+        return core
+
+    monkeypatch.setattr(mm, "_metric_core",
+                        recorder("metric", mm._metric_core))
+    monkeypatch.setattr(mm, "_log_core", recorder("log", mm._log_core))
+    monkeypatch.setattr(sc, "_log_core_fd",
+                        recorder("log_fd", lambda c, f, p, o: None))
+    n = 10_001
+    sc.benchmark_models(mm.GGA, n_evals=n, seed=1)
+    timed = calls[-5 * n:]
+    routes = [("metric", 1), ("log", 1), ("log", 2), ("metric", 2),
+              ("log_fd", 2)]
+    pos, stream = 0, []
+    for r, size in enumerate((2000, 2000, 2000, 2000, 2001)):
+        ids = None
+        for route in (routes if r % 2 == 0 else routes[::-1]):
+            loop = timed[pos:pos + size]
+            pos += size
+            assert {call[:2] for call in loop} == {route}
+            loop_ids = [call[2] for call in loop]
+            assert ids is None or loop_ids == ids
+            ids = loop_ids
+        stream += ids
+    assert pos == 5 * n and len(set(stream)) == n
 
 
 @pytest.mark.parametrize("component", [1, 2])

@@ -1,7 +1,8 @@
 """The per-call measurement tools (tools/call_pairs.py, tools/call_split.py):
 every job table they time, built on a few states and called once, so that a
 change to a private contract they reach fails here rather than in a tool
-run; and the bitwise verdict of tools/oracle_diff.py."""
+run; the bitwise verdict of tools/oracle_diff.py; and the gain verdict of
+tools/bench_pairs.py."""
 
 import math
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import bench_pairs as bp  # noqa: E402
 import call_pairs as cp  # noqa: E402
 import call_split as cs  # noqa: E402
 import oracle_diff as od  # noqa: E402
@@ -90,3 +92,43 @@ def test_oracle_verdict_is_bitwise():
     assert not od.compare({"g": a}, {"g": a, "h": a})
     assert not od.compare({"g": a, "h": a}, {"g": a})
     assert not od.compare({"g": a}, {"g": a.reshape(2, 1)})
+
+
+def paired_entries(workload):
+    """bench_pairs' end-to-end entries for ten pairs that the change wins
+    by 10%, far beyond the parent's quartile distance."""
+    spec = {"end_to_end": [{"name": "pass_cost", "unit": "ref",
+                            "better": "lower", "bound": 0.2}]}
+
+    def run(v):
+        return {"metrics": {"pass_cost": {"value": v}}, "failed": 0,
+                "correct": True}
+
+    runs = {"parent": [run(100.0 + 0.1 * i) for i in range(10)],
+            "change": [run(90.0 + 0.1 * i) for i in range(10)]}
+    return bp.end_to_end_entries(workload, list(range(10)), runs, spec)
+
+
+def test_bench_gain_needs_changed_code_on_the_workload():
+    """A gain stands only where a module the change touched has traced self
+    time on the workload: point_stream reaches membrane_material, not
+    numdiff."""
+    traced = [{"metrics": {"numdiff.self_ms": {"value": 0.0},
+                           "numdiff.partials_sym.self_us": {"value": 3.0},
+                           "membrane_material.self_ms": {"value": 0.014},
+                           "pass_cost": {"value": 45.0}}},
+              {"metrics": {"surface_tensors.self_ms": {"value": 0.003}}}]
+    reached = bp.reached_layers(traced)
+    assert reached == {"membrane_material", "surface_tensors"}
+
+    withheld = paired_entries("point_stream")
+    assert withheld[0]["gain"]
+    bp.withhold_gains(withheld, ["numdiff", "scenarios"], reached)
+    assert not withheld[0]["gain"]
+    assert withheld[0]["gain_withheld"] == (
+        "no changed src/gmem module (numdiff, scenarios) has traced self "
+        "time on point_stream")
+
+    kept = paired_entries("point_stream")
+    bp.withhold_gains(kept, ["membrane_material", "numdiff"], reached)
+    assert kept[0]["gain"] and kept[0]["gain_withheld"] is None

@@ -19,7 +19,12 @@ operations and three verdicts against the metric's bound in BENCHMARK.json:
 `unresolved` (the parent's quartile distance exceeds the bound times its
 median, so the runs spread too widely to tell) and `gain` (the change wins
 at least 9 in 10 pairs and its median is better by more than the parent's
-quartile distance). Per traced span it holds each side's median and
+quartile distance). A gain is kept only where the workload runs changed
+code: some module in `git diff --name-only <parent> <change> -- src/gmem`
+has a nonzero traced `<module>.self_ms` on that workload, on either side.
+Otherwise `gain` is false and `gain_withheld` says why; drift between the
+alternating runs on a shared host can meet the other two conditions.
+Per traced span it holds each side's median and
 quartile distance and the median over pairs of the change/parent ratio;
 each side's commit and the git tree hash of its src/ (equal hashes mean
 that the two sides ran the same program code); and the environment. Runs
@@ -148,6 +153,34 @@ def end_to_end_entries(workload, seeds, runs, spec) -> list:
     return entries
 
 
+def changed_modules(parent: str, change: str) -> list:
+    """Names of the modules under src/gmem that differ between two
+    commits."""
+    names = git("diff", "--name-only", parent, change, "--", "src/gmem")
+    return sorted({Path(n).stem for n in names.split()})
+
+
+def reached_layers(runs) -> set:
+    """Layers with a nonzero traced module self time (`<layer>.self_ms`)
+    in any of runs."""
+    return {n.partition(".")[0] for r in runs
+            for n, m in r["metrics"].items()
+            if n.count(".") == 1 and n.endswith(".self_ms") and m["value"]}
+
+
+def withhold_gains(entries, changed, reached) -> None:
+    """Keep each entry's gain only if a changed module is among the layers
+    its workload reached; otherwise set it false and say why in
+    gain_withheld (None where nothing was withheld)."""
+    for e in entries:
+        e["gain_withheld"] = None
+        if e["gain"] and not set(changed) & set(reached):
+            e["gain"] = False
+            e["gain_withheld"] = (
+                f"no changed src/gmem module ({', '.join(changed) or 'none'})"
+                f" has traced self time on {e['workload']}")
+
+
 def per_layer_entries(workload, runs) -> list:
     """Module self time per operation, and self time per call of every span
     called in the workload on either side. A span one side does not report
@@ -231,12 +264,18 @@ def main(argv=None) -> int:
             sha = export(getattr(args, side), trees[side])
             result[f"{side}_commit"] = sha
             result[f"{side}_src_tree"] = git("rev-parse", f"{sha}:src")
+        changed = changed_modules(result["parent_commit"],
+                                  result["change_commit"])
+        result["changed_modules"] = changed
         for k, w in enumerate(WORKLOADS):
             base = SEED_BASE + 100 * (k + 1) + 1
             seeds = list(range(base, base + PAIRS))
             runs = run_pairs(trees, w, seeds, seconds, 0)
-            e2e.extend(end_to_end_entries(w, seeds, runs, spec))
             traced = run_pairs(trees, w, seeds[:TRACED_PAIRS], seconds, 1)
+            entries = end_to_end_entries(w, seeds, runs, spec)
+            withhold_gains(entries, changed,
+                           reached_layers(traced["parent"] + traced["change"]))
+            e2e.extend(entries)
             layers.extend(per_layer_entries(w, traced))
     result["end_to_end"] = e2e
     result["per_layer"] = layers
@@ -250,6 +289,8 @@ def main(argv=None) -> int:
               f"{e['failed_ops']['parent']}/{e['failed_ops']['change']}; "
               f"within bound {e['within_bound']}, unresolved "
               f"{e['unresolved']}, gain {e['gain']})")
+        if e["gain_withheld"]:
+            print(f"  gain withheld: {e['gain_withheld']}")
     print(f"wrote {out}")
     return 0
 
