@@ -503,8 +503,8 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
 
     n = len(states)
     ends = [n * k // BENCH_ROUNDS for k in range(BENCH_ROUNDS + 1)]
-    keys = list(loops)
-    timed = {key: [] for key in keys}  # seconds per round
+    items = list(loops.items())
+    timed = {key: [] for key in loops}  # seconds per round
     calib = 0.0
     for r in range(BENCH_ROUNDS):
         chunk = states[ends[r]:ends[r + 1]]
@@ -513,11 +513,10 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
             pass
         empty = time.perf_counter() - t0
         calib += empty
-        for key in (keys if r % 2 == 0 else keys[::-1]):
-            core, order = loops[key], key[1]
+        for key, core in (items if r % 2 == 0 else items[::-1]):
             t0 = time.perf_counter()
             for st in chunk:
-                core(st, frame, params, order)
+                core(st, frame, params, key[1])
             timed[key].append(time.perf_counter() - t0 - empty)
 
     def spread(num, den):
