@@ -329,15 +329,17 @@ def bending_tangents(g: SurfacePointGeometry, c_bend: float) -> BendingTangents:
     ab = [x * y + 0.0 for x in au for y in bu]
     ba = [x * y + 0.0 for x in bu for y in au]
     bb = [x * y + 0.0 for x in bu for y in bu]
-    # sym4(o) = (o^{agbd} + o^{adbg}) / 2 of o = x (x) y
-    a4 = [0.5 * (aa[i] + aa[j]) for i, j in _SYM4]
-    ab_s = [0.5 * (ab[i] + ab[j]) + 0.5 * (ba[i] + ba[j]) for i, j in _SYM4]
     k_aa, k_ab = 2.0 * H * H - kappa, 4.0 * H
     k_a4, k_s = 2.0 * (2.0 * H * H + kappa), 8.0 * H
-    c_t = [pref * (k_aa * x - k_ab * (y + z) + 4.0 * w - k_a4 * s + k_s * t)
-           for x, y, z, w, s, t in zip(aa, ab, ba, bb, a4, ab_s)]
-    d_t = [pref * (k_ab * x - y - 2.0 * z - k_ab * s)
-           for x, y, z, s in zip(aa, ab, ba, a4)]
-    out = np.array(c_t + d_t + [pref * s for s in a4]).reshape(3, 2, 2, 2, 2)
+    c_t, d_t, f_t = [], [], []
+    for x, y, z, w, (i, j) in zip(aa, ab, ba, bb, _SYM4):
+        # sym4(o) = (o^{agbd} + o^{adbg}) / 2 of o = x (x) y
+        a4 = 0.5 * (aa[i] + aa[j])
+        ab_s = 0.5 * (ab[i] + ab[j]) + 0.5 * (ba[i] + ba[j])
+        c_t.append(pref * (k_aa * x - k_ab * (y + z) + 4.0 * w - k_a4 * a4
+                           + k_s * ab_s))
+        d_t.append(pref * (k_ab * x - y - 2.0 * z - k_ab * a4))
+        f_t.append(pref * a4)
+    out = np.array(c_t + d_t + f_t).reshape(3, 2, 2, 2, 2)
     return BendingTangents(out[0], out[1], out[1].transpose(2, 3, 0, 1),
                            out[2])

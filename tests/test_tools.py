@@ -28,7 +28,8 @@ VERIFY_ROWS = ["geometry_from_metrics", "canham_energy",
                "oplus_product", "boxtimes_product", "tangent_metric_oplus",
                "_rel_err 3x3", "_rel_err 16", "_pair_of", "_summary 10 rows",
                "partials_sym scalar", "partials_sym 3-tuple",
-               "partials_sym 6-tuple"]
+               "partials_sym 6-tuple", "_bending_sample",
+               "_membrane_sample metric"]
 
 
 def test_raw_states_are_the_recorded_stream():

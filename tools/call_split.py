@@ -38,7 +38,11 @@ float each, and the stencil overhead of `partials_sym`: its time minus
 six calls of its callback at the points partials_sym itself passes it
 (recorded by stencil_points), for a scalar callback, for one returning
 a 3-tuple (a membrane stress) and for one returning a 6-tuple (bending's
-stress and moment), each a few float operations.
+stress and moment), each a few float operations. The per-call rows do not
+add up to a verify sample, so the table ends with two whole samples, each
+drawing its state from one default_rng(SEED) as verify does: a bending
+sample (`_bending_sample`) and a metric-model sample (`_membrane_sample`
+with GGA).
 
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
 """
@@ -136,8 +140,8 @@ def stencil_points(comps, rel_step):
 
 def verify_jobs(states):
     """(row, part, fn, argument tuples) for the verification layer's own
-    calls; a stencil row has a "call" and a "callback" part, the latter
-    per callback call."""
+    calls and two whole verify samples; a stencil row has a "call" and a
+    "callback" part, the latter per callback call."""
     rng = np.random.default_rng(SEED)
     tangents = [mm.tangent_metric(c, f, mm.GGA).comp for c, f in states]
     pairs = [_pair_of(t) for t in tangents]
@@ -159,6 +163,11 @@ def verify_jobs(states):
         out.append((name, "call", partials_sym,
                     [(f, cc, STRESS_STEP) for cc in comps]))
         out.append((name, "callback", f, points))
+    bend_rng, metric_rng = (np.random.default_rng(SEED) for _ in range(2))
+    out += [("_bending_sample", "call", sc._bending_sample,
+             [(bend_rng,)] * len(states)),
+            ("_membrane_sample metric", "call", sc._membrane_sample,
+             [("metric", mm.GGA, metric_rng)] * len(states))]
     return out
 
 
