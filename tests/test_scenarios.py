@@ -538,8 +538,8 @@ def test_rel_err_keeps_the_method_form_bits_and_every_nan():
         shape = ((3,), (3, 3), (6,), (2, 2, 2, 2))[i % 4]
         ref = rng.normal(size=shape) * 10.0 ** rng.integers(-14, 3)
         x = ref * (1.0 + 1e-6 * rng.normal(size=shape))
-        for xs, r in ((x, ref), (x.tolist(), ref.tolist()),
-                      (tuple(x.ravel().tolist()), tuple(ref.ravel().tolist()))):
+        flat = (tuple(x.ravel().tolist()), tuple(ref.ravel().tolist()))
+        for xs, r in ((x, ref), (x.tolist(), ref.tolist()), flat):
             assert same_bits(sc._rel_err(xs, r), rel_err_methods(xs, r))
         for pos in (0, x.size // 2, x.size - 1):
             for which in (0, 1):

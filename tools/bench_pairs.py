@@ -23,12 +23,12 @@ quartile distance). A gain is kept only where the workload runs changed
 code: some module in `git diff --name-only <parent> <change> -- src/gmem`
 has a nonzero traced `<module>.self_ms` on that workload, on either side.
 Otherwise `gain` is false and `gain_withheld` says why; drift between the
-alternating runs on a shared host can meet the other two conditions.
-Per traced span it holds each side's median and
-quartile distance and the median over pairs of the change/parent ratio;
-each side's commit and the git tree hash of its src/ (equal hashes mean
-that the two sides ran the same program code); and the environment. Runs
-are sequential, one benchmark process at a time.
+alternating runs on a shared host can meet the other two conditions. Per
+traced span it holds each side's median and quartile distance and the
+median over pairs of the change/parent ratio; each side's commit and the
+git tree hash of its src/ (equal hashes mean that the two sides ran the
+same program code); the changed modules; and the environment. Runs are
+sequential, one benchmark process at a time.
 
 The per-span ratios of TRACED_PAIRS pairs do not back a per-layer claim:
 at the same two commits one run read the sweep layers at 1.32-1.52x the
