@@ -58,23 +58,6 @@ def _emit(args, payload: dict) -> None:
     sys.stdout.write(text)
 
 
-def _parse_tolerances(items) -> dict:
-    out = {}
-    for item in items or []:
-        name, sep, val = item.partition("=")
-        if not sep or not name:
-            raise UsageError(f"bad --tolerance {item!r}; expected NAME=VALUE")
-        try:
-            out[name] = float(val)
-        except ValueError:
-            raise UsageError(f"bad --tolerance value in {item!r}") from None
-        if not math.isfinite(out[name]):
-            raise UsageError(f"--tolerance value in {item!r} must be finite")
-        if out[name] < 0.0:
-            raise UsageError(f"--tolerance value in {item!r} must be >= 0")
-    return out
-
-
 def _usage_checked(fn, *args, **kwargs):
     """fn(*args, **kwargs), with a ValueError raised as a usage error."""
     try:
@@ -98,23 +81,13 @@ def cmd_verify(args) -> int:
         raise UsageError("--samples must be >= 1")
     if args.samples > sc.MAX_SAMPLES:
         raise UsageError(f"--samples must be <= {sc.MAX_SAMPLES}")
-    tol = _parse_tolerances(args.tolerance)
     models = (list(sc.VERIFY_TOLERANCES) if args.model == "all"
               else [args.model])
-    known = set().union(*(sc.VERIFY_TOLERANCES[m] for m in models))
-    unknown = sorted(set(tol) - known)
-    if unknown:
-        raise UsageError(f"unknown --tolerance name {', '.join(unknown)} "
-                         f"for --model {args.model}; valid: "
-                         f"{', '.join(sorted(known))}")
     reports = []
     for model in models:
         kw = {} if model == "bending" else {"params": _params_from(args)}
-        use = {k: v for k, v in tol.items()
-               if k in sc.VERIFY_TOLERANCES[model]}
         reports.append(sc.verify_derivatives(
-            model, n_samples=args.samples, seed=args.seed,
-            tolerances=use or None, **kw))
+            model, n_samples=args.samples, seed=args.seed, **kw))
     ok = all(r["pass"] for r in reports)
     _emit(args, {"command": "verify", "pass": ok, "reports": reports})
     return EXIT_OK if ok else EXIT_TOLERANCE
@@ -123,7 +96,7 @@ def cmd_verify(args) -> int:
 def cmd_curve(args) -> int:
     protocol = _protocol_from(args)
     params = _params_from(args)
-    frame = make_frame(math.radians(args.lattice_deg))
+    frame = make_frame(0.0)
     points = sc.run_curve(protocol, args.model, params, frame)
     sc.write_curve_csv(args.out, points, args.model, params.name,
                        args.theta_deg)
@@ -147,7 +120,7 @@ PAPER_COMPARE = {
 def cmd_compare(args) -> int:
     protocol = _protocol_from(args)
     params = _params_from(args)
-    frame = make_frame(math.radians(args.lattice_deg))
+    frame = make_frame(0.0)
     diffs = sc.compare_models(protocol, params, frame)
     in_range = protocol.in_fitted_range()
     # the paper's figures describe sweeps inside the fitted range only
@@ -236,8 +209,6 @@ def _add_protocol(sp):
                     choices=list(sc.PROTOCOL_KINDS))
     sp.add_argument("--theta-deg", type=float, default=0.0,
                     help="pull direction from the armchair axis, degrees")
-    sp.add_argument("--lattice-deg", type=float, default=0.0,
-                    help="armchair axis direction in the storage frame")
     sp.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"),
                     default=(proto.start, proto.end))
     sp.add_argument("--steps", type=int, default=proto.steps)
@@ -255,8 +226,6 @@ def _new_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default="all",
                     choices=[*sc.VERIFY_TOLERANCES, "all"])
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                    help="override a check tolerance")
     _add_common(sp)
 
     sp = sub.add_parser("curve", help="stress curve sweep to CSV")
@@ -329,15 +298,14 @@ def _config_scalar(action: argparse.Action, key: str, value):
 def _config_value(action: argparse.Action, key: str, value):
     """A config value converted as argparse converts the flag's own text:
     through the action's type and choices, with the action's number of
-    values (one, a fixed-length list for nargs=N, any list for append).
-    null is accepted only where the flag's own default is None."""
+    values (one, or a list of N for nargs=N). null is accepted only where
+    the flag's own default is None."""
     if value is None and action.default is None:
         return None
     n = action.nargs
-    if isinstance(action, argparse._AppendAction) or isinstance(n, int):
-        if not isinstance(value, list) or (isinstance(n, int) and len(value) != n):
-            raise UsageError(f"config {key!r}: expected a list of "
-                             f"{n if isinstance(n, int) else 'any number of'} "
+    if isinstance(n, int):
+        if not isinstance(value, list) or len(value) != n:
+            raise UsageError(f"config {key!r}: expected a list of {n} "
                              f"values, got {json.dumps(value)}")
         return [_config_scalar(action, key, v) for v in value]
     return _config_scalar(action, key, value)
@@ -353,7 +321,7 @@ def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
                 cfg = json.load(fh)
         except OSError as e:
             raise UsageError(f"cannot read config: {e}")
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not JSON, or not UTF-8 text
             raise UsageError(f"config is not valid JSON: {e}")
         if not isinstance(cfg, dict):
             raise UsageError("config must be a JSON object")
@@ -362,7 +330,7 @@ def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         # argparse keeps a namespace value unless a flag sets its dest, so
-        # explicit flags win and --tolerance appends to the config's list
+        # explicit flags win
         actions = {a.dest: a for a in sp._actions}
         seeded = argparse.Namespace(command=args.command, **{
             k: _config_value(actions[k], k, v) for k, v in cfg.items()})
@@ -380,13 +348,8 @@ def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = _apply_config(ap, argv)
-    except UsageError as e:
-        sys.stderr.write(f"usage error: {e}\n")
-        return EXIT_USAGE
-    try:
+        args = _apply_config(build_parser(), argv)
         return _COMMANDS[args.command](args)
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")

@@ -76,11 +76,3 @@ def partials_sym(f, comps, rel_step):
     d[2] *= 0.5
     return d.T.reshape(ev.shape[1:] + (3,))
 
-
-def partials_sym_richardson(f, comps, rel_step):
-    """Two-step Richardson extrapolation of partials_sym: a reference
-    difference for tests, not a retry in verify, whose checks use one
-    plain partials_sym each."""
-    p1 = partials_sym(f, comps, rel_step)
-    p2 = partials_sym(f, comps, 0.5 * rel_step)
-    return (4.0 * p2 - p1) / 3.0

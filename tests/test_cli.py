@@ -148,10 +148,10 @@ def test_verify_all_models(capsys):
                                                         "bending"]
 
 
-def test_verify_tolerance_breach_exits_one(capsys):
+def test_verify_tolerance_breach_exits_one(monkeypatch, capsys):
+    monkeypatch.setitem(sc.VERIFY_TOLERANCES["metric"], "tangent_fd", 1e-16)
     code, out, _ = run_cli(
-        ["verify", "--model", "metric", "--samples", "5",
-         "--tolerance", "tangent_fd=1e-16"], capsys)
+        ["verify", "--model", "metric", "--samples", "5"], capsys)
     assert code == 1
     assert json.loads(out)["pass"] is False
 
@@ -172,45 +172,11 @@ def test_verify_nan_error_exits_one(monkeypatch, capsys):
     assert err.startswith("error: verify result is not finite")
 
 
-def test_verify_rejects_malformed_tolerance(capsys):
-    code, _, err = run_cli(
-        ["verify", "--samples", "3", "--tolerance", "oops"], capsys)
-    assert code == 2
-    assert "usage error" in err
-
-
 def test_verify_rejects_zero_samples(capsys):
     code, out, err = run_cli(["verify", "--samples", "0"], capsys)
     assert code == 2
     assert out == ""
     assert err == "usage error: --samples must be >= 1\n"
-
-
-def test_verify_rejects_tolerance_no_model_knows(capsys):
-    code, _, err = run_cli(
-        ["verify", "--model", "metric", "--samples", "2",
-         "--tolerance", "bogus=1"], capsys)
-    assert code == 2
-    assert err.count("\n") == 1
-    assert "bogus" in err
-    assert ("major_symmetry, rearrangement, stress_fd, tangent_fd"
-            in err)
-    # the log model has no tangent_fd check
-    code, _, err = run_cli(
-        ["verify", "--model", "log", "--samples", "2",
-         "--tolerance", "tangent_fd=1"], capsys)
-    assert code == 2
-    assert "valid: major_symmetry, stress_fd" in err
-
-
-def test_verify_all_applies_tolerance_to_models_that_know_it(capsys):
-    code, out, _ = run_cli(
-        ["verify", "--samples", "2", "--tolerance", "tangent_fd=0.5"],
-        capsys)
-    assert code == 0
-    tols = {r["model"]: r["checks"].get("tangent_fd", {}).get("tol")
-            for r in json.loads(out)["reports"]}
-    assert tols == {"metric": 0.5, "log": None, "bending": 0.5}
 
 
 @pytest.mark.parametrize("flag", ["--h0", "--gamma"])
@@ -298,15 +264,6 @@ def test_beam_overflow_is_a_non_finite_result(r_m, length, capsys):
     assert err.count("\n") == 1
 
 
-def test_verify_rejects_negative_tolerance(capsys):
-    code, out, err = run_cli(["verify", "--model", "log", "--samples", "1",
-                              "--tolerance", "stress_fd=-1"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == ("usage error: --tolerance value in 'stress_fd=-1' "
-                   "must be >= 0\n")
-
-
 @pytest.mark.parametrize("argv, flag", [
     (["beam", "--modulus", "340", "--r-m", "1", "--length", "10",
       "--theta-w-deg", "30", "--delta", "nan"], "--delta"),
@@ -315,8 +272,6 @@ def test_verify_rejects_negative_tolerance(capsys):
     (["contact", "--h0", "nan"], "--h0"),
     (["compare", "--range", "1.0", "inf"], "--range"),
     (["curve", "--theta-deg=-inf", "--out", "x.csv"], "--theta-deg"),
-    (["verify", "--samples", "2", "--tolerance", "stress_fd=nan"],
-     "--tolerance"),
 ])
 def test_non_finite_numbers_are_usage_errors(argv, flag, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -338,7 +293,7 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
     (["contact"], {"h0": [1, 2]}, "h0"),
     (["verify", "--model", "log"], {"samples": True}, "samples"),
     (["verify"], {"model": "membrane"}, "model"),
-    (["verify", "--model", "log"], {"tolerance": "stress_fd=1"}, "tolerance"),
+    (["compare"], {"theta_deg": "north"}, "theta_deg"),
     (["compare"], {"range": [1.0]}, "range"),
     (["compare"], {"range": [1.0, "high"]}, "range"),
     (["curve", "--out", "x.csv"], {"param_set": None}, "param_set"),
@@ -356,18 +311,21 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv,
 
 def test_config_values_convert_like_flags(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"samples": "2", "model": "log",
-                                "tolerance": ["stress_fd=1e-3"]}))
+    path.write_text(json.dumps({"samples": "2", "model": "log"}))
     code, out, _ = run_cli(["verify", "--config", str(path)], capsys)
     assert code == 0
     report = json.loads(out)["reports"][0]
-    assert report["n_samples"] == 2
-    assert report["checks"]["stress_fd"]["tol"] == 1e-3
+    assert (report["model"], report["n_samples"]) == ("log", 2)
+    path.write_text(json.dumps({"steps": "3", "range": ["1.0", 1.01]}))
+    code, out, _ = run_cli(["compare", "--config", str(path)], capsys)
+    assert code == 0
+    protocol = json.loads(out)["protocol"]
+    assert (protocol["steps"], protocol["range"]) == (3, [1.0, 1.01])
 
 
 @pytest.mark.parametrize("argv, cfg", [
     (["cone", "--declination", "300"], {"out": None}),
-    (["verify", "--model", "log", "--samples", "2"], {"tolerance": None}),
+    (["verify", "--model", "log", "--samples", "2"], {"out": None}),
 ])
 def test_config_null_keeps_a_none_default(tmp_path, capsys, argv, cfg):
     path = tmp_path / "cfg.json"
@@ -512,18 +470,6 @@ def test_explicit_flags_override_config(tmp_path, capsys):
     assert len(lines) == 4  # steps still from config
 
 
-def test_config_tolerances_merge_with_flag_tolerances(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"tolerance": ["stress_fd=1e-3"]}))
-    code, out, _ = run_cli(["verify", "--model", "log", "--samples", "1",
-                            "--config", str(path), "--tolerance",
-                            "major_symmetry=1e-5"], capsys)
-    assert code == 0
-    checks = json.loads(out)["reports"][0]["checks"]
-    assert checks["stress_fd"]["tol"] == 1e-3
-    assert checks["major_symmetry"]["tol"] == 1e-5
-
-
 def parser_defaults() -> dict:
     """Per subcommand, every action's default and out_required."""
     return {name: ([copy.deepcopy(a.default) for a in sp._actions],
@@ -542,11 +488,11 @@ def test_config_does_not_leak_into_the_next_run(tmp_path, capsys):
     code, out, _ = run_cli(["contact"], capsys)
     assert code == 0
     assert out.startswith("psi(h0=0.34)")
-    # a scalar, a list and an append value, each then given as a flag too
+    # scalars and a list, each then given as a flag too
     for argv, values in (
             (["compare", "--steps", "3"], {"steps": 2, "range": [1.0, 1.01]}),
-            (["verify", "--model", "log", "--samples", "1", "--tolerance",
-              "major_symmetry=1e-5"], {"tolerance": ["stress_fd=1e-3"]})):
+            (["curve", "--out", str(tmp_path / "c.csv"), "--range", "1.0",
+              "1.02"], {"range": [1.0, 1.01], "model": "log"})):
         cfg.write_text(json.dumps(values))
         code, _, _ = run_cli(argv + ["--config", str(cfg)], capsys)
         assert code == 0
@@ -562,6 +508,37 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "bogus_key" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["verify", "--samples", "1"], "tolerance"),
+    (["curve", "--out", "x.csv"], "lattice_deg"),
+    (["compare"], "lattice_deg"),
+])
+def test_config_keys_of_removed_options_are_unknown(tmp_path, capsys, argv,
+                                                    key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: unknown config keys: [{key!r}]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tolerance", "stress_fd=1"],
+    ["curve", "--lattice-deg", "10", "--out", "f.csv"],
+    ["compare", "--lattice-deg", "10"],
+])
+def test_removed_options_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                          argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_must_be_json_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
@@ -569,6 +546,17 @@ def test_config_must_be_json_object(tmp_path, capsys):
         ["curve", "--config", str(cfg), "--out", "x.csv"], capsys)
     assert code == 2
     assert "JSON object" in err
+
+
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(
+        ["verify", "--samples", "1", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: config is not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_missing_config_file_is_usage_error(capsys):
