@@ -2,15 +2,16 @@
 comparison, the speedup benchmark, and the small closed-form calculators.
 
 Exit codes: 0 success, 1 tolerance/consistency failure (including a
-result that overflows or is not finite), 2 usage error
-(including any non-finite number given as input), 3 I/O error. All
-subcommands are deterministic under a fixed seed; JSON reports carry a
-schema_version field and are byte-stable.
+result that overflows or is not finite), 2 usage error, printed as one
+line (argparse's own errors and any non-finite number given as input
+included), 3 I/O error. All subcommands are deterministic under a fixed
+seed; JSON reports carry a schema_version field and are byte-stable.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -35,6 +36,22 @@ class UsageError(Exception):
 
 class NonFiniteResult(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its errors raised as UsageError, which run prints as
+    one line; add_subparsers gives every subcommand parser this class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _finite(text: str) -> float:
+    """The type of every float flag: a finite number."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _json_text(payload: dict) -> str:
@@ -77,17 +94,14 @@ def _params_from(args) -> mm.MaterialParams:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
-    if args.samples > sc.MAX_SAMPLES:
-        raise UsageError(f"--samples must be <= {sc.MAX_SAMPLES}")
     models = (list(sc.VERIFY_TOLERANCES) if args.model == "all"
               else [args.model])
     reports = []
     for model in models:
         kw = {} if model == "bending" else {"params": _params_from(args)}
-        reports.append(sc.verify_derivatives(
-            model, n_samples=args.samples, seed=args.seed, **kw))
+        reports.append(_usage_checked(sc.verify_derivatives, model,
+                                      n_samples=args.samples, seed=args.seed,
+                                      **kw))
     ok = all(r["pass"] for r in reports)
     _emit(args, {"command": "verify", "pass": ok, "reports": reports})
     return EXIT_OK if ok else EXIT_TOLERANCE
@@ -190,32 +204,32 @@ def cmd_cone(args) -> int:
     return EXIT_OK
 
 
-def _add_output(sp):
-    sp.add_argument("--out", default=None)
+def _add_output(sp, required=False):
+    sp.add_argument("--out", default=None, required=required)
     sp.add_argument("--config", default=None,
                     help="JSON file of flag defaults (dashes as underscores)")
 
 
-def _add_common(sp, with_seed=True):
+def _add_common(sp, with_seed=True, out_required=False):
     sp.add_argument("--param-set", default="GGA", choices=list(mm.PARAM_SETS))
     if with_seed:
         sp.add_argument("--seed", type=int, default=0)
-    _add_output(sp)
+    _add_output(sp, out_required)
 
 
 def _add_protocol(sp):
     proto = sc.DeformationProtocol  # the flag defaults are its field defaults
     sp.add_argument("--protocol", default="uniaxial-constrained",
                     choices=list(sc.PROTOCOL_KINDS))
-    sp.add_argument("--theta-deg", type=float, default=0.0,
+    sp.add_argument("--theta-deg", type=_finite, default=0.0,
                     help="pull direction from the armchair axis, degrees")
-    sp.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"),
+    sp.add_argument("--range", type=_finite, nargs=2, metavar=("LO", "HI"),
                     default=(proto.start, proto.end))
     sp.add_argument("--steps", type=int, default=proto.steps)
 
 
 def _new_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gmem",
         description="Anisotropic hyperelastic membrane and bending models "
                     "for hexagonal 2D crystals, with built-in verification.")
@@ -231,8 +245,7 @@ def _new_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curve", help="stress curve sweep to CSV")
     sp.add_argument("--model", default="metric", choices=list(sc.MODEL_NAMES))
     _add_protocol(sp)
-    _add_common(sp, with_seed=False)
-    sp.set_defaults(out_required=True)
+    _add_common(sp, with_seed=False, out_required=True)
 
     sp = sub.add_parser("compare", help="metric-vs-log sweep differences")
     _add_protocol(sp)
@@ -243,25 +256,27 @@ def _new_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("contact", help="adhesion potential calculator")
-    sp.add_argument("--r-min", type=float, default=0.3)
-    sp.add_argument("--r-max", type=float, default=1.2)
+    sp.add_argument("--r-min", type=_finite, default=0.3)
+    sp.add_argument("--r-max", type=_finite, default=1.2)
     sp.add_argument("--steps", type=int, default=46)
-    sp.add_argument("--h0", type=float, default=0.34)
-    sp.add_argument("--gamma", type=float, default=0.14)
+    sp.add_argument("--h0", type=_finite, default=0.34)
+    sp.add_argument("--gamma", type=_finite, default=0.14)
     _add_output(sp)
 
     sp = sub.add_parser("beam", help="axially loaded tube force calculator")
-    sp.add_argument("--modulus", type=float, required=True,
+    sp.add_argument("--modulus", type=_finite, required=True,
                     help="2D modulus, N/m")
-    sp.add_argument("--r-m", type=float, required=True, help="mean radius, nm")
-    sp.add_argument("--length", type=float, required=True, help="length, nm")
-    sp.add_argument("--theta-w-deg", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=0.1,
+    sp.add_argument("--r-m", type=_finite, required=True,
+                    help="mean radius, nm")
+    sp.add_argument("--length", type=_finite, required=True,
+                    help="length, nm")
+    sp.add_argument("--theta-w-deg", type=_finite, required=True)
+    sp.add_argument("--delta", type=_finite, default=0.1,
                     help="axial end shortening, nm")
     _add_output(sp)
 
     sp = sub.add_parser("cone", help="fold-cone apex angle")
-    sp.add_argument("--declination", type=float, required=True,
+    sp.add_argument("--declination", type=_finite, required=True,
                     help="angular declination in degrees")
     _add_output(sp)
     return ap
@@ -273,6 +288,8 @@ _COMMANDS = {"verify": cmd_verify, "curve": cmd_curve, "compare": cmd_compare,
              "bench": cmd_bench, "contact": cmd_contact, "beam": cmd_beam,
              "cone": cmd_cone}
 _PARSER = _new_parser()
+_CONFIG_FLAG = _Parser(add_help=False)  # --config, before the full parse
+_CONFIG_FLAG.add_argument("--config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,68 +297,50 @@ def build_parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
-def _config_scalar(action: argparse.Action, key: str, value):
-    if value is None or isinstance(value, (bool, list, dict)):
-        raise UsageError(f"config {key!r}: expected a single value, "
-                         f"got {json.dumps(value)}")
+def _config_argv(sp: argparse.ArgumentParser, path) -> list:
+    """A --config file's values as the flag tokens they stand for, which
+    argparse converts and checks as it does the flag's own text: a scalar
+    as --flag=value, the list-valued --range as --range LO HI. null is
+    skipped where the flag's own default is None."""
     try:
-        out = action.type(str(value)) if action.type else str(value)
-    except ValueError:
-        raise UsageError(f"config {key!r}: invalid {action.type.__name__} "
-                         f"value {json.dumps(value)}") from None
-    if action.choices is not None and out not in action.choices:
-        raise UsageError(f"config {key!r}: {json.dumps(value)} is not one of "
-                         f"{', '.join(map(str, action.choices))}")
-    return out
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as e:
+        raise UsageError(f"cannot read config: {e}")
+    except ValueError as e:  # not JSON, or not UTF-8 text
+        raise UsageError(f"config is not valid JSON: {e}")
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a JSON object")
+    actions = {a.dest: a for a in sp._actions
+               if a.dest not in ("help", "config")}
+    unknown = set(cfg) - set(actions)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    argv = []
+    for key, value in cfg.items():
+        action = actions[key]
+        if value is None and action.default is None:
+            continue
+        flag = action.option_strings[0]
+        n = action.nargs or 1  # None, or 2 for --range
+        values = value if n > 1 and isinstance(value, list) else [value]
+        if len(values) != n or {type(v) for v in values} - {int, float, str}:
+            raise UsageError(f"config {key!r}: {json.dumps(value)} is not a "
+                             f"value of {flag}")
+        argv += [f"{flag}={value}"] if n == 1 else [flag, *map(str, values)]
+    return argv
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """A config value converted as argparse converts the flag's own text:
-    through the action's type and choices, with the action's number of
-    values (one, or a list of N for nargs=N). null is accepted only where
-    the flag's own default is None."""
-    if value is None and action.default is None:
-        return None
-    n = action.nargs
-    if isinstance(n, int):
-        if not isinstance(value, list) or len(value) != n:
-            raise UsageError(f"config {key!r}: expected a list of {n} "
-                             f"values, got {json.dumps(value)}")
-        return [_config_scalar(action, key, v) for v in value]
-    return _config_scalar(action, key, value)
-
-
-def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
+def _parse(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """argv parsed with a --config file's flag tokens placed right after
+    the subcommand: explicit flags come later, so they win, and a config
+    can supply a required flag."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    sp = ap.subcommand_parsers.get(argv[0] if argv else None)
+    path = sp and _CONFIG_FLAG.parse_known_args(argv[1:])[0].config
+    if path:
+        argv[1:1] = _config_argv(sp, path)
     args = ap.parse_args(argv)
-    sp = ap.subcommand_parsers[args.command]
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except OSError as e:
-            raise UsageError(f"cannot read config: {e}")
-        except ValueError as e:  # not JSON, or not UTF-8 text
-            raise UsageError(f"config is not valid JSON: {e}")
-        if not isinstance(cfg, dict):
-            raise UsageError("config must be a JSON object")
-        valid = set(vars(args)) - {"command", "config", "out_required"}
-        unknown = set(cfg) - valid
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        # argparse keeps a namespace value unless a flag sets its dest, so
-        # explicit flags win
-        actions = {a.dest: a for a in sp._actions}
-        seeded = argparse.Namespace(command=args.command, **{
-            k: _config_value(actions[k], k, v) for k, v in cfg.items()})
-        args = sp.parse_args(argv[argv.index(args.command) + 1:], seeded)
-    if getattr(args, "out_required", False) and not args.out:
-        raise UsageError("--out is required for this subcommand")
-    for a in sp._actions:  # parser order, whether a value came from config
-        val = getattr(args, a.dest, None)
-        vals = val if isinstance(val, (list, tuple)) else (val,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
-            raise UsageError(f"--{a.dest.replace('_', '-')} must be finite")
     if getattr(args, "seed", 0) < 0:
         raise UsageError("--seed must be >= 0")
     return args
@@ -349,7 +348,7 @@ def _apply_config(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 def run(argv=None) -> int:
     try:
-        args = _apply_config(build_parser(), argv)
+        args = _parse(build_parser(), argv)
         return _COMMANDS[args.command](args)
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")

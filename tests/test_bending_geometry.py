@@ -307,16 +307,20 @@ def norm(x):
     return math.hypot(*np.ravel(x))
 
 
-def assert_rel(x, y, tol, scale=None):
+def assert_rel(x, y, tol, scale=None, floor=0.0):
+    """norm(x - y) <= tol * scale + floor; scale defaults to norm(y)."""
     x, y = np.asarray(x), np.asarray(y)
     scale = norm(y) if scale is None else scale
-    assert norm(x - y) <= tol * scale, (x, y, tol * scale)
+    bound = tol * scale + floor
+    assert norm(x - y) <= bound, (x, y, bound)
 
 
 @settings(deadline=None, max_examples=400)
 @given(metrics, metrics, curvatures)
 @example(spd_metric(1.0, 0.0, 0.0), skew_metric(3.0, 0.25, 1e-4),
          np.diag([0.0, 1.075e-172]))
+@example(spd_metric(1.0, 0.0, 0.0), spd_metric(1.0, 0.5, 0.5),
+         np.diag([0.0, 2.2250738585e-313]))
 def test_closed_form_geometry_matches_linalg_construction(A, a, b):
     """Every field agrees with the np.linalg construction to 1e-13 relative,
     scaled by the condition number of the metric the field depends on: the
@@ -325,7 +329,19 @@ def test_closed_form_geometry_matches_linalg_construction(A, a, b):
     factor. Curvature scalars are compared on the scale of their terms,
     which can cancel. The principal curvatures are H -+ sqrt(H^2 - kappa);
     near an umbilic point the square root magnifies a difference d of its
-    argument to at most sqrt(d)."""
+    argument to at most sqrt(d).
+
+    b_contra and kappa also have absolute floors. Where a result is
+    subnormal, a rounding errs by up to half the subnormal step 2**-1074,
+    which no relative bound can express. Each b_contra entry is
+    (a^-1 b) a^-1: three roundings (two products, one sum) in each entry
+    of a^-1 b, carried into the result by two entries of a^-1, then three
+    more; the np.linalg construction rounds as often. Two constructions of
+    one entry so differ by at most 3 (2 |a^-1| + 1) steps, and the norm
+    over the 2x2 entries by twice that. kappa = det b / det a takes three
+    roundings before its division, so two constructions differ by at most
+    3 / det a + 1 steps, and H^2 - kappa, under the principal curvatures'
+    square root, by two steps more."""
     g = bg.geometry_from_metrics(A, a, b)
     r = geometry_from_metrics_linalg(A, a, b)
     tA = 1e-13 * condition(A)
@@ -339,10 +355,15 @@ def test_closed_form_geometry_matches_linalg_construction(A, a, b):
     assert_rel(g.J, r.J, tA + ta)
     s_h = norm(r.a_contra) * norm(b)
     s_k = s_h * s_h
-    assert_rel(g.b_contra, r.b_contra, ta, norm(r.a_contra) * s_h)
+    step = 2.0 ** -1074
+    assert_rel(g.b_contra, r.b_contra, ta, norm(r.a_contra) * s_h,
+               6.0 * (2.0 * norm(r.a_contra) + 1.0) * step)
     assert_rel(g.H, r.H, ta, s_h)
-    assert_rel(g.kappa_gauss, r.kappa_gauss, ta, s_k)
-    d_q = ta * (2.0 * abs(r.H) * s_h + s_k)
+    floor_k = (3.0 / np.linalg.det(a) + 1.0) * step
+    assert_rel(g.kappa_gauss, r.kappa_gauss, ta, s_k, floor_k)
+    # H^2 - kappa: kappa's floor, and one step for each side's H^2 and
+    # difference roundings
+    d_q = ta * (2.0 * abs(r.H) * s_h + s_k) + floor_k + 2.0 * step
     disc = 0.5 * (r.k1 - r.k2)
     d_disc = d_q / max(disc, math.sqrt(d_q), 1e-300)
     assert_rel(g.k1, r.k1, 1.0, ta * s_h + d_disc)

@@ -114,10 +114,12 @@ def test_curve_requires_output_path(capsys):
 
 def test_curve_rejects_bad_protocol(capsys):
     # enum violations are caught by the argument parser itself
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["curve", "--protocol", "bogus", "--out", "x.csv"])
-    capsys.readouterr()
-    assert exc.value.code == 2
+    code, out, err = run_cli(
+        ["curve", "--protocol", "bogus", "--out", "x.csv"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: argument --protocol: invalid choice: "
+                          "'bogus'") and err.count("\n") == 1
 
 
 def test_curve_rejects_out_of_range_sweep(capsys):
@@ -176,7 +178,7 @@ def test_verify_rejects_zero_samples(capsys):
     code, out, err = run_cli(["verify", "--samples", "0"], capsys)
     assert code == 2
     assert out == ""
-    assert err == "usage error: --samples must be >= 1\n"
+    assert err == "usage error: n_samples must be >= 1\n"
 
 
 @pytest.mark.parametrize("flag", ["--h0", "--gamma"])
@@ -285,27 +287,45 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
     cfg.write_text('{"h0": NaN}')
     code, _, err = run_cli(["contact", "--config", str(cfg)], capsys)
     assert code == 2
-    assert "--h0 must be finite" in err
+    assert err == ("usage error: argument --h0: expected a finite number, "
+                   "got 'nan'\n")
 
 
-@pytest.mark.parametrize("argv, cfg, key", [
-    (["verify", "--model", "log"], {"samples": 1.5}, "samples"),
-    (["contact"], {"h0": [1, 2]}, "h0"),
-    (["verify", "--model", "log"], {"samples": True}, "samples"),
-    (["verify"], {"model": "membrane"}, "model"),
-    (["compare"], {"theta_deg": "north"}, "theta_deg"),
-    (["compare"], {"range": [1.0]}, "range"),
-    (["compare"], {"range": [1.0, "high"]}, "range"),
-    (["curve", "--out", "x.csv"], {"param_set": None}, "param_set"),
+@pytest.mark.parametrize("argv, cfg, error", [
+    # values argparse converts as the flag's own text name the flag
+    pytest.param(["verify", "--model", "log"], {"samples": 1.5},
+                 "argument --samples: invalid int value: '1.5'",
+                 id="argv0-cfg0-samples"),
+    pytest.param(["contact"], {"h0": [1, 2]},
+                 "config 'h0': [1, 2] is not a value of --h0",
+                 id="argv1-cfg1-h0"),
+    pytest.param(["verify", "--model", "log"], {"samples": True},
+                 "config 'samples': true is not a value of --samples",
+                 id="argv2-cfg2-samples"),
+    pytest.param(["verify"], {"model": "membrane"},
+                 "argument --model: invalid choice: 'membrane'",
+                 id="argv3-cfg3-model"),
+    pytest.param(["compare"], {"theta_deg": "north"},
+                 "argument --theta-deg: expected a finite number, got 'north'",
+                 id="argv4-cfg4-theta_deg"),
+    pytest.param(["compare"], {"range": [1.0]},
+                 "config 'range': [1.0] is not a value of --range",
+                 id="argv5-cfg5-range"),
+    pytest.param(["compare"], {"range": [1.0, "high"]},
+                 "argument --range: expected a finite number, got 'high'",
+                 id="argv6-cfg6-range"),
+    pytest.param(["curve", "--out", "x.csv"], {"param_set": None},
+                 "config 'param_set': null is not a value of --param-set",
+                 id="argv7-cfg7-param_set"),
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv,
-                                                   cfg, key):
+                                                   cfg, error):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(argv + ["--config", str(path)], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"usage error: config {key!r}")
+    assert err.startswith(f"usage error: {error}")
     assert err.count("\n") == 1
 
 
@@ -471,9 +491,8 @@ def test_explicit_flags_override_config(tmp_path, capsys):
 
 
 def parser_defaults() -> dict:
-    """Per subcommand, every action's default and out_required."""
-    return {name: ([copy.deepcopy(a.default) for a in sp._actions],
-                   sp.get_default("out_required"))
+    """Per subcommand, every action's default."""
+    return {name: [copy.deepcopy(a.default) for a in sp._actions]
             for name, sp in cli.build_parser().subcommand_parsers.items()}
 
 
@@ -531,11 +550,10 @@ def test_config_keys_of_removed_options_are_unknown(tmp_path, capsys, argv,
 def test_removed_options_are_usage_errors(tmp_path, monkeypatch, capsys,
                                           argv):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        cli.run(argv)
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out == "" and "unrecognized arguments" in err
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: unrecognized arguments: {argv[1]} {argv[2]}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -627,3 +645,114 @@ def test_help_exits_zero():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify" in proc.stdout and "bench" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "gmem", "verify", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: gmem verify")
+
+
+# One valid argv per subcommand; each usage case adds one bad input to it.
+VALID_ARGV = {
+    "verify": ["verify", "--model", "log", "--samples", "1"],
+    "curve": ["curve", "--steps", "2", "--out", "c.csv"],
+    "compare": ["compare", "--steps", "2"],
+    "bench": ["bench", "--n-evals", "10000"],
+    "contact": ["contact", "--steps", "2", "--out", "c.csv"],
+    "beam": ["beam", "--modulus", "340", "--r-m", "1", "--length", "10",
+             "--theta-w-deg", "30", "--out", "b.json"],
+    "cone": ["cone", "--declination", "300", "--out", "c.json"],
+}
+BAD_CHOICE = {"verify": ["--model", "membrane"],
+              "curve": ["--protocol", "bogus"],
+              "compare": ["--param-set", "PBE"],
+              "bench": ["--param-set", "PBE"]}
+NON_NUMERIC = {"verify": ["--samples", "x"], "curve": ["--steps", "2.5"],
+               "compare": ["--theta-deg", "north"], "bench": ["--seed", "x"],
+               "contact": ["--h0", "x"], "beam": ["--delta", "1e"],
+               "cone": ["--declination", "x"]}
+NON_FINITE = {"curve": ["--theta-deg", "nan"],
+              "compare": ["--range", "1.0", "inf"],
+              "contact": ["--gamma", "inf"], "beam": ["--modulus=-inf"],
+              "cone": ["--declination", "nan"]}
+OUT_OF_RANGE = {"verify": ["--samples", str(sc.MAX_SAMPLES + 1)],
+                "curve": ["--steps", str(sc.MAX_STEPS + 1)],
+                "compare": ["--steps", "0"],
+                "bench": ["--n-evals", str(sc.MAX_EVALS + 1)],
+                "contact": ["--steps", "1"]}
+WRONG_TYPE = {"verify": {"samples": 1.5}, "curve": {"range": [1.0]},
+              "compare": {"range": 1.1}, "bench": {"n_evals": True},
+              "contact": {"h0": [1, 2]}, "beam": {"delta": {"nm": 1}},
+              "cone": {"declination": "north"}}
+CONFIGS = {"unknown-key": '{"bogus": 1}', "not-json": "{",
+           "not-utf8": b"\xff\xfe{}", "not-object": "[1, 2]",
+           "bool-value": '{"out": true}'}
+
+
+def missing_required(command):
+    """The valid argv without its first required flag, or None."""
+    flag = {"curve": "--out", "beam": "--modulus",
+            "cone": "--declination"}.get(command)
+    if flag is None:
+        return None
+    argv = VALID_ARGV[command]
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2:]
+
+
+def usage_cases():
+    for command, valid in VALID_ARGV.items():
+        rows = {"unknown-flag": (valid + ["--bogus", "1"], None),
+                "missing-required": (missing_required(command), None),
+                "wrong-type": (valid, json.dumps(WRONG_TYPE[command]))}
+        for name, table in (("bad-choice", BAD_CHOICE),
+                            ("non-numeric", NON_NUMERIC),
+                            ("non-finite", NON_FINITE),
+                            ("out-of-range", OUT_OF_RANGE)):
+            if command in table:
+                rows[name] = (valid + table[command], None)
+        rows.update({name: (valid, text) for name, text in CONFIGS.items()})
+        for name, (argv, cfg) in rows.items():
+            if argv is not None:
+                yield pytest.param(argv, cfg, id=f"{command}-{name}")
+    yield pytest.param([], None, id="no-subcommand")
+    yield pytest.param(["bogus"], None, id="unknown-subcommand")
+
+
+@pytest.mark.parametrize("argv, cfg", usage_cases())
+def test_every_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv,
+                                       cfg):
+    """Every bad argv or --config of every subcommand, argparse's own
+    errors included: cli.run returns 2 and prints exactly one stderr line,
+    `usage error: ...`, with empty stdout and no traceback, and writes
+    nothing."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_bytes(cfg if isinstance(cfg, bytes) else cfg.encode())
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert err.endswith("\n") and "Traceback" not in err
+    assert list(work.iterdir()) == []
+
+
+def test_config_supplies_required_flags(tmp_path, monkeypatch, capsys):
+    """Config tokens are read before the full parse, so a config can supply
+    a required flag, and a value starting with '-' stays a value."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": "c.csv", "steps": 2,
+                               "theta_deg": -30.0}))
+    code, out, _ = run_cli(["curve", "--config", str(cfg)], capsys)
+    assert code == 0 and out.startswith("wrote 2 rows to c.csv")
+    assert (tmp_path / "c.csv").read_text().splitlines()[1].endswith(",-30")
+    cfg.write_text(json.dumps({"modulus": 340, "r_m": "1.0", "length": 38.19,
+                               "theta_w_deg": 17.45}))
+    code, out, _ = run_cli(["beam", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["F_w_nN"] == pytest.approx(0.0183021422694824289,
+                                                      rel=1e-12)

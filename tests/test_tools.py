@@ -1,22 +1,27 @@
 """The per-call measurement tools (tools/call_pairs.py, tools/call_split.py):
 every job table they time, built on a few states and called once, so that a
 change to a private contract they reach fails here rather than in a tool
-run; the bitwise verdict of tools/oracle_diff.py; and the gain verdict of
-tools/bench_pairs.py."""
+run; the bitwise verdict and the cli runs of tools/oracle_diff.py; the gain
+verdict of tools/bench_pairs.py; and the surrogate refit of
+tools/fit_surrogates.py."""
 
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import bench_pairs as bp  # noqa: E402
 import call_pairs as cp  # noqa: E402
 import call_split as cs  # noqa: E402
+import fit_surrogates as fs  # noqa: E402
 import oracle_diff as od  # noqa: E402
 import gmem  # noqa: E402
+from gmem import cli  # noqa: E402
+from gmem import scenarios as sc  # noqa: E402
 
 N_STATES = 4
 MEMBRANE_PARTS = {"energy": {"core", "call"},
@@ -133,3 +138,36 @@ def test_bench_gain_needs_changed_code_on_the_workload():
     kept = paired_entries("point_stream")
     bp.withhold_gains(kept, ["membrane_material", "numdiff"], reached)
     assert kept[0]["gain"] and kept[0]["gain_withheld"] is None
+
+
+def test_oracle_cli_runs_are_valid(tmp_path, monkeypatch):
+    """Every oracle cli run exits 0 and writes its --out file; a JSON
+    report is written as printed."""
+    monkeypatch.chdir(tmp_path)
+    values = od._cli_values(cli)
+    assert len(values) == 3 * len(od.CLI_RUNS)
+    for argv, (code, out, written) in zip(od.CLI_RUNS,
+                                          zip(*[iter(values)] * 3)):
+        assert list(code) == [0], argv
+        assert out.size > 0 and written.size > 0, argv
+        if argv[-1].endswith(".json"):
+            assert out.tobytes() == written.tobytes(), argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_surrogate_refit_reproduces_the_stated_fit():
+    """The relative least-squares refit reads e2 0.08115 and g2 0.06061 to
+    four significant digits. Each minimises its RMS error, so its RMS is
+    below the shipped set's; the shipped set's largest errors are test_05's
+    figures."""
+    table = fs.invariant_table()
+    assert len(table) == 600
+    e2, g2 = fs.refit(table)
+    assert (f"{e2:.4g}", f"{g2:.4g}") == ("0.08115", "0.06061")
+    refit = fs.errors(table, e2, g2)
+    shipped = fs.errors(table, gmem.DEFAULT_APPROX.e2, gmem.DEFAULT_APPROX.g2)
+    assert refit["f1_rms"] < shipped["f1_rms"]
+    assert refit["f2_rms"] < shipped["f2_rms"]
+    scan = sc.invariant_approximation_errors(np.linspace(1.0, 1.3, 601))
+    assert shipped["f1_max"] == pytest.approx(scan["f1_vs_J2E"], rel=1e-12)
+    assert shipped["f2_max"] == pytest.approx(scan["f2_vs_J3E"], rel=1e-12)

@@ -36,7 +36,10 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   bending_tangents;
 * one verify group: every check's max, mean and worst_sample from
   verify_derivatives on the metric, log and bending models, VERIFY_SAMPLES
-  samples each, over seeds VERIFY_SEEDS (numdiff and the verify callbacks).
+  samples each, over seeds VERIFY_SEEDS (numdiff and the verify callbacks);
+* one cli group: the exit code, the stdout bytes and the --out file bytes
+  of one valid in-process cli.run of each command in CLI_RUNS, in an empty
+  working directory (gmem bench is left out: it prints timings).
 
 Prints, per output group, whether the two dumps are bitwise equal and the
 largest absolute difference over the group's largest magnitude. Exits 0
@@ -47,7 +50,9 @@ on one side only).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import itertools
 import math
 import os
@@ -68,6 +73,13 @@ N_BENDING = 100  # points per surface kind, and metric triples
 N_SPECTRAL = 100  # indefinite tensors, and coincident eigenvalues
 VERIFY_SEEDS = range(8)
 VERIFY_SAMPLES = 5
+CLI_RUNS = (["verify", "--samples", "3", "--out", "out.json"],
+            ["curve", "--out", "out.csv"],
+            ["compare", "--out", "out.json"],
+            ["contact", "--out", "out.csv"],
+            ["beam", "--modulus", "340", "--r-m", "1.0", "--length", "38.19",
+             "--theta-w-deg", "17.45", "--out", "out.json"],
+            ["cone", "--declination", "300", "--out", "out.json"])
 
 
 def _spd(rng, lo, hi):
@@ -122,10 +134,31 @@ def _spectral_extras(rng):
     return out + [(0.0, 0.0, 0.0), (0.0, 0.0, -0.0)]
 
 
+def _cli_values(cli) -> list:
+    """Per CLI_RUNS entry: the exit code, then the stdout and --out file
+    bytes, as arrays."""
+    out = []
+    cwd = Path.cwd()
+    for argv in CLI_RUNS:
+        with tempfile.TemporaryDirectory(prefix="gmem-oracle-cli-") as work:
+            os.chdir(work)
+            try:
+                text = io.StringIO()
+                with contextlib.redirect_stdout(text):
+                    code = cli.run(argv)
+                written = (Path(work) / argv[-1]).read_bytes()
+            finally:
+                os.chdir(cwd)
+        out += [[code], np.frombuffer(text.getvalue().encode(), np.uint8),
+                np.frombuffer(written, np.uint8)]
+    return out
+
+
 def dump(tree: Path, out: Path) -> None:
     """Write every output group of the gmem under tree/src to out (.npz)."""
     import gmem
     from gmem import bending_geometry as bg
+    from gmem import cli
     from gmem import invariants as iv
     from gmem import lattice as la
     from gmem import membrane_material as mm
@@ -199,6 +232,8 @@ def dump(tree: Path, out: Path) -> None:
             for check in rep["checks"].values():
                 add("verify", [check["max"], check["mean"],
                                check["worst_sample"]])
+    for values in _cli_values(cli):
+        add("cli", values)
     np.savez(out, **{k: np.concatenate(v) for k, v in groups.items()})
 
 
