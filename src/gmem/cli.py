@@ -210,11 +210,11 @@ def _add_output(sp, required=False):
                     help="JSON file of flag defaults (dashes as underscores)")
 
 
-def _add_common(sp, with_seed=True, out_required=False):
+def _add_common(sp, with_seed=True, require_out=False):
     sp.add_argument("--param-set", default="GGA", choices=list(mm.PARAM_SETS))
     if with_seed:
         sp.add_argument("--seed", type=int, default=0)
-    _add_output(sp, out_required)
+    _add_output(sp, require_out)
 
 
 def _add_protocol(sp):
@@ -245,7 +245,7 @@ def _new_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curve", help="stress curve sweep to CSV")
     sp.add_argument("--model", default="metric", choices=list(sc.MODEL_NAMES))
     _add_protocol(sp)
-    _add_common(sp, with_seed=False, out_required=True)
+    _add_common(sp, with_seed=False, require_out=True)
 
     sp = sub.add_parser("compare", help="metric-vs-log sweep differences")
     _add_protocol(sp)
