@@ -1,11 +1,14 @@
 """Command-line frontend: verification suites, curve generation, model
 comparison, the speedup benchmark, and the small closed-form calculators.
+An argument @FILE stands for FILE's lines, one argument per line, and a
+later argument wins over an earlier one.
 
 Exit codes: 0 success, 1 tolerance/consistency failure (including a
 result that overflows or is not finite), 2 usage error, printed as one
-line (argparse's own errors and any non-finite number given as input
-included), 3 I/O error. All subcommands are deterministic under a fixed
-seed; JSON reports carry a schema_version field and are byte-stable.
+line (argparse's own errors, any non-finite number given as input and an
+unreadable @FILE included), 3 I/O error. All subcommands are
+deterministic under a fixed seed; JSON reports carry a schema_version
+field and are byte-stable.
 """
 
 from __future__ import annotations
@@ -54,6 +57,14 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    """The type of --seed: an integer >= 0."""
+    with contextlib.suppress(ValueError):
+        if (value := int(text)) >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def _json_text(payload: dict) -> str:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
@@ -89,19 +100,15 @@ def _protocol_from(args) -> sc.DeformationProtocol:
                           math.radians(args.theta_deg), lo, hi, args.steps)
 
 
-def _params_from(args) -> mm.MaterialParams:
-    return _usage_checked(mm.material_preset, args.param_set)
-
-
 def cmd_verify(args) -> int:
     models = (list(sc.VERIFY_TOLERANCES) if args.model == "all"
               else [args.model])
     reports = []
     for model in models:
-        kw = {} if model == "bending" else {"params": _params_from(args)}
-        reports.append(_usage_checked(sc.verify_derivatives, model,
-                                      n_samples=args.samples, seed=args.seed,
-                                      **kw))
+        kw = {"n_samples": args.samples, "seed": args.seed}
+        if model != "bending":
+            kw["params"] = mm.material_preset(args.param_set)
+        reports.append(_usage_checked(sc.verify_derivatives, model, **kw))
     ok = all(r["pass"] for r in reports)
     _emit(args, {"command": "verify", "pass": ok, "reports": reports})
     return EXIT_OK if ok else EXIT_TOLERANCE
@@ -109,7 +116,7 @@ def cmd_verify(args) -> int:
 
 def cmd_curve(args) -> int:
     protocol = _protocol_from(args)
-    params = _params_from(args)
+    params = mm.material_preset(args.param_set)
     frame = make_frame(0.0)
     points = sc.run_curve(protocol, args.model, params, frame)
     sc.write_curve_csv(args.out, points, args.model, params.name,
@@ -133,7 +140,7 @@ PAPER_COMPARE = {
 
 def cmd_compare(args) -> int:
     protocol = _protocol_from(args)
-    params = _params_from(args)
+    params = mm.material_preset(args.param_set)
     frame = make_frame(0.0)
     diffs = sc.compare_models(protocol, params, frame)
     in_range = protocol.in_fitted_range()
@@ -157,7 +164,8 @@ def cmd_compare(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        report = _usage_checked(sc.benchmark_models, _params_from(args),
+        report = _usage_checked(sc.benchmark_models,
+                                mm.material_preset(args.param_set),
                                 n_evals=args.n_evals, seed=args.seed)
     except RuntimeError as e:
         sys.stderr.write(f"error: {e}\n")
@@ -204,17 +212,11 @@ def cmd_cone(args) -> int:
     return EXIT_OK
 
 
-def _add_output(sp, required=False):
-    sp.add_argument("--out", default=None, required=required)
-    sp.add_argument("--config", default=None,
-                    help="JSON file of flag defaults (dashes as underscores)")
-
-
 def _add_common(sp, with_seed=True, require_out=False):
     sp.add_argument("--param-set", default="GGA", choices=list(mm.PARAM_SETS))
     if with_seed:
-        sp.add_argument("--seed", type=int, default=0)
-    _add_output(sp, require_out)
+        sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--out", required=require_out)
 
 
 def _add_protocol(sp):
@@ -232,7 +234,11 @@ def _new_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="gmem",
         description="Anisotropic hyperelastic membrane and bending models "
-                    "for hexagonal 2D crystals, with built-in verification.")
+                    "for hexagonal 2D crystals, with built-in verification.",
+        epilog="Arguments can also be read from a file: @FILE stands for "
+               "the file's lines, one argument per line. A later argument "
+               "wins over an earlier one.",
+        fromfile_prefix_chars="@")
     sub = ap.add_subparsers(dest="command", required=True)
     ap.subcommand_parsers = sub.choices
 
@@ -261,7 +267,7 @@ def _new_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=46)
     sp.add_argument("--h0", type=_finite, default=0.34)
     sp.add_argument("--gamma", type=_finite, default=0.14)
-    _add_output(sp)
+    sp.add_argument("--out")
 
     sp = sub.add_parser("beam", help="axially loaded tube force calculator")
     sp.add_argument("--modulus", type=_finite, required=True,
@@ -273,12 +279,12 @@ def _new_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-w-deg", type=_finite, required=True)
     sp.add_argument("--delta", type=_finite, default=0.1,
                     help="axial end shortening, nm")
-    _add_output(sp)
+    sp.add_argument("--out")
 
     sp = sub.add_parser("cone", help="fold-cone apex angle")
     sp.add_argument("--declination", type=_finite, required=True,
                     help="angular declination in degrees")
-    _add_output(sp)
+    sp.add_argument("--out")
     return ap
 
 
@@ -288,8 +294,6 @@ _COMMANDS = {"verify": cmd_verify, "curve": cmd_curve, "compare": cmd_compare,
              "bench": cmd_bench, "contact": cmd_contact, "beam": cmd_beam,
              "cone": cmd_cone}
 _PARSER = _new_parser()
-_CONFIG_FLAG = _Parser(add_help=False)  # --config, before the full parse
-_CONFIG_FLAG.add_argument("--config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,58 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
-def _config_argv(sp: argparse.ArgumentParser, path) -> list:
-    """A --config file's values as the flag tokens they stand for, which
-    argparse converts and checks as it does the flag's own text: a scalar
-    as --flag=value, the list-valued --range as --range LO HI. null is
-    skipped where the flag's own default is None."""
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        raise UsageError(f"cannot read config: {e}")
-    except ValueError as e:  # not JSON, or not UTF-8 text
-        raise UsageError(f"config is not valid JSON: {e}")
-    if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
-    actions = {a.dest: a for a in sp._actions
-               if a.dest not in ("help", "config")}
-    unknown = set(cfg) - set(actions)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    argv = []
-    for key, value in cfg.items():
-        action = actions[key]
-        if value is None and action.default is None:
-            continue
-        flag = action.option_strings[0]
-        n = action.nargs or 1  # None, or 2 for --range
-        values = value if n > 1 and isinstance(value, list) else [value]
-        if len(values) != n or {type(v) for v in values} - {int, float, str}:
-            raise UsageError(f"config {key!r}: {json.dumps(value)} is not a "
-                             f"value of {flag}")
-        argv += [f"{flag}={value}"] if n == 1 else [flag, *map(str, values)]
-    return argv
-
-
-def _parse(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """argv parsed with a --config file's flag tokens placed right after
-    the subcommand: explicit flags come later, so they win, and a config
-    can supply a required flag."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    sp = ap.subcommand_parsers.get(argv[0] if argv else None)
-    path = sp and _CONFIG_FLAG.parse_known_args(argv[1:])[0].config
-    if path:
-        argv[1:1] = _config_argv(sp, path)
-    args = ap.parse_args(argv)
-    if getattr(args, "seed", 0) < 0:
-        raise UsageError("--seed must be >= 0")
-    return args
-
-
 def run(argv=None) -> int:
     try:
-        args = _parse(build_parser(), argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except (UnicodeDecodeError, RecursionError) as e:
+            # argparse reports only an OSError from an @FILE; not text, or
+            # a file that names itself, lands here
+            raise UsageError(f"cannot read argument file: {e}") from None
         return _COMMANDS[args.command](args)
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")

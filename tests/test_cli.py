@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, exit codes, config handling, and
+"""Command-line interface: subcommands, exit codes, argument files, and
 report stability."""
 
 import copy
@@ -21,6 +21,12 @@ def run_cli(argv, capsys):
     code = cli.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def arg_file(path, *lines) -> str:
+    """Write an argument file, one argument per line; its @FILE token."""
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
 
 
 def test_cone_subcommand(capsys):
@@ -283,76 +289,64 @@ def test_non_finite_numbers_are_usage_errors(argv, flag, capsys):
 
 
 def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"h0": NaN}')
-    code, _, err = run_cli(["contact", "--config", str(cfg)], capsys)
+    at = arg_file(tmp_path / "args.txt", "--h0=nan")
+    code, _, err = run_cli(["contact", at], capsys)
     assert code == 2
     assert err == ("usage error: argument --h0: expected a finite number, "
                    "got 'nan'\n")
 
 
-@pytest.mark.parametrize("argv, cfg, error", [
-    # values argparse converts as the flag's own text name the flag
-    pytest.param(["verify", "--model", "log"], {"samples": 1.5},
+@pytest.mark.parametrize("argv, lines, error", [
+    # a value read from a file is converted and checked as the flag's text
+    pytest.param(["verify", "--model", "log"], ["--samples=1.5"],
                  "argument --samples: invalid int value: '1.5'",
                  id="argv0-cfg0-samples"),
-    pytest.param(["contact"], {"h0": [1, 2]},
-                 "config 'h0': [1, 2] is not a value of --h0",
+    pytest.param(["contact"], ["--h0", "1", "2"],
+                 "unrecognized arguments: 2",
                  id="argv1-cfg1-h0"),
-    pytest.param(["verify", "--model", "log"], {"samples": True},
-                 "config 'samples': true is not a value of --samples",
+    pytest.param(["verify", "--model", "log"], ["--samples=true"],
+                 "argument --samples: invalid int value: 'true'",
                  id="argv2-cfg2-samples"),
-    pytest.param(["verify"], {"model": "membrane"},
+    pytest.param(["verify"], ["--model=membrane"],
                  "argument --model: invalid choice: 'membrane'",
                  id="argv3-cfg3-model"),
-    pytest.param(["compare"], {"theta_deg": "north"},
+    pytest.param(["compare"], ["--theta-deg=north"],
                  "argument --theta-deg: expected a finite number, got 'north'",
                  id="argv4-cfg4-theta_deg"),
-    pytest.param(["compare"], {"range": [1.0]},
-                 "config 'range': [1.0] is not a value of --range",
+    pytest.param(["compare"], ["--range", "1.0"],
+                 "argument --range: expected 2 arguments",
                  id="argv5-cfg5-range"),
-    pytest.param(["compare"], {"range": [1.0, "high"]},
+    pytest.param(["compare"], ["--range", "1.0", "high"],
                  "argument --range: expected a finite number, got 'high'",
                  id="argv6-cfg6-range"),
-    pytest.param(["curve", "--out", "x.csv"], {"param_set": None},
-                 "config 'param_set': null is not a value of --param-set",
+    pytest.param(["curve", "--out", "x.csv"], ["--param-set="],
+                 "argument --param-set: invalid choice: ''",
                  id="argv7-cfg7-param_set"),
 ])
-def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, argv,
-                                                   cfg, error):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(argv + ["--config", str(path)], capsys)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, monkeypatch,
+                                                   capsys, argv, lines, error):
+    monkeypatch.chdir(tmp_path)
+    at = arg_file(tmp_path / "args.txt", *lines)
+    code, out, err = run_cli(argv + [at], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith(f"usage error: {error}")
     assert err.count("\n") == 1
+    assert [f.name for f in tmp_path.iterdir()] == ["args.txt"]
 
 
 def test_config_values_convert_like_flags(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"samples": "2", "model": "log"}))
-    code, out, _ = run_cli(["verify", "--config", str(path)], capsys)
+    path = tmp_path / "args.txt"
+    at = arg_file(path, "--samples=2", "--model=log")
+    code, out, _ = run_cli(["verify", at], capsys)
     assert code == 0
     report = json.loads(out)["reports"][0]
     assert (report["model"], report["n_samples"]) == ("log", 2)
-    path.write_text(json.dumps({"steps": "3", "range": ["1.0", 1.01]}))
-    code, out, _ = run_cli(["compare", "--config", str(path)], capsys)
+    arg_file(path, "--steps=3", "--range", "1.0", "1.01")
+    code, out, _ = run_cli(["compare", at], capsys)
     assert code == 0
     protocol = json.loads(out)["protocol"]
     assert (protocol["steps"], protocol["range"]) == (3, [1.0, 1.01])
-
-
-@pytest.mark.parametrize("argv, cfg", [
-    (["cone", "--declination", "300"], {"out": None}),
-    (["verify", "--model", "log", "--samples", "2"], {"out": None}),
-])
-def test_config_null_keeps_a_none_default(tmp_path, capsys, argv, cfg):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(argv + ["--config", str(path)], capsys)
-    assert code == 0
-    assert json.loads(out)["schema_version"] == 1
 
 
 def test_non_finite_result_is_not_printed(capsys):
@@ -446,30 +440,29 @@ def test_bench_consistency_gate_failure_exits_one(tmp_path, monkeypatch,
     assert not path.exists()
 
 
-@pytest.mark.parametrize("argv, cfg", [
-    (["verify", "--model", "log", "--samples", "1", "--seed", "-1"], None),
-    (["bench", "--seed", "-1"], None),
-    (["verify", "--model", "log", "--samples", "1"], {"seed": -1}),
-    (["bench"], {"seed": -1}),
+@pytest.mark.parametrize("argv, lines", [
+    pytest.param(["verify", "--model", "log", "--samples", "1", "--seed", "-1"],
+                 None, id="argv0-None"),
+    pytest.param(["bench", "--seed", "-1"], None, id="argv1-None"),
+    pytest.param(["verify", "--model", "log", "--samples", "1"],
+                 ["--seed=-1"], id="argv2-cfg2"),
+    pytest.param(["bench"], ["--seed", "-1"], id="argv3-cfg3"),
 ])
-def test_negative_seed_is_usage_error(tmp_path, capsys, argv, cfg):
-    if cfg is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        argv = argv + ["--config", str(path)]
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv, lines):
+    if lines is not None:
+        argv = argv + [arg_file(tmp_path / "args.txt", *lines)]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err == "usage error: --seed must be >= 0\n"
+    assert err == ("usage error: argument --seed: expected an integer >= 0, "
+                   "got '-1'\n")
 
 
 def test_config_supplies_defaults(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"param_set": "LDA", "steps": 3,
-                               "range": [1.0, 1.1], "theta_deg": 30.0}))
+    at = arg_file(tmp_path / "args.txt", "--param-set=LDA", "--steps=3",
+                  "--range", "1.0", "1.1", "--theta-deg=30")
     out_path = tmp_path / "c.csv"
-    code, _, _ = run_cli(
-        ["curve", "--config", str(cfg), "--out", str(out_path)], capsys)
+    code, _, _ = run_cli(["curve", at, "--out", str(out_path)], capsys)
     assert code == 0
     lines = out_path.read_text().splitlines()
     assert len(lines) == 4
@@ -478,16 +471,17 @@ def test_config_supplies_defaults(tmp_path, capsys):
 
 
 def test_explicit_flags_override_config(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"param_set": "LDA", "steps": 3}))
+    """Position sets precedence: a flag after the file beats the file's
+    value, and a flag before it loses."""
+    at = arg_file(tmp_path / "args.txt", "--param-set=LDA", "--steps=3")
     out_path = tmp_path / "c.csv"
-    code, _, _ = run_cli(
-        ["curve", "--config", str(cfg), "--param-set", "GGA",
-         "--out", str(out_path)], capsys)
-    assert code == 0
-    lines = out_path.read_text().splitlines()
-    assert lines[1].split(",")[7] == "GGA"
-    assert len(lines) == 4  # steps still from config
+    for argv, param_set in ((["curve", at, "--param-set", "GGA"], "GGA"),
+                            (["curve", "--param-set", "GGA", at], "LDA")):
+        code, _, _ = run_cli(argv + ["--out", str(out_path)], capsys)
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert lines[1].split(",")[7] == param_set
+        assert len(lines) == 4  # steps still from the file
 
 
 def parser_defaults() -> dict:
@@ -499,32 +493,33 @@ def parser_defaults() -> dict:
 def test_config_does_not_leak_into_the_next_run(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     before = parser_defaults()
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"h0": 0.5}))
-    code, out, _ = run_cli(["contact", "--config", str(cfg)], capsys)
+    path = tmp_path / "args.txt"
+    code, out, _ = run_cli(["contact", arg_file(path, "--h0=0.5")], capsys)
     assert code == 0
     assert out.startswith("psi(h0=0.5)")
     code, out, _ = run_cli(["contact"], capsys)
     assert code == 0
     assert out.startswith("psi(h0=0.34)")
-    # scalars and a list, each then given as a flag too
-    for argv, values in (
-            (["compare", "--steps", "3"], {"steps": 2, "range": [1.0, 1.01]}),
-            (["curve", "--out", str(tmp_path / "c.csv"), "--range", "1.0",
-              "1.02"], {"range": [1.0, 1.01], "model": "log"})):
-        cfg.write_text(json.dumps(values))
-        code, _, _ = run_cli(argv + ["--config", str(cfg)], capsys)
+    # scalars, a list and curve's required --out, each then given as a
+    # flag too
+    out_path = tmp_path / "c.csv"
+    for argv, lines in (
+            (["compare", "--steps", "3"],
+             ["--steps=2", "--range", "1.0", "1.01"]),
+            (["curve", "--range", "1.0", "1.02"],
+             ["--range", "1.0", "1.01", "--model=log", f"--out={out_path}"])):
+        code, _, _ = run_cli(argv + [arg_file(path, *lines)], capsys)
         assert code == 0
     assert parser_defaults() == before
+    code, _, err = run_cli(["curve"], capsys)
+    assert code == 2 and "--out" in err
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus_key": 1}))
-    code, _, err = run_cli(
-        ["curve", "--config", str(cfg), "--out", "x.csv"], capsys)
+    at = arg_file(tmp_path / "args.txt", "--bogus-key=1")
+    code, _, err = run_cli(["curve", at, "--out", "x.csv"], capsys)
     assert code == 2
-    assert "bogus_key" in err
+    assert err == "usage error: unrecognized arguments: --bogus-key=1\n"
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -532,14 +527,16 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     (["curve", "--out", "x.csv"], "lattice_deg"),
     (["compare"], "lattice_deg"),
 ])
-def test_config_keys_of_removed_options_are_unknown(tmp_path, capsys, argv,
-                                                    key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: None}))
-    code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+def test_config_keys_of_removed_options_are_unknown(tmp_path, monkeypatch,
+                                                    capsys, argv, key):
+    monkeypatch.chdir(tmp_path)
+    flag = "--" + key.replace("_", "-")
+    at = arg_file(tmp_path / "args.txt", f"{flag}=10")
+    code, out, err = run_cli(argv + [at], capsys)
     assert code == 2
     assert out == ""
-    assert err == f"usage error: unknown config keys: [{key!r}]\n"
+    assert err == f"usage error: unrecognized arguments: {flag}=10\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["args.txt"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -557,32 +554,39 @@ def test_removed_options_are_usage_errors(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_config_must_be_json_object(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1, 2]")
-    code, _, err = run_cli(
-        ["curve", "--config", str(cfg), "--out", "x.csv"], capsys)
-    assert code == 2
-    assert "JSON object" in err
-
-
-def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(b"\xff\xfe{}")
-    code, out, err = run_cli(
-        ["verify", "--samples", "1", "--config", str(cfg)], capsys)
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "args.bin"
+    path.write_bytes(b"\xff\xfe--samples=1\n")
+    code, out, err = run_cli(["verify", "--out", "r.json", f"@{path}"],
+                             capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("usage error: config is not valid JSON: ")
+    assert err.startswith("usage error: cannot read argument file: ")
     assert err.count("\n") == 1
+    assert [f.name for f in tmp_path.iterdir()] == ["args.bin"]
 
 
-def test_missing_config_file_is_usage_error(capsys):
-    code, _, err = run_cli(
-        ["curve", "--config", "/nonexistent/cfg.json", "--out", "x.csv"],
-        capsys)
+def test_missing_config_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        ["curve", "@/nonexistent/args.txt", "--out", "x.csv"], capsys)
     assert code == 2
-    assert "cannot read config" in err
+    assert out == ""
+    assert err == ("usage error: [Errno 2] No such file or directory: "
+                   "'/nonexistent/args.txt'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_argument_file_that_names_itself_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "args.txt"
+    at = arg_file(path, "--steps=2", f"@{path}")
+    code, out, err = run_cli(["compare", at], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot read argument file: ")
+    assert err.count("\n") == 1
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):
@@ -679,13 +683,20 @@ OUT_OF_RANGE = {"verify": ["--samples", str(sc.MAX_SAMPLES + 1)],
                 "compare": ["--steps", "0"],
                 "bench": ["--n-evals", str(sc.MAX_EVALS + 1)],
                 "contact": ["--steps", "1"]}
-WRONG_TYPE = {"verify": {"samples": 1.5}, "curve": {"range": [1.0]},
-              "compare": {"range": 1.1}, "bench": {"n_evals": True},
-              "contact": {"h0": [1, 2]}, "beam": {"delta": {"nm": 1}},
-              "cone": {"declination": "north"}}
-CONFIGS = {"unknown-key": '{"bogus": 1}', "not-json": "{",
-           "not-utf8": b"\xff\xfe{}", "not-object": "[1, 2]",
-           "bool-value": '{"out": true}'}
+# Bad argument files: the valid argv ends with @FILE holding these lines.
+WRONG_TYPE = {"verify": ["--samples=1.5"], "curve": ["--range", "1.0"],
+              "compare": ["--range=1.1"], "bench": ["--n-evals=true"],
+              "contact": ["--h0", "1", "2"], "beam": ["--delta=1 nm"],
+              "cone": ["--declination=north"]}
+ARG_FILES = {"not-utf8": b"\xff\xfe--steps=2\n", "unknown-key": "--bogus=1\n",
+             "one-line-range": "--range 1.0 1.2\n",
+             # files in the JSON format --config once read
+             "not-json": "{\n", "not-object": "[1, 2]\n",
+             "bool-value": '{"out": true}\n'}
+
+
+def lines(tokens) -> str:
+    return "".join(f"{t}\n" for t in tokens)
 
 
 def missing_required(command):
@@ -703,35 +714,38 @@ def usage_cases():
     for command, valid in VALID_ARGV.items():
         rows = {"unknown-flag": (valid + ["--bogus", "1"], None),
                 "missing-required": (missing_required(command), None),
-                "wrong-type": (valid, json.dumps(WRONG_TYPE[command]))}
+                "missing-file": (valid + ["@no-such-file.txt"], None),
+                # the valid flags, one per line, then an empty line
+                "blank-line": (valid[:1], lines(valid[1:]) + "\n"),
+                "wrong-type": (valid, lines(WRONG_TYPE[command]))}
         for name, table in (("bad-choice", BAD_CHOICE),
                             ("non-numeric", NON_NUMERIC),
                             ("non-finite", NON_FINITE),
                             ("out-of-range", OUT_OF_RANGE)):
             if command in table:
                 rows[name] = (valid + table[command], None)
-        rows.update({name: (valid, text) for name, text in CONFIGS.items()})
-        for name, (argv, cfg) in rows.items():
+        rows.update({name: (valid, text) for name, text in ARG_FILES.items()})
+        for name, (argv, text) in rows.items():
             if argv is not None:
-                yield pytest.param(argv, cfg, id=f"{command}-{name}")
+                yield pytest.param(argv, text, id=f"{command}-{name}")
     yield pytest.param([], None, id="no-subcommand")
     yield pytest.param(["bogus"], None, id="unknown-subcommand")
 
 
-@pytest.mark.parametrize("argv, cfg", usage_cases())
+@pytest.mark.parametrize("argv, text", usage_cases())
 def test_every_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv,
-                                       cfg):
-    """Every bad argv or --config of every subcommand, argparse's own
+                                       text):
+    """Every bad argv or argument file of every subcommand, argparse's own
     errors included: cli.run returns 2 and prints exactly one stderr line,
     `usage error: ...`, with empty stdout and no traceback, and writes
     nothing."""
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    if cfg is not None:
-        path = tmp_path / "cfg.json"
-        path.write_bytes(cfg if isinstance(cfg, bytes) else cfg.encode())
-        argv = argv + ["--config", str(path)]
+    if text is not None:
+        path = tmp_path / "args.txt"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        argv = argv + [f"@{path}"]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
@@ -741,18 +755,60 @@ def test_every_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv,
 
 
 def test_config_supplies_required_flags(tmp_path, monkeypatch, capsys):
-    """Config tokens are read before the full parse, so a config can supply
-    a required flag, and a value starting with '-' stays a value."""
+    """argparse reads an argument file before it parses, so a file can
+    supply a required flag, and a value starting with '-' stays a value."""
     monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"out": "c.csv", "steps": 2,
-                               "theta_deg": -30.0}))
-    code, out, _ = run_cli(["curve", "--config", str(cfg)], capsys)
+    path = tmp_path / "args.txt"
+    at = arg_file(path, "--out=c.csv", "--steps=2", "--theta-deg", "-30")
+    code, out, _ = run_cli(["curve", at], capsys)
     assert code == 0 and out.startswith("wrote 2 rows to c.csv")
     assert (tmp_path / "c.csv").read_text().splitlines()[1].endswith(",-30")
-    cfg.write_text(json.dumps({"modulus": 340, "r_m": "1.0", "length": 38.19,
-                               "theta_w_deg": 17.45}))
-    code, out, _ = run_cli(["beam", "--config", str(cfg)], capsys)
+    arg_file(path, "--modulus=340", "--r-m=1.0", "--length=38.19",
+             "--theta-w-deg=17.45")
+    code, out, _ = run_cli(["beam", at], capsys)
     assert code == 0
     assert json.loads(out)["F_w_nN"] == pytest.approx(0.0183021422694824289,
                                                       rel=1e-12)
+
+
+def test_argument_file_may_hold_the_subcommand(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    at = arg_file(tmp_path / "run.txt", "curve", "--steps=2", "--out=c.csv")
+    code, out, _ = run_cli([at], capsys)
+    assert code == 0 and out.startswith("wrote 2 rows to c.csv")
+    # files nest: an argument file may name another
+    inner = arg_file(tmp_path / "decl.txt", "--declination=300")
+    code, out, _ = run_cli([arg_file(tmp_path / "outer.txt", "cone", inner)],
+                           capsys)
+    assert code == 0 and json.loads(out)["command"] == "cone"
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--model", "log", "--protocol", "pure-shear", "--theta-deg",
+     "-30", "--range", "1.0", "1.1", "--steps", "7", "--param-set", "LDA",
+     "--out", "c.csv"],
+    ["verify", "--samples", "3", "--seed", "5", "--out", "r.json"],
+])
+def test_argument_file_run_matches_inline_tokens(tmp_path, monkeypatch,
+                                                 capsys, argv):
+    """The same tokens inline and from a file write the same bytes."""
+    runs = []
+    for name, tokens in (("inline", argv), ("file", None)):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        if tokens is None:
+            tokens = argv[:1] + [arg_file(tmp_path / "args.txt", *argv[1:])]
+        code, out, err = run_cli(tokens, capsys)
+        assert code == 0 and err == ""
+        runs.append((out, (work / argv[-1]).read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_only_a_token_starting_with_at_is_a_file(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["cone", "--declination", "300",
+                            "--out=@name.json"], capsys)
+    assert code == 0
+    assert (tmp_path / "@name.json").read_text() == out
