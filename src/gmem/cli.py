@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -47,6 +48,35 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def _read_args_from_files(self, arg_strings, reading=()):
+        """argparse's @FILE expansion, one argument per line, files naming
+        files, with each fault a UsageError that names its argument file: a
+        file that cannot be opened or decoded, an empty line in it, or a
+        file that names itself; reading holds the real paths of the files
+        being read."""
+        out = []
+        for arg in arg_strings:
+            if not arg.startswith("@"):
+                out.append(arg)
+                continue
+            name = arg[1:]
+            try:
+                real = os.path.realpath(name)
+                with open(name) as fh:
+                    lines = fh.read().splitlines()
+            except (OSError, ValueError) as e:  # not text, or a NUL in name
+                why = getattr(e, "strerror", None) or e
+                raise UsageError(
+                    f"cannot read argument file {name!r}: {why}") from None
+            if real in reading:
+                raise UsageError(f"argument file {name!r} names itself, "
+                                 f"directly or through another file")
+            if "" in lines:
+                raise UsageError(f"empty line {lines.index('') + 1} in "
+                                 f"argument file {name!r}")
+            out += self._read_args_from_files(lines, (*reading, real))
+        return out
 
 
 def _finite(text: str) -> float:
@@ -305,9 +335,7 @@ def run(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-        except (UnicodeDecodeError, RecursionError) as e:
-            # argparse reports only an OSError from an @FILE; not text, or
-            # a file that names itself, lands here
+        except RecursionError as e:  # argument files nested past the stack
             raise UsageError(f"cannot read argument file: {e}") from None
         return _COMMANDS[args.command](args)
     except UsageError as e:

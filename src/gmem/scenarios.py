@@ -12,6 +12,7 @@ import math
 import platform
 import time
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -183,29 +184,70 @@ def invariant_approximation_errors(ratios: Iterable[float]) -> dict:
     return {"f1_vs_J2E": 100.0 * worst_f1, "f2_vs_J3E": 100.0 * worst_f2}
 
 
-def _random_spd_triple(rng, lo=0.7, hi=1.6):
+def _random_spd_triple(u1, u2, u3, lo=0.7, hi=1.6):
     """(c11, c22, c12) of a random SPD 2x2 with eigenvalues in [lo, hi],
-    as Python floats."""
-    e1, e2 = rng.uniform(lo, hi, size=2).tolist()
-    phi = rng.uniform(0.0, math.pi)
+    as Python floats, from three uniform [0, 1) draws: the eigenvalues
+    lo + (hi - lo) * u1 and * u2 and the eigenvector angle pi * u3.
+    That is NumPy's own uniform formula, so the triple is bitwise the one
+    rng.uniform(lo, hi, size=2) and rng.uniform(0.0, pi) give for the same
+    draws."""
+    e1 = lo + (hi - lo) * u1
+    e2 = lo + (hi - lo) * u2
+    phi = math.pi * u3
     c, s = math.cos(phi), math.sin(phi)
     return (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
             (e1 - e2) * s * c)
 
 
+def _flat(v):
+    """v's entries in C order as a list or tuple: an ndarray's through
+    ravel().tolist(), a tuple of floats (a SurfTensor2, bending's 6-tuple)
+    as it is, anything else through np.ravel."""
+    if type(v) is np.ndarray:
+        return v.ravel().tolist()
+    if isinstance(v, tuple) and all(type(e) is float for e in v):
+        return v
+    return np.ravel(v).tolist()
+
+
 def _rel_err(x, ref):
-    """max |x - ref| over max |ref|, the latter floored at 1e-12."""
-    ref = np.asarray(ref)
-    return (np.maximum.reduce(np.abs(np.subtract(x, ref)), axis=None)
-            / max(np.maximum.reduce(np.abs(ref), axis=None), 1e-12))
+    """max |x - ref| over max |ref|, the latter floored at 1e-12, as an
+    np.float64. x and ref have as many entries, compared in C order; both
+    maxima are formed in float arithmetic, and a NaN anywhere gives NaN."""
+    xs, rs = _flat(x), _flat(ref)
+    if len(xs) != len(rs):
+        raise ValueError(f"_rel_err: {len(xs)} entries against {len(rs)}")
+    diffs = list(map(abs, map(sub, xs, rs)))
+    # max skips a NaN that is not first; the sum of the |x - ref|, all
+    # >= 0, is NaN exactly when one of them is
+    total = sum(diffs)
+    num = max(diffs) if total == total else total
+    # max(max(rs), -min(rs)) is max |ref|
+    return np.float64(num / max(max(rs), -min(rs), 1e-12))
+
+
+def _membrane_state(rng):
+    """A random membrane state's lattice angle in [0, 2 pi) and C triple,
+    from one draw of four uniforms, the angle's first."""
+    u0, u1, u2, u3 = rng.random(4).tolist()
+    return 2.0 * math.pi * u0, _random_spd_triple(u1, u2, u3)
+
+
+def _bending_state(rng):
+    """A random bending state's a_ref, a_cur and b_cur triples, from one
+    draw of nine uniforms, three per triple in that order; b_cur's are
+    uniform(-0.5, 0.5), -0.5 + (0.5 - -0.5) * u."""
+    r1, r2, r3, a1, a2, a3, b1, b2, b3 = rng.random(9).tolist()
+    return (_random_spd_triple(r1, r2, r3, 0.8, 1.3),
+            _random_spd_triple(a1, a2, a3, 0.7, 1.6),
+            (b1 - 0.5, b2 - 0.5, b3 - 0.5))
 
 
 def _membrane_sample(model, params, rng):
     """Errors of one random membrane state, keyed by check name, and the
     state: its C triple and lattice angle."""
-    theta = rng.uniform(0.0, 2.0 * math.pi)
+    theta, triple = _membrane_state(rng)
     frame = make_frame(theta)
-    triple = _random_spd_triple(rng)
     c0 = _new(SurfTensor2, triple)
     stress = _STRESS_FN[model]
     energy = _ENERGY_FN[model]
@@ -236,42 +278,46 @@ def _bending_sample(rng):
     state: its a_ref, a_cur and b_cur triples. tangent_fd holds one error
     per tangent block c, d, e, f."""
     c_bend = DEFAULT_BEND_STIFFNESS
-    a_ref = _random_spd_triple(rng, 0.8, 1.3)
-    a_cur = _random_spd_triple(rng, 0.7, 1.6)
-    b_cur = tuple(rng.uniform(-0.5, 0.5, size=3).tolist())
-
-    def m2(t11, t22, t12):
-        return np.array((t11, t12, t12, t22)).reshape(2, 2)
+    a_ref, a_cur, b_cur = _bending_state(rng)
+    geometry = bg.geometry_from_metrics
+    energy = bg.canham_energy
+    stress_moment = bg.bending_stress_moment
 
     # the unperturbed metrics, built once for every perturbation
-    A_ref, a_0, b_0 = m2(*a_ref), m2(*a_cur), m2(*b_cur)
+    A_ref, a_0, b_0 = (np.array((t11, t12, t12, t22)).reshape(2, 2)
+                       for t11, t22, t12 in (a_ref, a_cur, b_cur))
 
     def tm(g):
-        t, m = bg.bending_stress_moment(g, c_bend)
+        t, m = stress_moment(g, c_bend)
         (t00, t01), (_, t11) = t.tolist()
         (m00, m01), (_, m11) = m.tolist()
         return t00, t11, t01, m00, m11, m01
 
-    def energy(g):
-        return bg.canham_energy(g, c_bend)
+    # one stencil callback per output, energy or stress and moment, and
+    # perturbed metric, a_cur or b_cur
+    def energy_a(a11, a22, a12):
+        a = np.array((a11, a12, a12, a22)).reshape(2, 2)
+        return energy(geometry(A_ref, a, b_0), c_bend)
 
-    # one geometry builder per perturbed metric, a_cur or b_cur
-    def with_a(a11, a22, a12):
-        return bg.geometry_from_metrics(A_ref, m2(a11, a22, a12), b_0)
+    def energy_b(b11, b22, b12):
+        b = np.array((b11, b12, b12, b22)).reshape(2, 2)
+        return energy(geometry(A_ref, a_0, b), c_bend)
 
-    def with_b(b11, b22, b12):
-        return bg.geometry_from_metrics(A_ref, a_0, m2(b11, b22, b12))
+    def tm_a(a11, a22, a12):
+        a = np.array((a11, a12, a12, a22)).reshape(2, 2)
+        return tm(geometry(A_ref, a, b_0))
 
-    def diff(out, geometry, x, step):
-        return partials_sym(lambda *t: out(geometry(*t)), x, step)
+    def tm_b(b11, b22, b12):
+        b = np.array((b11, b12, b12, b22)).reshape(2, 2)
+        return tm(geometry(A_ref, a_0, b))
 
-    g0 = bg.geometry_from_metrics(A_ref, a_0, b_0)
+    g0 = geometry(A_ref, a_0, b_0)
     an = tm(g0)
-    fd = np.concatenate([2.0 * diff(energy, with_a, a_cur, STRESS_STEP),
-                         diff(energy, with_b, b_cur, STRESS_STEP)])
+    fd = np.concatenate([2.0 * partials_sym(energy_a, a_cur, STRESS_STEP),
+                         partials_sym(energy_b, b_cur, STRESS_STEP)])
     tg = bg.bending_tangents(g0, c_bend)
-    fd_a = diff(tm, with_a, a_cur, TANGENT_STEP)
-    fd_b = diff(tm, with_b, b_cur, TANGENT_STEP)
+    fd_a = partials_sym(tm_a, a_cur, TANGENT_STEP)
+    fd_b = partials_sym(tm_b, b_cur, TANGENT_STEP)
     errs = {"stress_fd": _rel_err(fd, an),
             "tangent_fd": (_rel_err(2.0 * fd_a[:3], _st._pair_of(tg.c)),
                            _rel_err(fd_b[:3], _st._pair_of(tg.d)),
@@ -283,14 +329,23 @@ def _bending_sample(rng):
 
 
 def _summary(rows, tol):
-    """Max, mean and worst sample of per-sample error rows. A check passes
-    when its max is at most tol, so a tol of 0 asks for an exact zero; the
-    max propagates NaN, so a non-finite error fails its check."""
-    errs = np.asarray(rows, dtype=float).reshape(len(rows), -1)
-    worst = float(errs.max())
-    return {"max": worst, "mean": sum(errs.ravel().tolist()) / errs.size,
-            "tol": tol, "pass": worst <= tol,
-            "worst_sample": int(errs.max(axis=1).argmax())}
+    """Max, mean and worst sample of per-sample error rows, each a number
+    or a tuple of as many numbers, formed in float arithmetic. A check
+    passes when its max is at most tol, so a tol of 0 asks for an exact
+    zero; a NaN error is the max, so a non-finite error fails its check.
+    worst_sample is the first sample holding the max."""
+    if isinstance(rows[0], tuple):
+        errs = [float(e) for row in rows for e in row]
+    else:
+        errs = [float(e) for e in rows]
+    total = sum(errs)
+    # a NaN error makes the sum NaN, and max skips a NaN that is not first
+    nans = [] if total == total else [i for i, e in enumerate(errs) if e != e]
+    at = nans[0] if nans else errs.index(max(errs))
+    worst = errs[at]
+    return {"max": worst, "mean": total / len(errs), "tol": tol,
+            "pass": worst <= tol,
+            "worst_sample": at // (len(errs) // len(rows))}
 
 
 DEFAULT_BEND_STIFFNESS = 0.238

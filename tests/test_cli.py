@@ -568,7 +568,8 @@ def test_config_that_is_not_utf8_is_usage_error(tmp_path, monkeypatch,
                              capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("usage error: cannot read argument file: ")
+    assert err.startswith(f"usage error: cannot read argument file "
+                          f"{str(path)!r}: ")
     assert err.count("\n") == 1
     assert [f.name for f in tmp_path.iterdir()] == ["args.bin"]
 
@@ -579,8 +580,8 @@ def test_missing_config_file_is_usage_error(tmp_path, monkeypatch, capsys):
         ["curve", "@/nonexistent/args.txt", "--out", "x.csv"], capsys)
     assert code == 2
     assert out == ""
-    assert err == ("usage error: [Errno 2] No such file or directory: "
-                   "'/nonexistent/args.txt'\n")
+    assert err == ("usage error: cannot read argument file "
+                   "'/nonexistent/args.txt': No such file or directory\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -686,6 +687,7 @@ WRONG_TYPE = {"verify": ["--samples=1.5"], "curve": ["--range", "1.0"],
 ARG_FILES = {"not-utf8": b"\xff\xfe--steps=2\n", "unknown-key": "--bogus=1\n",
              "one-line-range": "--range 1.0 1.2\n",
              "names-itself": "@../args.txt\n",  # run from tmp_path/work
+             "nul-in-name": "@a\x00b\n",
              # files in the JSON format --config once read
              "not-json": "{\n", "not-object": "[1, 2]\n",
              "bool-value": '{"out": true}\n'}
@@ -717,25 +719,33 @@ def usage_cases():
             if command in table:
                 rows[name] = (valid + table[command], None)
         rows.update({name: (valid, text) for name, text in ARG_FILES.items()})
+        # the exact message of a row, {path} standing for the file's path
+        wants = {"missing-file": "cannot read argument file "
+                                 "'no-such-file.txt': No such file or directory",
+                 "blank-line": f"empty line {len(valid)} in argument file "
+                               "{path!r}",
+                 "names-itself": "argument file '../args.txt' names itself, "
+                                 "directly or through another file"}
         for name, (argv, text) in rows.items():
             if argv is not None:
-                yield pytest.param(argv, text, id=f"{command}-{name}")
-    yield pytest.param([], None, id="no-subcommand")
-    yield pytest.param(["bogus"], None, id="unknown-subcommand")
+                yield pytest.param(argv, text, wants.get(name),
+                                   id=f"{command}-{name}")
+    yield pytest.param([], None, None, id="no-subcommand")
+    yield pytest.param(["bogus"], None, None, id="unknown-subcommand")
 
 
-@pytest.mark.parametrize("argv, text", usage_cases())
+@pytest.mark.parametrize("argv, text, want", usage_cases())
 def test_every_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv,
-                                       text):
+                                       text, want):
     """Every bad argv or argument file of every subcommand, argparse's own
     errors included: cli.run returns 2 and prints exactly one stderr line,
     `usage error: ...`, with empty stdout and no traceback, and writes
-    nothing."""
+    nothing. An argument file's fault names the file."""
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
+    path = tmp_path / "args.txt"
     if text is not None:
-        path = tmp_path / "args.txt"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         argv = argv + [f"@{path}"]
     code, out, err = run_cli(argv, capsys)
@@ -743,6 +753,8 @@ def test_every_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv,
     assert out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert err.endswith("\n") and "Traceback" not in err
+    if want is not None:
+        assert err == f"usage error: {want.format(path=str(path))}\n"
     assert list(work.iterdir()) == []
 
 
@@ -761,6 +773,21 @@ def test_config_supplies_required_flags(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert json.loads(out)["F_w_nN"] == pytest.approx(0.0183021422694824289,
                                                       rel=1e-12)
+
+
+def test_argument_files_nested_past_the_stack_are_a_usage_error(
+        tmp_path, monkeypatch, capsys):
+    """A chain of distinct argument files deeper than the recursion limit
+    is one usage error line, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    depth = sys.getrecursionlimit() + 10
+    for i in range(depth):
+        (tmp_path / f"f{i}.txt").write_text(f"@f{i + 1}.txt\n")
+    (tmp_path / f"f{depth}.txt").write_text("--seed=1\n")
+    code, out, err = run_cli(["verify", "--samples=1", "@f0.txt"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot read argument file: ")
+    assert err.count("\n") == 1
 
 
 def test_argument_file_may_hold_the_subcommand(tmp_path, monkeypatch, capsys):

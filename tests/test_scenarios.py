@@ -266,6 +266,39 @@ def test_verify_derivatives_is_deterministic():
     assert a == b
 
 
+# (model, check) -> (max, mean) as float.hex and worst_sample of
+# verify_derivatives(model, n_samples=4, seed=11), recorded before the
+# verify helpers moved to float arithmetic and one draw per sample
+FROZEN_VERIFY = {
+    ("metric", "stress_fd"): (
+        "0x1.014ecab52f8a4p-31", "0x1.caed96871799cp-33", 1),
+    ("metric", "tangent_fd"): (
+        "0x1.31693219bffe7p-31", "0x1.9ff27520ed1b5p-32", 1),
+    ("metric", "major_symmetry"): ("0x0.0p+0", "0x0.0p+0", 0),
+    ("metric", "rearrangement"): (
+        "0x1.0bc246e43aa39p-52", "0x1.154e5a6cf84dep-53", 3),
+    ("log", "stress_fd"): (
+        "0x1.39eb4207809aap-31", "0x1.64825d2cbf723p-32", 1),
+    ("log", "major_symmetry"): ("0x0.0p+0", "0x0.0p+0", 0),
+    ("bending", "stress_fd"): (
+        "0x1.5831bf0fc6a99p-32", "0x1.e50755284ebbep-33", 1),
+    ("bending", "tangent_fd"): (
+        "0x1.e39a181ca3f65p-32", "0x1.099057b3bd3e9p-33", 0),
+    ("bending", "transpose_identity"): ("0x0.0p+0", "0x0.0p+0", 0),
+}
+
+
+@pytest.mark.parametrize("model", list(sc.VERIFY_TOLERANCES))
+def test_verify_reports_its_frozen_bits(model):
+    """Every check's max and mean, to the bit, and its worst_sample."""
+    checks = sc.verify_derivatives(model, n_samples=4, seed=11)["checks"]
+    assert [(model, name) for name in checks] == [
+        key for key in FROZEN_VERIFY if key[0] == model]
+    for name, check in checks.items():
+        assert (check["max"].hex(), check["mean"].hex(),
+                check["worst_sample"]) == FROZEN_VERIFY[model, name], name
+
+
 def test_verify_derivatives_tolerance_handling(monkeypatch):
     tols = sc.VERIFY_TOLERANCES["metric"]
     monkeypatch.setitem(tols, "tangent_fd", 1e-16)
@@ -368,6 +401,17 @@ def test_verify_worst_sample_reruns_as_last_sample(model, check, seed):
     assert before["checks"][check]["max"] < full[check]["max"]
 
 
+def spd_triple_drawn(rng, lo, hi):
+    """(c11, c22, c12) of an SPD 2x2 from rng.uniform's draws: two
+    eigenvalues in [lo, hi), then the eigenvector angle in [0, pi). The
+    form verify drew its states with, kept as its reference."""
+    e1, e2 = rng.uniform(lo, hi, size=2).tolist()
+    phi = rng.uniform(0.0, math.pi)
+    c, s = math.cos(phi), math.sin(phi)
+    return (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
+            (e1 - e2) * s * c)
+
+
 @pytest.mark.parametrize("model, seed", [("metric", 0), ("log", 1)])
 def test_verify_worst_state_is_the_last_state_of_the_rerun(model, seed):
     p = mm.GGA
@@ -375,11 +419,11 @@ def test_verify_worst_state_is_the_last_state_of_the_rerun(model, seed):
     for name, check in full.items():
         k = check["worst_sample"]
         # the draws of a k+1 sample run: per sample the lattice angle, then
-        # the C triple
+        # the C triple's eigenvalues and eigenvector angle
         rng = np.random.default_rng(seed)
         for _ in range(k + 1):
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            triple = sc._random_spd_triple(rng)
+            triple = spd_triple_drawn(rng, 0.7, 1.6)
         assert check["worst_state"] == {
             "c11": triple[0], "c22": triple[1], "c12": triple[2],
             "theta_lattice": theta}
@@ -401,8 +445,8 @@ def test_verify_worst_state_is_the_last_state_of_the_rerun(model, seed):
         k = check["worst_sample"]
         rng = np.random.default_rng(seed)
         for _ in range(k + 1):
-            a_ref = sc._random_spd_triple(rng, 0.8, 1.3)
-            a_cur = sc._random_spd_triple(rng, 0.7, 1.6)
+            a_ref = spd_triple_drawn(rng, 0.8, 1.3)
+            a_cur = spd_triple_drawn(rng, 0.7, 1.6)
             b_cur = rng.uniform(-0.5, 0.5, size=3)
         assert check["worst_state"] == {
             "a_ref": a_ref, "a_cur": a_cur, "b_cur": tuple(b_cur.tolist())}

@@ -31,10 +31,11 @@ MEMBRANE_PARTS = {"energy": {"core", "call"},
 VERIFY_ROWS = ["geometry_from_metrics", "canham_energy",
                "bending_stress_moment", "bending_tangents", "tensor_product",
                "oplus_product", "boxtimes_product", "tangent_metric_oplus",
+               "_rel_err 3 v SurfTensor2", "_rel_err 6 v 6-tuple",
                "_rel_err 3x3", "_rel_err 16", "_pair_of", "_summary 10 rows",
                "partials_sym scalar", "partials_sym 3-tuple",
-               "partials_sym 6-tuple", "_bending_sample",
-               "_membrane_sample metric"]
+               "partials_sym 6-tuple", "_membrane_state", "_bending_state",
+               "_bending_sample", "_membrane_sample metric"]
 
 
 def test_raw_states_are_the_recorded_stream():
@@ -67,9 +68,9 @@ def test_every_job_table_runs_once():
     for model in ("metric", "log"):
         for kind, parts in MEMBRANE_PARTS.items():
             assert set(split[f"{kind}_{model}"]) == parts
-    per_call = cs.split(
-        cs.call_jobs(states, cs.bending_states(cs.SEED)[:N_STATES], oplus)
-        + cs.verify_jobs(states), 1)
+    bstates = cs.bending_states(cs.SEED)[:N_STATES]
+    per_call = cs.split(cs.call_jobs(states, bstates, oplus)
+                        + cs.verify_jobs(states, bstates), 1)
     assert list(per_call) == VERIFY_ROWS
     assert all(t > 0.0 for table in (split, per_call)
                for parts in table.values() for t in parts.values())

@@ -30,19 +30,23 @@ bending states drawn like verify's (reference metric eigenvalues in
 then tensor_product, oplus_product, boxtimes_product and
 tangent_metric_oplus on the membrane states above (each product on a
 state's C and the next state's C). Its last rows are the verification
-layer's own per-call costs: `_rel_err` on a 3x3 pair (a state's tangent
-pair matrix against a copy perturbed by 1e-7 relative) and on a 16-entry
-pair (a state's tangent against its major transpose, verify's symmetry
-check), `_pair_of` on a state's tangent, `_summary` over 10 rows of one
-float each, and the stencil overhead of `partials_sym`: its time minus
-six calls of its callback at the points partials_sym itself passes it
-(recorded by stencil_points), for a scalar callback, for one returning
-a 3-tuple (a membrane stress) and for one returning a 6-tuple (bending's
-stress and moment), each a few float operations. The per-call rows do not
-add up to a verify sample, so the table ends with two whole samples, each
-drawing its state from one default_rng(SEED) as verify does: a bending
-sample (`_bending_sample`) and a metric-model sample (`_membrane_sample`
-with GGA).
+layer's own per-call costs: `_rel_err` on each operand pair verify
+passes it, a 3-vector against a SurfTensor2 (a state's stress against a
+copy perturbed by 1e-7 relative, as an array, verify's stress check), a
+6-vector against a 6-tuple (a bending state's stress and moment, the same
+way), a 3x3 pair (a state's tangent pair matrix, the same way) and a
+16-entry transposed view (a state's tangent against its major transpose,
+verify's symmetry check); `_pair_of` on a state's tangent, `_summary` over
+10 rows of one float each, and the stencil overhead of `partials_sym`: its
+time minus six calls of its callback at the points partials_sym itself
+passes it (recorded by stencil_points), for a scalar callback, for one
+returning a 3-tuple (a membrane stress) and for one returning a 6-tuple
+(bending's stress and moment), each a few float operations. The per-call
+rows do not add up to a verify sample, so the table ends with the random
+state each sample draws (`_membrane_state`, `_bending_state`) and two whole
+samples, each drawing its states from one default_rng(SEED) as verify
+does: a bending sample (`_bending_sample`) and a metric-model sample
+(`_membrane_sample` with GGA).
 
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
 """
@@ -138,18 +142,35 @@ def stencil_points(comps, rel_step):
     return out
 
 
-def verify_jobs(states):
+def six_tuple(g):
+    """Bending's stress and moment at geometry g as verify's 6-tuple."""
+    t, m = bg.bending_stress_moment(g, sc.DEFAULT_BEND_STIFFNESS)
+    (t00, t01), (_, t11) = t.tolist()
+    (m00, m01), (_, m11) = m.tolist()
+    return t00, t11, t01, m00, m11, m01
+
+
+def verify_jobs(states, bstates):
     """(row, part, fn, argument tuples) for the verification layer's own
-    calls and two whole verify samples; a stencil row has a "call" and a
-    "callback" part, the latter per callback call."""
+    calls, a sample's draws and two whole verify samples; a stencil row has
+    a "call" and a "callback" part, the latter per callback call."""
     rng = np.random.default_rng(SEED)
+
+    def perturbed(ref):
+        return np.array(ref) * (1.0 + 1e-7 * rng.normal(size=np.shape(ref)))
+
+    stresses = [mm.stress_metric(c, f, mm.GGA).S for c, f in states]
+    sixes = [six_tuple(bg.geometry_from_metrics(*m)) for m in bstates]
     tangents = [mm.tangent_metric(c, f, mm.GGA).comp for c, f in states]
     pairs = [_pair_of(t) for t in tangents]
     comps = [tuple(c) for c, _f in states]
     points = [pt for cc in comps for pt in stencil_points(cc, STRESS_STEP)]
     out = [
-        ("_rel_err 3x3", "call", sc._rel_err,
-         [(p * (1.0 + 1e-7 * rng.normal(size=(3, 3))), p) for p in pairs]),
+        (f"_rel_err {label}", "call", sc._rel_err,
+         [(perturbed(r), r) for r in refs])
+        for label, refs in (("3 v SurfTensor2", stresses),
+                            ("6 v 6-tuple", sixes), ("3x3", pairs))]
+    out += [
         ("_rel_err 16", "call", sc._rel_err,
          [(t.transpose(2, 3, 0, 1), t) for t in tangents]),
         ("_pair_of", "call", _pair_of, [(t,) for t in tangents]),
@@ -163,6 +184,9 @@ def verify_jobs(states):
         out.append((name, "call", partials_sym,
                     [(f, cc, STRESS_STEP) for cc in comps]))
         out.append((name, "callback", f, points))
+    for draws in (sc._membrane_state, sc._bending_state):
+        out.append((draws.__name__, "call", draws,
+                    [(np.random.default_rng(SEED),)] * len(states)))
     bend_rng, metric_rng = (np.random.default_rng(SEED) for _ in range(2))
     out += [("_bending_sample", "call", sc._bending_sample,
              [(bend_rng,)] * len(states)),
@@ -198,8 +222,9 @@ def main() -> int:
                  if "core" in parts else f"{'-':>9}")
         print(f"{name:24}{cells}{share}")
     print()
-    per_call = split(call_jobs(states, bending_states(SEED), oplus)
-                     + verify_jobs(states), REPEAT)
+    bstates = bending_states(SEED)
+    per_call = split(call_jobs(states, bstates, oplus)
+                     + verify_jobs(states, bstates), REPEAT)
     print(f"{'verify-path call':30}{'us/call':>9}")
     for name, parts in per_call.items():
         if "callback" in parts:  # the stencil's overhead over its callbacks
