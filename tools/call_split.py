@@ -43,8 +43,8 @@ passes it (recorded by stencil_points), for a scalar callback, for one
 returning a 3-tuple (a membrane stress) and for one returning a 6-tuple
 (bending's stress and moment), each a few float operations. The per-call
 rows do not add up to a verify sample, so the table ends with the random
-state each sample draws (`_membrane_state`, `_bending_state`) and two whole
-samples, each drawing its states from one default_rng(SEED) as verify
+state each sample draws (`_membrane_state`, `_bending_state`; rows left
+out on a tree without them) and two whole samples, each drawing its states from one default_rng(SEED) as verify
 does: a bending sample (`_bending_sample`) and a metric-model sample
 (`_membrane_sample` with GGA).
 
@@ -184,9 +184,11 @@ def verify_jobs(states, bstates):
         out.append((name, "call", partials_sym,
                     [(f, cc, STRESS_STEP) for cc in comps]))
         out.append((name, "callback", f, points))
-    for draws in (sc._membrane_state, sc._bending_state):
-        out.append((draws.__name__, "call", draws,
-                    [(np.random.default_rng(SEED),)] * len(states)))
+    for name in ("_membrane_state", "_bending_state"):
+        draws = getattr(sc, name, None)
+        if draws is not None:
+            out.append((name, "call", draws,
+                        [(np.random.default_rng(SEED),)] * len(states)))
     bend_rng, metric_rng = (np.random.default_rng(SEED) for _ in range(2))
     out += [("_bending_sample", "call", sc._bending_sample,
              [(bend_rng,)] * len(states)),
