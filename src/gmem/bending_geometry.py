@@ -17,25 +17,25 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import surface_tensors as _st
-from .surface_tensors import _new
+from .surface_tensors import SurfTensor2, _new
 
 
 class SurfacePointGeometry(NamedTuple):
     """Pointwise first/second fundamental data of a deforming surface.
 
     Covariant index placement is encoded in names: *_cov holds lower-index
-    components, *_contra upper-index ones. gamma[g][a][b] are the current
-    surface's Christoffel symbols of the second kind.
+    SurfTensor2 components, *_contra upper-index ones. gamma[g][a][b] are
+    the current surface's Christoffel symbols of the second kind.
     """
 
     A_alpha: np.ndarray
     a_alpha: np.ndarray
-    A_cov: np.ndarray
-    A_contra: np.ndarray
-    a_cov: np.ndarray
-    a_contra: np.ndarray
-    b_cov: np.ndarray
-    b_contra: np.ndarray
+    A_cov: SurfTensor2
+    A_contra: SurfTensor2
+    a_cov: SurfTensor2
+    a_contra: SurfTensor2
+    b_cov: SurfTensor2
+    b_contra: SurfTensor2
     gamma: np.ndarray
     n: np.ndarray
     J: float
@@ -203,20 +203,23 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
                          f"point ({u}, {v})")
     a_alpha = np.asarray(surface.jacobian(u, v), dtype=float)
     second = np.asarray(surface.hessian(u, v), dtype=float)
-    a_cov = a_alpha @ a_alpha.T
-    (a00, a01), (a10, a11) = a_cov.tolist()
-    deta = a00 * a11 - a01 * a10
+    # metric products and hessians are exactly symmetric: read each (0, 1)
+    (a00, a01), (_, a11) = (a_alpha @ a_alpha.T).tolist()
+    deta = a00 * a11 - a01 * a01
     if not (0.0 < deta < math.inf and a00 > 0.0):
         raise _st._not_positive_definite(
             deta, a00 + a11, f"{surface.name}: metric at ({u}, {v})")
+    a_cov = _new(SurfTensor2, (a00, a11, a01))
     A_alpha, A_cov = a_alpha, a_cov
     if reference is not None:
         A_alpha = np.asarray(reference.jacobian(u, v), dtype=float)
-        A_cov = A_alpha @ A_alpha.T
+        (A00, A01), (_, A11) = (A_alpha @ A_alpha.T).tolist()
+        A_cov = _new(SurfTensor2, (A00, A11, A01))
     cr = np.cross(a_alpha[0], a_alpha[1])
     n = cr / np.linalg.norm(cr)
-    g = geometry_from_metrics(A_cov, a_cov, np.einsum("abk,k->ab", second, n))
-    gamma = np.einsum("gk,abk->gab", g.a_contra @ a_alpha, second)
+    (b00, b01), (_, b11) = np.einsum("abk,k->ab", second, n).tolist()
+    g = geometry_from_metrics(A_cov, a_cov, _new(SurfTensor2, (b00, b11, b01)))
+    gamma = np.einsum("gk,abk->gab", g.a_contra.as_matrix() @ a_alpha, second)
     return g._replace(A_alpha=A_alpha, a_alpha=a_alpha, gamma=gamma, n=n)
 
 
@@ -231,48 +234,42 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     """Geometry record built from metric data alone.
 
     Used by the derivative checks, which vary a_ab and b_ab independently;
-    no embedding compatibility is implied. Tangent vectors are a canonical
-    planar realization of each metric (its lower Cholesky factor); gamma is
-    zero and n is the plane's normal (0, 0, 1), read-only arrays that every
-    such record shares. Determinants, inverses, Cholesky rows, J, the
-    curvature scalars and b^ab = a^-1 b a^-1 (upper triangle mirrored) are
-    closed-form 2x2 arithmetic on plain floats, written into one array that
-    the tangent vectors and contravariant fields view. Raises
-    NotPositiveDefiniteError for a bad A_cov (`reference metric`) or a_cov
-    (`metric`).
+    no embedding compatibility is implied. A_cov, a_cov and b_cov are
+    SurfTensor2 triples (c11, c22, c12), held as given (anything else
+    raises ValueError); A^ab, a^ab and b^ab = a^-1 b a^-1 are triples too,
+    all closed-form 2x2 arithmetic on plain floats. Tangent vectors are a
+    canonical planar realization of each metric (its lower Cholesky
+    factor); gamma is zero and n the plane's normal (0, 0, 1), read-only
+    arrays that every such record shares. Raises NotPositiveDefiniteError
+    for a bad A_cov (`reference metric`) or a_cov (`metric`).
     """
-    A_cov = np.asarray(A_cov, dtype=float)
-    a_cov = np.asarray(a_cov, dtype=float)
-    b_cov = np.asarray(b_cov, dtype=float)
-    (A00, A01), (A10, A11) = A_cov.tolist()
-    (a00, a01), (a10, a11) = a_cov.tolist()
-    (b00, b01), (b10, b11) = b_cov.tolist()
-    detA = A00 * A11 - A01 * A10
+    if not type(A_cov) is type(a_cov) is type(b_cov) is SurfTensor2:
+        raise ValueError("A_cov, a_cov and b_cov must be SurfTensor2 (c11, "
+                         "c22, c12) triples, got " + ", ".join(
+                             type(x).__name__ for x in (A_cov, a_cov, b_cov)))
+    (A00, A11, A01), (a00, a11, a01), (b00, b11, b01) = A_cov, a_cov, b_cov
+    detA = A00 * A11 - A01 * A01
     if not (0.0 < detA < math.inf and A00 > 0.0):
         raise _st._not_positive_definite(detA, A00 + A11, "reference metric")
-    deta = a00 * a11 - a01 * a10
+    deta = a00 * a11 - a01 * a01
     if not (0.0 < deta < math.inf and a00 > 0.0):
         raise _st._not_positive_definite(deta, a00 + a11, "metric")
-    i00, i01, i10, i11 = a11 / deta, -a01 / deta, -a10 / deta, a00 / deta
-    H = 0.5 * (i00 * b00 + i01 * b01 + i10 * b10 + i11 * b11)
-    kappa = (b00 * b11 - b01 * b10) / deta
+    i00, i01, i11 = a11 / deta, -a01 / deta, a00 / deta
+    H = 0.5 * (i00 * b00 + i01 * b01 + i01 * b01 + i11 * b11)
+    kappa = (b00 * b11 - b01 * b01) / deta
     disc = math.sqrt(max(H * H - kappa, 0.0))
-    t00 = i00 * b00 + i01 * b01
-    t01 = i00 * b01 + i01 * b11
-    t10 = i01 * b00 + i11 * b01
-    t11 = i01 * b01 + i11 * b11
-    c01 = t00 * i01 + t01 * i11
+    t00, t01 = i00 * b00 + i01 * b01, i00 * b01 + i01 * b11
+    t10, t11 = i01 * b00 + i11 * b01, i01 * b01 + i11 * b11
     L00, l00 = math.sqrt(A00), math.sqrt(a00)
-    buf = np.array((L00, 0.0, 0.0, A10 / L00, math.sqrt(detA) / L00, 0.0,
-                    l00, 0.0, 0.0, a10 / l00, math.sqrt(deta) / l00, 0.0,
-                    A11 / detA, -A01 / detA, -A10 / detA, A00 / detA,
-                    i00, i01, i10, i11,
-                    t00 * i00 + t01 * i01, c01, c01, t10 * i01 + t11 * i11))
-    rows = buf[:12].reshape(2, 2, 3)
-    mats = buf[12:].reshape(3, 2, 2)
+    rows = np.array((L00, 0.0, 0.0, A01 / L00, math.sqrt(detA) / L00, 0.0,
+                     l00, 0.0, 0.0, a01 / l00, math.sqrt(deta) / l00,
+                     0.0)).reshape(2, 2, 3)
     return _new(SurfacePointGeometry, (
-        rows[0], rows[1], A_cov, mats[0], a_cov, mats[1], b_cov, mats[2],
-        _NO_GAMMA, _PLANE_NORMAL,
+        rows[0], rows[1], A_cov,
+        _new(SurfTensor2, (A11 / detA, A00 / detA, -A01 / detA)), a_cov,
+        _new(SurfTensor2, (i00, i11, i01)), b_cov,
+        _new(SurfTensor2, (t00 * i00 + t01 * i01, t10 * i01 + t11 * i11,
+                           t00 * i01 + t01 * i11)), _NO_GAMMA, _PLANE_NORMAL,
         math.sqrt(deta / detA), H, kappa, H + disc, H - disc))
 
 
@@ -282,19 +279,19 @@ def canham_energy(g: SurfacePointGeometry, c_bend: float) -> float:
 
 
 def bending_stress_moment(g: SurfacePointGeometry, c_bend: float):
-    """Contravariant bending stress and moment components.
+    """Contravariant bending stress and moment, SurfTensor2 triples (tau, m0).
 
     tau_b = J c [(2H^2 + kappa) a^ab - 4 H b^ab], M0 = c J b^ab; both equal
     the (a, b)-partials of the bending energy.
     """
-    (a00, a01), (a10, a11) = g.a_contra.tolist()
-    (b00, b01), (b10, b11) = g.b_contra.tolist()
+    a00, a11, a01 = g.a_contra
+    b00, b11, b01 = g.b_contra
     h = 2.0 * g.H * g.H + g.kappa_gauss
     q, s, m = 4.0 * g.H, g.J * c_bend, c_bend * g.J
-    out = np.array((s * (h * a00 - q * b00), s * (h * a01 - q * b01),
-                    s * (h * a10 - q * b10), s * (h * a11 - q * b11),
-                    m * b00, m * b01, m * b10, m * b11)).reshape(2, 2, 2)
-    return out[0], out[1]
+    return (_new(SurfTensor2, (s * (h * a00 - q * b00),
+                               s * (h * a11 - q * b11),
+                               s * (h * a01 - q * b01))),
+            _new(SurfTensor2, (m * b00, m * b11, m * b01)))
 
 
 # flat index 8a + 4b + 2g + d of [a, b, g, d] -> the flat indices of
@@ -319,9 +316,9 @@ def bending_tangents(g: SurfacePointGeometry, c_bend: float) -> BendingTangents:
     is formed in float arithmetic, in the operation order of the
     outer-product form, and the three blocks are views of one array; e is
     the major-transpose view of d."""
-    (a00, a01), (a10, a11) = g.a_contra.tolist()
-    (b00, b01), (b10, b11) = g.b_contra.tolist()
-    au, bu = (a00, a01, a10, a11), (b00, b01, b10, b11)
+    a00, a11, a01 = g.a_contra
+    b00, b11, b01 = g.b_contra
+    au, bu = (a00, a01, a01, a11), (b00, b01, b01, b11)
     H, kappa, pref = g.H, g.kappa_gauss, g.J * c_bend
     # the four outer products, flat; + 0.0 makes every zero product +0.0,
     # the sign an einsum outer product gives

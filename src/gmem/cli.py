@@ -161,11 +161,14 @@ def cmd_curve(args) -> int:
 
 
 PAPER_COMPARE = {
-    ("uniaxial-constrained", 0.0, "GGA"): (0.019, 0.199),
-    ("uniaxial-constrained", 30.0, "GGA"): (0.019, 0.194),
-    ("pure-shear", 0.0, "GGA"): (0.35, 0.42),
-    ("pure-shear", 0.0, "LDA"): (0.12, 0.22),
+    ("uniaxial-constrained", 0.0, "GGA"): {"sigma11": 0.019, "sigma22": 0.199},
+    ("uniaxial-constrained", 30.0, "GGA"): {"sigma11": 0.019, "sigma22": 0.194},
+    ("pure-shear", 0.0, "GGA"): {"sigma11": 0.35, "sigma22": 0.42},
+    ("pure-shear", 0.0, "LDA"): {"sigma11": 0.12, "sigma22": 0.22},
 }
+# the one sweep each protocol's figures describe, from lambda = 1 in more
+# than one step to this end: pure shear's is stretch ratio 1.3
+PAPER_END = {"uniaxial-constrained": 1.25, "pure-shear": math.sqrt(1.3)}
 
 
 def cmd_compare(args) -> int:
@@ -174,9 +177,11 @@ def cmd_compare(args) -> int:
     frame = make_frame(0.0)
     diffs = sc.compare_models(protocol, params, frame)
     in_range = protocol.in_fitted_range()
-    # the paper's figures describe sweeps inside the fitted range only
+    # inside the fitted range, the end within its 1e-12 slack
+    (lo, hi), end = args.range, PAPER_END.get(args.protocol, math.nan)
     ref = (PAPER_COMPARE.get((args.protocol, args.theta_deg, args.param_set))
-           if in_range else None)
+           if in_range and args.steps > 1 and lo == 1.0
+           and abs(hi - end) <= 1e-12 * end else None)
     payload = {
         "command": "compare",
         "protocol": {"kind": args.protocol, "theta_deg": args.theta_deg,
@@ -185,8 +190,7 @@ def cmd_compare(args) -> int:
         "measured_max_percent": diffs,
         "max_stretch_ratio": protocol.max_stretch_ratio(),
         "in_fitted_range": in_range,
-        "reference_percent": (
-            {"sigma11": ref[0], "sigma22": ref[1]} if ref else None),
+        "reference_percent": ref,
     }
     _emit(args, payload)
     return EXIT_OK

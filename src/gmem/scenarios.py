@@ -284,32 +284,25 @@ def _bending_sample(rng):
     stress_moment = bg.bending_stress_moment
 
     # the unperturbed metrics, built once for every perturbation
-    A_ref, a_0, b_0 = (np.array((t11, t12, t12, t22)).reshape(2, 2)
-                       for t11, t22, t12 in (a_ref, a_cur, b_cur))
+    A_ref, a_0, b_0 = (_new(SurfTensor2, t) for t in (a_ref, a_cur, b_cur))
 
     def tm(g):
         t, m = stress_moment(g, c_bend)
-        (t00, t01), (_, t11) = t.tolist()
-        (m00, m01), (_, m11) = m.tolist()
-        return t00, t11, t01, m00, m11, m01
+        return t + m
 
     # one stencil callback per output, energy or stress and moment, and
-    # perturbed metric, a_cur or b_cur
-    def energy_a(a11, a22, a12):
-        a = np.array((a11, a12, a12, a22)).reshape(2, 2)
-        return energy(geometry(A_ref, a, b_0), c_bend)
+    # perturbed metric, a_cur or b_cur, whose (11, 22, 12) arrive as a tuple
+    def energy_a(*a):
+        return energy(geometry(A_ref, _new(SurfTensor2, a), b_0), c_bend)
 
-    def energy_b(b11, b22, b12):
-        b = np.array((b11, b12, b12, b22)).reshape(2, 2)
-        return energy(geometry(A_ref, a_0, b), c_bend)
+    def energy_b(*b):
+        return energy(geometry(A_ref, a_0, _new(SurfTensor2, b)), c_bend)
 
-    def tm_a(a11, a22, a12):
-        a = np.array((a11, a12, a12, a22)).reshape(2, 2)
-        return tm(geometry(A_ref, a, b_0))
+    def tm_a(*a):
+        return tm(geometry(A_ref, _new(SurfTensor2, a), b_0))
 
-    def tm_b(b11, b22, b12):
-        b = np.array((b11, b12, b12, b22)).reshape(2, 2)
-        return tm(geometry(A_ref, a_0, b))
+    def tm_b(*b):
+        return tm(geometry(A_ref, a_0, _new(SurfTensor2, b)))
 
     g0 = geometry(A_ref, a_0, b_0)
     an = tm(g0)

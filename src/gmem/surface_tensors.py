@@ -1,7 +1,9 @@
 """Symmetric 2x2 surface tensors and the fourth-order product algebra.
 
 Everything here operates on components in a local orthonormal surface frame.
-Curvilinear component sets are produced only by the geometry module.
+Curvilinear component sets are produced only by the geometry module, which
+keeps covariant and contravariant ones in the same SurfTensor2 triple;
+trace and ddot depend on the frame there.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ def _not_positive_definite(det, tr, what="C") -> NotPositiveDefiniteError:
 
 class SurfTensor2(NamedTuple):
     """Symmetric second-order surface tensor, three stored components. Give
-    Python floats: np.float64 ones slow the membrane calls 1.25-2.2x."""
+    Python floats: np.float64 ones slow the membrane calls 1.25-2.2x. The
+    bending layer keeps covariant and contravariant components in it too,
+    where trace and ddot depend on the frame (tr b is a^ab b_ab there)."""
 
     c11: float
     c22: float

@@ -239,8 +239,8 @@ def test_08_bending_derivatives_and_cylinder_closed_forms():
     w = bg.canham_energy(g, cb)
     assert abs(w - cb / (2.0 * radius ** 2)) < 1e-12
     tau, m0 = bg.bending_stress_moment(g, cb)
-    assert abs(m0[0, 0] - cb / radius) < 1e-12
-    assert abs(m0[1, 1]) < 1e-12 and abs(m0[0, 1]) < 1e-12
+    assert abs(m0.c11 - cb / radius) < 1e-12
+    assert abs(m0.c22) < 1e-12 and abs(m0.c12) < 1e-12
 
 
 def test_09_contact_potential_identities_and_extremum():

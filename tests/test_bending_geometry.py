@@ -1,4 +1,10 @@
-"""Surface geometry evaluation and the curvature-quadratic bending model."""
+"""Surface geometry evaluation and the curvature-quadratic bending model.
+
+The bending calls take and give SurfTensor2 triples; the reference forms
+here stay NumPy code on 2x2 arrays, so the tests convert at the call
+boundary: `tri` turns a symmetric 2x2 into the triple a call takes, and
+`as_matrices` a record's six triples into the 2x2 arrays the reference
+forms read."""
 
 import math
 
@@ -8,13 +14,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmem import bending_geometry as bg
-from gmem.surface_tensors import NotPositiveDefiniteError
+from gmem.surface_tensors import NotPositiveDefiniteError, SurfTensor2
 
 CB = 0.238
 
 A0 = np.array([[1.1, 0.1], [0.1, 0.9]])
 a0 = np.array([[1.3, -0.2], [-0.2, 0.8]])
 b0 = np.array([[0.35, 0.22], [0.22, -0.15]])
+SYMMETRIC_FIELDS = ("A_cov", "A_contra", "a_cov", "a_contra", "b_cov",
+                    "b_contra")
+
+
+def tri(m):
+    """The SurfTensor2 (c11, c22, c12) of a symmetric 2x2, Python floats."""
+    (m00, m01), (_, m11) = np.asarray(m, dtype=float).tolist()
+    return SurfTensor2(m00, m11, m01)
+
+
+def metrics_record(A, a, b):
+    """geometry_from_metrics on the triples of three symmetric 2x2s."""
+    return bg.geometry_from_metrics(tri(A), tri(a), tri(b))
+
+
+def as_matrices(g):
+    """g with its six symmetric triples as 2x2 arrays."""
+    return g._replace(**{f: getattr(g, f).as_matrix()
+                         for f in SYMMETRIC_FIELDS})
 
 
 def pair_of(t4):
@@ -29,7 +54,7 @@ def test_flat_patch_geometry():
     g = bg.evaluate_geometry(bg.flat_patch(), (0.7, -0.3))
     assert g.J == 1.0
     assert g.H == 0.0 and g.kappa_gauss == 0.0
-    assert np.all(g.b_cov == 0.0)
+    assert np.all(g.b_cov.as_matrix() == 0.0)
     assert np.all(g.gamma == 0.0)
     np.testing.assert_allclose(g.n, [0.0, 0.0, 1.0])
     assert bg.canham_energy(g, CB) == 0.0
@@ -53,7 +78,7 @@ def test_cylinder_curvatures():
     assert g.k1 == pytest.approx(0.5, rel=1e-13)
     assert abs(g.k2) < 1e-13
     # arc-length coordinates: unit metric, flat connection
-    np.testing.assert_allclose(g.a_cov, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(g.a_cov.as_matrix(), np.eye(2), atol=1e-14)
     np.testing.assert_allclose(g.gamma, 0.0, atol=1e-14)
 
 
@@ -63,8 +88,9 @@ def test_cylinder_closed_forms_against_flat_reference():
     assert g.J == pytest.approx(1.0, rel=1e-13)
     assert bg.canham_energy(g, CB) == pytest.approx(0.5 * CB, rel=1e-12)
     tau, m0 = bg.bending_stress_moment(g, CB)
-    np.testing.assert_allclose(m0, np.diag([CB, 0.0]), atol=1e-13)
-    np.testing.assert_allclose(tau, np.diag([-1.5 * CB, 0.5 * CB]),
+    np.testing.assert_allclose(m0.as_matrix(), np.diag([CB, 0.0]),
+                               atol=1e-13)
+    np.testing.assert_allclose(tau.as_matrix(), np.diag([-1.5 * CB, 0.5 * CB]),
                                atol=1e-13)
 
 
@@ -75,9 +101,10 @@ def test_sphere_curvatures_and_isotropic_stress():
     assert g.kappa_gauss == pytest.approx(1.0 / r ** 2, rel=1e-12)
     tau, m0 = bg.bending_stress_moment(g, CB)
     # an umbilic point: mixed components are isotropic
-    np.testing.assert_allclose(tau @ g.a_cov, -(CB / r ** 2) * np.eye(2),
-                               atol=1e-14)
-    np.testing.assert_allclose(m0 @ g.a_cov, (CB / r) * np.eye(2),
+    a_cov = g.a_cov.as_matrix()
+    np.testing.assert_allclose(tau.as_matrix() @ a_cov,
+                               -(CB / r ** 2) * np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(m0.as_matrix() @ a_cov, (CB / r) * np.eye(2),
                                atol=1e-14)
 
 
@@ -158,35 +185,48 @@ def test_reparametrization_leaves_invariants_alone():
 
 
 def test_geometry_from_metrics_basics():
-    g = bg.geometry_from_metrics(np.eye(2), np.eye(2),
-                                 np.diag([0.2, -0.1]))
+    g = metrics_record(np.eye(2), np.eye(2), np.diag([0.2, -0.1]))
     assert g.J == 1.0
     assert g.H == pytest.approx(0.05)
     assert g.kappa_gauss == pytest.approx(-0.02)
-    np.testing.assert_allclose(g.b_contra,
-                               g.a_contra @ g.b_cov @ g.a_contra)
+    m = as_matrices(g)
+    np.testing.assert_allclose(m.b_contra, m.a_contra @ m.b_cov @ m.a_contra)
     with pytest.raises(ValueError):
-        bg.geometry_from_metrics(np.eye(2), np.diag([1.0, -1.0]),
-                                 np.zeros((2, 2)))
+        metrics_record(np.eye(2), np.diag([1.0, -1.0]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("position", ["A_cov", "a_cov", "b_cov"])
+@pytest.mark.parametrize("old", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]],
+                                 (1.0, 1.0, 0.0), None],
+                         ids=["array", "nested-list", "plain-tuple", "None"])
+def test_geometry_from_metrics_takes_triples_only(position, old):
+    """A 2x2 array, or anything else that is not a SurfTensor2, fails with
+    one ValueError naming the (c11, c22, c12) form and the three types."""
+    args = {"A_cov": tri(A0), "a_cov": tri(a0), "b_cov": tri(b0)}
+    args[position] = old
+    got = ", ".join(type(x).__name__ for x in args.values())
+    with pytest.raises(ValueError) as err:
+        bg.geometry_from_metrics(**args)
+    assert str(err.value) == ("A_cov, a_cov and b_cov must be SurfTensor2 "
+                              f"(c11, c22, c12) triples, got {got}")
 
 
 def test_bending_stress_moment_frozen_state():
-    g = bg.geometry_from_metrics(A0, a0, b0)
+    g = metrics_record(A0, a0, b0)
     tau, m0 = bg.bending_stress_moment(g, CB)
+    assert type(tau) is SurfTensor2 and type(m0) is SurfTensor2
     np.testing.assert_allclose(
-        [tau[0, 0], tau[1, 1], tau[0, 1]],
+        [tau.c11, tau.c22, tau.c12],
         [-0.0405185139816123069, -0.0164520604377161373,
          -0.0253107161127314215], rtol=1e-13)
     np.testing.assert_allclose(
-        [m0[0, 0], m0[1, 1], m0[0, 1]],
+        [m0.c11, m0.c22, m0.c12],
         [0.0693360625360281041, -0.0300760798309886124,
          0.0612099914066322999], rtol=1e-13)
-    assert tau[0, 1] == pytest.approx(tau[1, 0], rel=1e-14)
-    assert m0[0, 1] == pytest.approx(m0[1, 0], rel=1e-14)
 
 
 def test_bending_tangents_frozen_state():
-    g = bg.geometry_from_metrics(A0, a0, b0)
+    g = metrics_record(A0, a0, b0)
     t = bg.bending_tangents(g, CB)
     c_want = np.array([
         [0.1626433617381, -0.009992374826534, 0.1034210361797],
@@ -210,13 +250,13 @@ def test_bending_tangents_frozen_state():
 
 
 def test_moment_stretch_tangent_is_stress_curvature_transpose():
-    g = bg.geometry_from_metrics(A0, a0, b0)
+    g = metrics_record(A0, a0, b0)
     t = bg.bending_tangents(g, CB)
     assert np.array_equal(t.e, t.d.transpose(2, 3, 0, 1))
 
 
 def test_bending_tangent_symmetries():
-    g = bg.geometry_from_metrics(A0, a0, b0)
+    g = metrics_record(A0, a0, b0)
     t = bg.bending_tangents(g, CB)
     for q in (t.c, t.f):
         # second-derivative blocks of one variable carry major symmetry
@@ -231,8 +271,8 @@ def test_metric_identities_on_curved_surfaces():
                      (bg.cone_surface(0.6, 0.1), (1.0, 1.5)),
                      (bg.cylinder_surface(0.8), (0.2, -0.4))):
         g = bg.evaluate_geometry(surf, xi)
-        np.testing.assert_allclose(g.a_cov @ g.a_contra, np.eye(2),
-                                   atol=1e-12)
+        np.testing.assert_allclose(g.a_cov.as_matrix() @ g.a_contra.as_matrix(),
+                                   np.eye(2), atol=1e-12)
         assert np.linalg.norm(g.n) == pytest.approx(1.0, rel=1e-13)
         # tangent vectors are orthogonal to the normal
         np.testing.assert_allclose(g.a_alpha @ g.n, 0.0, atol=1e-12)
@@ -342,7 +382,7 @@ def test_closed_form_geometry_matches_linalg_construction(A, a, b):
     roundings before its division, so two constructions differ by at most
     3 / det a + 1 steps, and H^2 - kappa, under the principal curvatures'
     square root, by two steps more."""
-    g = bg.geometry_from_metrics(A, a, b)
+    g = as_matrices(metrics_record(A, a, b))
     r = geometry_from_metrics_linalg(A, a, b)
     tA = 1e-13 * condition(A)
     ta = 1e-13 * condition(a)
@@ -368,7 +408,6 @@ def test_closed_form_geometry_matches_linalg_construction(A, a, b):
     d_disc = d_q / max(disc, math.sqrt(d_q), 1e-300)
     assert_rel(g.k1, r.k1, 1.0, ta * s_h + d_disc)
     assert_rel(g.k2, r.k2, 1.0, ta * s_h + d_disc)
-    assert np.array_equal(g.b_contra, g.b_contra.T)
 
 
 @settings(deadline=None, max_examples=200)
@@ -382,13 +421,13 @@ def test_non_positive_definite_metric_is_rejected(l1, l2, phi, as_reference,
         with pytest.raises(ValueError):
             geometry_from_metrics_linalg(*args)
         with pytest.raises(ValueError):
-            bg.geometry_from_metrics(*args)
+            metrics_record(*args)
     # exactly singular: the closed-form determinant is exactly 0, where the
     # LU determinant of the reference may round to either sign
     rank_one = np.full((2, 2), l1)
     with pytest.raises(ValueError):
-        bg.geometry_from_metrics(*((rank_one, A0, b) if as_reference
-                                   else (A0, rank_one, b)))
+        metrics_record(*((rank_one, A0, b) if as_reference
+                         else (A0, rank_one, b)))
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
@@ -397,12 +436,12 @@ def test_infinite_metric_entry_is_rejected(entry, as_reference):
     """An inf entry makes det non-finite, which fails the rule
     0 < det < inf: the record is never built with J = inf or J = 0."""
     bad = A0.copy()
-    bad[entry] = math.inf
+    bad[entry] = bad[entry[::-1]] = math.inf
     args = (bad, A0, b0) if as_reference else (A0, bad, b0)
     what = "reference metric" if as_reference else "metric"
     with pytest.raises(NotPositiveDefiniteError,
                        match=f"^{what} is not positive definite: det="):
-        bg.geometry_from_metrics(*args)
+        metrics_record(*args)
 
 
 # The forms that geometry_from_metrics, bending_stress_moment and
@@ -520,29 +559,36 @@ def same_bits(x, y):
 
 
 signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
-square = st.builds(lambda *x: np.array(x).reshape(2, 2), *[signed] * 4)
-# a metric with a skew part s added to its off-diagonal pair keeps
-# det > 0: det(m + s J) = det(m) + s^2
-skewed = st.builds(lambda m, s: m + np.array([[0.0, s], [-s, 0.0]]),
-                   metrics, st.floats(-1.0, 1.0))
+# symmetric, with signed zeros: a triple holds one off-diagonal entry
+square = st.builds(lambda x, y, z: np.array([[x, y], [y, z]]),
+                   *[signed] * 3)
 diagonal = st.builds(lambda x, y: np.diag([x, y]), st.floats(0.1, 5.0),
                      st.floats(0.1, 5.0))
-any_metric = st.one_of(metrics, skewed, diagonal)
+any_metric = st.one_of(metrics, diagonal)
 any_curvature = st.one_of(curvatures, square)
-SHAPES = {"A_alpha": (2, 3), "a_alpha": (2, 3), "A_cov": (2, 2),
-          "A_contra": (2, 2), "a_cov": (2, 2), "a_contra": (2, 2),
-          "b_cov": (2, 2), "b_contra": (2, 2), "gamma": (2, 2, 2), "n": (3,)}
+SHAPES = {"A_alpha": (2, 3), "a_alpha": (2, 3), "gamma": (2, 2, 2),
+          "n": (3,)}
 
 
 @settings(deadline=None, max_examples=400)
 @given(any_metric, any_metric, any_curvature)
 def test_geometry_from_metrics_matches_helper_form_bitwise(A, a, b):
-    """Symmetric and non-symmetric metrics and curvatures; every field has
-    the helper form's bits, and the array fields are distinct C-contiguous
+    """Symmetric metrics and curvatures, signed zeros included; every field
+    has the helper form's bits, the six symmetric fields as 2x2s. The given
+    triples are stored as they are, every symmetric field is a SurfTensor2
+    of Python floats, and the array fields are distinct C-contiguous
     float64 arrays of the old shapes."""
-    g = bg.geometry_from_metrics(A, a, b)
+    given_ = tri(A), tri(a), tri(b)
+    g = bg.geometry_from_metrics(*given_)
+    assert (g.A_cov, g.a_cov, g.b_cov) == given_
+    assert g.A_cov is given_[0] and g.a_cov is given_[1]
+    assert g.b_cov is given_[2]
+    for name in SYMMETRIC_FIELDS:
+        x = getattr(g, name)
+        assert type(x) is SurfTensor2, name
+        assert all(type(c) is float for c in x), name
     r = geometry_from_metrics_helpers(A, a, b)
-    for name, x, y in zip(g._fields, g, r):
+    for name, x, y in zip(g._fields, as_matrices(g), r):
         assert same_bits(x, y), name
     arrays = [(name, getattr(g, name)) for name in SHAPES]
     for name, x in arrays:
@@ -556,28 +602,31 @@ def test_geometry_from_metrics_matches_helper_form_bitwise(A, a, b):
 
 
 def contra_records(A, a, b, au, bu):
-    """The record of (A, a, b), and the same record with non-symmetric
-    contravariant fields au, bu."""
-    g = bg.geometry_from_metrics(A, a, b)
-    return g, g._replace(a_contra=au, b_contra=bu)
+    """The record of (A, a, b), and the same record with contravariant
+    fields au, bu, each as the call reads it (triples) and as the
+    reference forms read it (2x2s)."""
+    g = metrics_record(A, a, b)
+    h = g._replace(a_contra=tri(au), b_contra=tri(bu))
+    return (g, as_matrices(g)), (h, as_matrices(h))
 
 
 @settings(deadline=None, max_examples=300)
 @given(any_metric, any_metric, any_curvature, square, square)
 def test_bending_stress_moment_matches_numpy_form_bitwise(A, a, b, au, bu):
-    for g in contra_records(A, a, b, au, bu):
+    for g, gm in contra_records(A, a, b, au, bu):
         tau, m0 = bg.bending_stress_moment(g, CB)
-        want_tau, want_m0 = bending_stress_moment_numpy(g, CB)
-        assert same_bits(tau, want_tau) and same_bits(m0, want_m0)
-        assert not np.shares_memory(tau, m0)
+        assert type(tau) is SurfTensor2 and type(m0) is SurfTensor2
+        want_tau, want_m0 = bending_stress_moment_numpy(gm, CB)
+        assert same_bits(tau.as_matrix(), want_tau)
+        assert same_bits(m0.as_matrix(), want_m0)
 
 
 @settings(deadline=None, max_examples=300)
 @given(any_metric, any_metric, any_curvature, square, square)
 def test_bending_tangents_match_einsum_form_bitwise(A, a, b, au, bu):
-    for g in contra_records(A, a, b, au, bu):
+    for g, gm in contra_records(A, a, b, au, bu):
         got = bg.bending_tangents(g, CB)
-        want = bending_tangents_einsum(g, CB)
+        want = bending_tangents_einsum(gm, CB)
         for name, x, y in zip(got._fields, got, want):
             assert same_bits(x, y), name
 
@@ -600,7 +649,7 @@ def seeded_bending_records(seed, n):
         b11, b22, b12 = rng.uniform(-0.5, 0.5, size=3).tolist()
         for b in ([[b11, b12], [b12, b22]], np.zeros((2, 2)),
                   np.full((2, 2), -0.0), [[b11, -0.0], [-0.0, b22]]):
-            g = bg.geometry_from_metrics(A, a, b)
+            g = metrics_record(A, a, b)
             out += [(g, CB), (g, -0.0)]
     return out
 
@@ -613,7 +662,7 @@ def test_bending_tangents_match_outer_product_form_bitwise():
     zero_signs = set()
     for g, c_bend in records:
         got = bg.bending_tangents(g, c_bend)
-        want = bending_tangents_outer(g, c_bend)
+        want = bending_tangents_outer(as_matrices(g), c_bend)
         for name, x, y in zip(got._fields, got, want):
             assert same_bits(x, y), name
         assert got.c.base is got.d.base is got.f.base
@@ -625,8 +674,8 @@ def test_bending_tangents_match_outer_product_form_bitwise():
 
 
 def test_metric_only_records_share_read_only_gamma_and_normal():
-    g1 = bg.geometry_from_metrics(A0, a0, b0)
-    g2 = bg.geometry_from_metrics(np.eye(2), a0, np.zeros((2, 2)))
+    g1 = metrics_record(A0, a0, b0)
+    g2 = metrics_record(np.eye(2), a0, np.zeros((2, 2)))
     assert g1.gamma is g2.gamma and g1.n is g2.n
     for x in (g1.gamma, g1.n):
         assert not x.flags.writeable

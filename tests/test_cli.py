@@ -385,24 +385,33 @@ def test_compare_without_tabulated_reference(capsys):
     assert json.loads(out)["reference_percent"] is None
 
 
-@pytest.mark.parametrize("hi, steps, ratio, in_range", [
-    pytest.param("1.6", "5", 2.56, False, id="1.6-2.56-False"),
-    pytest.param(repr(math.sqrt(1.3)), "5", 1.3, True,
-                 id="1.140175425099138-1.3-True"),
-    # one step evaluates start only, C = I, whatever the range's end
-    pytest.param("1.6", "1", 1.0, True, id="1.6-steps1-1.0-True"),
+PURE_SHEAR_FIGURES = {"sigma11": 0.35, "sigma22": 0.42}
+
+
+@pytest.mark.parametrize("protocol, hi, steps, ratio, in_range, reference", [
+    pytest.param("pure-shear", "1.6", "5", 2.56, False, None,
+                 id="1.6-2.56-False"),
+    pytest.param("pure-shear", repr(math.sqrt(1.3)), "5", 1.3, True,
+                 PURE_SHEAR_FIGURES, id="1.140175425099138-1.3-True"),
+    # one step evaluates start only, C = I, whatever the range's end; the
+    # figures describe a sweep
+    pytest.param("pure-shear", "1.6", "1", 1.0, True, None,
+                 id="1.6-steps1-1.0-True"),
+    # inside the fitted range, but not the sweep the figures describe
+    pytest.param("uniaxial-constrained", "1.05", "3", 1.05, True, None,
+                 id="uniaxial-1.05-steps3-1.05-True"),
 ])
-def test_compare_reports_fitted_range(hi, steps, ratio, in_range, capsys):
+def test_compare_reports_fitted_range(protocol, hi, steps, ratio, in_range,
+                                      reference, capsys):
     code, out, _ = run_cli(
-        ["compare", "--protocol", "pure-shear", "--range", "1.0", hi,
+        ["compare", "--protocol", protocol, "--range", "1.0", hi,
          "--steps", steps], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["max_stretch_ratio"] == pytest.approx(ratio, rel=1e-12)
     assert payload["in_fitted_range"] is in_range
-    # the paper's pure-shear figures describe the fitted range only
-    assert payload["reference_percent"] == (
-        {"sigma11": 0.35, "sigma22": 0.42} if in_range else None)
+    # the paper's figures describe one sweep each, inside the fitted range
+    assert payload["reference_percent"] == reference
     assert payload["schema_version"] == 1
 
 

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from gmem import bending_geometry as bg
 from gmem.bending_geometry import BendingTangents, SurfacePointGeometry
 from gmem.invariants import InvariantState, LogInvariantState
 from gmem import membrane_material as mm
@@ -19,7 +20,7 @@ from gmem.surface_tensors import (SpectralDecomp, SurfTensor2, Tangent4,
 
 T = SurfTensor2(1.25, 0.75, 0.125)
 A = np.arange(16.0).reshape(2, 2, 2, 2)
-M = np.array([[1.0, 0.5], [0.5, 2.0]])
+V = np.array([[1.0, 0.0, 0.0], [0.5, 1.5, 0.0]])  # tangent vectors
 
 # class, field order, one value per field, defaults of the trailing fields
 RECORDS = [
@@ -38,7 +39,8 @@ RECORDS = [
     (SurfacePointGeometry,
      ("A_alpha", "a_alpha", "A_cov", "A_contra", "a_cov", "a_contra",
       "b_cov", "b_contra", "gamma", "n", "J", "H", "kappa_gauss", "k1", "k2"),
-     (M, M, M, M, M, M, M, M, A[:, :, 0], np.array([0.0, 0.0, 1.0]),
+     (V, 2.0 * V, T, T.scaled(2.0), T.scaled(0.5), T.scaled(4.0),
+      T.scaled(-1.0), T.scaled(-3.0), A[:, :, 0], np.array([0.0, 0.0, 1.0]),
       1.0, 0.5, 0.2, 0.7, 0.3), {}),
     (BendingTangents, ("c", "d", "e", "f"), (A, 2 * A, 3 * A, 4 * A), {}),
 ]
@@ -156,3 +158,21 @@ def test_scenario_records_are_well_formed(kind):
         for q in points:
             _well_formed(q, CurvePoint)
             assert all(type(x) is float for x in q)
+
+
+def test_bending_outputs_are_well_formed():
+    """The six symmetric fields of every geometry record, and the stress
+    and moment, are SurfTensor2 triples of Python floats."""
+    records = [bg.geometry_from_metrics(T, SurfTensor2(1.3, 0.8, -0.2),
+                                        SurfTensor2(0.35, -0.15, 0.22)),
+               bg.evaluate_geometry(bg.sphere_surface(1.7), (0.5, 1.1),
+                                    reference=bg.cylinder_surface(1.2))]
+    for g in records:
+        _well_formed(g, SurfacePointGeometry)
+        for name in ("A_cov", "A_contra", "a_cov", "a_contra", "b_cov",
+                     "b_contra"):
+            _float_tensor(getattr(g, name))
+        assert all(type(getattr(g, name)) is float
+                   for name in ("J", "H", "kappa_gauss", "k1", "k2"))
+        for t in bg.bending_stress_moment(g, 0.238):
+            _float_tensor(t)

@@ -63,8 +63,9 @@ from gmem import bending_geometry as bg
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.numdiff import STRESS_STEP, partials_sym
-from gmem.surface_tensors import (_pair_of, boxtimes_product, oplus_product,
-                                  tangent_from_pairs, tensor_product)
+from gmem.surface_tensors import (SurfTensor2, _pair_of, boxtimes_product,
+                                  oplus_product, tangent_from_pairs,
+                                  tensor_product)
 from oracle_diff import _spd
 
 REPEAT = 25
@@ -72,13 +73,14 @@ ORDER = {"energy": 0, "stress": 1, "tangent": 2, "stress_tangent": 2}
 
 
 def bending_states(seed: int):
-    """(A_ref, a_cur, b_cur) 2x2 arrays like verify's bending samples."""
+    """(A_ref, a_cur, b_cur) SurfTensor2 triples like verify's bending
+    samples."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(STATES):
-        b11, b22, b12 = rng.uniform(-0.5, 0.5, size=3)
-        out.append((_spd(rng, 0.8, 1.3), _spd(rng, 0.7, 1.6),
-                    np.array([[b11, b12], [b12, b22]])))
+        b = SurfTensor2(*rng.uniform(-0.5, 0.5, size=3).tolist())
+        out.append((SurfTensor2(*_spd(rng, 0.8, 1.3)),
+                    SurfTensor2(*_spd(rng, 0.7, 1.6)), b))
     return out
 
 
@@ -145,9 +147,7 @@ def stencil_points(comps, rel_step):
 def six_tuple(g):
     """Bending's stress and moment at geometry g as verify's 6-tuple."""
     t, m = bg.bending_stress_moment(g, sc.DEFAULT_BEND_STIFFNESS)
-    (t00, t01), (_, t11) = t.tolist()
-    (m00, m01), (_, m11) = m.tolist()
-    return t00, t11, t01, m00, m11, m01
+    return t + m
 
 
 def verify_jobs(states, bstates):

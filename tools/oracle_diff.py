@@ -31,9 +31,14 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   directions, both parameter sets, the benchmark's ranges and step counts;
 * one bending group: every field of evaluate_geometry over seeded flat,
   cylinder, sphere and cone surfaces and points, without and with a
-  reference surface of the same kind; and, on seeded metric triples, the
-  geometry_from_metrics record, canham_energy, bending_stress_moment and
-  bending_tangents;
+  reference surface of the same kind; and, on seeded symmetric metric and
+  curvature triples, the geometry_from_metrics record, canham_energy,
+  bending_stress_moment and bending_tangents. Each tree is handed the
+  input form its geometry_from_metrics takes (SurfTensor2 triples, or
+  symmetric 2x2 arrays before the bending layer held triples), and every
+  symmetric field, the six of a record and the stress and moment, is
+  dumped as its (11, 22, 12) components, so the two forms compare bit by
+  bit;
 * one verify group: every check's max, mean and worst_sample from
   verify_derivatives on the metric, log and bending models, VERIFY_SAMPLES
   samples each, over seeds VERIFY_SEEDS (numdiff and the verify callbacks);
@@ -83,19 +88,47 @@ CLI_RUNS = (["verify", "--samples", "3", "--out", "out.json"],
 
 
 def _spd(rng, lo, hi):
-    """Symmetric positive-definite 2x2 matrix with eigenvalues in [lo, hi]."""
-    e1, e2 = rng.uniform(lo, hi, size=2)
+    """(c11, c22, c12) of a symmetric positive-definite 2x2 with
+    eigenvalues in [lo, hi], as Python floats."""
+    e1, e2 = rng.uniform(lo, hi, size=2).tolist()
     phi = rng.uniform(0.0, math.pi)
     c, s = math.cos(phi), math.sin(phi)
-    m12 = (e1 - e2) * s * c
-    return np.array([[e1 * c * c + e2 * s * s, m12],
-                     [m12, e1 * s * s + e2 * c * c]])
+    return (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
+            (e1 - e2) * s * c)
 
 
-def _bending_values(bg, rng, c_bend) -> list:
+_SYMMETRIC = ("A_cov", "A_contra", "a_cov", "a_contra", "b_cov", "b_contra")
+
+
+def _triple(m):
+    """A symmetric field's (11, 22, 12) components: a triple as it is, a
+    2x2 array through its upper triangle."""
+    return (m[0, 0], m[1, 1], m[0, 1]) if np.shape(m) == (2, 2) else m
+
+
+def _record(g) -> list:
+    """A geometry record's fields, each symmetric one as its triple."""
+    return [_triple(v) if name in _SYMMETRIC else v
+            for name, v in zip(g._fields, g)]
+
+
+def _metric_form(bg, SurfTensor2):
+    """(c11, c22, c12) -> the input form geometry_from_metrics takes on this
+    tree: a SurfTensor2, or a symmetric 2x2 array, the form before the
+    bending layer held triples."""
+    unit = SurfTensor2(1.0, 1.0, 0.0)
+    try:
+        bg.geometry_from_metrics(unit, unit, unit)
+    except (TypeError, ValueError):
+        return lambda c11, c22, c12: np.array([[c11, c12], [c12, c22]])
+    return SurfTensor2
+
+
+def _bending_values(bg, SurfTensor2, rng, c_bend) -> list:
     """Seeded outputs of the bending layer at bending stiffness c_bend, as
     arrays in a fixed order."""
     out = []
+    form = _metric_form(bg, SurfTensor2)
 
     def surfaces():
         return (bg.flat_patch(rng.uniform(-1, 1, 3) + (1.0, 0.0, 0.0),
@@ -108,13 +141,14 @@ def _bending_values(bg, rng, c_bend) -> list:
         xi = (rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.3, 2.8))
         for surf, ref in zip(surfaces(), surfaces()):
             for reference in (None, ref):
-                out.extend(bg.evaluate_geometry(surf, xi, reference))
+                out.extend(_record(bg.evaluate_geometry(surf, xi, reference)))
     for _ in range(N_BENDING):
-        g = bg.geometry_from_metrics(_spd(rng, 0.8, 1.3), _spd(rng, 0.7, 1.6),
-                                     rng.uniform(-0.5, 0.5, (2, 2)))
-        out.extend(g)
+        g = bg.geometry_from_metrics(
+            form(*_spd(rng, 0.8, 1.3)), form(*_spd(rng, 0.7, 1.6)),
+            form(*rng.uniform(-0.5, 0.5, 3).tolist()))
+        out.extend(_record(g))
         out.append(bg.canham_energy(g, c_bend))
-        out.extend(bg.bending_stress_moment(g, c_bend))
+        out.extend(map(_triple, bg.bending_stress_moment(g, c_bend)))
         out.extend(bg.bending_tangents(g, c_bend))
     return out
 
@@ -222,7 +256,7 @@ def dump(tree: Path, out: Path) -> None:
             pts, peak = wl.run_sweep_item(kind, inputs, frame)
             add("run_curve", [tuple(q) for q in pts])
             add("peak_of_curve", peak)
-    for values in _bending_values(bg, np.random.default_rng(SEED),
+    for values in _bending_values(bg, SurfTensor2, np.random.default_rng(SEED),
                                   sc.DEFAULT_BEND_STIFFNESS):
         add("bending", values)
     for model in sc.VERIFY_TOLERANCES:
