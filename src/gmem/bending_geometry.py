@@ -1,11 +1,12 @@
 """Surface kinematics on analytically parametrized surfaces and the
 squared-curvature (Canham) bending model.
 
-Geometry records carry reference and current tangent vectors, both metrics
-with inverses, curvature components, Christoffel symbols, and the scalar
-curvature invariants. Bending energy, stress, moment, and the four bending
-tangents are analytic; every derivative is validated elsewhere against
-central differences that treat (a_ab, b_ab) as independent inputs.
+Geometry records carry both metrics with inverses, curvature components
+and the scalar curvature invariants; a record evaluated on a surface also
+carries its embedding: tangent vectors, normal and Christoffel symbols.
+Bending energy, stress, moment, and the four bending tangents are
+analytic; every derivative is validated elsewhere against central
+differences that treat (a_ab, b_ab) as independent inputs.
 """
 
 from __future__ import annotations
@@ -24,20 +25,22 @@ class SurfacePointGeometry(NamedTuple):
     """Pointwise first/second fundamental data of a deforming surface.
 
     Covariant index placement is encoded in names: *_cov holds lower-index
-    SurfTensor2 components, *_contra upper-index ones. gamma[g][a][b] are
-    the current surface's Christoffel symbols of the second kind.
+    SurfTensor2 components, *_contra upper-index ones. The embedding
+    fields, A_alpha and a_alpha (tangent vectors as rows), gamma[g][a][b]
+    (the current surface's Christoffel symbols of the second kind) and
+    n, are None in a record built from metrics alone.
     """
 
-    A_alpha: np.ndarray
-    a_alpha: np.ndarray
+    A_alpha: Optional[np.ndarray]
+    a_alpha: Optional[np.ndarray]
     A_cov: SurfTensor2
     A_contra: SurfTensor2
     a_cov: SurfTensor2
     a_contra: SurfTensor2
     b_cov: SurfTensor2
     b_contra: SurfTensor2
-    gamma: np.ndarray
-    n: np.ndarray
+    gamma: Optional[np.ndarray]
+    n: Optional[np.ndarray]
     J: float
     H: float
     kappa_gauss: float
@@ -223,13 +226,6 @@ def evaluate_geometry(surface: AnalyticSurface, xi,
     return g._replace(A_alpha=A_alpha, a_alpha=a_alpha, gamma=gamma, n=n)
 
 
-# the Christoffel symbols and normal of every metric-only record: shared,
-# so read-only
-_NO_GAMMA = np.zeros((2, 2, 2))
-_PLANE_NORMAL = np.array([0.0, 0.0, 1.0])
-_NO_GAMMA.flags.writeable = _PLANE_NORMAL.flags.writeable = False
-
-
 def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     """Geometry record built from metric data alone.
 
@@ -237,11 +233,10 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     no embedding compatibility is implied. A_cov, a_cov and b_cov are
     SurfTensor2 triples (c11, c22, c12), held as given (anything else
     raises ValueError); A^ab, a^ab and b^ab = a^-1 b a^-1 are triples too,
-    all closed-form 2x2 arithmetic on plain floats. Tangent vectors are a
-    canonical planar realization of each metric (its lower Cholesky
-    factor); gamma is zero and n the plane's normal (0, 0, 1), read-only
-    arrays that every such record shares. Raises NotPositiveDefiniteError
-    for a bad A_cov (`reference metric`) or a_cov (`metric`).
+    all closed-form 2x2 arithmetic on plain floats. The metrics determine
+    no embedding, so A_alpha, a_alpha, gamma and n are None. Raises
+    NotPositiveDefiniteError for a bad A_cov (`reference metric`) or a_cov
+    (`metric`).
     """
     if not type(A_cov) is type(a_cov) is type(b_cov) is SurfTensor2:
         raise ValueError("A_cov, a_cov and b_cov must be SurfTensor2 (c11, "
@@ -260,16 +255,12 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     disc = math.sqrt(max(H * H - kappa, 0.0))
     t00, t01 = i00 * b00 + i01 * b01, i00 * b01 + i01 * b11
     t10, t11 = i01 * b00 + i11 * b01, i01 * b01 + i11 * b11
-    L00, l00 = math.sqrt(A00), math.sqrt(a00)
-    rows = np.array((L00, 0.0, 0.0, A01 / L00, math.sqrt(detA) / L00, 0.0,
-                     l00, 0.0, 0.0, a01 / l00, math.sqrt(deta) / l00,
-                     0.0)).reshape(2, 2, 3)
     return _new(SurfacePointGeometry, (
-        rows[0], rows[1], A_cov,
+        None, None, A_cov,
         _new(SurfTensor2, (A11 / detA, A00 / detA, -A01 / detA)), a_cov,
         _new(SurfTensor2, (i00, i11, i01)), b_cov,
         _new(SurfTensor2, (t00 * i00 + t01 * i01, t10 * i01 + t11 * i11,
-                           t00 * i01 + t01 * i11)), _NO_GAMMA, _PLANE_NORMAL,
+                           t00 * i01 + t01 * i11)), None, None,
         math.sqrt(deta / detA), H, kappa, H + disc, H - disc))
 
 
@@ -287,11 +278,11 @@ def bending_stress_moment(g: SurfacePointGeometry, c_bend: float):
     a00, a11, a01 = g.a_contra
     b00, b11, b01 = g.b_contra
     h = 2.0 * g.H * g.H + g.kappa_gauss
-    q, s, m = 4.0 * g.H, g.J * c_bend, c_bend * g.J
+    q, s = 4.0 * g.H, g.J * c_bend
     return (_new(SurfTensor2, (s * (h * a00 - q * b00),
                                s * (h * a11 - q * b11),
                                s * (h * a01 - q * b01))),
-            _new(SurfTensor2, (m * b00, m * b11, m * b01)))
+            _new(SurfTensor2, (s * b00, s * b11, s * b01)))
 
 
 # flat index 8a + 4b + 2g + d of [a, b, g, d] -> the flat indices of

@@ -292,10 +292,6 @@ def geometry_from_metrics_linalg(A_cov, a_cov, b_cov):
     for m in (A_cov, a_cov):
         if not (np.linalg.det(m) > 0.0 and m[0, 0] > 0.0):
             raise ValueError("metric must be positive definite")
-    a_alpha = np.zeros((2, 3))
-    a_alpha[:, :2] = np.linalg.cholesky(a_cov)
-    A_alpha = np.zeros((2, 3))
-    A_alpha[:, :2] = np.linalg.cholesky(A_cov)
     a_contra = np.linalg.inv(a_cov)
     A_contra = np.linalg.inv(A_cov)
     J = math.sqrt(np.linalg.det(a_cov) / np.linalg.det(A_cov))
@@ -303,9 +299,9 @@ def geometry_from_metrics_linalg(A_cov, a_cov, b_cov):
     kappa = float(np.linalg.det(b_cov) / np.linalg.det(a_cov))
     disc = math.sqrt(max(H * H - kappa, 0.0))
     return bg.SurfacePointGeometry(
-        A_alpha, a_alpha, A_cov, A_contra, a_cov, a_contra, b_cov,
-        a_contra @ b_cov @ a_contra, np.zeros((2, 2, 2)),
-        np.array([0.0, 0.0, 1.0]), J, H, kappa, H + disc, H - disc)
+        None, None, A_cov, A_contra, a_cov, a_contra, b_cov,
+        a_contra @ b_cov @ a_contra, None, None, J, H, kappa, H + disc,
+        H - disc)
 
 
 def rotated_metric(l1, l2, phi):
@@ -364,12 +360,13 @@ def assert_rel(x, y, tol, scale=None, floor=0.0):
 def test_closed_form_geometry_matches_linalg_construction(A, a, b):
     """Every field agrees with the np.linalg construction to 1e-13 relative,
     scaled by the condition number of the metric the field depends on: the
-    two constructions round differently, and an inverse (or a Cholesky
-    pivot, or a determinant) magnifies a rounding difference by up to that
-    factor. Curvature scalars are compared on the scale of their terms,
-    which can cancel. The principal curvatures are H -+ sqrt(H^2 - kappa);
-    near an umbilic point the square root magnifies a difference d of its
-    argument to at most sqrt(d).
+    two constructions round differently, and an inverse (or a determinant)
+    magnifies a rounding difference by up to that factor. Curvature scalars
+    are compared on the scale of their terms, which can cancel. The
+    principal curvatures are H -+ sqrt(H^2 - kappa); near an umbilic point
+    the square root magnifies a difference d of its argument to at most
+    sqrt(d). The four embedding fields are left out: the metrics determine
+    no embedding.
 
     b_contra and kappa also have absolute floors. Where a result is
     subnormal, a rounding errs by up to half the subnormal step 2**-1074,
@@ -386,11 +383,9 @@ def test_closed_form_geometry_matches_linalg_construction(A, a, b):
     r = geometry_from_metrics_linalg(A, a, b)
     tA = 1e-13 * condition(A)
     ta = 1e-13 * condition(a)
-    for name in ("A_cov", "a_cov", "b_cov", "gamma", "n"):
+    for name in ("A_cov", "a_cov", "b_cov"):
         assert np.array_equal(getattr(g, name), getattr(r, name)), name
-    assert_rel(g.A_alpha, r.A_alpha, tA)
     assert_rel(g.A_contra, r.A_contra, tA)
-    assert_rel(g.a_alpha, r.a_alpha, ta)
     assert_rel(g.a_contra, r.a_contra, ta)
     assert_rel(g.J, r.J, tA + ta)
     s_h = norm(r.a_contra) * norm(b)
@@ -458,11 +453,6 @@ def _det_inv2(m):
     return det, ((m11 / det, -m01 / det), (-m10 / det, m00 / det))
 
 
-def _cholesky_rows(m, det):
-    l00 = math.sqrt(m[0][0])
-    return [[l00, 0.0, 0.0], [m[1][0] / l00, math.sqrt(det) / l00, 0.0]]
-
-
 def _sandwich2(p, b):
     (p00, p01), (_, p11) = p
     (b00, b01), (_, b11) = b
@@ -492,10 +482,9 @@ def geometry_from_metrics_helpers(A_cov, a_cov, b_cov):
     deta, a_inv = _det_inv2(a)
     H, kappa, k1, k2 = _curvature_scalars(deta, a_inv, b)
     return bg.SurfacePointGeometry(
-        np.array(_cholesky_rows(A, detA)), np.array(_cholesky_rows(a, deta)),
-        A_cov, np.array(A_inv), a_cov, np.array(a_inv), b_cov,
-        np.array(_sandwich2(a_inv, b)), np.zeros((2, 2, 2)),
-        np.array([0.0, 0.0, 1.0]), math.sqrt(deta / detA), H, kappa, k1, k2)
+        None, None, A_cov, np.array(A_inv), a_cov, np.array(a_inv), b_cov,
+        np.array(_sandwich2(a_inv, b)), None, None, math.sqrt(deta / detA),
+        H, kappa, k1, k2)
 
 
 def bending_stress_moment_numpy(g, c_bend):
@@ -574,10 +563,9 @@ SHAPES = {"A_alpha": (2, 3), "a_alpha": (2, 3), "gamma": (2, 2, 2),
 @given(any_metric, any_metric, any_curvature)
 def test_geometry_from_metrics_matches_helper_form_bitwise(A, a, b):
     """Symmetric metrics and curvatures, signed zeros included; every field
-    has the helper form's bits, the six symmetric fields as 2x2s. The given
-    triples are stored as they are, every symmetric field is a SurfTensor2
-    of Python floats, and the array fields are distinct C-contiguous
-    float64 arrays of the old shapes."""
+    but the four embedding ones has the helper form's bits, the six
+    symmetric fields as 2x2s. The given triples are stored as they are and
+    every symmetric field is a SurfTensor2 of Python floats."""
     given_ = tri(A), tri(a), tri(b)
     g = bg.geometry_from_metrics(*given_)
     assert (g.A_cov, g.a_cov, g.b_cov) == given_
@@ -589,14 +577,8 @@ def test_geometry_from_metrics_matches_helper_form_bitwise(A, a, b):
         assert all(type(c) is float for c in x), name
     r = geometry_from_metrics_helpers(A, a, b)
     for name, x, y in zip(g._fields, as_matrices(g), r):
-        assert same_bits(x, y), name
-    arrays = [(name, getattr(g, name)) for name in SHAPES]
-    for name, x in arrays:
-        assert x.shape == SHAPES[name] and x.dtype == np.float64, name
-        assert x.flags.c_contiguous, name
-    for i, (n1, x) in enumerate(arrays):
-        for n2, y in arrays[i + 1:]:
-            assert not np.shares_memory(x, y), (n1, n2)
+        if name not in SHAPES:
+            assert same_bits(x, y), name
     assert all(type(getattr(g, n)) is float
                for n in ("J", "H", "kappa_gauss", "k1", "k2"))
 
@@ -673,15 +655,16 @@ def test_bending_tangents_match_outer_product_form_bitwise():
     assert len(records) == 2000 and zero_signs == {1.0, -1.0}
 
 
-def test_metric_only_records_share_read_only_gamma_and_normal():
-    g1 = metrics_record(A0, a0, b0)
-    g2 = metrics_record(np.eye(2), a0, np.zeros((2, 2)))
-    assert g1.gamma is g2.gamma and g1.n is g2.n
-    for x in (g1.gamma, g1.n):
-        assert not x.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            x[0] = 1.0
-    assert np.all(g1.gamma == 0.0) and g1.n.tolist() == [0.0, 0.0, 1.0]
-    e = bg.evaluate_geometry(bg.sphere_surface(1.7), (0.5, 1.1))
-    for own, shared in ((e.gamma, g1.gamma), (e.n, g1.n)):
-        assert own.flags.writeable and not np.shares_memory(own, shared)
+def test_only_evaluated_records_carry_an_embedding():
+    """The metrics determine no embedding: a metric-only record holds None
+    in its four embedding fields, an evaluated one float64 arrays of
+    SHAPES' shapes, with and without a reference surface."""
+    g = metrics_record(A0, a0, b0)
+    assert all(getattr(g, name) is None for name in SHAPES)
+    sphere = bg.sphere_surface(1.7)
+    for ref in (None, bg.flat_patch()):
+        e = bg.evaluate_geometry(sphere, (0.5, 1.1), reference=ref)
+        for name, shape in SHAPES.items():
+            x = getattr(e, name)
+            assert type(x) is np.ndarray and x.dtype == np.float64, name
+            assert x.shape == shape, name

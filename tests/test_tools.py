@@ -6,6 +6,7 @@ verdict of tools/bench_pairs.py; and the surrogate refit of
 tools/fit_surrogates.py."""
 
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -99,6 +100,28 @@ def test_oracle_verdict_is_bitwise():
     assert not od.compare({"g": a}, {"g": a, "h": a})
     assert not od.compare({"g": a, "h": a}, {"g": a})
     assert not od.compare({"g": a}, {"g": a.reshape(2, 1)})
+
+
+def test_oracle_record_drops_only_a_metric_records_embedding():
+    """An evaluated record is dumped field by field, a metric-only one
+    without its four embedding fields; each symmetric field as its
+    (11, 22, 12) triple."""
+    from gmem import bending_geometry as bg
+    from gmem.surface_tensors import SurfTensor2
+
+    e = bg.evaluate_geometry(bg.sphere_surface(1.7), (0.5, 1.1),
+                             reference=bg.flat_patch())
+    dumped = od._record(e)
+    assert len(dumped) == len(e) and all(map(operator.is_, dumped, e))
+    g = bg.geometry_from_metrics(SurfTensor2(1.1, 0.9, 0.1),
+                                 SurfTensor2(1.3, 0.8, -0.2),
+                                 SurfTensor2(0.35, -0.15, 0.22))
+    kept = [v for name, v in zip(g._fields, g) if name not in od._EMBEDDING]
+    assert od._record(g, embedded=False) == kept
+    assert len(kept) == len(g) - 4 and None not in kept
+    matrices = g._replace(**{f: getattr(g, f).as_matrix()
+                             for f in od._SYMMETRIC})
+    assert od._record(matrices, embedded=False) == kept
 
 
 def paired_entries(workload):

@@ -32,7 +32,9 @@ imports gmem from that tree's src/, dumps float64 arrays of:
 * one bending group: every field of evaluate_geometry over seeded flat,
   cylinder, sphere and cone surfaces and points, without and with a
   reference surface of the same kind; and, on seeded symmetric metric and
-  curvature triples, the geometry_from_metrics record, canham_energy,
+  curvature triples, the geometry_from_metrics record without its four
+  embedding fields (tangent vectors, gamma and n: None since the metrics
+  determine no embedding, a made-up planar one before), canham_energy,
   bending_stress_moment and bending_tangents. Each tree is handed the
   input form its geometry_from_metrics takes (SurfTensor2 triples, or
   symmetric 2x2 arrays before the bending layer held triples), and every
@@ -98,6 +100,7 @@ def _spd(rng, lo, hi):
 
 
 _SYMMETRIC = ("A_cov", "A_contra", "a_cov", "a_contra", "b_cov", "b_contra")
+_EMBEDDING = ("A_alpha", "a_alpha", "gamma", "n")
 
 
 def _triple(m):
@@ -106,10 +109,13 @@ def _triple(m):
     return (m[0, 0], m[1, 1], m[0, 1]) if np.shape(m) == (2, 2) else m
 
 
-def _record(g) -> list:
-    """A geometry record's fields, each symmetric one as its triple."""
+def _record(g, embedded=True) -> list:
+    """A geometry record's fields, each symmetric one as its triple; a
+    record that is not embedded, from geometry_from_metrics, without its
+    _EMBEDDING fields."""
     return [_triple(v) if name in _SYMMETRIC else v
-            for name, v in zip(g._fields, g)]
+            for name, v in zip(g._fields, g)
+            if embedded or name not in _EMBEDDING]
 
 
 def _metric_form(bg, SurfTensor2):
@@ -146,7 +152,7 @@ def _bending_values(bg, SurfTensor2, rng, c_bend) -> list:
         g = bg.geometry_from_metrics(
             form(*_spd(rng, 0.8, 1.3)), form(*_spd(rng, 0.7, 1.6)),
             form(*rng.uniform(-0.5, 0.5, 3).tolist()))
-        out.extend(_record(g))
+        out.extend(_record(g, embedded=False))
         out.append(bg.canham_energy(g, c_bend))
         out.extend(map(_triple, bg.bending_stress_moment(g, c_bend)))
         out.extend(bg.bending_tangents(g, c_bend))
