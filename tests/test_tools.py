@@ -21,8 +21,10 @@ import call_split as cs  # noqa: E402
 import fit_surrogates as fs  # noqa: E402
 import oracle_diff as od  # noqa: E402
 import gmem  # noqa: E402
+from gmem import bending_geometry as bg  # noqa: E402
 from gmem import cli  # noqa: E402
 from gmem import scenarios as sc  # noqa: E402
+from gmem.surface_tensors import SurfTensor2  # noqa: E402
 
 N_STATES = 4
 MEMBRANE_PARTS = {"energy": {"core", "call"},
@@ -106,9 +108,6 @@ def test_oracle_record_drops_only_a_metric_records_embedding():
     """An evaluated record is dumped field by field, a metric-only one
     without its four embedding fields; each symmetric field as its
     (11, 22, 12) triple."""
-    from gmem import bending_geometry as bg
-    from gmem.surface_tensors import SurfTensor2
-
     e = bg.evaluate_geometry(bg.sphere_surface(1.7), (0.5, 1.1),
                              reference=bg.flat_patch())
     dumped = od._record(e)
