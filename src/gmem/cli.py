@@ -99,7 +99,9 @@ def _json_text(payload: dict) -> str:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        # every payload is a tree the command builds, so no cycle to check
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                          check_circular=False)
     except ValueError as e:
         raise NonFiniteResult(f"{payload['command']} result is not finite: "
                               f"{e}") from None

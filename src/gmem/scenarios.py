@@ -12,7 +12,6 @@ import math
 import platform
 import time
 from dataclasses import dataclass
-from operator import sub
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,12 +27,14 @@ from .surface_tensors import SurfTensor2, _new, rearrange
 
 STRETCH_RANGE = (0.7, 1.6)
 MAX_STEPS = 100_000
-# verify keeps every sample's errors and state until it reports, and bench
-# builds all its state records before timing (144 bytes each with the list
-# slot, so about 144 MB at MAX_EVALS)
+# verify keeps every sample's state and its checks' errors, as floats,
+# until it reports, and bench builds all its state records before timing
+# (144 bytes each with the list slot, so about 144 MB at MAX_EVALS)
 MAX_SAMPLES = 100_000
 MAX_EVALS = 1_000_000
 PROTOCOL_KINDS = ("dilatation", "uniaxial-constrained", "pure-shear")
+# verify holds the check operands of this many samples at a time
+_VERIFY_BLOCK = 256
 # One table per call kind, model name to function. perfbench's span tracer
 # wraps the entries of flat module-level tables of functions only.
 _STRESS_FN = {"metric": mm.stress_metric, "log": mm.stress_log}
@@ -199,31 +200,13 @@ def _random_spd_triple(u1, u2, u3, lo=0.7, hi=1.6):
             (e1 - e2) * s * c)
 
 
-def _flat(v):
-    """v's entries in C order as a list or tuple: an ndarray's through
-    ravel().tolist(), a tuple of floats (a SurfTensor2, bending's 6-tuple)
-    as it is, anything else through np.ravel."""
-    if type(v) is np.ndarray:
-        return v.ravel().tolist()
-    if isinstance(v, tuple) and all(type(e) is float for e in v):
-        return v
-    return np.ravel(v).tolist()
-
-
-def _rel_err(x, ref):
-    """max |x - ref| over max |ref|, the latter floored at 1e-12, as an
-    np.float64. x and ref have as many entries, compared in C order; both
-    maxima are formed in float arithmetic, and a NaN anywhere gives NaN."""
-    xs, rs = _flat(x), _flat(ref)
-    if len(xs) != len(rs):
-        raise ValueError(f"_rel_err: {len(xs)} entries against {len(rs)}")
-    diffs = list(map(abs, map(sub, xs, rs)))
-    # max skips a NaN that is not first; the sum of the |x - ref|, all
-    # >= 0, is NaN exactly when one of them is
-    total = sum(diffs)
-    num = max(diffs) if total == total else total
-    # max(max(rs), -min(rs)) is max |ref|
-    return np.float64(num / max(max(rs), -min(rs), 1e-12))
+def _row_err(x, ref):
+    """Each row's max |x - ref| over its max |ref|, the latter floored at
+    1e-12, as an array: row i of x and ref is one error's operands, every
+    other axis its entries. A NaN in a row gives that row NaN."""
+    x = x.reshape(len(x), -1)
+    ref = ref.reshape(len(ref), -1)
+    return np.abs(x - ref).max(1) / np.maximum(np.abs(ref).max(1), 1e-12)
 
 
 def _membrane_state(rng):
@@ -244,8 +227,11 @@ def _bending_state(rng):
 
 
 def _membrane_sample(model, params, rng):
-    """Errors of one random membrane state, keyed by check name, and the
-    state: its C triple and lattice angle."""
+    """The operands of one random membrane state's checks, and the state:
+    its C triple and lattice angle. The operands are the energy stencil,
+    the analytic S, the stress stencil, the tangent's components and the
+    rearranged components of the cross-check route; a check that the
+    model does not run has None for its own."""
     theta, triple = _membrane_state(rng)
     frame = make_frame(theta)
     c0 = _new(SurfTensor2, triple)
@@ -259,24 +245,40 @@ def _membrane_sample(model, params, rng):
         return stress(_new(SurfTensor2, (c11, c22, c12)), frame, params).S
 
     checks = VERIFY_TOLERANCES[model]
-    errs = {"stress_fd": _rel_err(
-        2.0 * partials_sym(w_of, triple, STRESS_STEP), s_of(*triple))}
+    fd_w = partials_sym(w_of, triple, STRESS_STEP)
+    s = s_of(*triple)
     t = _TANGENT_FN[model](c0, frame, params).comp
-    if "tangent_fd" in checks:
-        errs["tangent_fd"] = _rel_err(
-            2.0 * partials_sym(s_of, triple, TANGENT_STEP), _st._pair_of(t))
-    errs["major_symmetry"] = _rel_err(t.transpose(2, 3, 0, 1), t)
-    if "rearrangement" in checks:
-        t_alt = mm.tangent_metric_oplus(c0, frame, params)
-        errs["rearrangement"] = _rel_err(rearrange(t_alt).comp, t)
+    fd_s = (partials_sym(s_of, triple, TANGENT_STEP)
+            if "tangent_fd" in checks else None)
+    t_alt = (rearrange(mm.tangent_metric_oplus(c0, frame, params)).comp
+             if "rearrangement" in checks else None)
     c11, c22, c12 = triple
-    return errs, {"c11": c11, "c22": c22, "c12": c12, "theta_lattice": theta}
+    return ((fd_w, s, fd_s, t, t_alt),
+            {"c11": c11, "c22": c22, "c12": c12, "theta_lattice": theta})
+
+
+def _membrane_errors(ops, checks):
+    """The errors of each check in checks over a block of membrane
+    samples' operands, one per sample."""
+    fd_w, s, fd_s, t, t_alt = zip(*ops)
+    t = np.array(t)
+    flat = t.reshape(len(t), 16)
+    errs = {"stress_fd": _row_err(2.0 * np.array(fd_w), np.array(s)),
+            "major_symmetry": _row_err(t.transpose(0, 3, 4, 1, 2), flat)}
+    if "tangent_fd" in checks:
+        errs["tangent_fd"] = _row_err(2.0 * np.array(fd_s),
+                                      flat[:, _st._PAIR_TAKE])
+    if "rearrangement" in checks:
+        errs["rearrangement"] = _row_err(np.array(t_alt), flat)
+    return errs
 
 
 def _bending_sample(rng):
-    """Errors of one random bending state, keyed by check name, and the
-    state: its a_ref, a_cur and b_cur triples. tangent_fd holds one error
-    per tangent block c, d, e, f."""
+    """The operands of one random bending state's checks, and the state:
+    its a_ref, a_cur and b_cur triples. The operands are the energy
+    stencils in a_cur and in b_cur, the analytic stress and moment as a
+    6-tuple, the stress-and-moment stencils in a_cur and in b_cur, and the
+    tangents."""
     c_bend = DEFAULT_BEND_STIFFNESS
     a_ref, a_cur, b_cur = _bending_state(rng)
     geometry = bg.geometry_from_metrics
@@ -306,39 +308,47 @@ def _bending_sample(rng):
 
     g0 = geometry(A_ref, a_0, b_0)
     an = tm(g0)
-    fd = np.concatenate([2.0 * partials_sym(energy_a, a_cur, STRESS_STEP),
-                         partials_sym(energy_b, b_cur, STRESS_STEP)])
+    fd_wa = partials_sym(energy_a, a_cur, STRESS_STEP)
+    fd_wb = partials_sym(energy_b, b_cur, STRESS_STEP)
     tg = bg.bending_tangents(g0, c_bend)
     fd_a = partials_sym(tm_a, a_cur, TANGENT_STEP)
     fd_b = partials_sym(tm_b, b_cur, TANGENT_STEP)
-    errs = {"stress_fd": _rel_err(fd, an),
-            "tangent_fd": (_rel_err(2.0 * fd_a[:3], _st._pair_of(tg.c)),
-                           _rel_err(fd_b[:3], _st._pair_of(tg.d)),
-                           _rel_err(2.0 * fd_a[3:], _st._pair_of(tg.e)),
-                           _rel_err(fd_b[3:], _st._pair_of(tg.f))),
-            "transpose_identity": np.abs(
-                tg.e - tg.d.transpose(2, 3, 0, 1)).max()}
-    return errs, dict(a_ref=a_ref, a_cur=a_cur, b_cur=b_cur)
+    return ((fd_wa, fd_wb, an, fd_a, fd_b, tg),
+            dict(a_ref=a_ref, a_cur=a_cur, b_cur=b_cur))
 
 
-def _summary(rows, tol):
-    """Max, mean and worst sample of per-sample error rows, each a number
-    or a tuple of as many numbers, formed in float arithmetic. A check
-    passes when its max is at most tol, so a tol of 0 asks for an exact
-    zero; a NaN error is the max, so a non-finite error fails its check.
-    worst_sample is the first sample holding the max."""
-    if isinstance(rows[0], tuple):
-        errs = [float(e) for row in rows for e in row]
-    else:
-        errs = [float(e) for e in rows]
+def _bending_errors(ops):
+    """The errors of each bending check over a block of samples' operands,
+    one per sample; tangent_fd has four per sample, one per tangent block
+    c, d, e, f in that order."""
+    fd_wa, fd_wb, an, fd_a, fd_b, tg = map(np.array, zip(*ops))
+    n = len(tg)
+    fd_a = 2.0 * fd_a
+    # c, d, e, f: the stress rows of the a_cur and b_cur stencils, then
+    # their moment rows
+    fd_t = np.stack([fd_a[:, :3], fd_b[:, :3], fd_a[:, 3:], fd_b[:, 3:]], 1)
+    e_off = tg[:, 2] - tg[:, 1].transpose(0, 3, 4, 1, 2)
+    return {"stress_fd": _row_err(np.concatenate([2.0 * fd_wa, fd_wb], 1),
+                                  an),
+            "tangent_fd": _row_err(fd_t.reshape(4 * n, 9),
+                                   tg.reshape(4 * n, 16)[:, _st._PAIR_TAKE]),
+            "transpose_identity": np.abs(e_off).reshape(n, 16).max(1)}
+
+
+def _summary(errs, per_sample, tol):
+    """Max, mean and worst sample of a check's errors, a flat list of
+    floats holding per_sample errors of each sample in turn, formed in
+    float arithmetic. A check passes when its max is at most tol, so a tol
+    of 0 asks for an exact zero; a NaN error is the max, so a non-finite
+    error fails its check. worst_sample is the first sample holding the
+    max."""
     total = sum(errs)
     # a NaN error makes the sum NaN, and max skips a NaN that is not first
     nans = [] if total == total else [i for i, e in enumerate(errs) if e != e]
     at = nans[0] if nans else errs.index(max(errs))
     worst = errs[at]
     return {"max": worst, "mean": total / len(errs), "tol": tol,
-            "pass": worst <= tol,
-            "worst_sample": at // (len(errs) // len(rows))}
+            "pass": worst <= tol, "worst_sample": at // per_sample}
 
 
 DEFAULT_BEND_STIFFNESS = 0.238
@@ -359,7 +369,10 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
 
     model is "metric", "log", or "bending". Relative errors are collected
     per check over n_samples random states. Each error is one plain
-    central difference, measured before its tolerance is applied. Each
+    central difference, measured before its tolerance is applied. The
+    samples run in blocks of _VERIFY_BLOCK: each sample returns the
+    operands of its checks, and each check's errors over a block are one
+    array expression over the stacked operands (_row_err). Each
     check reports its max, mean and worst_sample, the 0-based index of the
     sample holding the max; a NaN error is the max and fails the check.
     Each check also reports worst_state, that sample's inputs: the C
@@ -376,14 +389,23 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
         raise ValueError(f"unknown model {model!r}")
     rng = np.random.default_rng(seed)
     p = params if params is not None else mm.GGA
-    if model == "bending":
-        samples, states = zip(*[_bending_sample(rng)
-                                for _ in range(n_samples)])
-    else:
-        samples, states = zip(*[_membrane_sample(model, p, rng)
-                                for _ in range(n_samples)])
-    report = {name: _summary([errs[name] for errs in samples], tol)
-              for name, tol in VERIFY_TOLERANCES[model].items()}
+    checks = VERIFY_TOLERANCES[model]
+    errs = {name: [] for name in checks}
+    states = []
+    for start in range(0, n_samples, _VERIFY_BLOCK):
+        size = min(_VERIFY_BLOCK, n_samples - start)
+        if model == "bending":
+            ops, block = zip(*[_bending_sample(rng) for _ in range(size)])
+            rows = _bending_errors(ops)
+        else:
+            ops, block = zip(*[_membrane_sample(model, p, rng)
+                               for _ in range(size)])
+            rows = _membrane_errors(ops, checks)
+        states += block
+        for name, e in rows.items():
+            errs[name] += e.tolist()
+    report = {name: _summary(errs[name], len(errs[name]) // n_samples, tol)
+              for name, tol in checks.items()}
     for check in report.values():
         check["worst_state"] = dict(states[check["worst_sample"]])
     return {
@@ -530,9 +552,10 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
     loops = {("metric", 1): mm._metric_core, ("log", 1): mm._log_core,
              ("log_analytic", 2): mm._log_core,
              ("metric", 2): mm._metric_core, ("log", 2): _log_core_fd}
-    gate = [100.0 * _rel_err(mm._metric_core(st, frame, params, 1)[1],
-                             mm._log_core(st, frame, params, 1)[1])
-            for st in states[:100]]
+    head = states[:100]
+    gate = 100.0 * _row_err(
+        np.array([mm._metric_core(st, frame, params, 1)[1] for st in head]),
+        np.array([mm._log_core(st, frame, params, 1)[1] for st in head]))
     gate_max = float(np.max(gate))  # NaN anywhere propagates, so NaN fails
     if not gate_max < 1.0:
         raise RuntimeError(f"consistency gate failed: max componentwise "

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gmem import bending_geometry as bg
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.lattice import ZIGZAG_OFFSET, make_frame
@@ -313,7 +314,7 @@ def test_verify_derivatives_tolerance_handling(monkeypatch):
     rerun = sc.verify_derivatives("metric", n_samples=5)
     assert rerun["checks"]["stress_fd"]["max"] == at
     assert rerun["checks"]["stress_fd"]["pass"] is True
-    assert sc._summary([0.0, 0.0], 0.0)["pass"] is True
+    assert sc._summary([0.0, 0.0], 1, 0.0)["pass"] is True
     bend = sc.verify_derivatives("bending", n_samples=3, seed=1)
     assert bend["checks"]["transpose_identity"]["tol"] == 0.0
     assert bend["checks"]["transpose_identity"]["pass"] is True
@@ -437,7 +438,7 @@ def test_verify_worst_state_is_the_last_state_of_the_rerun(model, seed):
     stress = getattr(mm, f"stress_{model}")(SurfTensor2(*x), fr, p).S
     fd = 2.0 * partials_sym(lambda *c: energy(SurfTensor2(*c), fr, p), x,
                             STRESS_STEP)
-    assert (sc._rel_err(fd, [stress.c11, stress.c22, stress.c12])
+    assert (rel_err_wrappers(fd, [stress.c11, stress.c22, stress.c12])
             == full["stress_fd"]["max"])
     # bending reports its worst sample's three input triples
     bending = sc.verify_derivatives("bending", n_samples=6, seed=seed)
@@ -567,62 +568,90 @@ def same_bits(x, y):
             and np.asarray(x).tobytes() == np.asarray(y).tobytes())
 
 
+def operand_block(rng, shape, rows):
+    """Seeded (rows, *shape) references, each row scaled by its own power
+    of ten from 1e-14, below the 1e-12 floor, to 1e2, and x within 1e-6
+    relative of them."""
+    scale = 10.0 ** rng.integers(-14, 3, size=(rows,) + (1,) * len(shape))
+    ref = rng.normal(size=(rows, *shape)) * scale
+    return ref * (1.0 + 1e-6 * rng.normal(size=ref.shape)), ref
+
+
 def test_verify_helpers_match_replaced_forms_bitwise():
-    """_rel_err, _pair_of and _summary against the forms they replaced, on
-    seeded arrays: array, list and tuple references, transposed views,
+    """_row_err, _pair_of and _summary against the forms they replaced, on
+    seeded arrays: every row of _row_err against rel_err_wrappers on blocks
+    of 1 to 12 rows of 3, 3x3, 6 and 2x2x2x2 entries, transposed views,
     references below the 1e-12 floor, and NaN entries in either input."""
     rng = np.random.default_rng(21)
     for i in range(200):
         shape = ((3,), (3, 3), (6,), (2, 2, 2, 2))[i % 4]
-        ref = rng.normal(size=shape) * 10.0 ** rng.integers(-14, 3)
-        x = ref * (1.0 + 1e-6 * rng.normal(size=shape))
+        rows = 1 + i % 12
+        x, ref = operand_block(rng, shape, rows)
         if i % 5 == 0:
             x.flat[rng.integers(x.size)] = math.nan
         if i % 7 == 0:
             ref.flat[rng.integers(ref.size)] = math.nan
-        refs = [ref, ref.tolist()]
-        if ref.ndim == 1:
-            refs.append(tuple(ref.tolist()))
-        if ref.ndim == 4:
-            x = x.transpose(2, 3, 0, 1)
-            refs.append(ref.transpose(0, 3, 1, 2))
+        refs = [ref]
+        if len(shape) == 4:
+            x = x.transpose(0, 3, 4, 1, 2)
+            refs.append(ref.transpose(0, 1, 4, 2, 3))
         for r in refs:
-            assert same_bits(sc._rel_err(x, r), rel_err_wrappers(x, r))
+            got = sc._row_err(x, r)
+            assert got.shape == (rows,) and got.dtype == np.float64
+            for k in range(rows):
+                assert same_bits(got[k], rel_err_wrappers(x[k], r[k]))
         t4 = rng.normal(size=(2, 2, 2, 2))
         if i % 5 == 0:
             t4[tuple(rng.integers(2, size=4))] = math.nan
         for t in (t4, t4.transpose(2, 3, 0, 1), t4.transpose(0, 3, 1, 2)):
             assert same_bits(_pair_of(t), pair_of_nested(t))
-        rows = [tuple(r) for r in np.abs(rng.normal(size=(10, 4)))]
+        rows = np.abs(rng.normal(size=(10, 4))).tolist()
         if i % 5 == 0:
-            rows[rng.integers(10)] = (0.0, math.nan, 1.0, 0.0)
-        for rs in (rows, [r[0] for r in rows]):
-            got, want = sc._summary(rs, 1.0), summary_wrappers(rs, 1.0)
+            rows[rng.integers(10)] = [0.0, math.nan, 1.0, 0.0]
+        flat = [e for row in rows for e in row]
+        for errs, width, rs in ((flat, 4, rows),
+                                ([row[0] for row in rows], 1,
+                                 [row[0] for row in rows])):
+            got, want = sc._summary(errs, width, 1.0), summary_wrappers(rs, 1.0)
             assert got.keys() == want.keys()
             for k in got:
                 assert same_bits(got[k], want[k]), k
-    assert math.isnan(sc._rel_err([1.0, math.nan], [1.0, 2.0]))
-    assert math.isnan(sc._rel_err([1.0, 2.0], [1.0, math.nan]))
+    nan_x = sc._row_err(np.array([[1.0, math.nan]]), np.array([[1.0, 2.0]]))
+    nan_ref = sc._row_err(np.array([[1.0, 2.0]]), np.array([[1.0, math.nan]]))
+    assert math.isnan(nan_x[0]) and math.isnan(nan_ref[0])
 
 
-def test_rel_err_keeps_the_method_form_bits_and_every_nan():
-    """Seeded arrays, lists and tuples of 3 to 16 entries, scaled down past
-    the 1e-12 floor: the method form's bits. A NaN in x or in ref at the
-    first, a middle or the last position gives NaN."""
+def test_row_err_keeps_the_method_form_bits_and_every_nan():
+    """Seeded blocks of 1 to 9 rows of 3 to 16 entries, rows scaled down
+    past the 1e-12 floor, with +inf and -inf entries in x, in ref or in
+    both: every row has the bits of the method and the wrapper form. A NaN
+    in x or in ref at the first, a middle or the last entry of one row
+    gives that row NaN, with the bits of both forms."""
     rng = np.random.default_rng(29)
     for i in range(400):
         shape = ((3,), (3, 3), (6,), (2, 2, 2, 2))[i % 4]
-        ref = rng.normal(size=shape) * 10.0 ** rng.integers(-14, 3)
-        x = ref * (1.0 + 1e-6 * rng.normal(size=shape))
-        flat = (tuple(x.ravel().tolist()), tuple(ref.ravel().tolist()))
-        for xs, r in ((x, ref), (x.tolist(), ref.tolist()), flat):
-            assert same_bits(sc._rel_err(xs, r), rel_err_methods(xs, r))
-        for pos in (0, x.size // 2, x.size - 1):
+        rows = 1 + i % 9
+        x, ref = operand_block(rng, shape, rows)
+        size = x[0].size
+        if i % 3 == 0:
+            for which in ((x,), (ref,), (x, ref))[i // 3 % 3]:
+                which.reshape(rows, size)[rng.integers(rows),
+                                          rng.integers(size)] = (
+                    math.inf if i % 2 else -math.inf)
+        pairs = [(x, ref, None)]
+        for pos in (0, size // 2, size - 1):
             for which in (0, 1):
                 pair = [x.copy(), ref.copy()]
-                pair[which].flat[pos] = math.nan
-                assert math.isnan(sc._rel_err(*pair))
-                assert same_bits(sc._rel_err(*pair), rel_err_methods(*pair))
+                row = rng.integers(rows)
+                pair[which].reshape(rows, size)[row, pos] = math.nan
+                pairs.append((*pair, row))
+        with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+            for xs, rs, nan_row in pairs:
+                got = sc._row_err(xs, rs)
+                assert nan_row is None or math.isnan(got[nan_row])
+                for k in range(rows):
+                    assert same_bits(got[k], rel_err_methods(xs[k], rs[k]))
+                    assert same_bits(got[k], rel_err_wrappers(xs[k], rs[k]))
 
 
 def test_verify_nan_error_fails_its_check(monkeypatch):
@@ -638,6 +667,54 @@ def test_verify_nan_error_fails_its_check(monkeypatch):
     assert math.isnan(rep["checks"]["tangent_fd"]["max"])
     assert rep["checks"]["tangent_fd"]["pass"] is False
     assert rep["pass"] is False
+
+
+@pytest.mark.parametrize("model", ["metric", "bending"])
+@pytest.mark.parametrize("fault", ["nan", "scaled"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_verify_fault_at_a_block_seam_is_its_worst_sample(monkeypatch, model,
+                                                          fault, offset):
+    """A NaN, or an entry scaled by 1.01, in one tangent entry of sample k
+    alone, for k = B - 1, B and B + 1 with B = _VERIFY_BLOCK: tangent_fd's
+    worst_sample is k, and n_samples=k+1 reproduces its max and
+    worst_state."""
+    k = sc._VERIFY_BLOCK + offset
+    calls = []
+
+    def faulty(comp):
+        calls.append(None)
+        if len(calls) - 1 != k:
+            return comp
+        comp = comp.copy()
+        comp[0, 1, 0, 1] = (math.nan if fault == "nan"
+                            else 1.01 * comp[0, 1, 0, 1])
+        return comp
+
+    if model == "metric":
+        tangent = mm.tangent_metric
+
+        def metric_tangent(c, frame, params):
+            return Tangent4(faulty(tangent(c, frame, params).comp))
+
+        monkeypatch.setitem(sc._TANGENT_FN, "metric", metric_tangent)
+    else:
+        tangents = bg.bending_tangents
+
+        def bending_tangents(g, c_bend):
+            tg = tangents(g, c_bend)
+            return tg._replace(c=faulty(tg.c))
+
+        monkeypatch.setattr(bg, "bending_tangents", bending_tangents)
+    full = sc.verify_derivatives(model, n_samples=sc._VERIFY_BLOCK + 2,
+                                 seed=3)["checks"]["tangent_fd"]
+    calls.clear()
+    rerun = sc.verify_derivatives(model, n_samples=k + 1,
+                                  seed=3)["checks"]["tangent_fd"]
+    assert full["worst_sample"] == rerun["worst_sample"] == k
+    assert full["pass"] is rerun["pass"] is False
+    assert same_bits(full["max"], rerun["max"])
+    assert math.isnan(full["max"]) == (fault == "nan")
+    assert full["worst_state"] == rerun["worst_state"]
 
 
 def test_contact_potential_values():

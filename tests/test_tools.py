@@ -34,11 +34,14 @@ MEMBRANE_PARTS = {"energy": {"core", "call"},
 VERIFY_ROWS = ["geometry_from_metrics", "canham_energy",
                "bending_stress_moment", "bending_tangents", "tensor_product",
                "oplus_product", "boxtimes_product", "tangent_metric_oplus",
-               "_rel_err 3 v SurfTensor2", "_rel_err 6 v 6-tuple",
-               "_rel_err 3x3", "_rel_err 16", "_pair_of", "_summary 10 rows",
                "partials_sym scalar", "partials_sym 3-tuple",
                "partials_sym 6-tuple", "_membrane_state", "_bending_state",
-               "_bending_sample", "_membrane_sample metric"]
+               "_bending_sample", "_membrane_sample metric",
+               "_membrane_errors metric 10", "_bending_errors 10",
+               f"_membrane_errors metric {sc._VERIFY_BLOCK}",
+               f"_bending_errors {sc._VERIFY_BLOCK}",
+               "verify_derivatives metric 10", "verify_derivatives log 10",
+               "verify_derivatives bending 10"]
 
 
 def test_raw_states_are_the_recorded_stream():
@@ -73,7 +76,7 @@ def test_every_job_table_runs_once():
             assert set(split[f"{kind}_{model}"]) == parts
     bstates = cs.bending_states(cs.SEED)[:N_STATES]
     per_call = cs.split(cs.call_jobs(states, bstates, oplus)
-                        + cs.verify_jobs(states, bstates), 1)
+                        + cs.verify_jobs(states), 1)
     assert list(per_call) == VERIFY_ROWS
     assert all(t > 0.0 for table in (split, per_call)
                for parts in table.values() for t in parts.values())
@@ -102,6 +105,12 @@ def test_oracle_verdict_is_bitwise():
     assert not od.compare({"g": a}, {"g": a, "h": a})
     assert not od.compare({"g": a, "h": a}, {"g": a})
     assert not od.compare({"g": a}, {"g": a.reshape(2, 1)})
+
+
+def test_oracle_verify_group_crosses_a_block_seam():
+    """The oracle's longest verify run ends three samples into verify's
+    second block of samples."""
+    assert od.VERIFY_SEAM_SAMPLES == sc._VERIFY_BLOCK + 3
 
 
 def test_oracle_record_drops_only_a_metric_records_embedding():

@@ -1,5 +1,5 @@
-"""Cost split of the public membrane calls, and the cost of the calls the
-verify workload makes per bending sample.
+"""Cost split of the public membrane calls, and the cost of the calls on
+the path of the verify workload.
 
     PYTHONPATH=src python3 tools/call_split.py
 
@@ -30,23 +30,21 @@ bending states drawn like verify's (reference metric eigenvalues in
 then tensor_product, oplus_product, boxtimes_product and
 tangent_metric_oplus on the membrane states above (each product on a
 state's C and the next state's C). Its last rows are the verification
-layer's own per-call costs: `_rel_err` on each operand pair verify
-passes it, a 3-vector against a SurfTensor2 (a state's stress against a
-copy perturbed by 1e-7 relative, as an array, verify's stress check), a
-6-vector against a 6-tuple (a bending state's stress and moment, the same
-way), a 3x3 pair (a state's tangent pair matrix, the same way) and a
-16-entry transposed view (a state's tangent against its major transpose,
-verify's symmetry check); `_pair_of` on a state's tangent, `_summary` over
-10 rows of one float each, and the stencil overhead of `partials_sym`: its
-time minus six calls of its callback at the points partials_sym itself
-passes it (recorded by stencil_points), for a scalar callback, for one
-returning a 3-tuple (a membrane stress) and for one returning a 6-tuple
-(bending's stress and moment), each a few float operations. The per-call
-rows do not add up to a verify sample, so the table ends with the random
-state each sample draws (`_membrane_state`, `_bending_state`; rows left
-out on a tree without them) and two whole samples, each drawing its states from one default_rng(SEED) as verify
-does: a bending sample (`_bending_sample`) and a metric-model sample
-(`_membrane_sample` with GGA).
+layer's own costs, first the stencil overhead of `partials_sym`: its time
+minus six calls of its callback at the points partials_sym itself passes
+it (recorded by stencil_points), for a scalar callback, for one returning
+a 3-tuple (a membrane stress) and for one returning a 6-tuple (bending's
+stress and moment), each a few float operations. The per-call rows do not add up to a verify sample, so
+the table goes on with the random state each sample draws
+(`_membrane_state`, `_bending_state`) and two whole samples, each drawing
+its states from one default_rng(SEED) as verify does: a bending sample
+(`_bending_sample`) and a metric-model sample (`_membrane_sample` with
+GGA). A sample returns its checks' operands, and verify forms every
+check's errors once per block of samples; the next rows time that error
+pass (`_membrane_errors` on metric samples, `_bending_errors`) on blocks
+of 10 and of `_VERIFY_BLOCK` samples, per block. The table ends with one
+whole `verify_derivatives` per model at 10 samples, the size of the
+verify workload's pass. Rows whose function a tree lacks are left out.
 
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
 """
@@ -63,7 +61,7 @@ from gmem import bending_geometry as bg
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.numdiff import STRESS_STEP, partials_sym
-from gmem.surface_tensors import (SurfTensor2, _pair_of, boxtimes_product,
+from gmem.surface_tensors import (SurfTensor2, boxtimes_product,
                                   oplus_product, tangent_from_pairs,
                                   tensor_product)
 from oracle_diff import _spd
@@ -144,40 +142,14 @@ def stencil_points(comps, rel_step):
     return out
 
 
-def six_tuple(g):
-    """Bending's stress and moment at geometry g as verify's 6-tuple."""
-    t, m = bg.bending_stress_moment(g, sc.DEFAULT_BEND_STIFFNESS)
-    return t + m
-
-
-def verify_jobs(states, bstates):
+def verify_jobs(states):
     """(row, part, fn, argument tuples) for the verification layer's own
-    calls, a sample's draws and two whole verify samples; a stencil row has
-    a "call" and a "callback" part, the latter per callback call."""
-    rng = np.random.default_rng(SEED)
-
-    def perturbed(ref):
-        return np.array(ref) * (1.0 + 1e-7 * rng.normal(size=np.shape(ref)))
-
-    stresses = [mm.stress_metric(c, f, mm.GGA).S for c, f in states]
-    sixes = [six_tuple(bg.geometry_from_metrics(*m)) for m in bstates]
-    tangents = [mm.tangent_metric(c, f, mm.GGA).comp for c, f in states]
-    pairs = [_pair_of(t) for t in tangents]
+    calls, a sample's draws, two whole verify samples, the error pass over
+    blocks of samples and whole verify runs; a stencil row has a "call"
+    and a "callback" part, the latter per callback call."""
     comps = [tuple(c) for c, _f in states]
     points = [pt for cc in comps for pt in stencil_points(cc, STRESS_STEP)]
-    out = [
-        (f"_rel_err {label}", "call", sc._rel_err,
-         [(perturbed(r), r) for r in refs])
-        for label, refs in (("3 v SurfTensor2", stresses),
-                            ("6 v 6-tuple", sixes), ("3x3", pairs))]
-    out += [
-        ("_rel_err 16", "call", sc._rel_err,
-         [(t.transpose(2, 3, 0, 1), t) for t in tangents]),
-        ("_pair_of", "call", _pair_of, [(t,) for t in tangents]),
-        ("_summary 10 rows", "call", sc._summary,
-         [(rng.uniform(0.0, 1e-8, size=10).tolist(), 1e-6)
-          for _ in states]),
-    ]
+    out = []
     for label, f in (("scalar", _scalar_f), ("3-tuple", _vector_f),
                      ("6-tuple", _six_f)):
         name = f"partials_sym {label}"
@@ -194,6 +166,24 @@ def verify_jobs(states, bstates):
              [(bend_rng,)] * len(states)),
             ("_membrane_sample metric", "call", sc._membrane_sample,
              [("metric", mm.GGA, metric_rng)] * len(states))]
+    block = getattr(sc, "_VERIFY_BLOCK", None)
+    if block is not None:
+        # a block's worth of each sample's operands, from verify's stream
+        rng = np.random.default_rng(SEED)
+        metric = [sc._membrane_sample("metric", mm.GGA, rng)[0]
+                  for _ in range(block)]
+        rng = np.random.default_rng(SEED)
+        bending = [sc._bending_sample(rng)[0] for _ in range(block)]
+        checks = sc.VERIFY_TOLERANCES["metric"]
+        calls = max(1, len(states) // 16)  # a whole block takes ~1 ms
+        for rows, n in ((10, len(states)), (block, calls)):
+            out += [(f"_membrane_errors metric {rows}", "call",
+                     sc._membrane_errors, [(metric[:rows], checks)] * n),
+                    (f"_bending_errors {rows}", "call", sc._bending_errors,
+                     [(bending[:rows],)] * n)]
+    out += [(f"verify_derivatives {model} 10", "call", sc.verify_derivatives,
+             [(model, None, 10, SEED)] * max(1, len(states) // 32))
+            for model in sc.VERIFY_TOLERANCES]
     return out
 
 
@@ -226,7 +216,7 @@ def main() -> int:
     print()
     bstates = bending_states(SEED)
     per_call = split(call_jobs(states, bstates, oplus)
-                     + verify_jobs(states, bstates), REPEAT)
+                     + verify_jobs(states), REPEAT)
     print(f"{'verify-path call':30}{'us/call':>9}")
     for name, parts in per_call.items():
         if "callback" in parts:  # the stencil's overhead over its callbacks

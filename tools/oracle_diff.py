@@ -41,9 +41,11 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   symmetric field, the six of a record and the stress and moment, is
   dumped as its (11, 22, 12) components, so the two forms compare bit by
   bit;
-* one verify group: every check's max, mean and worst_sample from
-  verify_derivatives on the metric, log and bending models, VERIFY_SAMPLES
-  samples each, over seeds VERIFY_SEEDS (numdiff and the verify callbacks);
+* one verify group: every check's max, mean, worst_sample and worst_state
+  from verify_derivatives on the metric, log and bending models,
+  VERIFY_SAMPLES samples each over seeds VERIFY_SEEDS, and
+  VERIFY_SEAM_SAMPLES on the first seed, past the end of verify's first
+  block of samples (numdiff, the verify callbacks and the error pass);
 * one cli group: the exit code, the stdout bytes and the --out file bytes
   of one valid in-process cli.run of each command in CLI_RUNS, in an empty
   working directory (gmem bench is left out: it prints timings).
@@ -80,6 +82,9 @@ N_BENDING = 100  # points per surface kind, and metric triples
 N_SPECTRAL = 100  # indefinite tensors, and coincident eigenvalues
 VERIFY_SEEDS = range(8)
 VERIFY_SAMPLES = 5
+# one block of verify's 256 samples (scenarios._VERIFY_BLOCK) and three
+# more, run on the first seed, so that the verify group crosses a block seam
+VERIFY_SEAM_SAMPLES = 259
 CLI_RUNS = (["verify", "--samples", "3", "--out", "out.json"],
             ["curve", "--out", "out.csv"],
             ["compare", "--out", "out.json"],
@@ -265,13 +270,16 @@ def dump(tree: Path, out: Path) -> None:
     for values in _bending_values(bg, SurfTensor2, np.random.default_rng(SEED),
                                   sc.DEFAULT_BEND_STIFFNESS):
         add("bending", values)
+    verify_runs = [(seed, VERIFY_SAMPLES) for seed in VERIFY_SEEDS]
+    verify_runs.append((VERIFY_SEEDS[0], VERIFY_SEAM_SAMPLES))
     for model in sc.VERIFY_TOLERANCES:
-        for seed in VERIFY_SEEDS:
-            rep = sc.verify_derivatives(model, n_samples=VERIFY_SAMPLES,
-                                        seed=seed)
+        for seed, n in verify_runs:
+            rep = sc.verify_derivatives(model, n_samples=n, seed=seed)
             for check in rep["checks"].values():
+                state = check["worst_state"].values()
                 add("verify", [check["max"], check["mean"],
-                               check["worst_sample"]])
+                               check["worst_sample"],
+                               *np.concatenate([np.ravel(v) for v in state])])
     for values in _cli_values(cli):
         add("cli", values)
     np.savez(out, **{k: np.concatenate(v) for k, v in groups.items()})
