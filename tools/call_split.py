@@ -23,23 +23,24 @@ eigendecomposition invariants_log_exact takes through spectral, whose eigen
 head (`_eigen_head`) the log core shares.
 
 A second table times, the same way, the bending calls and the pair
-products on the single-state path of `gmem verify`: geometry_from_metrics,
-canham_energy, bending_stress_moment and bending_tangents on STATES seeded
-bending states drawn like verify's (reference metric eigenvalues in
-[0.8, 1.3], current in [0.7, 1.6], curvature components in [-0.5, 0.5]),
-then tensor_product, oplus_product, boxtimes_product and
-tangent_metric_oplus on the membrane states above (each product on a
-state's C and the next state's C). Its last rows are the verification
-layer's own costs, first the stencil overhead of `partials_sym`: its time
-minus six calls of its callback at the points partials_sym itself passes
-it (recorded by stencil_points), for a scalar callback, for one returning
-a 3-tuple (a membrane stress) and for one returning a 6-tuple (bending's
-stress and moment), each a few float operations. The per-call rows do not add up to a verify sample, so
-the table goes on with the random state each sample draws
-(`_membrane_state`, `_bending_state`) and two whole samples, each drawing
-its states from one default_rng(SEED) as verify does: a bending sample
-(`_bending_sample`) and a metric-model sample (`_membrane_sample` with
-GGA). A sample returns its checks' operands, and verify forms every
+products on the single-state path of `gmem verify`:
+geometry_from_metrics, canham_energy, bending_stress_moment and
+bending_tangents on STATES seeded bending states drawn like verify's
+(reference metric eigenvalues in [0.8, 1.3], current in [0.7, 1.6],
+curvature components in [-0.5, 0.5]), then tensor_product,
+oplus_product, boxtimes_product and tangent_metric_oplus on the membrane
+states above (each product on a state's C and the next state's C). Its
+last rows are the verification layer's own costs, first the stencil
+overhead of `partials_sym`: its time minus six calls of its callback at
+the points partials_sym itself passes it (recorded by stencil_points),
+for a scalar callback, for one returning a 3-tuple (a membrane stress)
+and for one returning a 6-tuple (bending's stress and moment), each a
+few float operations. The per-call rows do not add up to a verify
+sample, so the table goes on with the random state each sample draws
+(`_membrane_state`, `_bending_state`) and two whole samples, each
+drawing its states from one default_rng(SEED) as verify does: a bending
+sample (`_bending_sample`) and a metric-model sample (`_membrane_sample`
+with GGA). A sample returns its checks' operands, and verify forms every
 check's errors once per block of samples; the next rows time that error
 pass (`_membrane_errors` on metric samples, `_bending_errors`) on blocks
 of 10 and of `_VERIFY_BLOCK` samples, per block. The table ends with one
@@ -175,7 +176,8 @@ def verify_jobs(states):
         rng = np.random.default_rng(SEED)
         bending = [sc._bending_sample(rng)[0] for _ in range(block)]
         checks = sc.VERIFY_TOLERANCES["metric"]
-        calls = max(1, len(states) // 16)  # a whole block takes ~1 ms
+        # a whole block takes about 1 ms, so it is timed on fewer calls
+        calls = max(1, len(states) // 16)
         for rows, n in ((10, len(states)), (block, calls)):
             out += [(f"_membrane_errors metric {rows}", "call",
                      sc._membrane_errors, [(metric[:rows], checks)] * n),
