@@ -163,11 +163,6 @@ def tangent_from_pairs(pairs) -> Tangent4:
 
 
 # flat indices of the pair entries (11, 22, 12) x (11, 22, 12) of a
-# (2, 2, 2, 2) tangent, in row order
+# (2, 2, 2, 2) tangent, in row order: comp.take(_PAIR_TAKE) is the pair
+# matrix, tangent_from_pairs' inverse
 _PAIR_TAKE = np.array([[0, 3, 1], [12, 15, 13], [4, 7, 5]])
-
-
-def _pair_of(t4: np.ndarray) -> np.ndarray:
-    """The 3x3 pair matrix of a tangent's components: tangent_from_pairs'
-    inverse."""
-    return t4.take(_PAIR_TAKE)

@@ -11,7 +11,7 @@ from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.lattice import ZIGZAG_OFFSET, make_frame
 from gmem.numdiff import STRESS_STEP, TANGENT_STEP, partials_sym
-from gmem.surface_tensors import SurfTensor2, Tangent4, _pair_of
+from gmem.surface_tensors import _PAIR_TAKE, SurfTensor2, Tangent4
 
 ARMCHAIR = make_frame(0.0)
 
@@ -544,7 +544,8 @@ def rel_err_methods(x, ref):
 
 
 def pair_of_nested(t4):
-    """The nested-list form that _pair_of replaced, kept as its reference."""
+    """The nested-list form that the _PAIR_TAKE gather replaced, kept as
+    its reference."""
     return np.array([
         [t4[0, 0, 0, 0], t4[0, 0, 1, 1], t4[0, 0, 0, 1]],
         [t4[1, 1, 0, 0], t4[1, 1, 1, 1], t4[1, 1, 0, 1]],
@@ -578,10 +579,12 @@ def operand_block(rng, shape, rows):
 
 
 def test_verify_helpers_match_replaced_forms_bitwise():
-    """_row_err, _pair_of and _summary against the forms they replaced, on
-    seeded arrays: every row of _row_err against rel_err_wrappers on blocks
-    of 1 to 12 rows of 3, 3x3, 6 and 2x2x2x2 entries, transposed views,
-    references below the 1e-12 floor, and NaN entries in either input."""
+    """_row_err, the _PAIR_TAKE gather and _summary against the forms
+    they replaced, on seeded arrays: every row of _row_err against
+    rel_err_wrappers on blocks of 1 to 12 rows of 3, 3x3, 6 and 2x2x2x2
+    entries, the pair matrices of a block of tangents against
+    pair_of_nested, transposed views, references below the 1e-12 floor,
+    and NaN entries in either input."""
     rng = np.random.default_rng(21)
     for i in range(200):
         shape = ((3,), (3, 3), (6,), (2, 2, 2, 2))[i % 4]
@@ -600,11 +603,14 @@ def test_verify_helpers_match_replaced_forms_bitwise():
             assert got.shape == (rows,) and got.dtype == np.float64
             for k in range(rows):
                 assert same_bits(got[k], rel_err_wrappers(x[k], r[k]))
-        t4 = rng.normal(size=(2, 2, 2, 2))
+        t4 = rng.normal(size=(3, 2, 2, 2, 2))  # a block of three tangents
         if i % 5 == 0:
-            t4[tuple(rng.integers(2, size=4))] = math.nan
-        for t in (t4, t4.transpose(2, 3, 0, 1), t4.transpose(0, 3, 1, 2)):
-            assert same_bits(_pair_of(t), pair_of_nested(t))
+            t4[tuple(rng.integers(2, size=5))] = math.nan
+        for t in (t4, t4.transpose(0, 3, 4, 1, 2),
+                  t4.transpose(0, 1, 4, 2, 3)):
+            pairs = t.reshape(3, 16)[:, _PAIR_TAKE]
+            for k in range(3):
+                assert same_bits(pairs[k], pair_of_nested(t[k]))
         rows = np.abs(rng.normal(size=(10, 4))).tolist()
         if i % 5 == 0:
             rows[rng.integers(10)] = [0.0, math.nan, 1.0, 0.0]
@@ -612,7 +618,8 @@ def test_verify_helpers_match_replaced_forms_bitwise():
         for errs, width, rs in ((flat, 4, rows),
                                 ([row[0] for row in rows], 1,
                                  [row[0] for row in rows])):
-            got, want = sc._summary(errs, width, 1.0), summary_wrappers(rs, 1.0)
+            got = sc._summary(errs, width, 1.0)
+            want = summary_wrappers(rs, 1.0)
             assert got.keys() == want.keys()
             for k in got:
                 assert same_bits(got[k], want[k]), k
