@@ -27,7 +27,7 @@ from .surface_tensors import SurfTensor2, _new, rearrange
 
 STRETCH_RANGE = (0.7, 1.6)
 MAX_STEPS = 100_000
-# verify keeps every sample's state and its checks' errors, as floats,
+# verify keeps one state record per sample and float64 arrays of errors
 # until it reports, and bench builds all its state records before timing
 # (144 bytes each with the list slot, so about 144 MB at MAX_EVALS)
 MAX_SAMPLES = 100_000
@@ -185,6 +185,14 @@ def invariant_approximation_errors(ratios: Iterable[float]) -> dict:
     return {"f1_vs_J2E": 100.0 * worst_f1, "f2_vs_J3E": 100.0 * worst_f2}
 
 
+def _principal_triple(e1, e2, phi):
+    """(c11, c22, c12) of the symmetric 2x2 with eigenvalue e1 along the
+    angle phi and e2 across it, as Python floats."""
+    c, s = math.cos(phi), math.sin(phi)
+    return (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
+            (e1 - e2) * s * c)
+
+
 def _random_spd_triple(u1, u2, u3, lo=0.7, hi=1.6):
     """(c11, c22, c12) of a random SPD 2x2 with eigenvalues in [lo, hi],
     as Python floats, from three uniform [0, 1) draws: the eigenvalues
@@ -192,12 +200,8 @@ def _random_spd_triple(u1, u2, u3, lo=0.7, hi=1.6):
     That is NumPy's own uniform formula, so the triple is bitwise the one
     rng.uniform(lo, hi, size=2) and rng.uniform(0.0, pi) give for the same
     draws."""
-    e1 = lo + (hi - lo) * u1
-    e2 = lo + (hi - lo) * u2
-    phi = math.pi * u3
-    c, s = math.cos(phi), math.sin(phi)
-    return (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
-            (e1 - e2) * s * c)
+    return _principal_triple(lo + (hi - lo) * u1, lo + (hi - lo) * u2,
+                             math.pi * u3)
 
 
 def _row_err(x, ref):
@@ -210,30 +214,31 @@ def _row_err(x, ref):
 
 
 def _membrane_state(rng):
-    """A random membrane state's lattice angle in [0, 2 pi) and C triple,
-    from one draw of four uniforms, the angle's first."""
+    """A random membrane state record, c11, c22, c12 and theta_lattice in
+    [0, 2 pi), from one draw of four uniforms, the angle's first."""
     u0, u1, u2, u3 = rng.random(4).tolist()
-    return 2.0 * math.pi * u0, _random_spd_triple(u1, u2, u3)
+    c11, c22, c12 = _random_spd_triple(u1, u2, u3)
+    return {"c11": c11, "c22": c22, "c12": c12,
+            "theta_lattice": 2.0 * math.pi * u0}
 
 
 def _bending_state(rng):
-    """A random bending state's a_ref, a_cur and b_cur triples, from one
-    draw of nine uniforms, three per triple in that order; b_cur's are
-    uniform(-0.5, 0.5), -0.5 + (0.5 - -0.5) * u."""
+    """A random bending state record: its a_ref, a_cur and b_cur triples,
+    from one draw of nine uniforms, three per triple in that order; b_cur's
+    are uniform(-0.5, 0.5), -0.5 + (0.5 - -0.5) * u."""
     r1, r2, r3, a1, a2, a3, b1, b2, b3 = rng.random(9).tolist()
-    return (_random_spd_triple(r1, r2, r3, 0.8, 1.3),
-            _random_spd_triple(a1, a2, a3, 0.7, 1.6),
-            (b1 - 0.5, b2 - 0.5, b3 - 0.5))
+    return {"a_ref": _random_spd_triple(r1, r2, r3, 0.8, 1.3),
+            "a_cur": _random_spd_triple(a1, a2, a3, 0.7, 1.6),
+            "b_cur": (b1 - 0.5, b2 - 0.5, b3 - 0.5)}
 
 
-def _membrane_sample(model, params, rng):
-    """The operands of one random membrane state's checks, and the state:
-    its C triple and lattice angle. The operands are the energy stencil,
-    the analytic S, the stress stencil, the tangent's components and the
-    rearranged components of the cross-check route; a check that the
-    model does not run has None for its own."""
-    theta, triple = _membrane_state(rng)
-    frame = make_frame(theta)
+def _membrane_sample(model, params, state):
+    """The operands of the checks of one membrane state record: the energy
+    stencil, the analytic S, the stress stencil, the tangent's components
+    and the rearranged components of the cross-check route; a check that
+    the model does not run has None for its own."""
+    triple = state["c11"], state["c22"], state["c12"]
+    frame = make_frame(state["theta_lattice"])
     c0 = _new(SurfTensor2, triple)
     stress = _STRESS_FN[model]
     energy = _ENERGY_FN[model]
@@ -252,9 +257,7 @@ def _membrane_sample(model, params, rng):
             if "tangent_fd" in checks else None)
     t_alt = (rearrange(mm.tangent_metric_oplus(c0, frame, params)).comp
              if "rearrangement" in checks else None)
-    c11, c22, c12 = triple
-    return ((fd_w, s, fd_s, t, t_alt),
-            {"c11": c11, "c22": c22, "c12": c12, "theta_lattice": theta})
+    return fd_w, s, fd_s, t, t_alt
 
 
 def _membrane_errors(ops, checks):
@@ -273,14 +276,13 @@ def _membrane_errors(ops, checks):
     return errs
 
 
-def _bending_sample(rng):
-    """The operands of one random bending state's checks, and the state:
-    its a_ref, a_cur and b_cur triples. The operands are the energy
+def _bending_sample(state):
+    """The operands of the checks of one bending state record: the energy
     stencils in a_cur and in b_cur, the analytic stress and moment as a
     6-tuple, the stress-and-moment stencils in a_cur and in b_cur, and the
     tangents."""
     c_bend = DEFAULT_BEND_STIFFNESS
-    a_ref, a_cur, b_cur = _bending_state(rng)
+    a_ref, a_cur, b_cur = state["a_ref"], state["a_cur"], state["b_cur"]
     geometry = bg.geometry_from_metrics
     energy = bg.canham_energy
     stress_moment = bg.bending_stress_moment
@@ -313,14 +315,13 @@ def _bending_sample(rng):
     tg = bg.bending_tangents(g0, c_bend)
     fd_a = partials_sym(tm_a, a_cur, TANGENT_STEP)
     fd_b = partials_sym(tm_b, b_cur, TANGENT_STEP)
-    return ((fd_wa, fd_wb, an, fd_a, fd_b, tg),
-            dict(a_ref=a_ref, a_cur=a_cur, b_cur=b_cur))
+    return fd_wa, fd_wb, an, fd_a, fd_b, tg
 
 
-def _bending_errors(ops):
+def _bending_errors(ops, checks):
     """The errors of each bending check over a block of samples' operands,
     one per sample; tangent_fd has four per sample, one per tangent block
-    c, d, e, f in that order."""
+    c, d, e, f in that order; every check runs, whatever checks holds."""
     fd_wa, fd_wb, an, fd_a, fd_b, tg = map(np.array, zip(*ops))
     n = len(tg)
     fd_a = 2.0 * fd_a
@@ -335,20 +336,17 @@ def _bending_errors(ops):
             "transpose_identity": np.abs(e_off).reshape(n, 16).max(1)}
 
 
-def _summary(errs, per_sample, tol):
-    """Max, mean and worst sample of a check's errors, a flat list of
-    floats holding per_sample errors of each sample in turn, formed in
-    float arithmetic. A check passes when its max is at most tol, so a tol
-    of 0 asks for an exact zero; a NaN error is the max, so a non-finite
-    error fails its check. worst_sample is the first sample holding the
-    max."""
-    total = sum(errs)
-    # a NaN error makes the sum NaN, and max skips a NaN that is not first
-    nans = [] if total == total else [i for i, e in enumerate(errs) if e != e]
-    at = nans[0] if nans else errs.index(max(errs))
-    worst = errs[at]
-    return {"max": worst, "mean": total / len(errs), "tol": tol,
-            "pass": worst <= tol, "worst_sample": at // per_sample}
+def _summary(errs, n_samples, tol):
+    """Max, mean and worst sample of a check's errors, one float64 array
+    holding equally many errors of each of n_samples samples in turn. A
+    check passes when its max is at most tol; a tol of 0 wants an exact 0.
+    argmax takes the first NaN, else the first max, so a NaN error is the
+    max and fails its check; worst_sample is the sample holding it. The
+    mean sums the errors as Python floats, in order."""
+    at = int(np.argmax(errs))
+    worst = float(errs[at])
+    return {"max": worst, "mean": sum(errs.tolist()) / len(errs), "tol": tol,
+            "pass": worst <= tol, "worst_sample": at * n_samples // len(errs)}
 
 
 DEFAULT_BEND_STIFFNESS = 0.238
@@ -370,14 +368,15 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
     model is "metric", "log", or "bending". Relative errors are collected
     per check over n_samples random states. Each error is one plain
     central difference, measured before its tolerance is applied. The
-    samples run in blocks of _VERIFY_BLOCK: each sample returns the
-    operands of its checks, and each check's errors over a block are one
-    array expression over the stacked operands (_row_err). Each
-    check reports its max, mean and worst_sample, the 0-based index of the
-    sample holding the max; a NaN error is the max and fails the check.
-    Each check also reports worst_state, that sample's inputs: the C
-    components and lattice angle (radians) for the metric and log models,
-    the a_ref, a_cur and b_cur triples in (11, 22, 12) order for bending.
+    samples run in blocks of _VERIFY_BLOCK: a block draws a state record
+    per sample, evaluates each sample's check operands from its record,
+    and forms each check's errors as one array over the stacked operands
+    (_row_err). Each check reports its max, mean and worst_sample, the
+    0-based index of the sample holding the max; a NaN error is the max
+    and fails the check. Each check also reports worst_state, the record
+    that sample was evaluated from: the C components and lattice angle
+    (radians) for the metric and log models, the a_ref, a_cur and b_cur
+    triples in (11, 22, 12) order for bending.
     The states come from default_rng(seed) in a fixed order, so
     n_samples=k+1 re-runs sample k as the last one.
     """
@@ -395,16 +394,16 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
     for start in range(0, n_samples, _VERIFY_BLOCK):
         size = min(_VERIFY_BLOCK, n_samples - start)
         if model == "bending":
-            ops, block = zip(*[_bending_sample(rng) for _ in range(size)])
-            rows = _bending_errors(ops)
+            block = [_bending_state(rng) for _ in range(size)]
+            rows = _bending_errors(list(map(_bending_sample, block)), checks)
         else:
-            ops, block = zip(*[_membrane_sample(model, p, rng)
-                               for _ in range(size)])
-            rows = _membrane_errors(ops, checks)
+            block = [_membrane_state(rng) for _ in range(size)]
+            rows = _membrane_errors([_membrane_sample(model, p, st)
+                                     for st in block], checks)
         states += block
         for name, e in rows.items():
-            errs[name] += e.tolist()
-    report = {name: _summary(errs[name], len(errs[name]) // n_samples, tol)
+            errs[name].append(e)
+    report = {name: _summary(np.concatenate(errs[name]), n_samples, tol)
               for name, tol in checks.items()}
     for check in report.values():
         check["worst_state"] = dict(states[check["worst_sample"]])
@@ -542,10 +541,8 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
     for _ in range(int(n_evals)):
         e2 = rng.uniform(0.8, 1.2)
         e1 = e2 * rng.uniform(1.0, 1.3)
-        phi = rng.uniform(0.0, math.pi)
-        c, s = math.cos(phi), math.sin(phi)
-        states.append(SurfTensor2(e1 * c * c + e2 * s * s,
-                                  e1 * s * s + e2 * c * c, (e1 - e2) * s * c))
+        states.append(SurfTensor2(*_principal_triple(
+            e1, e2, rng.uniform(0.0, math.pi))))
 
     # (route, order) -> core, in timing order; each speedup divides the
     # times of two adjacent loops

@@ -230,7 +230,8 @@ def test_samples_and_evals_above_their_bounds_are_usage_errors(
     sc.MAX_EVALS exit 2 with one line, before any state is drawn."""
     def draw(*_args):
         raise AssertionError("a state was drawn")
-    for name in ("_membrane_sample", "_bending_sample", "make_frame"):
+    for name in ("_membrane_state", "_bending_state", "_membrane_sample",
+                 "_bending_sample", "make_frame"):
         monkeypatch.setattr(sc, name, draw)
     code, out, err = run_cli(argv, capsys)
     assert code == 2

@@ -1,6 +1,7 @@
 """Deformation drivers, model comparison, the verification engine, and the
 closed-form calculators."""
 
+import json
 import math
 
 import numpy as np
@@ -314,7 +315,7 @@ def test_verify_derivatives_tolerance_handling(monkeypatch):
     rerun = sc.verify_derivatives("metric", n_samples=5)
     assert rerun["checks"]["stress_fd"]["max"] == at
     assert rerun["checks"]["stress_fd"]["pass"] is True
-    assert sc._summary([0.0, 0.0], 1, 0.0)["pass"] is True
+    assert sc._summary(np.array([0.0, 0.0]), 2, 0.0)["pass"] is True
     bend = sc.verify_derivatives("bending", n_samples=3, seed=1)
     assert bend["checks"]["transpose_identity"]["tol"] == 0.0
     assert bend["checks"]["transpose_identity"]["pass"] is True
@@ -331,10 +332,13 @@ class Drawn(Exception):
 def test_sample_and_eval_counts_are_bounded(monkeypatch):
     """verify's n_samples lies in [1, MAX_SAMPLES] and bench's n_evals in
     [10000, MAX_EVALS], checked before any state is drawn: a count at its
-    bound reaches the first draw, one above it raises ValueError first."""
+    bound reaches the first draw (verify's _membrane_state or
+    _bending_state, bench's make_frame), one above it raises ValueError
+    first."""
     def draw(*_args):
         raise Drawn
-    for name in ("_membrane_sample", "_bending_sample", "make_frame"):
+    for name in ("_membrane_state", "_bending_state", "_membrane_sample",
+                 "_bending_sample", "make_frame"):
         monkeypatch.setattr(sc, name, draw)
     assert (sc.MAX_SAMPLES, sc.MAX_EVALS) == (100_000, 1_000_000)
     for model in sc.VERIFY_TOLERANCES:
@@ -584,7 +588,9 @@ def test_verify_helpers_match_replaced_forms_bitwise():
     rel_err_wrappers on blocks of 1 to 12 rows of 3, 3x3, 6 and 2x2x2x2
     entries, the pair matrices of a block of tangents against
     pair_of_nested, transposed views, references below the 1e-12 floor,
-    and NaN entries in either input."""
+    and NaN entries in either input; _summary on arrays of one and of four
+    errors per sample against summary_wrappers, with a NaN in the first,
+    the last or another sample, and with a max tied between two samples."""
     rng = np.random.default_rng(21)
     for i in range(200):
         shape = ((3,), (3, 3), (6,), (2, 2, 2, 2))[i % 4]
@@ -611,21 +617,53 @@ def test_verify_helpers_match_replaced_forms_bitwise():
             pairs = t.reshape(3, 16)[:, _PAIR_TAKE]
             for k in range(3):
                 assert same_bits(pairs[k], pair_of_nested(t[k]))
-        rows = np.abs(rng.normal(size=(10, 4))).tolist()
+        # a check's errors, four per sample, then one per sample: a NaN in
+        # a random, the first or the last sample, or a max tied between two
+        # samples
+        rows = np.abs(rng.normal(size=(10, 4)))
+        col = rng.integers(4)
         if i % 5 == 0:
             rows[rng.integers(10)] = [0.0, math.nan, 1.0, 0.0]
-        flat = [e for row in rows for e in row]
-        for errs, width, rs in ((flat, 4, rows),
-                                ([row[0] for row in rows], 1,
-                                 [row[0] for row in rows])):
-            got = sc._summary(errs, width, 1.0)
-            want = summary_wrappers(rs, 1.0)
+        elif i % 5 == 1:
+            rows[0, col] = math.nan
+        elif i % 5 == 2:
+            rows[-1, col] = math.nan
+        elif i % 5 == 3:
+            a, b = rng.choice(10, size=2, replace=False).tolist()
+            rows[a, col] = rows[b, col] = rows.max() + 1.0
+        for rs in (rows, rows[:, col:col + 1]):
+            got = sc._summary(rs.ravel(), len(rs), 1.0)
+            want = summary_wrappers(rs.tolist(), 1.0)
+            if i % 5 == 3:
+                assert got["worst_sample"] == min(a, b)
             assert got.keys() == want.keys()
             for k in got:
                 assert same_bits(got[k], want[k]), k
     nan_x = sc._row_err(np.array([[1.0, math.nan]]), np.array([[1.0, 2.0]]))
     nan_ref = sc._row_err(np.array([[1.0, 2.0]]), np.array([[1.0, math.nan]]))
     assert math.isnan(nan_x[0]) and math.isnan(nan_ref[0])
+
+
+@pytest.mark.parametrize("model", list(sc.VERIFY_TOLERANCES))
+def test_verify_worst_state_reproduces_its_sample(model):
+    """Each check's worst_state, as reported and after a JSON round trip,
+    evaluates to operands whose errors carry the reported max bits."""
+    checks = sc.VERIFY_TOLERANCES[model]
+    for seed in range(4):
+        for n in (4, 259):
+            rep = sc.verify_derivatives(model, n_samples=n, seed=seed)
+            for name, check in rep["checks"].items():
+                state = check["worst_state"]
+                for record in (state, json.loads(json.dumps(state))):
+                    if model == "bending":
+                        errs = sc._bending_errors(
+                            [sc._bending_sample(record)], checks)
+                    else:
+                        errs = sc._membrane_errors(
+                            [sc._membrane_sample(model, mm.GGA, record)],
+                            checks)
+                    assert same_bits(float(np.max(errs[name])),
+                                     check["max"]), (seed, n, name)
 
 
 def test_row_err_keeps_the_method_form_bits_and_every_nan():

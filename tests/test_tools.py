@@ -82,6 +82,18 @@ def test_every_job_table_runs_once():
                for parts in table.values() for t in parts.values())
 
 
+def test_sample_rows_take_verify_state_records():
+    """call_split times each verify sample on the state records that
+    verify draws from default_rng(SEED), in its order."""
+    states = cp.records(gmem, cp.raw_states(cp.SEED)[:N_STATES])
+    args = {row: a for row, _part, _fn, a in cs.verify_jobs(states)}
+    for row, draw in (("_membrane_sample metric", sc._membrane_state),
+                      ("_bending_sample", sc._bending_state)):
+        rng = np.random.default_rng(cs.SEED)
+        assert [a[-1] for a in args[row]] == [draw(rng)
+                                               for _ in range(N_STATES)]
+
+
 def test_sign_threshold_at_31_rounds():
     """24 of 31 wins: two-sided p = 0.0033; 23 wins give p = 0.0107."""
     assert cp.ROUNDS == 31
@@ -115,8 +127,7 @@ def test_oracle_verify_group_crosses_a_block_seam():
 
 def test_oracle_record_drops_only_a_metric_records_embedding():
     """An evaluated record is dumped field by field, a metric-only one
-    without its four embedding fields; each symmetric field as its
-    (11, 22, 12) triple."""
+    without its four embedding fields."""
     e = bg.evaluate_geometry(bg.sphere_surface(1.7), (0.5, 1.1),
                              reference=bg.flat_patch())
     dumped = od._record(e)
@@ -127,9 +138,6 @@ def test_oracle_record_drops_only_a_metric_records_embedding():
     kept = [v for name, v in zip(g._fields, g) if name not in od._EMBEDDING]
     assert od._record(g, embedded=False) == kept
     assert len(kept) == len(g) - 4 and None not in kept
-    matrices = g._replace(**{f: getattr(g, f).as_matrix()
-                             for f in od._SYMMETRIC})
-    assert od._record(matrices, embedded=False) == kept
 
 
 def paired_entries(workload):

@@ -36,18 +36,19 @@ the points partials_sym itself passes it (recorded by stencil_points),
 for a scalar callback, for one returning a 3-tuple (a membrane stress)
 and for one returning a 6-tuple (bending's stress and moment), each a
 few float operations. The per-call rows do not add up to a verify
-sample, so the table goes on with the random state each sample draws
-(`_membrane_state`, `_bending_state`) and two whole samples, each
-drawing its states from one default_rng(SEED) as verify does: a bending
-sample (`_bending_sample`) and a metric-model sample (`_membrane_sample`
-with GGA). A sample returns its checks' operands, and verify forms every
-check's errors once per block of samples; the next rows time that error
-pass (`_membrane_errors` on metric samples, `_bending_errors`) on blocks
-of 10 and of `_VERIFY_BLOCK` samples, per block. The table ends with one
-whole `verify_derivatives` per model at 10 samples, the size of the
-verify workload's pass. Rows whose function a tree lacks are left out.
+sample, so the table goes on with the state record each sample is
+drawn as (`_membrane_state`, `_bending_state`) and two whole samples, each
+evaluated from records drawn in advance from one default_rng(SEED) as
+verify draws them: a bending sample (`_bending_sample`) and a
+metric-model sample (`_membrane_sample` with GGA). A sample returns its
+checks' operands, and verify forms every check's errors once per block of
+samples; the next rows time that error pass (`_membrane_errors` on metric
+samples, `_bending_errors`) on blocks of 10 and of `_VERIFY_BLOCK`
+samples, per block. The table ends with one whole `verify_derivatives`
+per model at 10 samples, the size of the verify workload's pass.
 
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
+Its sample rows need a tree whose verify samples take a state record.
 """
 
 from __future__ import annotations
@@ -157,32 +158,32 @@ def verify_jobs(states):
         out.append((name, "call", partials_sym,
                     [(f, cc, STRESS_STEP) for cc in comps]))
         out.append((name, "callback", f, points))
-    for name in ("_membrane_state", "_bending_state"):
-        draws = getattr(sc, name, None)
-        if draws is not None:
-            out.append((name, "call", draws,
-                        [(np.random.default_rng(SEED),)] * len(states)))
-    bend_rng, metric_rng = (np.random.default_rng(SEED) for _ in range(2))
+    out += [(draws.__name__, "call", draws,
+             [(np.random.default_rng(SEED),)] * len(states))
+            for draws in (sc._membrane_state, sc._bending_state)]
+    # verify's streams of state records, enough for the states and a block
+    block = sc._VERIFY_BLOCK
+    size = max(block, len(states))
+    rng = np.random.default_rng(SEED)
+    bend_states = [sc._bending_state(rng) for _ in range(size)]
+    rng = np.random.default_rng(SEED)
+    metric_states = [sc._membrane_state(rng) for _ in range(size)]
     out += [("_bending_sample", "call", sc._bending_sample,
-             [(bend_rng,)] * len(states)),
+             [(st,) for st in bend_states[:len(states)]]),
             ("_membrane_sample metric", "call", sc._membrane_sample,
-             [("metric", mm.GGA, metric_rng)] * len(states))]
-    block = getattr(sc, "_VERIFY_BLOCK", None)
-    if block is not None:
-        # a block's worth of each sample's operands, from verify's stream
-        rng = np.random.default_rng(SEED)
-        metric = [sc._membrane_sample("metric", mm.GGA, rng)[0]
-                  for _ in range(block)]
-        rng = np.random.default_rng(SEED)
-        bending = [sc._bending_sample(rng)[0] for _ in range(block)]
-        checks = sc.VERIFY_TOLERANCES["metric"]
-        # a whole block takes about 1 ms, so it is timed on fewer calls
-        calls = max(1, len(states) // 16)
-        for rows, n in ((10, len(states)), (block, calls)):
-            out += [(f"_membrane_errors metric {rows}", "call",
-                     sc._membrane_errors, [(metric[:rows], checks)] * n),
-                    (f"_bending_errors {rows}", "call", sc._bending_errors,
-                     [(bending[:rows],)] * n)]
+             [("metric", mm.GGA, st) for st in metric_states[:len(states)]])]
+    # a block's worth of each sample's operands
+    metric = [sc._membrane_sample("metric", mm.GGA, st)
+              for st in metric_states[:block]]
+    bending = [sc._bending_sample(st) for st in bend_states[:block]]
+    checks = sc.VERIFY_TOLERANCES["metric"]
+    # a whole block takes about 1 ms, so it is timed on fewer calls
+    calls = max(1, len(states) // 16)
+    for rows, n in ((10, len(states)), (block, calls)):
+        out += [(f"_membrane_errors metric {rows}", "call",
+                 sc._membrane_errors, [(metric[:rows], checks)] * n),
+                (f"_bending_errors {rows}", "call", sc._bending_errors,
+                 [(bending[:rows], sc.VERIFY_TOLERANCES["bending"])] * n)]
     out += [(f"verify_derivatives {model} 10", "call", sc.verify_derivatives,
              [(model, None, 10, SEED)] * max(1, len(states) // 32))
             for model in sc.VERIFY_TOLERANCES]

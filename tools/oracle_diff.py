@@ -35,12 +35,9 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   curvature triples, the geometry_from_metrics record without its four
   embedding fields (tangent vectors, gamma and n: None since the metrics
   determine no embedding, a made-up planar one before), canham_energy,
-  bending_stress_moment and bending_tangents. Each tree is handed the
-  input form its geometry_from_metrics takes (SurfTensor2 triples, or
-  symmetric 2x2 arrays before the bending layer held triples), and every
-  symmetric field, the six of a record and the stress and moment, is
-  dumped as its (11, 22, 12) components, so the two forms compare bit by
-  bit;
+  bending_stress_moment and bending_tangents. The metrics go in as
+  SurfTensor2 triples, and every symmetric field, the six of a record and
+  the stress and moment, is dumped as its (11, 22, 12) components;
 * one verify group: every check's max, mean, worst_sample and worst_state
   from verify_derivatives on the metric, log and bending models,
   VERIFY_SAMPLES samples each over seeds VERIFY_SEEDS, and
@@ -104,42 +101,21 @@ def _spd(rng, lo, hi):
             (e1 - e2) * s * c)
 
 
-_SYMMETRIC = ("A_cov", "A_contra", "a_cov", "a_contra", "b_cov", "b_contra")
 _EMBEDDING = ("A_alpha", "a_alpha", "gamma", "n")
 
 
-def _triple(m):
-    """A symmetric field's (11, 22, 12) components: a triple as it is, a
-    2x2 array through its upper triangle."""
-    return (m[0, 0], m[1, 1], m[0, 1]) if np.shape(m) == (2, 2) else m
-
-
 def _record(g, embedded=True) -> list:
-    """A geometry record's fields, each symmetric one as its triple; a
-    record that is not embedded, from geometry_from_metrics, without its
+    """A geometry record's fields, each symmetric one a triple; a record
+    that is not embedded, from geometry_from_metrics, without its
     _EMBEDDING fields."""
-    return [_triple(v) if name in _SYMMETRIC else v
-            for name, v in zip(g._fields, g)
+    return [v for name, v in zip(g._fields, g)
             if embedded or name not in _EMBEDDING]
-
-
-def _metric_form(bg, SurfTensor2):
-    """(c11, c22, c12) -> the input form geometry_from_metrics takes on this
-    tree: a SurfTensor2, or a symmetric 2x2 array, the form before the
-    bending layer held triples."""
-    unit = SurfTensor2(1.0, 1.0, 0.0)
-    try:
-        bg.geometry_from_metrics(unit, unit, unit)
-    except (TypeError, ValueError):
-        return lambda c11, c22, c12: np.array([[c11, c12], [c12, c22]])
-    return SurfTensor2
 
 
 def _bending_values(bg, SurfTensor2, rng, c_bend) -> list:
     """Seeded outputs of the bending layer at bending stiffness c_bend, as
     arrays in a fixed order."""
     out = []
-    form = _metric_form(bg, SurfTensor2)
 
     def surfaces():
         return (bg.flat_patch(rng.uniform(-1, 1, 3) + (1.0, 0.0, 0.0),
@@ -155,11 +131,12 @@ def _bending_values(bg, SurfTensor2, rng, c_bend) -> list:
                 out.extend(_record(bg.evaluate_geometry(surf, xi, reference)))
     for _ in range(N_BENDING):
         g = bg.geometry_from_metrics(
-            form(*_spd(rng, 0.8, 1.3)), form(*_spd(rng, 0.7, 1.6)),
-            form(*rng.uniform(-0.5, 0.5, 3).tolist()))
+            SurfTensor2(*_spd(rng, 0.8, 1.3)),
+            SurfTensor2(*_spd(rng, 0.7, 1.6)),
+            SurfTensor2(*rng.uniform(-0.5, 0.5, 3).tolist()))
         out.extend(_record(g, embedded=False))
         out.append(bg.canham_energy(g, c_bend))
-        out.extend(map(_triple, bg.bending_stress_moment(g, c_bend)))
+        out.extend(bg.bending_stress_moment(g, c_bend))
         out.extend(bg.bending_tangents(g, c_bend))
     return out
 
