@@ -17,9 +17,7 @@ from .surface_tensors import (
 )
 from .lattice import ZIGZAG_OFFSET, LatticeFrame, make_frame, structural_contraction
 from .invariants import (
-    ApproxConstants,
     CurvatureInvariants,
-    DEFAULT_APPROX,
     FITTED_STRETCH_RATIO,
     InvariantState,
     LogInvariantState,

@@ -35,23 +35,12 @@ class LogInvariantState(NamedTuple):
     J3E: float
 
 
-@dataclass(frozen=True, slots=True)
-class ApproxConstants:
-    """Constants of the polynomial shear/anisotropy approximation.
-
-    e1 = 1/4 and g1 = 1/8 are the exact small-strain coefficients; e2 and
-    g2 are a relative least-squares fit over principal stretch ratios
-    lambda1/lambda2 in [1, 1.3]. Outside that range the surrogates, and
-    the metric model built on them, are extrapolations.
-    """
-
-    e1: float = 0.25
-    e2: float = 0.0811
-    g1: float = 0.125
-    g2: float = 0.06057
-
-
-DEFAULT_APPROX = ApproxConstants()
+# Constants of the polynomial shear/anisotropy surrogates f1, f2. E1 = 1/4
+# and G1 = 1/8 are the exact small-strain coefficients; E2 and G2 are a
+# relative least-squares fit over principal stretch ratios lambda1/lambda2
+# in [1, FITTED_STRETCH_RATIO]. Outside that range the surrogates, and the
+# metric model built on them, are extrapolations.
+E1, E2, G1, G2 = 0.25, 0.0811, 0.125, 0.06057
 
 # Largest principal stretch ratio lambda1/lambda2 of the fit above.
 FITTED_STRETCH_RATIO = 1.3
@@ -146,11 +135,10 @@ def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantSta
 
 def approx_log_invariants(inv: InvariantState) -> tuple:
     """Polynomial surrogates f1 = e1 J2 - e2 J2^2 and f2 = J3 (g1 - g2 J2)
-    for the exact log invariants J2E, J3E, with the DEFAULT_APPROX
-    constants the metric model uses."""
-    k = DEFAULT_APPROX
-    f1 = k.e1 * inv.J2 - k.e2 * inv.J2 * inv.J2
-    f2 = inv.J3 * (k.g1 - k.g2 * inv.J2)
+    for the exact log invariants J2E, J3E, with the module constants E1,
+    E2, G1, G2 the metric model uses."""
+    f1 = E1 * inv.J2 - E2 * inv.J2 * inv.J2
+    f2 = inv.J3 * (G1 - G2 * inv.J2)
     return f1, f2
 
 

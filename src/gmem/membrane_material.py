@@ -29,10 +29,7 @@ from .surface_tensors import (
     tensor_product,
 )
 
-_E1 = _inv.DEFAULT_APPROX.e1
-_E2 = _inv.DEFAULT_APPROX.e2
-_G1 = _inv.DEFAULT_APPROX.g1
-_G2 = _inv.DEFAULT_APPROX.g2
+_E1, _E2, _G1, _G2 = _inv.E1, _inv.E2, _inv.G1, _inv.G2
 
 
 @dataclass(frozen=True, slots=True)

@@ -151,7 +151,7 @@ def compare_models(protocol: DeformationProtocol, params: mm.MaterialParams,
 
     Agreement between the metric and log models is claimed only inside
     the surrogate's fitted range, principal stretch ratios up to 1.3 (see
-    ApproxConstants); sweeps beyond it measure extrapolation error."""
+    FITTED_STRETCH_RATIO); sweeps beyond it measure extrapolation error."""
     met = run_curve(protocol, "metric", params, frame)
     ref = run_curve(protocol, "log", params, frame)
     met_cols = list(zip(*met))[1:4]
@@ -318,10 +318,10 @@ def _bending_sample(state):
     return fd_wa, fd_wb, an, fd_a, fd_b, tg
 
 
-def _bending_errors(ops, checks):
+def _bending_errors(ops):
     """The errors of each bending check over a block of samples' operands,
     one per sample; tangent_fd has four per sample, one per tangent block
-    c, d, e, f in that order; every check runs, whatever checks holds."""
+    c, d, e, f in that order."""
     fd_wa, fd_wb, an, fd_a, fd_b, tg = map(np.array, zip(*ops))
     n = len(tg)
     fd_a = 2.0 * fd_a
@@ -395,7 +395,7 @@ def verify_derivatives(model: str, params: Optional[mm.MaterialParams] = None,
         size = min(_VERIFY_BLOCK, n_samples - start)
         if model == "bending":
             block = [_bending_state(rng) for _ in range(size)]
-            rows = _bending_errors(list(map(_bending_sample, block)), checks)
+            rows = _bending_errors(list(map(_bending_sample, block)))
         else:
             block = [_membrane_state(rng) for _ in range(size)]
             rows = _membrane_errors([_membrane_sample(model, p, st)

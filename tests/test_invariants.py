@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from gmem import invariants as iv
 from gmem import membrane_material as mm
 from gmem.invariants import (
-    DEFAULT_APPROX,
+    E1,
+    E2,
+    G1,
+    G2,
     InvariantState,
     approx_log_invariants,
     invariants_C,
@@ -54,10 +57,7 @@ def invariants_C_eigen(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
 
 
 def test_fitted_constants():
-    assert DEFAULT_APPROX.e1 == 0.25
-    assert DEFAULT_APPROX.e2 == 0.0811
-    assert DEFAULT_APPROX.g1 == 0.125
-    assert DEFAULT_APPROX.g2 == 0.06057
+    assert (E1, E2, G1, G2) == (0.25, 0.0811, 0.125, 0.06057)
 
 
 def test_worked_example_diag_4_1():
@@ -235,6 +235,26 @@ def test_energy_log_matches_energy_of_invariants_log_exact():
         for p in (mm.GGA, mm.LDA):
             if mm.energy_log(c, fr, p) != log_energy(*ex, p):
                 differ.append((i, p.name))
+    assert differ == []
+
+
+def test_energy_metric_uses_the_surrogates_of_approx_log_invariants():
+    """On C = (a, 1/a, 0) with a a power of two, det C is exactly 1, so
+    ln J = 0 and energy_metric reduces to 2 (mu0 - mu1) f1 + eta0 f2; it
+    equals that formula on approx_log_invariants's f1, f2 bitwise, over
+    seeded lattice angles, GGA and LDA: the kernel and the report use the
+    same surrogate constants."""
+    rng = random.Random(4040)
+    differ = []
+    for k in range(-3, 4):
+        c = SurfTensor2(2.0 ** k, 2.0 ** -k, 0.0)
+        for _ in range(40):
+            fr = make_frame(rng.uniform(0.0, 2.0 * math.pi))
+            f1, f2 = approx_log_invariants(invariants_C(c, fr))
+            for p in (mm.GGA, mm.LDA):
+                w = 2.0 * (p.mu0 - p.mu1) * f1 + p.eta0 * f2
+                if mm.energy_metric(c, fr, p) != w:
+                    differ.append((k, fr.theta_lattice, p.name))
     assert differ == []
 
 

@@ -657,7 +657,7 @@ def test_verify_worst_state_reproduces_its_sample(model):
                 for record in (state, json.loads(json.dumps(state))):
                     if model == "bending":
                         errs = sc._bending_errors(
-                            [sc._bending_sample(record)], checks)
+                            [sc._bending_sample(record)])
                     else:
                         errs = sc._membrane_errors(
                             [sc._membrane_sample(model, mm.GGA, record)],

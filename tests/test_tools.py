@@ -74,8 +74,7 @@ def test_every_job_table_runs_once():
     for model in ("metric", "log"):
         for kind, parts in MEMBRANE_PARTS.items():
             assert set(split[f"{kind}_{model}"]) == parts
-    bstates = cs.bending_states(cs.SEED)[:N_STATES]
-    per_call = cs.split(cs.call_jobs(states, bstates, oplus)
+    per_call = cs.split(cs.call_jobs(states, oplus)
                         + cs.verify_jobs(states), 1)
     assert list(per_call) == VERIFY_ROWS
     assert all(t > 0.0 for table in (split, per_call)
@@ -83,15 +82,21 @@ def test_every_job_table_runs_once():
 
 
 def test_sample_rows_take_verify_state_records():
-    """call_split times each verify sample on the state records that
-    verify draws from default_rng(SEED), in its order."""
+    """call_split times each verify sample, and the bending calls, on the
+    state records that verify draws from default_rng(SEED), in its order."""
     states = cp.records(gmem, cp.raw_states(cp.SEED)[:N_STATES])
-    args = {row: a for row, _part, _fn, a in cs.verify_jobs(states)}
+    oplus = cp.side_jobs(gmem, states)["tangent_metric_oplus"]
+    args = {row: a for row, _part, _fn, a
+            in cs.call_jobs(states, oplus) + cs.verify_jobs(states)}
+    drawn = {}
     for row, draw in (("_membrane_sample metric", sc._membrane_state),
                       ("_bending_sample", sc._bending_state)):
         rng = np.random.default_rng(cs.SEED)
-        assert [a[-1] for a in args[row]] == [draw(rng)
-                                               for _ in range(N_STATES)]
+        drawn[row] = [draw(rng) for _ in range(N_STATES)]
+        assert [a[-1] for a in args[row]] == drawn[row]
+    assert args["geometry_from_metrics"] == [
+        tuple(SurfTensor2(*st[k]) for k in ("a_ref", "a_cur", "b_cur"))
+        for st in drawn["_bending_sample"]]
 
 
 def test_sign_threshold_at_31_rounds():
@@ -205,7 +210,7 @@ def test_surrogate_refit_reproduces_the_stated_fit():
     e2, g2 = fs.refit(table)
     assert (f"{e2:.4g}", f"{g2:.4g}") == ("0.08115", "0.06061")
     refit = fs.errors(table, e2, g2)
-    shipped = fs.errors(table, gmem.DEFAULT_APPROX.e2, gmem.DEFAULT_APPROX.g2)
+    shipped = fs.errors(table, gmem.invariants.E2, gmem.invariants.G2)
     assert refit["f1_rms"] < shipped["f1_rms"]
     assert refit["f2_rms"] < shipped["f2_rms"]
     scan = sc.invariant_approximation_errors(np.linspace(1.0, 1.3, 601))

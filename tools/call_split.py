@@ -25,9 +25,8 @@ head (`_eigen_head`) the log core shares.
 A second table times, the same way, the bending calls and the pair
 products on the single-state path of `gmem verify`:
 geometry_from_metrics, canham_energy, bending_stress_moment and
-bending_tangents on STATES seeded bending states drawn like verify's
-(reference metric eigenvalues in [0.8, 1.3], current in [0.7, 1.6],
-curvature components in [-0.5, 0.5]), then tensor_product,
+bending_tangents on the first STATES bending state records that verify
+draws from default_rng(SEED), as SurfTensor2 triples, then tensor_product,
 oplus_product, boxtimes_product and tangent_metric_oplus on the membrane
 states above (each product on a state's C and the next state's C). Its
 last rows are the verification layer's own costs, first the stencil
@@ -48,7 +47,8 @@ samples, per block. The table ends with one whole `verify_derivatives`
 per model at 10 samples, the size of the verify workload's pass.
 
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
-Its sample rows need a tree whose verify samples take a state record.
+Its bending and sample rows need a tree whose verify samples take a state
+record.
 """
 
 from __future__ import annotations
@@ -66,22 +66,16 @@ from gmem.numdiff import STRESS_STEP, partials_sym
 from gmem.surface_tensors import (SurfTensor2, boxtimes_product,
                                   oplus_product, tangent_from_pairs,
                                   tensor_product)
-from oracle_diff import _spd
 
 REPEAT = 25
 ORDER = {"energy": 0, "stress": 1, "tangent": 2, "stress_tangent": 2}
 
 
-def bending_states(seed: int):
-    """(A_ref, a_cur, b_cur) SurfTensor2 triples like verify's bending
-    samples."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(STATES):
-        b = SurfTensor2(*rng.uniform(-0.5, 0.5, size=3).tolist())
-        out.append((SurfTensor2(*_spd(rng, 0.8, 1.3)),
-                    SurfTensor2(*_spd(rng, 0.7, 1.6)), b))
-    return out
+def verify_records(draw, size):
+    """The first size state records verify draws with draw, from
+    default_rng(SEED)."""
+    rng = np.random.default_rng(SEED)
+    return [draw(rng) for _ in range(size)]
 
 
 def jobs(calls):
@@ -106,9 +100,13 @@ def jobs(calls):
     return out
 
 
-def call_jobs(states, bstates, oplus):
+def call_jobs(states, oplus):
     """(call, "call", fn, argument tuples) for every row of the per-call
-    table; oplus is tangent_metric_oplus's (fn, argument tuples)."""
+    table; oplus is tangent_metric_oplus's (fn, argument tuples). The
+    bending rows take as many of verify's bending state records as there
+    are states."""
+    bstates = [tuple(SurfTensor2(*st[k]) for k in ("a_ref", "a_cur", "b_cur"))
+               for st in verify_records(sc._bending_state, len(states))]
     bend_args = [(bg.geometry_from_metrics(*m), sc.DEFAULT_BEND_STIFFNESS)
                  for m in bstates]
     cs = [c for c, _f in states]
@@ -164,10 +162,8 @@ def verify_jobs(states):
     # verify's streams of state records, enough for the states and a block
     block = sc._VERIFY_BLOCK
     size = max(block, len(states))
-    rng = np.random.default_rng(SEED)
-    bend_states = [sc._bending_state(rng) for _ in range(size)]
-    rng = np.random.default_rng(SEED)
-    metric_states = [sc._membrane_state(rng) for _ in range(size)]
+    bend_states = verify_records(sc._bending_state, size)
+    metric_states = verify_records(sc._membrane_state, size)
     out += [("_bending_sample", "call", sc._bending_sample,
              [(st,) for st in bend_states[:len(states)]]),
             ("_membrane_sample metric", "call", sc._membrane_sample,
@@ -183,7 +179,7 @@ def verify_jobs(states):
         out += [(f"_membrane_errors metric {rows}", "call",
                  sc._membrane_errors, [(metric[:rows], checks)] * n),
                 (f"_bending_errors {rows}", "call", sc._bending_errors,
-                 [(bending[:rows], sc.VERIFY_TOLERANCES["bending"])] * n)]
+                 [(bending[:rows],)] * n)]
     out += [(f"verify_derivatives {model} 10", "call", sc.verify_derivatives,
              [(model, None, 10, SEED)] * max(1, len(states) // 32))
             for model in sc.VERIFY_TOLERANCES]
@@ -217,9 +213,7 @@ def main() -> int:
                  if "core" in parts else f"{'-':>9}")
         print(f"{name:24}{cells}{share}")
     print()
-    bstates = bending_states(SEED)
-    per_call = split(call_jobs(states, bstates, oplus)
-                     + verify_jobs(states), REPEAT)
+    per_call = split(call_jobs(states, oplus) + verify_jobs(states), REPEAT)
     print(f"{'verify-path call':30}{'us/call':>9}")
     for name, parts in per_call.items():
         if "callback" in parts:  # the stencil's overhead over its callbacks

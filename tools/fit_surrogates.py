@@ -1,5 +1,5 @@
-"""Refit of the surrogate constants e2 and g2 from the fit ApproxConstants
-states, and the errors of the refit and the shipped sets.
+"""Refit of the surrogate constants E2 and G2 of gmem.invariants over the
+states of their fit, and the errors of the refit and the shipped sets.
 
     PYTHONPATH=src python3 tools/fit_surrogates.py
 
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from gmem.invariants import (DEFAULT_APPROX, FITTED_STRETCH_RATIO,
+from gmem.invariants import (E1, E2, FITTED_STRETCH_RATIO, G1, G2,
                              invariants_C, invariants_log_exact)
 from gmem.lattice import make_frame
 from gmem.surface_tensors import SurfTensor2
@@ -45,20 +45,18 @@ def refit(table: np.ndarray) -> tuple:
     """(e2, g2) minimising the summed squared relative residuals of f1 and
     f2, with e1 and g1 kept."""
     J2, J3, J2E, J3E = table.T
-    k = DEFAULT_APPROX
     # residual = a - x b, so x = (a . b) / (b . b)
-    a1, b1 = (k.e1 * J2 - J2E) / J2E, J2 * J2 / J2E
-    a2, b2 = (k.g1 * J3 - J3E) / J3E, J3 * J2 / J3E
+    a1, b1 = (E1 * J2 - J2E) / J2E, J2 * J2 / J2E
+    a2, b2 = (G1 * J3 - J3E) / J3E, J3 * J2 / J3E
     return float(a1 @ b1 / (b1 @ b1)), float(a2 @ b2 / (b2 @ b2))
 
 
 def errors(table: np.ndarray, e2: float, g2: float) -> dict:
     """Largest and RMS relative errors of f1 and f2, in percent."""
     J2, J3, J2E, J3E = table.T
-    k = DEFAULT_APPROX
     out = {}
-    for name, rel in (("f1", (k.e1 * J2 - e2 * J2 * J2 - J2E) / J2E),
-                      ("f2", (J3 * (k.g1 - g2 * J2) - J3E) / J3E)):
+    for name, rel in (("f1", (E1 * J2 - e2 * J2 * J2 - J2E) / J2E),
+                      ("f2", (J3 * (G1 - g2 * J2) - J3E) / J3E)):
         out[f"{name}_max"] = 100.0 * float(np.max(np.abs(rel)))
         out[f"{name}_rms"] = 100.0 * math.sqrt(float(np.mean(rel * rel)))
     return out
@@ -67,7 +65,7 @@ def errors(table: np.ndarray, e2: float, g2: float) -> dict:
 def main() -> int:
     table = invariant_table()
     sets = {"refit": refit(table),
-            "shipped": (DEFAULT_APPROX.e2, DEFAULT_APPROX.g2)}
+            "shipped": (E2, G2)}
     print(f"{len(table)} ratios in (1, {FITTED_STRETCH_RATIO}], armchair "
           f"axis; errors in percent")
     print(f"{'set':8}{'e2':>10}{'g2':>10}{'f1 max':>11}{'f2 max':>11}"
