@@ -64,8 +64,7 @@ def errors(table: np.ndarray, e2: float, g2: float) -> dict:
 
 def main() -> int:
     table = invariant_table()
-    sets = {"refit": refit(table),
-            "shipped": (E2, G2)}
+    sets = {"refit": refit(table), "shipped": (E2, G2)}
     print(f"{len(table)} ratios in (1, {FITTED_STRETCH_RATIO}], armchair "
           f"axis; errors in percent")
     print(f"{'set':8}{'e2':>10}{'g2':>10}{'f1 max':>11}{'f2 max':>11}"
