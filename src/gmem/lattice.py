@@ -30,8 +30,11 @@ def make_frame(theta_lattice: float = 0.0) -> LatticeFrame:
 
     Componentwise M + iN picks up exp(-2i theta) under rotation, so
     M = [[cos 2t, sin 2t], [sin 2t, -cos 2t]] and
-    N = [[-sin 2t, cos 2t], [cos 2t, sin 2t]].
+    N = [[-sin 2t, cos 2t], [cos 2t, sin 2t]]. Raises ValueError unless
+    theta_lattice is finite.
     """
+    if not math.isfinite(theta_lattice):
+        raise ValueError(f"theta_lattice must be finite, got {theta_lattice!r}")
     c2 = math.cos(2.0 * theta_lattice)
     s2 = math.sin(2.0 * theta_lattice)
     m_hat = SurfTensor2(c2, -c2, s2)

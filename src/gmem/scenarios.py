@@ -64,6 +64,9 @@ class DeformationProtocol:
                              f"choose from {PROTOCOL_KINDS}")
         if not 1 <= self.steps <= MAX_STEPS:
             raise ValueError(f"steps must be in [1, {MAX_STEPS}]")
+        if not math.isfinite(self.direction_angle):
+            raise ValueError("direction_angle must be finite, got "
+                             f"{self.direction_angle!r}")
         lo, hi = STRETCH_RANGE
         for v in (self.start, self.end):
             if not lo <= v <= hi:

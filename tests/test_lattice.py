@@ -23,6 +23,13 @@ def test_aligned_frame_components():
     assert (fr.n_hat.c11, fr.n_hat.c22, fr.n_hat.c12) == (0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_is_rejected(theta):
+    with pytest.raises(ValueError,
+                       match=f"theta_lattice must be finite, got {theta!r}"):
+        make_frame(theta)
+
+
 def test_quarter_turn_flips_m():
     fr = make_frame(math.pi / 2.0)
     assert fr.m_hat.c11 == pytest.approx(-1.0)

@@ -45,6 +45,13 @@ def test_protocol_validation():
         sc.DeformationProtocol("dilatation", 0.0, 1.0, 1.2, sc.MAX_STEPS + 1)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_protocol_rejects_a_non_finite_direction(angle):
+    with pytest.raises(ValueError,
+                       match=f"direction_angle must be finite, got {angle!r}"):
+        sc.DeformationProtocol("uniaxial-constrained", angle, 1.0, 1.1, 3)
+
+
 def test_protocol_values_and_states():
     p = sc.DeformationProtocol("dilatation", 0.0, 1.0, 1.21, 3)
     np.testing.assert_allclose(p.values(), [1.0, 1.105, 1.21])
@@ -481,19 +488,17 @@ def partials_sym_loop(f, comps, rel_step):
 
 
 def test_partials_sym_matches_loop_form_bitwise():
-    """Both forms of partials_sym, float results and the array form, against
-    the loop: a float, a SurfTensor2 and a flat 6-tuple of floats take the
-    float form; an ndarray, an np.float64, a nested tuple and a tuple of
-    ints the array form."""
+    """partials_sym against the loop, on every result it takes: a float and
+    an np.float64, and the flat sequences a SurfTensor2, a 6-tuple of
+    floats, a list, a 1-D array and a tuple of ints, each differenced in
+    float arithmetic; and a NaN at one point."""
     rng = np.random.default_rng(11)
-    w = rng.normal(size=(2, 3, 3))
     callbacks = (lambda x, y, z: math.exp(x) * y - z * z,
                  lambda x, y, z: np.array([x * y, y / z, math.sin(z)]),
-                 lambda x, y, z: np.tanh(w * (x - y * z)),
                  lambda x, y, z: SurfTensor2(x * y, y / z, math.sin(z)),
                  lambda x, y, z: (x, y * z, math.exp(z), -x, x * x, 0.0),
                  lambda x, y, z: np.float64(x * y) - z,
-                 lambda x, y, z: ((x, y), (z, x * z)),
+                 lambda x, y, z: [x - z, math.cos(y), x * y * z],
                  lambda x, y, z: (round(1e7 * x), 3, round(1e7 * y * z)),
                  # NaN at the +h point of the second component only
                  lambda x, y, z: math.nan if y > comps[1] else x * y - z)
@@ -505,6 +510,27 @@ def test_partials_sym_matches_loop_form_bitwise():
                 want = partials_sym_loop(f, comps, step)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("result", [
+    lambda x, y, z: ((x, y), (z, x * z)),
+    lambda x, y, z: np.full((2, 3), x * y),
+    lambda x, y, z: np.array(x - z),
+    lambda x, y, z: round(x),
+    lambda x, y, z: np.float32(x),
+], ids=["nested-tuple", "2-d-array", "0-d-array", "int", "float32"])
+def test_partials_sym_rejects_a_result_it_cannot_flatten(result):
+    """A result that is not a float or a flat sequence of numbers raises
+    TypeError with the one message, after the six evaluations."""
+    calls = []
+
+    def f(*pt):
+        calls.append(pt)
+        return result(*pt)
+
+    with pytest.raises(TypeError, match="returns a float or a flat sequence"):
+        partials_sym(f, (1.5, 0.5, 0.25), STRESS_STEP)
+    assert len(calls) == 6
 
 
 def test_partials_sym_evaluates_in_its_documented_order():

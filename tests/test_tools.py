@@ -1,9 +1,9 @@
 """The per-call measurement tools (tools/call_pairs.py, tools/call_split.py):
 every job table they time, built on a few states and called once, so that a
 change to a private contract they reach fails here rather than in a tool
-run; the bitwise verdict and the cli runs of tools/oracle_diff.py; the gain
-verdict of tools/bench_pairs.py; and the surrogate refit of
-tools/fit_surrogates.py."""
+run; the bitwise verdict, the stencil group and the cli runs of
+tools/oracle_diff.py; the gain verdict of tools/bench_pairs.py; and the
+surrogate refit of tools/fit_surrogates.py."""
 
 import math
 import operator
@@ -23,6 +23,9 @@ import oracle_diff as od  # noqa: E402
 import gmem  # noqa: E402
 from gmem import bending_geometry as bg  # noqa: E402
 from gmem import cli  # noqa: E402
+from gmem import lattice as la  # noqa: E402
+from gmem import membrane_material as mm  # noqa: E402
+from gmem import numdiff  # noqa: E402
 from gmem import scenarios as sc  # noqa: E402
 from gmem.surface_tensors import SurfTensor2  # noqa: E402
 
@@ -122,6 +125,17 @@ def test_oracle_verdict_is_bitwise():
     assert not od.compare({"g": a}, {"g": a, "h": a})
     assert not od.compare({"g": a, "h": a}, {"g": a})
     assert not od.compare({"g": a}, {"g": a.reshape(2, 1)})
+
+
+def test_oracle_stencil_group_takes_each_form():
+    """The partials_sym group differences, at both steps, a float, a
+    SurfTensor2, an np.float64, a list and a 1-D array."""
+    states = od.raw_states(od.SEED, 1)
+    values = od._stencil_values(mm, la, numdiff, SurfTensor2, states,
+                                [mm.GGA])
+    assert [v.shape for v in values] == [(3,), (3, 3), (3,), (3, 3),
+                                         (3, 3)] * 2
+    assert values[3].tobytes() == values[4].tobytes()
 
 
 def test_oracle_verify_group_crosses_a_block_seam():

@@ -38,6 +38,11 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   bending_stress_moment and bending_tangents. The metrics go in as
   SurfTensor2 triples, and every symmetric field, the six of a record and
   the stress and moment, is dumped as its (11, 22, 12) components;
+* one partials_sym group: numdiff.partials_sym at STRESS_STEP and at
+  TANGENT_STEP on the first N_STENCIL states, with one callback per form
+  of result it takes: energy_metric (a float), stress_log's S (a
+  SurfTensor2), energy_log as an np.float64, stress_metric's S as a list
+  and as a 1-D array;
 * one verify group: every check's max, mean, worst_sample and worst_state
   from verify_derivatives on the metric, log and bending models,
   VERIFY_SAMPLES samples each over seeds VERIFY_SEEDS, and
@@ -77,6 +82,7 @@ N_STATES = 2000
 SEED = 20240
 N_BENDING = 100  # points per surface kind, and metric triples
 N_SPECTRAL = 100  # indefinite tensors, and coincident eigenvalues
+N_STENCIL = 100  # states differenced by the partials_sym group
 VERIFY_SEEDS = range(8)
 VERIFY_SAMPLES = 5
 # one block of verify's 256 samples (scenarios._VERIFY_BLOCK) and three
@@ -156,6 +162,23 @@ def _spectral_extras(rng):
     return out + [(0.0, 0.0, 0.0), (0.0, 0.0, -0.0)]
 
 
+def _stencil_values(mm, la, numdiff, SurfTensor2, states, params) -> list:
+    """partials_sym at both steps on each (triple, theta) state, with one
+    callback per form of result, as arrays in a fixed order."""
+    out = []
+    for (triple, theta), p in zip(states, params):
+        fr = la.make_frame(theta)
+        callbacks = (
+            lambda *t: mm.energy_metric(SurfTensor2(*t), fr, p),
+            lambda *t: mm.stress_log(SurfTensor2(*t), fr, p).S,
+            lambda *t: np.float64(mm.energy_log(SurfTensor2(*t), fr, p)),
+            lambda *t: list(mm.stress_metric(SurfTensor2(*t), fr, p).S),
+            lambda *t: np.array(mm.stress_metric(SurfTensor2(*t), fr, p).S))
+        for step in (numdiff.STRESS_STEP, numdiff.TANGENT_STEP):
+            out += [numdiff.partials_sym(f, triple, step) for f in callbacks]
+    return out
+
+
 def _cli_values(cli) -> list:
     """Per CLI_RUNS entry: the exit code, then the stdout and --out file
     bytes, as arrays."""
@@ -184,6 +207,7 @@ def dump(tree: Path, out: Path) -> None:
     from gmem import invariants as iv
     from gmem import lattice as la
     from gmem import membrane_material as mm
+    from gmem import numdiff
     from gmem import scenarios as sc
     from gmem.surface_tensors import SurfTensor2, spectral
 
@@ -247,6 +271,10 @@ def dump(tree: Path, out: Path) -> None:
     for values in _bending_values(bg, SurfTensor2, np.random.default_rng(SEED),
                                   sc.DEFAULT_BEND_STIFFNESS):
         add("bending", values)
+    for values in _stencil_values(
+            mm, la, numdiff, SurfTensor2, states[:N_STENCIL],
+            map(mm.material_preset, itertools.cycle(mm.PARAM_SETS))):
+        add("partials_sym", values)
     verify_runs = [(seed, VERIFY_SAMPLES) for seed in VERIFY_SEEDS]
     verify_runs.append((VERIFY_SEEDS[0], VERIFY_SEAM_SAMPLES))
     for model in sc.VERIFY_TOLERANCES:
