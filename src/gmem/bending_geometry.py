@@ -87,6 +87,8 @@ def cylinder_surface(radius: float) -> AnalyticSurface:
     makes both principal curvatures non-negative: k = (1/R, 0).
     """
     R = float(radius)
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {R}")
 
     def pos(u, v):
         return np.array([R * math.cos(u / R), -R * math.sin(u / R), v])
@@ -107,6 +109,8 @@ def sphere_surface(radius: float) -> AnalyticSurface:
     """Sphere of radius R with (u, v) = (azimuth, polar angle), ordered so
     the normal points inward and k = (1/R, 1/R). Poles are singular."""
     R = float(radius)
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {R}")
 
     def pos(u, v):
         return np.array([R * math.sin(v) * math.cos(u),

@@ -38,10 +38,6 @@ class UsageError(Exception):
     pass
 
 
-class NonFiniteResult(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with its errors raised as UsageError, which run prints as
     one line; add_subparsers gives every subcommand parser this class."""
@@ -102,9 +98,8 @@ def _json_text(payload: dict) -> str:
         # every payload is a tree the command builds, so no cycle to check
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
                           check_circular=False)
-    except ValueError as e:
-        raise NonFiniteResult(f"{payload['command']} result is not finite: "
-                              f"{e}") from None
+    except ValueError as e:  # run's handler names the command
+        raise ArithmeticError(str(e)) from None
     return text + "\n"
 
 
@@ -219,8 +214,8 @@ def cmd_contact(args) -> int:
     psi0, tr0 = sc.contact_potential(cp.h0, cp)
     rx = sc.traction_extremum(cp)
     if not all(map(math.isfinite, (psi0, tr0, rx))):
-        raise NonFiniteResult(f"contact result is not finite at h0: psi "
-                              f"{psi0}, traction {tr0}, extremum {rx}")
+        raise ArithmeticError(f"psi {psi0}, traction {tr0}, extremum {rx} "
+                              f"at h0 = {cp.h0} nm")
     if args.out:
         sc.write_contact_csv(args.out, radii, cp)
     sys.stdout.write(
@@ -347,9 +342,6 @@ def run(argv=None) -> int:
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
-    except NonFiniteResult as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_TOLERANCE
     except ArithmeticError as e:
         sys.stderr.write(f"error: {args.command} result is not finite: {e}\n")
         return EXIT_TOLERANCE

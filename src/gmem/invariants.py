@@ -9,7 +9,6 @@ membrane model. A nine-scalar extension couples C with a curvature tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice import LatticeFrame, structural_contraction
@@ -46,8 +45,7 @@ E1, E2, G1, G2 = 0.25, 0.0811, 0.125, 0.06057
 FITTED_STRETCH_RATIO = 1.3
 
 
-@dataclass(frozen=True, slots=True)
-class CurvatureInvariants:
+class CurvatureInvariants(NamedTuple):
     """Joint invariants of C and a symmetric curvature tensor kappa.
 
     J1..J3 are the membrane invariants; J4, J5 are mean and Gaussian
@@ -158,5 +156,5 @@ def invariants_C_kappa(c: SurfTensor2, kappa: SurfTensor2,
     J7 = 0.5 * cb.ddot(kappa)
     J8 = 0.125 * structural_contraction(frame, cb, cb, kappa)
     J9 = 0.125 * structural_contraction(frame, kappa, kappa, cb)
-    return CurvatureInvariants(base.J1, base.J2, base.J3,
-                               J4, J5, J6, J7, J8, J9)
+    return _new(CurvatureInvariants, (base.J1, base.J2, base.J3,
+                                      J4, J5, J6, J7, J8, J9))

@@ -7,6 +7,7 @@ boundary: `tri` turns a symmetric 2x2 into the triple a call takes, and
 forms read."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ def test_sphere_pole_is_singular():
         bg.evaluate_geometry(s, (0.3, 0.0))
     with pytest.raises(ValueError):
         bg.evaluate_geometry(s, (0.3, math.pi))
+
+
+@pytest.mark.parametrize("surface", [bg.cylinder_surface, bg.sphere_surface])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_bad_radius_is_rejected_at_construction(surface, radius):
+    """A radius that is not finite and > 0 raises ValueError when the
+    surface is built, before any evaluation: no ZeroDivisionError at 0,
+    no curvatures (0, -1) at -1, no NumPy warning at inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            surface(radius)
 
 
 def test_cone_curvature_and_apex_guard():

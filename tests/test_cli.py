@@ -255,7 +255,9 @@ def test_contact_extreme_spacing_is_finite(h0, rx, capsys):
      "result is not finite: psi or traction overflows at r = 1e-200 nm"),
     (["--r-min", "1e-41", "--r-max", "1", "--steps", "3"],
      "result is not finite: psi or traction overflows at r = 1e-41 nm"),
-    (["--gamma", "1e308"], "result is not finite at h0"),
+    pytest.param(["--gamma", "1e308"], "result is not finite: psi -1e+308, "
+                 "traction nan, extremum 0.39609763725524244 at h0 = 0.34 "
+                 "nm\n", id="argv2-result is not finite at h0"),
 ])
 def test_contact_non_finite_result_writes_nothing(tmp_path, argv, where,
                                                   capsys):
@@ -356,7 +358,8 @@ def test_config_values_convert_like_flags(tmp_path, capsys):
 
 
 def test_non_finite_result_is_not_printed(capsys):
-    with pytest.raises(cli.NonFiniteResult):
+    with pytest.raises(ArithmeticError, match="^Out of range float values "
+                       "are not JSON compliant"):
         cli._json_text({"command": "beam", "F_w_nN": float("nan")})
     # finite inputs whose force overflows
     code, out, err = run_cli(

@@ -9,7 +9,8 @@ import pytest
 
 from gmem import bending_geometry as bg
 from gmem.bending_geometry import BendingTangents, SurfacePointGeometry
-from gmem.invariants import InvariantState, LogInvariantState
+from gmem.invariants import (CurvatureInvariants, InvariantState,
+                             LogInvariantState, invariants_C_kappa)
 from gmem import membrane_material as mm
 from gmem.lattice import LatticeFrame, make_frame
 from gmem.membrane_material import StressResult
@@ -32,6 +33,8 @@ RECORDS = [
     (InvariantState, ("J1", "J2", "J3", "mC", "nC"),
      (1.1, 0.01, 0.001, 0.2, -0.1), {}),
     (LogInvariantState, ("J1E", "J2E", "J3E"), (0.1, 0.002, 0.0001), {}),
+    (CurvatureInvariants, tuple(f"J{k}" for k in range(1, 10)),
+     (1.1, 0.01, 0.001, 0.3, -0.05, 0.002, 0.4, 0.003, -0.001), {}),
     (LatticeFrame, ("theta_lattice", "m_hat", "n_hat"),
      tuple(make_frame(0.3)), {}),
     (CurvePoint, ("lam", "sigma11", "sigma22", "sigma12", "W"),
@@ -176,3 +179,10 @@ def test_bending_outputs_are_well_formed():
                    for name in ("J", "H", "kappa_gauss", "k1", "k2"))
         for t in bg.bending_stress_moment(g, 0.238):
             _float_tensor(t)
+
+
+def test_curvature_invariants_are_well_formed():
+    rec = invariants_C_kappa(SurfTensor2(1.21, 0.81, 0.05),
+                             SurfTensor2(0.35, -0.15, 0.22), make_frame(0.3))
+    _well_formed(rec, CurvatureInvariants)
+    assert all(type(x) is float for x in rec)

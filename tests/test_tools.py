@@ -154,8 +154,9 @@ def test_oracle_record_drops_only_a_metric_records_embedding():
     g = bg.geometry_from_metrics(SurfTensor2(1.1, 0.9, 0.1),
                                  SurfTensor2(1.3, 0.8, -0.2),
                                  SurfTensor2(0.35, -0.15, 0.22))
-    kept = [v for name, v in zip(g._fields, g) if name not in od._EMBEDDING]
-    assert od._record(g, embedded=False) == kept
+    embedding = ("A_alpha", "a_alpha", "gamma", "n")
+    kept = [v for name, v in zip(g._fields, g) if name not in embedding]
+    assert od._record(g) == kept
     assert len(kept) == len(g) - 4 and None not in kept
 
 
@@ -176,15 +177,21 @@ def paired_entries(workload):
 
 def test_bench_gain_needs_changed_code_on_the_workload():
     """A gain stands only where a module the change touched has traced self
-    time on the workload: point_stream reaches membrane_material, not
-    numdiff."""
+    time on the workload, or is imported by a module that has: point_stream
+    reaches membrane_material and, through its imports, invariants (whose
+    helpers the metric kernel calls untraced), not numdiff."""
     traced = [{"metrics": {"numdiff.self_ms": {"value": 0.0},
                            "numdiff.partials_sym.self_us": {"value": 3.0},
+                           "invariants.self_ms": {"value": 0.0},
                            "membrane_material.self_ms": {"value": 0.014},
                            "pass_cost": {"value": 45.0}}},
               {"metrics": {"surface_tensors.self_ms": {"value": 0.003}}}]
     reached = bp.reached_layers(traced)
     assert reached == {"membrane_material", "surface_tensors"}
+    reached = bp.with_imports(
+        reached, bp.module_imports(Path(gmem.__file__).parent))
+    assert reached == {"membrane_material", "surface_tensors", "invariants",
+                       "lattice"}
 
     withheld = paired_entries("point_stream")
     assert withheld[0]["gain"]
@@ -192,11 +199,12 @@ def test_bench_gain_needs_changed_code_on_the_workload():
     assert not withheld[0]["gain"]
     assert withheld[0]["gain_withheld"] == (
         "no changed src/gmem module (numdiff, scenarios) has traced self "
-        "time on point_stream")
+        "time on point_stream or is imported by a module with it")
 
-    kept = paired_entries("point_stream")
-    bp.withhold_gains(kept, ["membrane_material", "numdiff"], reached)
-    assert kept[0]["gain"] and kept[0]["gain_withheld"] is None
+    for changed in (["membrane_material", "numdiff"], ["invariants"]):
+        kept = paired_entries("point_stream")
+        bp.withhold_gains(kept, changed, reached)
+        assert kept[0]["gain"] and kept[0]["gain_withheld"] is None
 
 
 def test_oracle_cli_runs_are_valid(tmp_path, monkeypatch):

@@ -21,14 +21,18 @@ median, so the runs spread too widely to tell) and `gain` (the change wins
 at least 9 in 10 pairs and its median is better by more than the parent's
 quartile distance). A gain is kept only where the workload runs changed
 code: some module in `git diff --name-only <parent> <change> -- src/gmem`
-has a nonzero traced `<module>.self_ms` on that workload, on either side.
-Otherwise `gain` is false and `gain_withheld` says why; drift between the
-alternating runs on a shared host can meet the other two conditions. Per
-traced span it holds each side's median and quartile distance and the
-median over pairs of the change/parent ratio; each side's commit and the
-git tree hash of its src/ (equal hashes mean that the two sides ran the
-same program code); the changed modules; and the environment. Runs are
-sequential, one benchmark process at a time.
+is reached on that workload. A module is reached when it has a nonzero
+traced `<module>.self_ms` there, on either side, or when a reached module
+of the change's src/gmem imports it, directly or transitively: the tracer
+does not wrap a helper called as a module attribute, such as
+`_inv._c_scalars` in the metric kernel, so its time counts as its
+caller's. Otherwise `gain` is false and `gain_withheld` says why; drift
+between the alternating runs on a shared host can meet the other two
+conditions. Per traced span it holds each side's median and quartile
+distance and the median over pairs of the change/parent ratio; each side's
+commit and the git tree hash of its src/ (equal hashes mean that the two
+sides ran the same program code); the changed modules; and the
+environment. Runs are sequential, one benchmark process at a time.
 
 The per-span ratios of TRACED_PAIRS pairs do not back a per-layer claim:
 at the same two commits one run read the sweep layers at 1.32-1.52x the
@@ -39,6 +43,7 @@ parent, lattice.make_frame (unchanged code) included, and the next read
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -168,8 +173,35 @@ def reached_layers(runs) -> set:
             if n.count(".") == 1 and n.endswith(".self_ms") and m["value"]}
 
 
+def module_imports(src: Path) -> dict:
+    """{module: the modules it imports from its own package} for the
+    modules in the directory src, read with ast from `from . import x` and
+    `from .x import ...`."""
+    imports = {}
+    for path in src.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names.update([node.module] if node.module
+                             else (a.name for a in node.names))
+        imports[path.stem] = names
+    return imports
+
+
+def with_imports(reached, imports) -> set:
+    """The modules in reached and every module they import, directly or
+    transitively."""
+    out, todo = set(), list(reached)
+    while todo:
+        name = todo.pop()
+        if name not in out:
+            out.add(name)
+            todo.extend(imports.get(name, ()))
+    return out
+
+
 def withhold_gains(entries, changed, reached) -> None:
-    """Keep each entry's gain only if a changed module is among the layers
+    """Keep each entry's gain only if a changed module is among the modules
     its workload reached; otherwise set it false and say why in
     gain_withheld (None where nothing was withheld)."""
     for e in entries:
@@ -178,7 +210,8 @@ def withhold_gains(entries, changed, reached) -> None:
             e["gain"] = False
             e["gain_withheld"] = (
                 f"no changed src/gmem module ({', '.join(changed) or 'none'})"
-                f" has traced self time on {e['workload']}")
+                f" has traced self time on {e['workload']} or is imported by"
+                f" a module with it")
 
 
 def per_layer_entries(workload, runs) -> list:
@@ -267,14 +300,15 @@ def main(argv=None) -> int:
         changed = changed_modules(result["parent_commit"],
                                   result["change_commit"])
         result["changed_modules"] = changed
+        imports = module_imports(trees["change"] / "src" / "gmem")
         for k, w in enumerate(WORKLOADS):
             base = SEED_BASE + 100 * (k + 1) + 1
             seeds = list(range(base, base + PAIRS))
             runs = run_pairs(trees, w, seeds, seconds, 0)
             traced = run_pairs(trees, w, seeds[:TRACED_PAIRS], seconds, 1)
             entries = end_to_end_entries(w, seeds, runs, spec)
-            withhold_gains(entries, changed,
-                           reached_layers(traced["parent"] + traced["change"]))
+            reached = reached_layers(traced["parent"] + traced["change"])
+            withhold_gains(entries, changed, with_imports(reached, imports))
             e2e.extend(entries)
             layers.extend(per_layer_entries(w, traced))
     result["end_to_end"] = e2e

@@ -21,9 +21,9 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   tensors (signed zeros included), so the one eigen head that spectral
   and the log kernel share is guarded bit by bit;
 * three invariants groups: invariants_C, approx_log_invariants and, with a
-  seeded curvature tensor, invariants_C_kappa on the same states
-  (invariants_C); invariants_log_exact on the same states
-  (invariants_log_exact); and invariant_approximation_errors over the
+  seeded curvature tensor, invariants_C_kappa read by field name (J1 to
+  J9) on the same states (invariants_C); invariants_log_exact on the same
+  states (invariants_log_exact); and invariant_approximation_errors over the
   perfbench scan grid, SCAN_RATIOS (invariant_scan). A move of the log
   invariants therefore cannot hide a move on the C side;
 * run_curve (points and peak) and compare_models over the perfbench sweep
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import itertools
 import math
@@ -107,15 +106,11 @@ def _spd(rng, lo, hi):
             (e1 - e2) * s * c)
 
 
-_EMBEDDING = ("A_alpha", "a_alpha", "gamma", "n")
-
-
-def _record(g, embedded=True) -> list:
-    """A geometry record's fields, each symmetric one a triple; a record
-    that is not embedded, from geometry_from_metrics, without its
-    _EMBEDDING fields."""
-    return [v for name, v in zip(g._fields, g)
-            if embedded or name not in _EMBEDDING]
+def _record(g) -> list:
+    """A geometry record's fields that are not None, each symmetric one a
+    triple: all of them from evaluate_geometry, all but the four embedding
+    fields from geometry_from_metrics."""
+    return [v for v in g if v is not None]
 
 
 def _bending_values(bg, SurfTensor2, rng, c_bend) -> list:
@@ -140,7 +135,7 @@ def _bending_values(bg, SurfTensor2, rng, c_bend) -> list:
             SurfTensor2(*_spd(rng, 0.8, 1.3)),
             SurfTensor2(*_spd(rng, 0.7, 1.6)),
             SurfTensor2(*rng.uniform(-0.5, 0.5, 3).tolist()))
-        out.extend(_record(g, embedded=False))
+        out.extend(_record(g))
         out.append(bg.canham_energy(g, c_bend))
         out.extend(bg.bending_stress_moment(g, c_bend))
         out.extend(bg.bending_tangents(g, c_bend))
@@ -250,8 +245,8 @@ def dump(tree: Path, out: Path) -> None:
         kappa = SurfTensor2(*kappa_rng.uniform(-1.0, 1.0, 3))
         add("invariants_C", inv)
         add("invariants_C", iv.approx_log_invariants(inv))
-        add("invariants_C",
-            dataclasses.astuple(iv.invariants_C_kappa(c, kappa, fr)))
+        joint = iv.invariants_C_kappa(c, kappa, fr)
+        add("invariants_C", [getattr(joint, f"J{k}") for k in range(1, 10)])
         add("invariants_log_exact", iv.invariants_log_exact(c, fr))
     for triple in _spectral_extras(np.random.default_rng(SEED + 2)):
         add_spectral(SurfTensor2(*triple))
