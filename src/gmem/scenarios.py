@@ -35,12 +35,7 @@ MAX_EVALS = 1_000_000
 PROTOCOL_KINDS = ("dilatation", "uniaxial-constrained", "pure-shear")
 # verify holds the check operands of this many samples at a time
 _VERIFY_BLOCK = 256
-# One table per call kind, model name to function. perfbench's span tracer
-# wraps the entries of flat module-level tables of functions only.
-_STRESS_FN = {"metric": mm.stress_metric, "log": mm.stress_log}
-_ENERGY_FN = {"metric": mm.energy_metric, "log": mm.energy_log}
-_TANGENT_FN = {"metric": mm.tangent_metric, "log": mm.tangent_log}
-MODEL_NAMES = tuple(_STRESS_FN)
+MODEL_NAMES = ("metric", "log")
 
 
 @dataclass(frozen=True)
@@ -94,20 +89,16 @@ class DeformationProtocol:
 
     def states(self, lams: Sequence[float],
                theta_lattice: float) -> List[SurfTensor2]:
-        """C components in the lattice storage frame at each sweep value;
-        the pull direction's cos and sin are evaluated once."""
+        """C components in the lattice storage frame at each sweep value."""
         if self.kind == "dilatation":
             return [_new(SurfTensor2, (lam, lam, 0.0)) for lam in lams]
         shear = self.kind == "pure-shear"
         phi = theta_lattice + self.direction_angle
-        c, s = math.cos(phi), math.sin(phi)
         out = []
         for lam in lams:
             d1 = lam * lam
             d2 = 1.0 / d1 if shear else 1.0
-            out.append(_new(SurfTensor2, (d1 * c * c + d2 * s * s,
-                                          d1 * s * s + d2 * c * c,
-                                          (d1 - d2) * s * c)))
+            out.append(_new(SurfTensor2, _principal_triple(d1, d2, phi)))
         return out
 
 
@@ -126,7 +117,7 @@ def run_curve(protocol: DeformationProtocol, model: str,
     the sweep."""
     if model not in MODEL_NAMES:
         raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
-    stress = _STRESS_FN[model]
+    stress = getattr(mm, f"stress_{model}")
     phi = (0.0 if protocol.kind == "dilatation"
            else frame.theta_lattice + protocol.direction_angle)
     c, s = math.cos(phi), math.sin(phi)
@@ -243,8 +234,8 @@ def _membrane_sample(model, params, state):
     triple = state["c11"], state["c22"], state["c12"]
     frame = make_frame(state["theta_lattice"])
     c0 = _new(SurfTensor2, triple)
-    stress = _STRESS_FN[model]
-    energy = _ENERGY_FN[model]
+    stress = getattr(mm, f"stress_{model}")
+    energy = getattr(mm, f"energy_{model}")
 
     def w_of(c11, c22, c12):
         return energy(_new(SurfTensor2, (c11, c22, c12)), frame, params)
@@ -255,7 +246,7 @@ def _membrane_sample(model, params, state):
     checks = VERIFY_TOLERANCES[model]
     fd_w = partials_sym(w_of, triple, STRESS_STEP)
     s = s_of(*triple)
-    t = _TANGENT_FN[model](c0, frame, params).comp
+    t = getattr(mm, f"tangent_{model}")(c0, frame, params).comp
     fd_s = (partials_sym(s_of, triple, TANGENT_STEP)
             if "tangent_fd" in checks else None)
     t_alt = (rearrange(mm.tangent_metric_oplus(c0, frame, params)).comp
@@ -429,8 +420,8 @@ class ContactParams:
     gamma: float = 0.14
 
     def __post_init__(self):
-        if not (self.h0 > 0.0 and self.gamma > 0.0):
-            raise ValueError(f"h0 and gamma must be positive, got "
+        if not (0.0 < self.h0 < math.inf and 0.0 < self.gamma < math.inf):
+            raise ValueError(f"h0 and gamma must be finite and > 0, got "
                              f"h0={self.h0}, gamma={self.gamma}")
 
 
@@ -442,7 +433,7 @@ def contact_potential(r: float, cp: ContactParams = ContactParams()):
     q3 = (cp.h0 / r) ** 3
     q9 = q3 * q3 * q3
     psi = -cp.gamma * (1.5 * q3 - 0.5 * q9)
-    traction = 4.5 * cp.gamma * (q9 / r - q3 / r)
+    traction = 4.5 * cp.gamma * (q9 - q3) / r
     return psi, traction
 
 
@@ -464,8 +455,10 @@ class BeamParams:
     theta_w: float
 
     def __post_init__(self):
-        if not (self.e2d > 0.0 and self.length > 0.0 and self.r_m > 0.0):
-            raise ValueError("modulus and beam geometry must be positive")
+        if not all(0.0 < x < math.inf
+                   for x in (self.e2d, self.r_m, self.length)):
+            raise ValueError("modulus and beam geometry must be finite and "
+                             "> 0")
         if not 0.0 < self.theta_w < 0.5 * math.pi:
             raise ValueError("theta_w must lie in (0, pi/2)")
 

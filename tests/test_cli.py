@@ -177,7 +177,7 @@ def test_verify_nan_error_exits_one(monkeypatch, capsys):
         comp[0, 1, 0, 1] = math.nan
         return Tangent4(comp)
 
-    monkeypatch.setitem(sc._TANGENT_FN, "metric", one_nan_entry)
+    monkeypatch.setattr(mm, "tangent_metric", one_nan_entry)
     code, out, err = run_cli(["verify", "--model", "metric", "--samples", "3"],
                              capsys)
     assert code == 1
@@ -241,7 +241,8 @@ def test_samples_and_evals_above_their_bounds_are_usage_errors(
 
 
 @pytest.mark.parametrize("h0, rx", [("1e-300", "1.16499305e-300"),
-                                    ("1e200", "1.16499305e+200")])
+                                    ("1e200", "1.16499305e+200"),
+                                    ("1e-320", "1.16500679e-320")])
 def test_contact_extreme_spacing_is_finite(h0, rx, capsys):
     code, out, err = run_cli(["contact", "--h0", h0, "--gamma", "1"], capsys)
     assert code == 0

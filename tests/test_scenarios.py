@@ -115,7 +115,7 @@ def test_run_curve_equals_per_point_loop(kind, direction_deg, model, lattice):
             st = SurfTensor2(d1 * c * c + d2 * s * s,
                              d1 * s * s + d2 * c * c, (d1 - d2) * s * c)
         assert proto.states((lam,), frame.theta_lattice)[0] == st
-        r = sc._STRESS_FN[model](st, frame, mm.GGA)
+        r = getattr(mm, f"stress_{model}")(st, frame, mm.GGA)
         g = r.sigma
         want.append((lam,
                      c * c * g.c11 + s * s * g.c22 + 2.0 * c * s * g.c12,
@@ -733,7 +733,7 @@ def test_verify_nan_error_fails_its_check(monkeypatch):
         comp[0, 1, 0, 1] = math.nan
         return Tangent4(comp)
 
-    monkeypatch.setitem(sc._TANGENT_FN, "metric", one_nan_entry)
+    monkeypatch.setattr(mm, "tangent_metric", one_nan_entry)
     rep = sc.verify_derivatives("metric", n_samples=3, seed=3)
     assert math.isnan(rep["checks"]["tangent_fd"]["max"])
     assert rep["checks"]["tangent_fd"]["pass"] is False
@@ -767,7 +767,7 @@ def test_verify_fault_at_a_block_seam_is_its_worst_sample(monkeypatch, model,
         def metric_tangent(c, frame, params):
             return Tangent4(faulty(tangent(c, frame, params).comp))
 
-        monkeypatch.setitem(sc._TANGENT_FN, "metric", metric_tangent)
+        monkeypatch.setattr(mm, "tangent_metric", metric_tangent)
     else:
         tangents = bg.bending_tangents
 
@@ -799,6 +799,13 @@ def test_contact_potential_values():
         sc.contact_potential(0.0)
     with pytest.raises(ValueError):
         sc.contact_potential(-0.2)
+
+
+@pytest.mark.parametrize("field", ["h0", "gamma"])
+@pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+def test_contact_params_validation(field, value):
+    with pytest.raises(ValueError):
+        sc.ContactParams(**{field: value})
 
 
 def test_contact_traction_is_minus_potential_slope():
@@ -847,13 +854,15 @@ def test_beam_force_frozen_values():
 
 
 def test_beam_params_validation():
-    for modulus in (0.0, -340.0):
+    for modulus in (0.0, -340.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             sc.BeamParams(modulus, 1.0, 38.19, 0.3)
-    with pytest.raises(ValueError):
-        sc.BeamParams(340.0, -1.0, 38.19, 0.3)
-    with pytest.raises(ValueError):
-        sc.BeamParams(340.0, 1.0, 0.0, 0.3)
+    for r_m in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sc.BeamParams(340.0, r_m, 38.19, 0.3)
+    for length in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sc.BeamParams(340.0, 1.0, length, 0.3)
     with pytest.raises(ValueError):
         sc.BeamParams(340.0, 1.0, 38.19, 0.0)
     with pytest.raises(ValueError):

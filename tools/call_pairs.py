@@ -70,6 +70,15 @@ def load(tree: Path, name: str):
     return module
 
 
+def principal_triple(e1, e2, phi):
+    """(c11, c22, c12) of the symmetric 2x2 with eigenvalue e1 along the
+    angle phi and e2 across it, as Python floats; the tools' own copy, so
+    a change under test cannot move the states it is checked on."""
+    c, s = math.cos(phi), math.sin(phi)
+    return (float(e1 * c * c + e2 * s * s), float(e1 * s * s + e2 * c * c),
+            float((e1 - e2) * s * c))
+
+
 def raw_states(seed: int, n: int = STATES, lo: float = 0.7, hi: float = 1.6):
     """(C triple, lattice angle) of n states as plain floats; stretches in
     [lo, hi]."""
@@ -80,11 +89,7 @@ def raw_states(seed: int, n: int = STATES, lo: float = 0.7, hi: float = 1.6):
         if i % NEAR_ISOTROPIC_EVERY == 0:
             lam2 = lam1 * (1.0 + rng.uniform(-1e-9, 1e-9))
         phi = rng.uniform(0.0, math.pi)
-        e1, e2 = lam1 * lam1, lam2 * lam2
-        c, s = math.cos(phi), math.sin(phi)
-        out.append(((float(e1 * c * c + e2 * s * s),
-                     float(e1 * s * s + e2 * c * c),
-                     float((e1 - e2) * s * c)),
+        out.append((principal_triple(lam1 * lam1, lam2 * lam2, phi),
                     float(rng.uniform(0.0, 2.0 * math.pi))))
     return out
 

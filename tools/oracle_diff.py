@@ -33,8 +33,8 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   cylinder, sphere and cone surfaces and points, without and with a
   reference surface of the same kind; and, on seeded symmetric metric and
   curvature triples, the geometry_from_metrics record without its four
-  embedding fields (tangent vectors, gamma and n: None since the metrics
-  determine no embedding, a made-up planar one before), canham_energy,
+  embedding fields (tangent vectors, gamma and n: None, since the metrics
+  determine no embedding), canham_energy,
   bending_stress_moment and bending_tangents. The metrics go in as
   SurfTensor2 triples, and every symmetric field, the six of a record and
   the stress and moment, is dumped as its (11, 22, 12) components;
@@ -75,7 +75,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import exit_on_sigterm, export  # noqa: E402
-from call_pairs import raw_states  # noqa: E402
+from call_pairs import principal_triple, raw_states  # noqa: E402
 
 N_STATES = 2000
 SEED = 20240
@@ -100,10 +100,7 @@ def _spd(rng, lo, hi):
     """(c11, c22, c12) of a symmetric positive-definite 2x2 with
     eigenvalues in [lo, hi], as Python floats."""
     e1, e2 = rng.uniform(lo, hi, size=2).tolist()
-    phi = rng.uniform(0.0, math.pi)
-    c, s = math.cos(phi), math.sin(phi)
-    return (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
-            (e1 - e2) * s * c)
+    return principal_triple(e1, e2, rng.uniform(0.0, math.pi))
 
 
 def _record(g) -> list:
@@ -148,10 +145,7 @@ def _spectral_extras(rng):
     out = []
     for _ in range(N_SPECTRAL):
         e1, e2 = rng.uniform(0.1, 1.6), -rng.uniform(0.1, 1.6)
-        phi = rng.uniform(0.0, math.pi)
-        c, s = math.cos(phi), math.sin(phi)
-        out.append((e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
-                    (e1 - e2) * s * c))
+        out.append(principal_triple(e1, e2, rng.uniform(0.0, math.pi)))
     for e in rng.uniform(-1.6, 1.6, N_SPECTRAL).tolist():
         out += [(e, e, 0.0), (e, e, -0.0)]
     return out + [(0.0, 0.0, 0.0), (0.0, 0.0, -0.0)]
