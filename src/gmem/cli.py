@@ -319,11 +319,6 @@ def _new_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Commands are looked up by name at dispatch rather than stored in the
-# parser, so the parser can be built once and shared by every run.
-_COMMANDS = {"verify": cmd_verify, "curve": cmd_curve, "compare": cmd_compare,
-             "bench": cmd_bench, "contact": cmd_contact, "beam": cmd_beam,
-             "cone": cmd_cone}
 _PARSER = _new_parser()
 
 
@@ -338,7 +333,8 @@ def run(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except RecursionError as e:  # argument files nested past the stack
             raise UsageError(f"cannot read argument file: {e}") from None
-        return _COMMANDS[args.command](args)
+        # the shared parser holds no functions: cmd_<command> is found here
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE

@@ -17,7 +17,7 @@ from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.lattice import ZIGZAG_OFFSET, make_frame
 from gmem.numdiff import STRESS_STEP, TANGENT_STEP, partials_sym
-from gmem.surface_tensors import SurfTensor2, rearrange
+from gmem.surface_tensors import SurfTensor2, _new, rearrange
 
 BOTH_PARAMS = (mm.GGA, mm.LDA)
 
@@ -275,11 +275,51 @@ def test_10_beam_linearity_and_cone_apex_angles():
     assert sc.apex_angle(240.0) == pytest.approx(38.94, abs=0.01)
 
 
-def test_11_metric_path_throughput_advantage():
+# the kernel as imported, before any test substitutes mm._log_core
+LOG_CORE = mm._log_core
+
+
+def log_core_fd(c, frame, p, order):
+    """membrane_material._log_core with G = 2 * partials_sym of its order-1
+    stress at relative step TANGENT_STEP, a (3, 3) ndarray: the differenced
+    log route that test_11 times against the metric model. It calls
+    LOG_CORE, so it can stand in for mm._log_core without calling itself."""
+    W, s, _g, J = LOG_CORE(c, frame, p, min(order, 1))
+    if order < 2:
+        return W, s, None, J
+    return W, s, 2.0 * partials_sym(
+        lambda *t: LOG_CORE(_new(SurfTensor2, t), frame, p, 1)[1],
+        c, TANGENT_STEP), J
+
+
+def test_differenced_log_route_keeps_the_contract():
+    """log_core_fd is _log_core with G twice partials_sym of the order-1
+    stress, bit for bit, on a generic GGA state and a near-isotropic LDA
+    state (u ~ 1e-9, inside _ln_divided2's series band)."""
+    frame = make_frame(0.2)
+    for c, p in ((SurfTensor2(1.3, 0.9, 0.15), mm.GGA),
+                 (SurfTensor2(1.2 + 1.2e-9, 1.2 - 1.2e-9, 0.0), mm.LDA)):
+        for order in (0, 1, 2):
+            fd = log_core_fd(c, frame, p, order)
+            an = mm._log_core(c, frame, p, order)
+            assert fd[:2] == an[:2] and fd[3] == an[3]
+            assert (fd[2] is None) == (order < 2)
+        g_fd = log_core_fd(c, frame, p, 2)[2]
+        ref = 2.0 * partials_sym(
+            lambda *t: mm._log_core(SurfTensor2(*t), frame, p, 1)[1],
+            c, TANGENT_STEP)
+        assert g_fd.shape == (3, 3) and g_fd.tobytes() == ref.tobytes()
+        g = np.array(mm._log_core(c, frame, p, 2)[2])
+        assert np.max(np.abs(g_fd - g)) <= 1e-8 * np.max(np.abs(g))
+
+
+def test_11_metric_path_throughput_advantage(monkeypatch):
     """Stress+tangent throughput of the analytic path at least 1.2 times
-    the spectral path on 1e5 evaluations, as the median over the bench's
+    the spectral path with its tangent differenced (log_core_fd in place
+    of mm._log_core) on 1e5 evaluations, as the median over the bench's
     rounds; the published reference ratio is 1.5 and is reported, not
     gated."""
+    monkeypatch.setattr(mm, "_log_core", log_core_fd)
     rep = sc.benchmark_models(mm.GGA, n_evals=100_000, seed=0)
     ratio = rep["speedup_stress_tangent"]
     st, so = (rep["speedup_spread"][k] for k in ("stress_tangent",

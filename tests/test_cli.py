@@ -251,14 +251,24 @@ def test_contact_extreme_spacing_is_finite(h0, rx, capsys):
                    f"traction extremum at r = {rx} nm\n")
 
 
+def test_contact_large_gamma_is_finite_at_h0(capsys):
+    """gamma multiplies the exact zero of the traction at h0 last, so a
+    gamma near the float maximum gives psi(h0) = -gamma and traction 0."""
+    code, out, err = run_cli(["contact", "--gamma", "1e308"], capsys)
+    assert code == 0
+    assert err == ""
+    assert out == ("psi(h0=0.34) = -1e+308 N/m, traction(h0) = 0; "
+                   "traction extremum at r = 0.396097637 nm\n")
+
+
 @pytest.mark.parametrize("argv, where", [
     (["--r-min", "1e-200", "--r-max", "1", "--steps", "3"],
      "result is not finite: psi or traction overflows at r = 1e-200 nm"),
     (["--r-min", "1e-41", "--r-max", "1", "--steps", "3"],
      "result is not finite: psi or traction overflows at r = 1e-41 nm"),
-    pytest.param(["--gamma", "1e308"], "result is not finite: psi -1e+308, "
-                 "traction nan, extremum 0.39609763725524244 at h0 = 0.34 "
-                 "nm\n", id="argv2-result is not finite at h0"),
+    pytest.param(["--h0", "1.6e308"], "result is not finite: psi -0.14, "
+                 "traction 0.0, extremum inf at h0 = 1.6e+308 nm\n",
+                 id="argv2-result is not finite at h0"),
 ])
 def test_contact_non_finite_result_writes_nothing(tmp_path, argv, where,
                                                   capsys):
@@ -436,7 +446,7 @@ def test_bench_writes_and_prints_its_report(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["command"] == "bench" and payload["n_evals"] == 10000
     assert payload["speedup_stress_tangent"] > 0.0
-    assert payload["speedup_stress_tangent_analytic"] > 0.0
+    assert payload["speedup_stress_only"] > 0.0
     assert payload["consistency_gate"]["pass"] is True
 
 
@@ -705,6 +715,17 @@ ARG_FILES = {"not-utf8": b"\xff\xfe--steps=2\n", "unknown-key": "--bogus=1\n",
              # files in the JSON format --config once read
              "not-json": "{\n", "not-object": "[1, 2]\n",
              "bool-value": '{"out": true}\n'}
+
+
+def test_every_subcommand_runs_its_cmd_function(monkeypatch):
+    """run dispatches each subcommand to the module's cmd_<name>, looked up
+    when it runs, and every subcommand has one."""
+    names = list(cli.build_parser().subcommand_parsers)
+    assert sorted(names) == sorted(VALID_ARGV)
+    for name in names:
+        monkeypatch.setattr(cli, f"cmd_{name}",
+                            lambda args: f"ran {args.command}")
+        assert cli.run(VALID_ARGV[name]) == f"ran {name}"
 
 
 def missing_required(command):

@@ -336,14 +336,16 @@ class Drawn(Exception):
     pass
 
 
+def draw(*_args):
+    raise Drawn
+
+
 def test_sample_and_eval_counts_are_bounded(monkeypatch):
     """verify's n_samples lies in [1, MAX_SAMPLES] and bench's n_evals in
     [10000, MAX_EVALS], checked before any state is drawn: a count at its
     bound reaches the first draw (verify's _membrane_state or
     _bending_state, bench's make_frame), one above it raises ValueError
     first."""
-    def draw(*_args):
-        raise Drawn
     for name in ("_membrane_state", "_bending_state", "_membrane_sample",
                  "_bending_sample", "make_frame"):
         monkeypatch.setattr(sc, name, draw)
@@ -357,6 +359,18 @@ def test_sample_and_eval_counts_are_bounded(monkeypatch):
         sc.benchmark_models(mm.GGA, n_evals=sc.MAX_EVALS)
     with pytest.raises(ValueError, match="n_evals must be <= 1000000"):
         sc.benchmark_models(mm.GGA, n_evals=sc.MAX_EVALS + 1)
+
+
+def test_bench_takes_n_evals_as_an_integer(monkeypatch):
+    """n_evals is an integer, as verify's n_samples is: a float or a string
+    raises TypeError before any state is drawn, and a NumPy integer
+    reaches the first draw."""
+    monkeypatch.setattr(sc, "make_frame", draw)
+    for bad in (10_000.7, 1e5, "100000"):
+        with pytest.raises(TypeError):
+            sc.benchmark_models(mm.GGA, n_evals=bad)
+    with pytest.raises(Drawn):
+        sc.benchmark_models(mm.GGA, n_evals=np.int64(10_000))
 
 
 @pytest.mark.parametrize("model", ["metric", "log"])
@@ -880,27 +894,6 @@ def test_apex_angles():
             sc.apex_angle(bad)
 
 
-def test_differenced_log_route_keeps_the_contract():
-    """_log_core_fd is _log_core with G twice partials_sym of the order-1
-    stress, bit for bit, on a generic GGA state and a near-isotropic LDA
-    state (u ~ 1e-9, inside _ln_divided2's series band)."""
-    frame = make_frame(0.2)
-    for c, p in ((SurfTensor2(1.3, 0.9, 0.15), mm.GGA),
-                 (SurfTensor2(1.2 + 1.2e-9, 1.2 - 1.2e-9, 0.0), mm.LDA)):
-        for order in (0, 1, 2):
-            fd = sc._log_core_fd(c, frame, p, order)
-            an = mm._log_core(c, frame, p, order)
-            assert fd[:2] == an[:2] and fd[3] == an[3]
-            assert (fd[2] is None) == (order < 2)
-        g_fd = sc._log_core_fd(c, frame, p, 2)[2]
-        ref = 2.0 * partials_sym(
-            lambda *t: mm._log_core(SurfTensor2(*t), frame, p, 1)[1],
-            c, TANGENT_STEP)
-        assert g_fd.shape == (3, 3) and g_fd.tobytes() == ref.tobytes()
-        g = np.array(mm._log_core(c, frame, p, 2)[2])
-        assert np.max(np.abs(g_fd - g)) <= 1e-8 * np.max(np.abs(g))
-
-
 def test_benchmark_report_shape():
     rep = sc.benchmark_models(mm.GGA, n_evals=10_000, seed=1)
     assert rep["n_evals"] == 10_000
@@ -910,13 +903,15 @@ def test_benchmark_report_shape():
     assert rep["reference_ratio"] == 1.5
     assert rep["consistency_gate"]["pass"] is True
     assert rep["consistency_gate"]["max_percent"] < 1.0
-    assert rep["metric"]["stress_tangent_s"] > 0.0
-    assert rep["log_analytic"]["stress_tangent_s"] > 0.0
-    assert rep["speedup_stress_tangent_analytic"] > 0.0
+    assert sorted(rep) == [
+        "calibration_s", "consistency_gate", "environment", "log", "metric",
+        "n_evals", "param_set", "reference_ratio", "rounds", "seed",
+        "speedup_spread", "speedup_stress_only", "speedup_stress_tangent"]
+    for name in ("metric", "log"):
+        assert rep[name]["stress_s"] > 0.0
+        assert rep[name]["stress_tangent_s"] > 0.0
     assert rep["rounds"] == sc.BENCH_ROUNDS == 5
-    assert list(rep["speedup_spread"]) == ["stress_tangent",
-                                           "stress_tangent_analytic",
-                                           "stress_only"]
+    assert list(rep["speedup_spread"]) == ["stress_tangent", "stress_only"]
     for name, s in rep["speedup_spread"].items():
         assert s["min"] <= s["median"] <= s["max"]
         assert rep[f"speedup_{name}"] == s["median"]
@@ -925,10 +920,10 @@ def test_benchmark_report_shape():
 
 
 def test_bench_times_every_route_on_the_same_states_in_rounds(monkeypatch):
-    """Each of the BENCH_ROUNDS rounds times all five loops over the same
-    consecutive states, in the table's order in even rounds and reversed in
-    odd ones; the rounds cover the stream once, the last taking the
-    remainder."""
+    """Each of the BENCH_ROUNDS rounds times all four loops, the public
+    calls' cores at orders 1 and 2, over the same consecutive states, in
+    the table's order in even rounds and reversed in odd ones; the rounds
+    cover the stream once, the last taking the remainder."""
     calls = []
 
     def recorder(name, fn):
@@ -940,13 +935,10 @@ def test_bench_times_every_route_on_the_same_states_in_rounds(monkeypatch):
     monkeypatch.setattr(mm, "_metric_core",
                         recorder("metric", mm._metric_core))
     monkeypatch.setattr(mm, "_log_core", recorder("log", mm._log_core))
-    monkeypatch.setattr(sc, "_log_core_fd",
-                        recorder("log_fd", lambda c, f, p, o: None))
     n = 10_001
     sc.benchmark_models(mm.GGA, n_evals=n, seed=1)
-    timed = calls[-5 * n:]
-    routes = [("metric", 1), ("log", 1), ("log", 2), ("metric", 2),
-              ("log_fd", 2)]
+    timed = calls[-4 * n:]
+    routes = [("metric", 1), ("log", 1), ("log", 2), ("metric", 2)]
     pos, stream = 0, []
     for r, size in enumerate((2000, 2000, 2000, 2000, 2001)):
         ids = None
@@ -958,7 +950,7 @@ def test_bench_times_every_route_on_the_same_states_in_rounds(monkeypatch):
             assert ids is None or loop_ids == ids
             ids = loop_ids
         stream += ids
-    assert pos == 5 * n and len(set(stream)) == n
+    assert pos == 4 * n and len(set(stream)) == n
 
 
 @pytest.mark.parametrize("component", [1, 2])

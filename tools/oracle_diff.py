@@ -13,9 +13,6 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   near-isotropic to 1e-9 relative (the log model's divided-difference limit);
 * the metric tangent's cross-check route (the oplus-order assembly that
   verify runs) on the same states;
-* W, S, G and J of scenarios._log_core_fd, the differenced log route that
-  gmem bench times, at orders 0, 1 and 2 on the same states (log_core_fd;
-  it goes when that route does);
 * one spectral group: Lambda1, Lambda2 and theta of spectral, read by
   name, on the same states and on seeded indefinite and coincident
   tensors (signed zeros included), so the one eigen head that spectral
@@ -230,10 +227,6 @@ def dump(tree: Path, out: Path) -> None:
             add(f"stress_tangent_{model}",
                 np.concatenate([wl.stress_row(r), t.comp.ravel()]))
         add("tangent_metric_oplus", mm.tangent_metric_oplus(c, fr, p).comp)
-        for order in (0, 1, 2):
-            for v in sc._log_core_fd(c, fr, p, order):
-                if v is not None:
-                    add("log_core_fd", v)
         add_spectral(c)
         inv = iv.invariants_C(c, fr)
         kappa = SurfTensor2(*kappa_rng.uniform(-1.0, 1.0, 3))
