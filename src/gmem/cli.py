@@ -5,10 +5,10 @@ later argument wins over an earlier one.
 
 Exit codes: 0 success, 1 tolerance/consistency failure (including a
 result that overflows or is not finite), 2 usage error, printed as one
-line (argparse's own errors, any non-finite number given as input and an
-unreadable @FILE included), 3 I/O error. All subcommands are
-deterministic under a fixed seed; JSON reports carry a schema_version
-field and are byte-stable.
+line (argparse's own errors, any value a command rejects, and an @FILE
+that cannot be read or holds an empty line or a NUL byte), 3 I/O error.
+All subcommands are deterministic under a fixed seed; JSON reports carry
+a schema_version field and are byte-stable.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -48,9 +48,9 @@ class _Parser(argparse.ArgumentParser):
     def _read_args_from_files(self, arg_strings, reading=()):
         """argparse's @FILE expansion, one argument per line, files naming
         files, with each fault a UsageError that names its argument file: a
-        file that cannot be opened or decoded, an empty line in it, or a
-        file that names itself; reading holds the real paths of the files
-        being read."""
+        file that cannot be opened or decoded, an empty line or a line with
+        a NUL byte in it, or a file that names itself; reading holds the
+        real paths of the files being read."""
         out = []
         for arg in arg_strings:
             if not arg.startswith("@"):
@@ -71,6 +71,10 @@ class _Parser(argparse.ArgumentParser):
             if "" in lines:
                 raise UsageError(f"empty line {lines.index('') + 1} in "
                                  f"argument file {name!r}")
+            for n, line in enumerate(lines, 1):
+                if "\0" in line:
+                    raise UsageError(f"NUL byte in line {n} of argument "
+                                     f"file {name!r}")
             out += self._read_args_from_files(lines, (*reading, real))
         return out
 
@@ -113,18 +117,10 @@ def _emit(args, payload: dict) -> None:
     sys.stdout.write(text)
 
 
-def _usage_checked(fn, *args, **kwargs):
-    """fn(*args, **kwargs), with a ValueError raised as a usage error."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-
-
 def _protocol_from(args) -> sc.DeformationProtocol:
     lo, hi = args.range
-    return _usage_checked(sc.DeformationProtocol, args.protocol,
-                          math.radians(args.theta_deg), lo, hi, args.steps)
+    return sc.DeformationProtocol(args.protocol, math.radians(args.theta_deg),
+                                  lo, hi, args.steps)
 
 
 def cmd_verify(args) -> int:
@@ -135,7 +131,7 @@ def cmd_verify(args) -> int:
         kw = {"n_samples": args.samples, "seed": args.seed}
         if model != "bending":
             kw["params"] = mm.material_preset(args.param_set)
-        reports.append(_usage_checked(sc.verify_derivatives, model, **kw))
+        reports.append(sc.verify_derivatives(model, **kw))
     ok = all(r["pass"] for r in reports)
     _emit(args, {"command": "verify", "pass": ok, "reports": reports})
     return EXIT_OK if ok else EXIT_TOLERANCE
@@ -195,9 +191,8 @@ def cmd_compare(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        report = _usage_checked(sc.benchmark_models,
-                                mm.material_preset(args.param_set),
-                                n_evals=args.n_evals, seed=args.seed)
+        report = sc.benchmark_models(mm.material_preset(args.param_set),
+                                     n_evals=args.n_evals, seed=args.seed)
     except RuntimeError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_TOLERANCE
@@ -209,7 +204,7 @@ def cmd_contact(args) -> int:
     if not (0 < args.r_min < args.r_max and 2 <= args.steps <= sc.MAX_STEPS):
         raise UsageError("need 0 < r-min < r-max and 2 <= steps <= "
                          f"{sc.MAX_STEPS}")
-    cp = _usage_checked(sc.ContactParams, h0=args.h0, gamma=args.gamma)
+    cp = sc.ContactParams(h0=args.h0, gamma=args.gamma)
     radii = np.linspace(args.r_min, args.r_max, args.steps)
     psi0, tr0 = sc.contact_potential(cp.h0, cp)
     rx = sc.traction_extremum(cp)
@@ -226,8 +221,8 @@ def cmd_contact(args) -> int:
 
 
 def cmd_beam(args) -> int:
-    b = _usage_checked(sc.BeamParams, args.modulus, args.r_m, args.length,
-                       math.radians(args.theta_w_deg))
+    b = sc.BeamParams(args.modulus, args.r_m, args.length,
+                      math.radians(args.theta_w_deg))
     f_w, f_a = sc.beam_force(b, args.delta)
     payload = {"command": "beam", "F_w_nN": f_w, "F_A_nN": f_a,
                "I_y_nm4": b.i_y, "delta_nm": args.delta}
@@ -236,7 +231,7 @@ def cmd_beam(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    apex = _usage_checked(sc.apex_angle, args.declination)
+    apex = sc.apex_angle(args.declination)
     payload = {"command": "cone", "declination_deg": args.declination,
                "apex_angle_deg": apex}
     _emit(args, payload)
@@ -335,7 +330,7 @@ def run(argv=None) -> int:
             raise UsageError(f"cannot read argument file: {e}") from None
         # the shared parser holds no functions: cmd_<command> is found here
         return globals()[f"cmd_{args.command}"](args)
-    except UsageError as e:
+    except ValueError as e:  # a UsageError, or a value a command rejects
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
     except ArithmeticError as e:

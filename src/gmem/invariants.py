@@ -84,11 +84,16 @@ def _c_scalars(c11, c22, c12, m11, m12, n11, n12):
     return det, J, p11, p12, p11 * p11 + p12 * p12, mC, nC, J3
 
 
-def _log_scalars(L1, L2, th, m11, m12, n11, n12):
-    """The one evaluation of the log-strain invariants from the eigenvalues
-    L1 >= L2 > 0 of C and the angle th of the L1 axis, shared by
-    invariants_log_exact and the log kernel: (J1E, ed, cos th, sin th,
-    ed11, ed12, M:E, N:E, J2E, J3E), with E the deviator of (1/2) ln C."""
+def _log_scalars(c11, c22, c12, L1, L2, th, m11, m12, n11, n12):
+    """The one checked evaluation of the log-strain invariants of C, from
+    its components, its eigenvalues L1 >= L2 and the angle th of the L1
+    axis, shared by invariants_log_exact and the log kernel: (det C, J1E,
+    ed, cos th, sin th, ed11, ed12, M:E, N:E, J2E, J3E), with E the
+    deviator of (1/2) ln C. C is rejected unless 0 < det C < inf,
+    c11 > 0 and L2 > 0."""
+    det = c11 * c22 - c12 * c12
+    if not (0.0 < det < math.inf and c11 > 0.0 and L2 > 0.0):
+        raise _st._not_positive_definite(det, c11 + c22)
     l1 = 0.5 * math.log(L1)
     l2 = 0.5 * math.log(L2)
     J1E = l1 + l2
@@ -102,7 +107,7 @@ def _log_scalars(L1, L2, th, m11, m12, n11, n12):
     nE = 2.0 * (n11 * ed11 + n12 * ed12)
     J2E = 0.25 * (mE * mE + nE * nE)
     J3E = 0.125 * mE * (mE * mE - 3.0 * nE * nE)
-    return J1E, ed, ct, st, ed11, ed12, mE, nE, J2E, J3E
+    return det, J1E, ed, ct, st, ed11, ed12, mE, nE, J2E, J3E
 
 
 def invariants_C(c: SurfTensor2, frame: LatticeFrame) -> InvariantState:
@@ -121,13 +126,12 @@ def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantSta
     J1E = ln(l1 l2), J2E = (ln sqrt(l1/l2))^2, and
     J3E = (ln sqrt(l1/l2))^3 cos 6 dtheta.
     """
-    det = c.det()
+    c11, c22, c12 = c
     sd = spectral(c)
-    if not (0.0 < det < math.inf and c.c11 > 0.0 and sd.Lambda2 > 0.0):
-        raise _st._not_positive_definite(det, c.trace())
     m, n = frame.m_hat, frame.n_hat
-    J1E, _ed, _ct, _sn, _e11, _e12, _mE, _nE, J2E, J3E = _log_scalars(
-        sd.Lambda1, sd.Lambda2, sd.theta, m.c11, m.c12, n.c11, n.c12)
+    _det, J1E, _ed, _ct, _sn, _e11, _e12, _mE, _nE, J2E, J3E = _log_scalars(
+        c11, c22, c12, sd.Lambda1, sd.Lambda2, sd.theta,
+        m.c11, m.c12, n.c11, n.c12)
     return _new(LogInvariantState, (J1E, J2E, J3E))
 
 

@@ -328,12 +328,9 @@ def _log_core(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
     c11, c22, c12 = c
     m, n = frame.m_hat, frame.n_hat
     m11, m12, n11, n12 = m.c11, m.c12, n.c11, n.c12
-    det = c11 * c22 - c12 * c12
     mean, disc, L1, L2, th = _st._eigen_head(c11, c22, c12)
-    if not (0.0 < det < math.inf and c11 > 0.0 and L2 > 0.0):
-        raise _st._not_positive_definite(det, c11 + c22)
-    J1E, ed, ct, st, ed11, ed12, mE, nE, J2E, J3E = _inv._log_scalars(
-        L1, L2, th, m11, m12, n11, n12)
+    det, J1E, ed, ct, st, ed11, ed12, mE, nE, J2E, J3E = _inv._log_scalars(
+        c11, c22, c12, L1, L2, th, m11, m12, n11, n12)
     eb = math.exp(p.beta_hat * J1E)
     mu = p.mu0 - p.mu1 * eb
     eta = p.eta0 - p.eta1 * J1E * J1E

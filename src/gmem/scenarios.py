@@ -58,7 +58,7 @@ class DeformationProtocol:
         if self.kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}; "
                              f"choose from {PROTOCOL_KINDS}")
-        if not 1 <= self.steps <= MAX_STEPS:
+        if not 1 <= operator.index(self.steps) <= MAX_STEPS:
             raise ValueError(f"steps must be in [1, {MAX_STEPS}]")
         if not math.isfinite(self.direction_angle):
             raise ValueError("direction_angle must be finite, got "
@@ -429,7 +429,7 @@ class ContactParams:
 def contact_potential(r: float, cp: ContactParams = ContactParams()):
     """(psi, traction) at wall distance r: psi is the adhesion energy per
     area with minimum -gamma at h0, traction = -d psi/d r."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError("wall distance must be positive")
     q3 = (cp.h0 / r) ** 3
     q9 = q3 * q3 * q3

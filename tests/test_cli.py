@@ -711,7 +711,7 @@ WRONG_TYPE = {"verify": ["--samples=1.5"], "curve": ["--range", "1.0"],
 ARG_FILES = {"not-utf8": b"\xff\xfe--steps=2\n", "unknown-key": "--bogus=1\n",
              "one-line-range": "--range 1.0 1.2\n",
              "names-itself": "@../args.txt\n",  # run from tmp_path/work
-             "nul-in-name": "@a\x00b\n",
+             "nul-in-name": "@a\x00b\n", "nul-in-value": "--out=a\x00b.out\n",
              # files in the JSON format --config once read
              "not-json": "{\n", "not-object": "[1, 2]\n",
              "bool-value": '{"out": true}\n'}
@@ -760,7 +760,10 @@ def usage_cases():
                  "blank-line": f"empty line {len(valid)} in argument file "
                                "{path!r}",
                  "names-itself": "argument file '../args.txt' names itself, "
-                                 "directly or through another file"}
+                                 "directly or through another file",
+                 "nul-in-name": "NUL byte in line 1 of argument file {path!r}",
+                 "nul-in-value": "NUL byte in line 1 of argument file "
+                                 "{path!r}"}
         for name, (argv, text) in rows.items():
             if argv is not None:
                 yield pytest.param(argv, text, wants.get(name),
@@ -791,6 +794,20 @@ def test_every_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv,
     if want is not None:
         assert err == f"usage error: {want.format(path=str(path))}\n"
     assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["verify", "curve", "compare", "contact",
+                                     "beam", "cone"])
+def test_a_value_a_command_rejects_is_a_usage_error(tmp_path, monkeypatch,
+                                                    capsys, command):
+    """Any ValueError a command raises is one usage error line: here open()
+    rejects an --out path holding a NUL byte, which an argument file can no
+    longer give. Nothing is printed to stdout or written."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(VALID_ARGV[command] + ["--out", "a\x00b"],
+                             capsys)
+    assert (code, out, err) == (2, "", "usage error: embedded null byte\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_supplies_required_flags(tmp_path, monkeypatch, capsys):

@@ -149,13 +149,15 @@ def test_one_message_for_a_non_positive_definite_C(comps):
                      f"det={c11 * c22 - c12 * c12}, tr={c11 + c22}"}
 
 
-@pytest.mark.parametrize("comps", [(1.0, 1e-17, 0.0), (math.inf, 1.0, 0.0),
+@pytest.mark.parametrize("comps", [(1.0, 1e-17, 0.0), (1.46e16, 1.0, 0.0),
+                                   (math.inf, 1.0, 0.0),
                                    (math.inf, math.inf, 0.0)])
 def test_log_paths_reject_a_C_without_a_positive_smaller_eigenvalue(comps):
-    """diag(1, 1e-17) passes the determinant rule, but its smaller
-    eigenvalue mean - disc rounds to 0; an infinite component fails the
-    rule (det C = inf). Every log path rejects C with the one text, none
-    with a bare math domain error or a NaN result."""
+    """diag(1, 1e-17) and (1.46e16, 1, 0) pass the determinant rule, but
+    their smaller eigenvalue mean - disc rounds to 0; an infinite component
+    fails the rule (det C = inf). Every log path rejects C with the one
+    text of their shared head, _log_scalars, none with a bare math domain
+    error or a NaN result."""
     c, fr = SurfTensor2(*comps), make_frame(0.3)
     calls = (lambda: invariants_log_exact(c, fr),
              lambda: mm.energy_log(c, fr, mm.GGA),

@@ -52,6 +52,16 @@ def test_protocol_rejects_a_non_finite_direction(angle):
         sc.DeformationProtocol("uniaxial-constrained", angle, 1.0, 1.1, 3)
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0])
+def test_protocol_takes_steps_as_an_integer(steps):
+    """A float step count is refused when the protocol is built, not later
+    in np.linspace; a NumPy integer is an integer."""
+    with pytest.raises(TypeError):
+        sc.DeformationProtocol("pure-shear", 0.0, 1.0, 1.2, steps)
+    proto = sc.DeformationProtocol("pure-shear", 0.0, 1.0, 1.2, np.int64(3))
+    assert proto.values().tolist() == [1.0, 1.1, 1.2]
+
+
 def test_protocol_values_and_states():
     p = sc.DeformationProtocol("dilatation", 0.0, 1.0, 1.21, 3)
     np.testing.assert_allclose(p.values(), [1.0, 1.105, 1.21])
@@ -809,10 +819,18 @@ def test_contact_potential_values():
     psi5, tr5 = sc.contact_potential(0.5)
     assert psi5 == pytest.approx(-0.0638546229792499302, rel=1e-14)
     assert tr5 == pytest.approx(-0.357014573626498744, rel=1e-14)
-    with pytest.raises(ValueError):
-        sc.contact_potential(0.0)
-    with pytest.raises(ValueError):
-        sc.contact_potential(-0.2)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.2, math.nan])
+def test_contact_rejects_a_wall_distance_not_above_zero(tmp_path, r):
+    """A NaN wall distance is refused like a non-positive one, never passed
+    through as a NaN psi and traction; write_contact_csv writes nothing."""
+    with pytest.raises(ValueError, match="^wall distance must be positive$"):
+        sc.contact_potential(r)
+    path = tmp_path / "c.csv"
+    with pytest.raises(ValueError, match="^wall distance must be positive$"):
+        sc.write_contact_csv(path, [0.5, r])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("field", ["h0", "gamma"])

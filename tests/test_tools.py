@@ -208,15 +208,24 @@ def test_bench_gain_needs_changed_code_on_the_workload():
 
 
 def test_oracle_cli_runs_are_valid(tmp_path, monkeypatch):
-    """Every oracle cli run exits 0 and writes its --out file; a JSON
-    report is written as printed."""
+    """Every valid oracle cli run exits 0, prints nothing to stderr and
+    writes its one --out file; each command has one rejected run, which
+    exits 2 with one usage error line and writes nothing."""
     monkeypatch.chdir(tmp_path)
     values = od._cli_values(cli)
-    assert len(values) == 3 * len(od.CLI_RUNS)
-    for argv, (code, out, written) in zip(od.CLI_RUNS,
-                                          zip(*[iter(values)] * 3)):
-        assert list(code) == [0], argv
-        assert out.size > 0 and written.size > 0, argv
+    runs = od.CLI_RUNS + od.CLI_REJECTIONS
+    assert len(values) == 4 * len(runs)
+    assert (sorted(argv[0] for argv in od.CLI_REJECTIONS)
+            == sorted(cli.build_parser().subcommand_parsers))
+    for argv, (head, out, err, written) in zip(runs,
+                                               zip(*[iter(values)] * 4)):
+        text = err.tobytes().decode()
+        if argv in od.CLI_RUNS:
+            assert list(head) == [0, 1] and text == "", argv
+            assert out.size > 0 and written.size > 0, argv
+        else:
+            assert list(head) == [2, 0] and out.size == written.size == 0
+            assert text.startswith("usage error: ") and text.count("\n") == 1
         if argv[-1].endswith(".json"):
             assert out.tobytes() == written.tobytes(), argv
     assert list(tmp_path.iterdir()) == []

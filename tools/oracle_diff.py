@@ -45,9 +45,12 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   VERIFY_SAMPLES samples each over seeds VERIFY_SEEDS, and
   VERIFY_SEAM_SAMPLES on the first seed, past the end of verify's first
   block of samples (numdiff, the verify callbacks and the error pass);
-* one cli group: the exit code, the stdout bytes and the --out file bytes
-  of one valid in-process cli.run of each command in CLI_RUNS, in an empty
-  working directory (gmem bench is left out: it prints timings).
+* one cli group: the exit code, the number of files written, and the
+  stdout, stderr and written file bytes of one in-process cli.run per
+  argv, in an empty working directory: one valid run of each command in
+  CLI_RUNS (gmem bench is left out: it prints timings), then one run that
+  each command rejects in CLI_REJECTIONS, so a change to an error text is
+  caught bit for bit too.
 
 Prints, per output group, whether the two dumps are bitwise equal and the
 largest absolute difference over the group's largest magnitude. Exits 0
@@ -91,6 +94,16 @@ CLI_RUNS = (["verify", "--samples", "3", "--out", "out.json"],
             ["beam", "--modulus", "340", "--r-m", "1.0", "--length", "38.19",
              "--theta-w-deg", "17.45", "--out", "out.json"],
             ["cone", "--declination", "300", "--out", "out.json"])
+# one argv per command that the command rejects, each with an --out that
+# must stay unwritten
+CLI_REJECTIONS = (["verify", "--samples", "100001", "--out", "out.json"],
+                  ["curve", "--out", "out.csv", "--steps", "0"],
+                  ["compare", "--steps", "0", "--out", "out.json"],
+                  ["bench", "--n-evals", "1000001", "--out", "out.json"],
+                  ["contact", "--steps", "1", "--out", "out.csv"],
+                  ["beam", "--modulus", "340", "--r-m", "1.0", "--length",
+                   "38.19", "--theta-w-deg", "90", "--out", "out.json"],
+                  ["cone", "--declination", "7", "--out", "out.json"])
 
 
 def _spd(rng, lo, hi):
@@ -166,21 +179,26 @@ def _stencil_values(mm, la, numdiff, SurfTensor2, states, params) -> list:
 
 
 def _cli_values(cli) -> list:
-    """Per CLI_RUNS entry: the exit code, then the stdout and --out file
+    """Per CLI_RUNS entry, then per CLI_REJECTIONS entry: the exit code and
+    the number of files written, then the stdout, stderr and written file
     bytes, as arrays."""
     out = []
     cwd = Path.cwd()
-    for argv in CLI_RUNS:
+    for argv in CLI_RUNS + CLI_REJECTIONS:
         with tempfile.TemporaryDirectory(prefix="gmem-oracle-cli-") as work:
             os.chdir(work)
             try:
-                text = io.StringIO()
-                with contextlib.redirect_stdout(text):
+                text, err = io.StringIO(), io.StringIO()
+                with (contextlib.redirect_stdout(text),
+                      contextlib.redirect_stderr(err)):
                     code = cli.run(argv)
-                written = (Path(work) / argv[-1]).read_bytes()
+                files = sorted(Path(work).iterdir())
+                written = b"".join(f.read_bytes() for f in files)
             finally:
                 os.chdir(cwd)
-        out += [[code], np.frombuffer(text.getvalue().encode(), np.uint8),
+        out += [[code, len(files)],
+                *(np.frombuffer(s.getvalue().encode(), np.uint8)
+                  for s in (text, err)),
                 np.frombuffer(written, np.uint8)]
     return out
 
