@@ -95,16 +95,78 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _json_node(node, pad: str) -> str:
+    """node as json.dumps(node, sort_keys=True, indent=2, allow_nan=False)
+    writes it, in one pass, pad being the line break and indent before
+    node: the same text, and json's ValueError for a float that is not
+    finite and TypeError for a value json cannot write. A key that is not
+    a str raises TypeError, and a cycle is not checked: every payload is a
+    tree the command builds."""
+    kind = type(node)
+    if kind is float:
+        if math.isfinite(node):
+            return float.__repr__(node)
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         f"{node!r}")
+    if kind is dict:
+        if not node:
+            return "{}"
+        inner = pad + "  "
+        body = f",{inner}".join([f"{_ascii(k)}: {_json_node(v, inner)}"
+                                 for k, v in sorted(node.items())])
+        return f"{{{inner}{body}{pad}}}"
+    if kind is str:
+        return _ascii(node)
+    if kind is tuple or kind is list:
+        if not node:
+            return "[]"
+        inner = pad + "  "
+        body = f",{inner}".join([_json_node(v, inner) for v in node])
+        return f"[{inner}{body}{pad}]"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if node is None:
+        return "null"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    if isinstance(node, float):  # a subclass, such as np.float64
+        return _json_node(float(node), pad)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _non_finite_path(node, path=""):
+    """The path, such as reports[0].checks.stress_fd.max, of the first
+    float in node that is not finite, in the order _json_node writes them;
+    None if there is none."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}" if path else k, v)
+                 for k, v in sorted(node.items())]
+    elif isinstance(node, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(node)]
+    else:
+        return (path if isinstance(node, float) and not math.isfinite(node)
+                else None)
+    for where, v in items:
+        if (found := _non_finite_path(v, where)) is not None:
+            return found
+    return None
+
+
 def _json_text(payload: dict) -> str:
+    """The report of payload, with its schema_version, as json.dumps(...,
+    sort_keys=True, indent=2, allow_nan=False) writes it, and a newline; a
+    float that is not finite raises ArithmeticError naming its path."""
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
     try:
-        # every payload is a tree the command builds, so no cycle to check
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
-                          check_circular=False)
+        return _json_node(payload, "\n") + "\n"
     except ValueError as e:  # run's handler names the command
-        raise ArithmeticError(str(e)) from None
-    return text + "\n"
+        raise ArithmeticError(f"{e} at {_non_finite_path(payload)}") from None
 
 
 def _emit(args, payload: dict) -> None:

@@ -9,7 +9,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmem import cli
 from gmem import membrane_material as mm
@@ -169,7 +172,8 @@ def test_verify_tolerance_breach_exits_one(monkeypatch, capsys):
     assert json.loads(out)["pass"] is False
 
 
-def test_verify_nan_error_exits_one(monkeypatch, capsys):
+def nan_in_metric_tangents(monkeypatch):
+    """Make every tangent_metric return one NaN entry."""
     tangent = mm.tangent_metric
 
     def one_nan_entry(c, frame, params):
@@ -178,6 +182,10 @@ def test_verify_nan_error_exits_one(monkeypatch, capsys):
         return Tangent4(comp)
 
     monkeypatch.setattr(mm, "tangent_metric", one_nan_entry)
+
+
+def test_verify_nan_error_exits_one(monkeypatch, capsys):
+    nan_in_metric_tangents(monkeypatch)
     code, out, err = run_cli(["verify", "--model", "metric", "--samples", "3"],
                              capsys)
     assert code == 1
@@ -368,9 +376,14 @@ def test_config_values_convert_like_flags(tmp_path, capsys):
     assert (protocol["steps"], protocol["range"]) == (3, [1.0, 1.01])
 
 
-def test_non_finite_result_is_not_printed(capsys):
-    with pytest.raises(ArithmeticError, match="^Out of range float values "
-                       "are not JSON compliant"):
+NOT_FINITE = "Out of range float values are not JSON compliant: "
+
+
+def test_non_finite_result_is_not_printed(monkeypatch, capsys):
+    """A float that is not finite anywhere in a report exits 1 with one
+    line that names its path, the first in key order, and prints nothing."""
+    with pytest.raises(ArithmeticError,
+                       match=f"^{NOT_FINITE}nan at F_w_nN$"):
         cli._json_text({"command": "beam", "F_w_nN": float("nan")})
     # finite inputs whose force overflows
     code, out, err = run_cli(
@@ -378,7 +391,105 @@ def test_non_finite_result_is_not_printed(capsys):
          "1e-100", "--theta-w-deg", "30"], capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: beam result is not finite")
+    assert err == (f"error: beam result is not finite: {NOT_FINITE}inf at "
+                   "F_A_nN\n")
+    nan_in_metric_tangents(monkeypatch)
+    code, out, err = run_cli(["verify", "--model", "metric", "--samples", "3"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: verify result is not finite: {NOT_FINITE}nan at "
+                   "reports[0].checks.major_symmetry.max\n")
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"b": math.nan, "a": [1.0, math.inf]}, "a[1]"),
+    ({"a": [0.5, {"z": (2.0, -math.inf)}, math.nan]}, "a[1].z[1]"),
+    ({"a.b": {"": [[np.float64("nan")]]}}, "a.b.[0][0]"),
+])
+def test_non_finite_path_is_the_first_in_key_order(payload, where):
+    with pytest.raises(ArithmeticError) as info:
+        cli._json_text(payload)
+    assert str(info.value).startswith(NOT_FINITE)
+    assert str(info.value).endswith(f" at {where}")
+
+
+def json_text(payload) -> str:
+    """The report text json.dumps gives payload."""
+    return json.dumps({**payload, "schema_version": cli.SCHEMA_VERSION},
+                      sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# characters json escapes: quotes, backslashes, control characters,
+# non-ASCII characters and lone surrogates, and any code point at all
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\ud800'
+                                         '\udfff\U0001f600'),
+                         st.characters(exclude_categories=())), max_size=6)
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+LEAVES = st.one_of(st.none(), st.sampled_from([True, False, 0, 1]),
+                   st.integers(-2**200, 2**200), FLOATS,
+                   FLOATS.map(np.float64), TEXT)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan,
+                              np.float64("nan"), np.float64("-inf")])
+
+
+def payloads(leaves):
+    """Reports: str-keyed dicts of nested dicts, lists and tuples, empty
+    ones included, over leaves."""
+    trees = st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(TEXT, kids, max_size=4)), max_leaves=24)
+    return st.dictionaries(TEXT, trees, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads(LEAVES))
+def test_report_text_is_json_dumps_text(payload):
+    assert cli._json_text(payload) == json_text(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads(st.one_of(LEAVES, NON_FINITE)))
+def test_non_finite_anywhere_is_an_arithmetic_error(payload):
+    try:
+        expected = json_text(payload)
+    except ValueError:
+        with pytest.raises(ArithmeticError, match=f"^{NOT_FINITE}"):
+            cli._json_text(payload)
+    else:
+        assert cli._json_text(payload) == expected
+
+
+def test_a_value_json_cannot_write_is_its_type_error():
+    for payload in ({"a": {1, 2}}, {"a": [1.0, b"x"]}):
+        with pytest.raises(TypeError) as ours:
+            cli._json_text(payload)
+        with pytest.raises(TypeError) as theirs:
+            json_text(payload)
+        assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "3"],
+    ["compare", "--steps", "5"],
+    ["bench", "--n-evals", "10000"],
+    ["beam", "--modulus", "340", "--r-m", "1.0", "--length", "38.19",
+     "--theta-w-deg", "17.45"],
+    ["cone", "--declination", "300"],
+], ids=lambda argv: argv[0])
+def test_every_report_is_json_dumps_text(argv, monkeypatch, capsys):
+    payloads_seen = []
+    text_of = cli._json_text
+
+    def spy(payload):
+        payloads_seen.append(payload)
+        return text_of(payload)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and len(payloads_seen) == 1
+    assert out == json_text(payloads_seen[0])
 
 
 def test_compare_subcommand_reports_reference(capsys):

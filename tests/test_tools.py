@@ -44,7 +44,8 @@ VERIFY_ROWS = ["geometry_from_metrics", "canham_energy",
                f"_membrane_errors metric {sc._VERIFY_BLOCK}",
                f"_bending_errors {sc._VERIFY_BLOCK}",
                "verify_derivatives metric 10", "verify_derivatives log 10",
-               "verify_derivatives bending 10"]
+               "verify_derivatives bending 10", "cli parse verify",
+               "_json_text verify 10"]
 
 
 def test_raw_states_are_the_recorded_stream():

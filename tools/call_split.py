@@ -43,8 +43,12 @@ metric-model sample (`_membrane_sample` with GGA). A sample returns its
 checks' operands, and verify forms every check's errors once per block of
 samples; the next rows time that error pass (`_membrane_errors` on metric
 samples, `_bending_errors`) on blocks of 10 and of `_VERIFY_BLOCK`
-samples, per block. The table ends with one whole `verify_derivatives`
-per model at 10 samples, the size of the verify workload's pass.
+samples, per block. The table goes on with one whole `verify_derivatives`
+per model at 10 samples, the size of the verify workload's pass, and ends
+with the two fixed costs of the workload's `gmem verify` invocation
+outside those calls: `cli parse verify`, the shared parser's parse_args on
+the workload's argv (VERIFY_ARGV), and `_json_text verify 10`, the report
+writer on the 10-sample `--model all` payload (verify_payload).
 
 Reads gmem only; point PYTHONPATH at another tree's src/ to measure it.
 Its bending and sample rows need a tree whose verify samples take a state
@@ -60,6 +64,7 @@ import numpy as np
 import gmem
 from call_pairs import SEED, STATES, raw_states, records, side_jobs, time_loop
 from gmem import bending_geometry as bg
+from gmem import cli
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.numdiff import STRESS_STEP, partials_sym
@@ -69,6 +74,9 @@ from gmem.surface_tensors import (SurfTensor2, boxtimes_product,
 
 REPEAT = 25
 ORDER = {"energy": 0, "stress": 1, "tangent": 2, "stress_tangent": 2}
+# the argv of the verify workload's in-process gmem verify, on seed SEED
+VERIFY_ARGV = ["verify", "--model", "all", "--samples", "10", "--seed",
+               str(SEED), "--out", "verify-report.json"]
 
 
 def verify_records(draw, size):
@@ -76,6 +84,15 @@ def verify_records(draw, size):
     default_rng(SEED)."""
     rng = np.random.default_rng(SEED)
     return [draw(rng) for _ in range(size)]
+
+
+def verify_payload(samples: int) -> dict:
+    """The payload cmd_verify reports for gmem verify --model all --samples
+    samples --seed SEED, before _json_text adds its schema_version."""
+    reports = [sc.verify_derivatives(model, None, samples, SEED)
+               for model in sc.VERIFY_TOLERANCES]
+    return {"command": "verify", "pass": all(r["pass"] for r in reports),
+            "reports": reports}
 
 
 def jobs(calls):
@@ -145,8 +162,9 @@ def stencil_points(comps, rel_step):
 def verify_jobs(states):
     """(row, part, fn, argument tuples) for the verification layer's own
     calls, a sample's draws, two whole verify samples, the error pass over
-    blocks of samples and whole verify runs; a stencil row has a "call"
-    and a "callback" part, the latter per callback call."""
+    blocks of samples, whole verify runs and the invocation's parse and
+    report writer; a stencil row has a "call" and a "callback" part, the
+    latter per callback call."""
     comps = [tuple(c) for c, _f in states]
     points = [pt for cc in comps for pt in stencil_points(cc, STRESS_STEP)]
     out = []
@@ -183,6 +201,10 @@ def verify_jobs(states):
     out += [(f"verify_derivatives {model} 10", "call", sc.verify_derivatives,
              [(model, None, 10, SEED)] * max(1, len(states) // 32))
             for model in sc.VERIFY_TOLERANCES]
+    out += [("cli parse verify", "call", cli.build_parser().parse_args,
+             [(VERIFY_ARGV,)] * len(states)),
+            ("_json_text verify 10", "call", cli._json_text,
+             [(verify_payload(10),)] * max(1, len(states) // 4))]
     return out
 
 
