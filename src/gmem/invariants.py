@@ -3,7 +3,9 @@
 Three sets: the area-split invariants of the right surface Cauchy-Green
 tensor C, the exact logarithmic-strain invariants, and the two-constant
 polynomial approximations f1, f2 that replace the exact ones in the fast
-membrane model. A nine-scalar extension couples C with a curvature tensor.
+membrane model. The surrogates and their J2-derivatives are written once,
+in _surrogates, which approx_log_invariants and the metric kernel both
+call. A nine-scalar extension couples C with a curvature tensor.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ class LogInvariantState(NamedTuple):
     J3E: float
 
 
-# Constants of the polynomial shear/anisotropy surrogates f1, f2. E1 = 1/4
-# and G1 = 1/8 are the exact small-strain coefficients; E2 and G2 are a
+# Constants of the polynomial shear/anisotropy surrogates f1, f2 of
+# _surrogates. E1 = 1/4 and G1 = 1/8 are the exact small-strain
+# coefficients of J2E = asinh(sqrt J2)^2 / 4 and J3E = J3 g with
+# g = (asinh(sqrt J2) / sqrt J2)^3 / 8, as power series in J2. Their exact
+# next coefficients are -1/12 and -1/16; E2 and G2 shrink those to a
 # relative least-squares fit over principal stretch ratios lambda1/lambda2
 # in [1, FITTED_STRETCH_RATIO]. Outside that range the surrogates, and the
 # metric model built on them, are extrapolations.
@@ -135,13 +140,20 @@ def invariants_log_exact(c: SurfTensor2, frame: LatticeFrame) -> LogInvariantSta
     return _new(LogInvariantState, (J1E, J2E, J3E))
 
 
+def _surrogates(J2):
+    """The one evaluation of the surrogates as functions of J2, shared by
+    approx_log_invariants and the metric kernel: (f1, f1', f1'', g, g'),
+    with f1 = E1 J2 - E2 J2^2, f2 = J3 g, g = G1 - G2 J2 and ' = d/dJ2."""
+    return (E1 * J2 - E2 * J2 * J2, E1 - 2.0 * E2 * J2, -2.0 * E2,
+            G1 - G2 * J2, -G2)
+
+
 def approx_log_invariants(inv: InvariantState) -> tuple:
     """Polynomial surrogates f1 = e1 J2 - e2 J2^2 and f2 = J3 (g1 - g2 J2)
-    for the exact log invariants J2E, J3E, with the module constants E1,
-    E2, G1, G2 the metric model uses."""
-    f1 = E1 * inv.J2 - E2 * inv.J2 * inv.J2
-    f2 = inv.J3 * (G1 - G2 * inv.J2)
-    return f1, f2
+    for the exact log invariants J2E, J3E, from _surrogates, the head the
+    metric kernel reads."""
+    f1, _f1p, _f1pp, g, _gp = _surrogates(inv.J2)
+    return f1, inv.J3 * g
 
 
 def invariants_C_kappa(c: SurfTensor2, kappa: SurfTensor2,

@@ -3,8 +3,11 @@
 Two models share one energy functional: the fast metric model evaluates it
 on polynomial invariant surrogates (f1, f2) of C with fully analytic stress
 and tangent, and the logarithmic reference model evaluates it on the exact
-invariants of (1/2) ln C through the spectral decomposition. Units: lengths
-nm, forces nN, so surface stresses and energy densities are N/m.
+invariants of (1/2) ln C through the spectral decomposition. The metric
+kernel reads the surrogates and their J2-derivatives from
+invariants._surrogates and knows nothing else of their form or constants.
+Units: lengths nm, forces nN, so surface stresses and energy densities are
+N/m.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .surface_tensors import (
     tangent_from_pairs,
     tensor_product,
 )
-
-_E1, _E2, _G1, _G2 = _inv.E1, _inv.E2, _inv.G1, _inv.G2
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,23 +72,22 @@ class StressResult(NamedTuple):
 
 def _h_coefficients(J, det, J2, J3, p: MaterialParams, order: int):
     """Energy W, coefficients (H1, H2, H3), and for order >= 2 the partials
-    dHi/dJj the tangent reads, (H11, H12, H13, H22, H23), all analytic."""
+    dHi/dJj the tangent reads, (H11, H12, H13, H22, H23), all analytic, with
+    f1 and f2 = J3 g and their J2-derivatives from invariants._surrogates."""
     lnJ = 0.5 * math.log(det)
     Jb = J ** p.beta_hat
     mu = p.mu0 - p.mu1 * Jb
     eta = p.eta0 - p.eta1 * lnJ * lnJ
-    f1 = _E1 * J2 - _E2 * J2 * J2
-    f2 = J3 * (_G1 - _G2 * J2)
+    f1, f1p, f1pp, g, gp = _inv._surrogates(J2)
+    f2 = J3 * g
     ea = math.exp(-p.alpha_hat * lnJ)
     a2 = p.alpha_hat * p.alpha_hat
     W = p.epsilon * (1.0 - (1.0 + p.alpha_hat * lnJ) * ea) + 2.0 * mu * f1 + eta * f2
     if order == 0:
         return W, None, None
 
-    e1m = _E1 - 2.0 * _E2 * J2
-    g1m = _G1 - _G2 * J2
-    H2 = 2.0 * (2.0 * mu * e1m - _G2 * eta * J3)
-    H3 = eta * g1m
+    H2 = 2.0 * (2.0 * mu * f1p + gp * eta * J3)
+    H3 = eta * g
     mu1b = p.mu1 * p.beta_hat
     H1 = (p.epsilon * a2 * lnJ * ea - 2.0 * mu1b * Jb * f1
           - 2.0 * p.eta1 * lnJ * f2 - H2 * J2 - 3.0 * H3 * J3)
@@ -96,17 +96,17 @@ def _h_coefficients(J, det, J2, J3, p: MaterialParams, order: int):
 
     mu_p = -mu1b * Jb / J
     eta_p = -2.0 * p.eta1 * lnJ / J
-    H21 = 2.0 * (2.0 * mu_p * e1m - _G2 * eta_p * J3)
-    H22 = -8.0 * mu * _E2
-    H23 = -2.0 * _G2 * eta
-    H31 = eta_p * g1m
-    H32 = -_G2 * eta
+    H21 = 2.0 * (2.0 * mu_p * f1p + gp * eta_p * J3)
+    H22 = 4.0 * mu * f1pp
+    H23 = 2.0 * gp * eta
+    H31 = eta_p * g
+    H32 = gp * eta
     H11 = (p.epsilon * a2 / J * (1.0 - p.alpha_hat * lnJ) * ea
            - 2.0 * mu1b * p.beta_hat * Jb / J * f1 - 2.0 * p.eta1 / J * f2
            - H21 * J2 - 3.0 * H31 * J3)
-    H12 = (-2.0 * mu1b * Jb * e1m + 2.0 * p.eta1 * _G2 * lnJ * J3
+    H12 = (-2.0 * mu1b * Jb * f1p - 2.0 * p.eta1 * gp * lnJ * J3
            - H2 - H22 * J2 - 3.0 * H32 * J3)
-    H13 = -2.0 * p.eta1 * lnJ * g1m + 2.0 * _G2 * eta * J2 - 3.0 * H3
+    H13 = -2.0 * p.eta1 * lnJ * g - 2.0 * gp * eta * J2 - 3.0 * H3
     return W, (H1, H2, H3), (H11, H12, H13, H22, H23)
 
 

@@ -4,6 +4,7 @@ polynomial surrogates."""
 import decimal
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +339,90 @@ def test_log_invariants_match_high_precision_literals(c11, c22, c12, thL,
     ex = invariants_log_exact(c, make_frame(thL))
     assert abs(ex.J2E - J2E) <= 2.5 * EPS / u * J2E
     assert abs(ex.J3E - J3E) <= 3.0 * EPS / u * J2E ** 1.5
+
+
+def closed_form_log_invariants(J2, J3):
+    """(J2E, J3E) as closed forms of invariants_C's J2 and J3: in 2-D, C/J1
+    has eigenvalues e^(+-2 ed), so its traceless part has norm
+    sqrt J2 = sinh 2 ed, and J2E = ed^2, J3E = ed^3 J3 / J2^(3/2) with
+    ed = asinh(sqrt J2) / 2."""
+    ed = 0.5 * math.asinh(math.sqrt(J2))
+    return ed * ed, ed ** 3 * J3 / J2 ** 1.5
+
+
+def asinh_ratio_series(terms):
+    """The exact Maclaurin coefficients of r(x) = asinh(sqrt x) / sqrt x."""
+    return [Fraction((-1) ** k * math.factorial(2 * k),
+                     4 ** k * math.factorial(k) ** 2 * (2 * k + 1))
+            for k in range(terms)]
+
+
+def series_product(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def test_log_invariants_are_closed_forms_of_J2_and_J3():
+    """The closed forms of invariants_C's J2 and J3 read J2E within 4 eps
+    relative and J3E within 5 eps of J2E^(3/2) of the 50-digit literals,
+    in every band from u = 2.7e-9 to 0.46, where invariants_log_exact needs
+    2.5 eps/u. Their power series in J2, f1 = J2 r^2 / 4 for J2E and
+    g = r^3 / 8 for J3E / J3, open with E1 = 1/4 and G1 = 1/8 exactly, and
+    go on with -1/12 and -1/16, which the fitted E2 and G2 shrink."""
+    worse = []
+    for i, (c11, c22, c12, thL, J2E, J3E) in enumerate(
+            LOG_INVARIANT_LITERALS):
+        inv = invariants_C(SurfTensor2(c11, c22, c12), make_frame(thL))
+        j2e, j3e = closed_form_log_invariants(inv.J2, inv.J3)
+        if not (abs(j2e - J2E) <= 4.0 * EPS * J2E
+                and abs(j3e - J3E) <= 5.0 * EPS * J2E ** 1.5):
+            worse.append((i, j2e, J2E, j3e, J3E))
+    assert worse == []
+
+    r = asinh_ratio_series(3)
+    r2 = series_product(r, r)
+    r3 = series_product(r2, r)
+    assert (E1, G1) == (r2[0] / 4, r3[0] / 8) == (Fraction(1, 4),
+                                                  Fraction(1, 8))
+    assert (r2[1] / 4, r3[1] / 8) == (Fraction(-1, 12), Fraction(-1, 16))
+    assert 0.0 < E2 < Fraction(1, 12) and 0.0 < G2 < Fraction(1, 16)
+
+
+def exact_surrogates(J2):
+    """(f1, f1', f1'', g, g') of the exact log invariants, J2E = f1(J2) and
+    J3E = J3 g(J2), in invariants._surrogates' layout: f1 = J2 r^2 / 4 and
+    g = r^3 / 8 with r = asinh(sqrt J2) / sqrt J2. f1'' is NaN: a stress
+    does not read it."""
+    r = math.asinh(math.sqrt(J2)) / math.sqrt(J2)
+    s = math.sqrt(1.0 + J2)
+    rp = (1.0 / s - r) / (2.0 * J2)
+    return (0.25 * J2 * r * r, 0.25 * r / s, math.nan,
+            0.125 * r ** 3, 0.375 * r * r * rp)
+
+
+def test_metric_stress_on_the_exact_surrogates_is_the_log_stress(monkeypatch):
+    """With invariants._surrogates swapped for the exact log invariants'
+    closed forms, stress_metric returns stress_log's W and S within 1e-13
+    of mu0 - mu1, GGA and LDA, on 1,000 seeded states with eigenvalue gaps
+    u in [1e-2, 0.39]: the metric kernel knows the surrogates only through
+    that one head, and the log model is the metric model on the exact
+    surrogates."""
+    rng = random.Random(2447)
+    states = []
+    for _ in range(1000):
+        mean, u = rng.uniform(0.8, 1.25), rng.uniform(1e-2, 0.39)
+        states.append((spd(mean * (1.0 + u), mean * (1.0 - u),
+                           rng.uniform(0.0, math.pi)),
+                       make_frame(rng.uniform(0.0, 2.0 * math.pi))))
+    logs = [[mm.stress_log(c, fr, p) for c, fr in states]
+            for p in (mm.GGA, mm.LDA)]
+    monkeypatch.setattr(iv, "_surrogates", exact_surrogates)
+    for p, ref in zip((mm.GGA, mm.LDA), logs):
+        worst = 0.0
+        for (c, fr), lg in zip(states, ref):
+            out = mm.stress_metric(c, fr, p)
+            worst = max(worst, abs(out.W - lg.W),
+                        *(abs(a - b) for a, b in zip(out.S, lg.S)))
+        assert worst <= 1e-13 * (p.mu0 - p.mu1), (p.name, worst)
 
 
 def invariants_C_decimal(c: SurfTensor2, frame: LatticeFrame):

@@ -30,10 +30,16 @@ from gmem import scenarios as sc  # noqa: E402
 from gmem.surface_tensors import SurfTensor2  # noqa: E402
 
 N_STATES = 4
-MEMBRANE_PARTS = {"energy": {"core", "call"},
-                  "stress": {"core", "package", "call"},
-                  "tangent": {"core", "pairs", "call"},
-                  "stress_tangent": {"core", "package", "pairs", "call"}}
+MEMBRANE_PARTS = {
+    "energy_metric": {"coefficients", "core", "call"},
+    "stress_metric": {"coefficients", "core", "package", "call"},
+    "tangent_metric": {"coefficients", "core", "pairs", "call"},
+    "stress_tangent_metric": {"coefficients", "core", "package", "pairs",
+                              "call"},
+    "energy_log": {"core", "call"},
+    "stress_log": {"core", "package", "call"},
+    "tangent_log": {"core", "pairs", "call"},
+    "stress_tangent_log": {"core", "package", "pairs", "call"}}
 VERIFY_ROWS = ["geometry_from_metrics", "canham_energy",
                "bending_stress_moment", "bending_tangents", "tensor_product",
                "oplus_product", "boxtimes_product", "tangent_metric_oplus",
@@ -75,14 +81,28 @@ def test_every_job_table_runs_once():
     oplus = calls.pop("tangent_metric_oplus")
     split = cs.split(cs.jobs(calls), 1)
     assert list(split) == list(calls)
-    for model in ("metric", "log"):
-        for kind, parts in MEMBRANE_PARTS.items():
-            assert set(split[f"{kind}_{model}"]) == parts
+    for name, parts in MEMBRANE_PARTS.items():
+        assert set(split[name]) == parts
     per_call = cs.split(cs.call_jobs(states, oplus)
                         + cs.verify_jobs(states), 1)
     assert list(per_call) == VERIFY_ROWS
     assert all(t > 0.0 for table in (split, per_call)
                for parts in table.values() for t in parts.values())
+
+
+def test_coefficient_parts_take_the_metric_cores_inputs():
+    """call_split times _h_coefficients on the invariants the metric core
+    forms, at the call's order: its energy is the core's, bitwise."""
+    states = cp.records(gmem, cp.raw_states(cp.SEED)[:N_STATES])
+    args = {(name, part): a for name, part, _fn, a
+            in cs.jobs(cp.side_jobs(gmem, states))}
+    for name in MEMBRANE_PARTS:
+        if name.endswith("_metric"):
+            for core, coef in zip(args[name, "core"],
+                                  args[name, "coefficients"], strict=True):
+                assert coef[-1] == core[-1]
+                assert (mm._h_coefficients(*coef)[0]
+                        == mm._metric_core(*core)[0])
 
 
 def test_sample_rows_take_verify_state_records():

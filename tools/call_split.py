@@ -6,8 +6,12 @@ the path of the verify workload.
 Each public membrane call is the model's core (`_metric_core` or
 `_log_core`) on (C, frame) at the call's order, then the packaging:
 `_package_stress`, given the core's W, S and J = sqrt(det C), for a
-stress, and `tangent_from_pairs` for a tangent. The span tracer cannot show
-the core and `_package_stress`, because they are private.
+stress, and `tangent_from_pairs` for a tangent. A metric row also times the
+core's H/dH coefficient layer, `_h_coefficients` at the call's order, on
+the core's invariants precomputed with `_c_scalars`: the energy, its
+coefficients and the surrogate head `invariants._surrogates`. The span
+tracer cannot show the core, its coefficients and `_package_stress`,
+because they are private.
 
 The states, the whole calls and the timing loop are tools/call_pairs.py's:
 its STATES point_stream-like records from seed SEED (raw_states), its call
@@ -67,6 +71,7 @@ from gmem import bending_geometry as bg
 from gmem import cli
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
+from gmem.invariants import _c_scalars
 from gmem.numdiff import STRESS_STEP, partials_sym
 from gmem.surface_tensors import (SurfTensor2, boxtimes_product,
                                   oplus_product, tangent_from_pairs,
@@ -95,9 +100,18 @@ def verify_payload(samples: int) -> dict:
             "reports": reports}
 
 
+def coefficient_args(c, frame, p, order):
+    """_h_coefficients' arguments in the metric core on (c, frame)."""
+    m, n = frame.m_hat, frame.n_hat
+    det, J, _p11, _p12, J2, _mC, _nC, J3 = _c_scalars(
+        *c, m.c11, m.c12, n.c11, n.c12)
+    return J, det, J2, J3, p, order
+
+
 def jobs(calls):
     """(call, part, fn, argument tuples) for every figure of the split: each
-    call of calls whole, a membrane call also as its core and packaging."""
+    call of calls whole, a membrane call also as its core and packaging,
+    and a metric call as its core's coefficients."""
     out = []
     for name, (fn, args) in calls.items():
         kind, _, model = name.rpartition("_")
@@ -105,6 +119,9 @@ def jobs(calls):
             core = getattr(mm, f"_{model}_core")
             core_args = [(c, f, p, ORDER[kind]) for c, f, p in args]
             res = [core(*a) for a in core_args]
+            if model == "metric":
+                out.append((name, "coefficients", mm._h_coefficients,
+                            [coefficient_args(*a) for a in core_args]))
             out.append((name, "core", core, core_args))
             if kind.startswith("stress"):
                 out.append((name, "package", mm._package_stress,
@@ -225,12 +242,13 @@ def main() -> int:
     calls = side_jobs(gmem, states)
     oplus = calls.pop("tangent_metric_oplus")  # a verify-path row
     rows = split(jobs(calls), REPEAT)
-    cols = ("core", "package", "pairs", "call")
-    print(f"{'call (us/state)':24}" + "".join(f"{c:>9}" for c in cols)
-          + f"{'core %':>9}")
+    cols = ("coefficients", "core", "package", "pairs", "call")
+    width = {c: max(9, len(c) + 1) for c in cols}
+    print(f"{'call (us/state)':24}"
+          + "".join(f"{c:>{width[c]}}" for c in cols) + f"{'core %':>9}")
     for name, parts in rows.items():
-        cells = "".join(f"{parts[c]:9.2f}" if c in parts else f"{'-':>9}"
-                        for c in cols)
+        cells = "".join(f"{parts[c]:{width[c]}.2f}" if c in parts
+                        else f"{'-':>{width[c]}}" for c in cols)
         share = (f"{100.0 * parts['core'] / parts['call']:9.1f}"
                  if "core" in parts else f"{'-':>9}")
         print(f"{name:24}{cells}{share}")

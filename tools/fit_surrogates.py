@@ -13,6 +13,11 @@ so its fit is one quotient of sums. The script prints the refit and the
 shipped e2 and g2, and for each set the largest and the RMS relative
 error of f1 and f2 over the same ratios, in percent. A relative
 least-squares fit bounds the RMS error, not the largest one.
+
+The fit writes its own f1 and f2 with e2 and g2 free, rather than calling
+gmem's surrogate head, invariants._surrogates: the head evaluates the one
+shipped constants set, and a constants parameter on it would be an option
+that only this fit sets.
 """
 
 from __future__ import annotations
