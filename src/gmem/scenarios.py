@@ -44,8 +44,11 @@ class DeformationProtocol:
     """Homogeneous in-plane deformation family.
 
     direction_angle is the pull direction in radians from the armchair
-    axis; start/end bound the sweep parameter (stretch, or area ratio J
-    for dilatation).
+    axis; start/end bound the sweep parameter lam (stretch, or area ratio
+    J for dilatation). At lam, C has principal values (lam, lam),
+    (lam^2, 1) or (lam^2, 1/lam^2) for dilatation, uniaxial-constrained or
+    pure-shear, the first along theta_lattice + direction_angle (0 for
+    dilatation) in the lattice storage frame.
     """
 
     kind: str
@@ -88,20 +91,6 @@ class DeformationProtocol:
         the rounded sqrt(1.3)."""
         return self.max_stretch_ratio() <= FITTED_STRETCH_RATIO * (1.0 + 1e-12)
 
-    def states(self, lams: Sequence[float],
-               theta_lattice: float) -> List[SurfTensor2]:
-        """C components in the lattice storage frame at each sweep value."""
-        if self.kind == "dilatation":
-            return [_new(SurfTensor2, (lam, lam, 0.0)) for lam in lams]
-        shear = self.kind == "pure-shear"
-        phi = theta_lattice + self.direction_angle
-        out = []
-        for lam in lams:
-            d1 = lam * lam
-            d2 = 1.0 / d1 if shear else 1.0
-            out.append(_new(SurfTensor2, _principal_triple(d1, d2, phi)))
-        return out
-
 
 class CurvePoint(NamedTuple):
     lam: float
@@ -115,17 +104,24 @@ def run_curve(protocol: DeformationProtocol, model: str,
               params: mm.MaterialParams,
               frame: LatticeFrame) -> List[CurvePoint]:
     """Cauchy stress components in the pull-aligned Cartesian frame along
-    the sweep."""
+    the sweep; one cosine and sine of the pull axis place each point's C
+    and rotate its sigma."""
     if model not in MODEL_NAMES:
         raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
     stress = getattr(mm, f"stress_{model}")
-    phi = (0.0 if protocol.kind == "dilatation"
+    kind = protocol.kind
+    phi = (0.0 if kind == "dilatation"
            else frame.theta_lattice + protocol.direction_angle)
     c, s = math.cos(phi), math.sin(phi)
     cc, ss, cs, cs2, dcs = c * c, s * s, c * s, 2.0 * c * s, c * c - s * s
-    lams = protocol.values().tolist()
     out = []
-    for lam, state in zip(lams, protocol.states(lams, frame.theta_lattice)):
+    for lam in protocol.values().tolist():
+        if kind == "dilatation":
+            e1 = e2 = lam
+        else:
+            e1 = lam * lam
+            e2 = 1.0 / e1 if kind == "pure-shear" else 1.0
+        state = _new(SurfTensor2, _principal_triple(e1, e2, c, s))
         _s, _tau, (g11, g22, g12), W = stress(state, frame, params)
         out.append(_new(CurvePoint, (lam, cc * g11 + ss * g22 + cs2 * g12,
                                      ss * g11 + cc * g22 - cs2 * g12,
@@ -180,10 +176,9 @@ def invariant_approximation_errors(ratios: Iterable[float]) -> dict:
     return {"f1_vs_J2E": 100.0 * worst_f1, "f2_vs_J3E": 100.0 * worst_f2}
 
 
-def _principal_triple(e1, e2, phi):
+def _principal_triple(e1, e2, c, s):
     """(c11, c22, c12) of the symmetric 2x2 with eigenvalue e1 along the
-    angle phi and e2 across it, as Python floats."""
-    c, s = math.cos(phi), math.sin(phi)
+    unit vector (c, s) and e2 across it, as Python floats."""
     return (e1 * c * c + e2 * s * s, e1 * s * s + e2 * c * c,
             (e1 - e2) * s * c)
 
@@ -195,8 +190,9 @@ def _random_spd_triple(u1, u2, u3, lo=0.7, hi=1.6):
     That is NumPy's own uniform formula, so the triple is bitwise the one
     rng.uniform(lo, hi, size=2) and rng.uniform(0.0, pi) give for the same
     draws."""
+    phi = math.pi * u3
     return _principal_triple(lo + (hi - lo) * u1, lo + (hi - lo) * u2,
-                             math.pi * u3)
+                             math.cos(phi), math.sin(phi))
 
 
 def _row_err(x, ref):
@@ -524,8 +520,9 @@ def benchmark_models(params: mm.MaterialParams, n_evals: int = 100_000,
     for _ in range(n_evals):
         e2 = rng.uniform(0.8, 1.2)
         e1 = e2 * rng.uniform(1.0, 1.3)
+        phi = rng.uniform(0.0, math.pi)
         states.append(SurfTensor2(*_principal_triple(
-            e1, e2, rng.uniform(0.0, math.pi))))
+            e1, e2, math.cos(phi), math.sin(phi))))
 
     # (route, order) -> core, in timing order; each speedup divides the
     # times of two adjacent loops

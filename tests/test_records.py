@@ -148,15 +148,24 @@ def test_membrane_outputs_are_well_formed(c):
 
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
-def test_scenario_records_are_well_formed(kind):
+def test_scenario_records_are_well_formed(monkeypatch, kind):
+    """run_curve passes each point's C to the model's stress call as a
+    SurfTensor2 of Python floats and returns CurvePoints of floats."""
     fr = make_frame(0.3)
     proto = DeformationProtocol(kind, 0.2, 1.0, 1.2, 5)
-    states = proto.states(proto.values().tolist(), fr.theta_lattice)
-    assert len(states) == 5
-    for c in states:
-        _float_tensor(c)
     for model in ("metric", "log"):
+        call = getattr(mm, f"stress_{model}")
+        states = []
+
+        def stress(c, frame, p, call=call):
+            states.append(c)
+            return call(c, frame, p)
+
+        monkeypatch.setattr(mm, f"stress_{model}", stress)
         points = run_curve(proto, model, mm.GGA, fr)
+        assert len(states) == 5
+        for c in states:
+            _float_tensor(c)
         assert len(points) == 5
         for q in points:
             _well_formed(q, CurvePoint)

@@ -62,22 +62,36 @@ def test_protocol_takes_steps_as_an_integer(steps):
     assert proto.values().tolist() == [1.0, 1.1, 1.2]
 
 
-def test_protocol_values_and_states():
+def curve_states(monkeypatch, proto, frame=ARMCHAIR, model="metric"):
+    """run_curve's points, and the C each point passed to
+    mm.stress_<model>, recorded through that call."""
+    call = getattr(mm, f"stress_{model}")
+    seen = []
+
+    def stress(c, fr, p):
+        seen.append(c)
+        return call(c, fr, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mm, f"stress_{model}", stress)
+        return sc.run_curve(proto, model, mm.GGA, frame), seen
+
+
+def test_protocol_values_and_states(monkeypatch):
     p = sc.DeformationProtocol("dilatation", 0.0, 1.0, 1.21, 3)
     np.testing.assert_allclose(p.values(), [1.0, 1.105, 1.21])
-    st = p.states((1.21,), 0.0)[0]
+    st = curve_states(monkeypatch, p)[1][-1]
     assert (st.c11, st.c22, st.c12) == (1.21, 1.21, 0.0)
 
-    u = uniaxial(1.2).states((1.2,), 0.0)[0]
+    u = curve_states(monkeypatch, uniaxial(1.2))[1][-1]
     assert (u.c11, u.c22, u.c12) == pytest.approx((1.44, 1.0, 0.0))
     # pulling at ninety degrees lands the stretch on the second axis
-    u90 = sc.DeformationProtocol(
-        "uniaxial-constrained", math.pi / 2.0, 1.0, 1.2,
-        2).states((1.2,), 0.0)[0]
+    u90 = curve_states(monkeypatch,
+                       uniaxial(1.2, direction=math.pi / 2.0))[1][-1]
     assert (u90.c11, u90.c22) == pytest.approx((1.0, 1.44))
     assert abs(u90.c12) < 1e-15
 
-    s = shear(1.15).states((1.15,), 0.0)[0]
+    s = curve_states(monkeypatch, shear(1.15))[1][-1]
     assert (s.c11, s.c22) == pytest.approx((1.3225, 1.0 / 1.3225))
 
     # largest principal stretch ratio, at either end of the sweep
@@ -101,22 +115,24 @@ def test_run_curve_rejects_unknown_model():
 
 
 @pytest.mark.parametrize("kind", sc.PROTOCOL_KINDS)
-@pytest.mark.parametrize("direction_deg", [0.0, 30.0, 12.5])
+@pytest.mark.parametrize("direction_deg", [0.0, 30.0, 12.5, -33.0])
 @pytest.mark.parametrize("model", sc.MODEL_NAMES)
 @pytest.mark.parametrize("lattice", [0.0, 0.4])
-def test_run_curve_equals_per_point_loop(kind, direction_deg, model, lattice):
-    """run_curve is bitwise the literal loop: C from the protocol formula
-    at each point, the public stress call, then the rotation of sigma into
-    the pull-aligned frame."""
+def test_run_curve_equals_per_point_loop(monkeypatch, kind, direction_deg,
+                                         model, lattice):
+    """run_curve is bitwise the literal loop: C by the kind's rule at each
+    point, along the pull axis theta_lattice + direction_angle (none for
+    dilatation, whose c12 is +0.0), the public stress call, then the
+    rotation of sigma into the pull-aligned frame."""
     proto = sc.DeformationProtocol(kind, math.radians(direction_deg),
                                    0.7, 1.6, 37)
     frame = make_frame(lattice)
     phi = (0.0 if kind == "dilatation"
            else frame.theta_lattice + proto.direction_angle)
     c, s = math.cos(phi), math.sin(phi)
-    want = []
-    for lam in proto.values():
-        lam = float(lam)
+    stress = getattr(mm, f"stress_{model}")
+    want, states = [], []
+    for lam in proto.values().tolist():
         if kind == "dilatation":
             st = SurfTensor2(lam, lam, 0.0)
         else:
@@ -124,15 +140,19 @@ def test_run_curve_equals_per_point_loop(kind, direction_deg, model, lattice):
             d2 = 1.0 if kind == "uniaxial-constrained" else 1.0 / (lam * lam)
             st = SurfTensor2(d1 * c * c + d2 * s * s,
                              d1 * s * s + d2 * c * c, (d1 - d2) * s * c)
-        assert proto.states((lam,), frame.theta_lattice)[0] == st
-        r = getattr(mm, f"stress_{model}")(st, frame, mm.GGA)
+        states.append(st)
+        r = stress(st, frame, mm.GGA)
         g = r.sigma
         want.append((lam,
                      c * c * g.c11 + s * s * g.c22 + 2.0 * c * s * g.c12,
                      s * s * g.c11 + c * c * g.c22 - 2.0 * c * s * g.c12,
                      (c * c - s * s) * g.c12 + c * s * (g.c22 - g.c11),
                      r.W))
-    got = sc.run_curve(proto, model, mm.GGA, frame)
+    got, seen = curve_states(monkeypatch, proto, frame, model)
+    assert seen == states
+    assert all(type(st) is SurfTensor2 for st in seen)
+    if kind == "dilatation":
+        assert all(math.copysign(1.0, st.c12) == 1.0 for st in seen)
     assert [tuple(q) for q in got] == want
     assert all(type(q.lam) is float for q in got)
 
@@ -178,9 +198,9 @@ def test_pure_shear_frozen_points():
     assert rot.sigma12 == pytest.approx(-1.28213805870161682, rel=1e-12)
 
 
-def test_curve_point_energy_matches_model():
-    pts = sc.run_curve(uniaxial(1.1), "metric", mm.GGA, ARMCHAIR)
-    st = uniaxial(1.1).states((1.1,), 0.0)[0]
+def test_curve_point_energy_matches_model(monkeypatch):
+    pts, states = curve_states(monkeypatch, uniaxial(1.1))
+    st = states[1]
     assert pts[1].W == pytest.approx(
         mm.energy_metric(st, ARMCHAIR, mm.GGA), rel=1e-15)
 

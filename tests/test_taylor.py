@@ -81,8 +81,9 @@ def verify_states(rng):
 def near_isotropic_states(rng, u_max):
     for _ in range(SAMPLES):
         mean, u = rng.uniform(0.7, 1.6), rng.uniform(0.0, u_max)
+        phi = rng.uniform(0.0, math.pi)
         triple = sc._principal_triple(mean * (1.0 + u), mean * (1.0 - u),
-                                      rng.uniform(0.0, math.pi))
+                                      math.cos(phi), math.sin(phi))
         yield triple, rng.uniform(0.0, 2.0 * math.pi)
 
 

@@ -24,7 +24,12 @@ time invariants_C, invariants_log_exact and spectral, whole, on the same
 states: the sweep's invariants calls, which share the metric and log
 kernels' invariant scalars (`_c_scalars`, `_log_scalars`), and the
 eigendecomposition invariants_log_exact takes through spectral, whose eigen
-head (`_eigen_head`) the log core shares.
+head (`_eigen_head`) the log core shares. Beside each model's stress row,
+`run_curve <model> 201` times the sweep workload's path to that call: one
+run_curve per protocol kind over CURVE (0.7 to 1.6 in 201 points, pulled
+CURVE_DEG from the armchair axis of make_frame(0.0), GGA), in µs per curve
+point, so that the row less the stress call is the driver's share of a
+point.
 
 A second table times, the same way, the bending calls and the pair
 products on the single-state path of `gmem verify`:
@@ -72,12 +77,16 @@ from gmem import cli
 from gmem import membrane_material as mm
 from gmem import scenarios as sc
 from gmem.invariants import _c_scalars
+from gmem.lattice import make_frame
 from gmem.numdiff import STRESS_STEP, partials_sym
 from gmem.surface_tensors import (SurfTensor2, boxtimes_product,
                                   oplus_product, tangent_from_pairs,
                                   tensor_product)
 
 REPEAT = 25
+# the sweep workload's full-range curve, and one of its pull directions
+CURVE = (0.7, 1.6, 201)
+CURVE_DEG = 12.5
 ORDER = {"energy": 0, "stress": 1, "tangent": 2, "stress_tangent": 2}
 # the argv of the verify workload's in-process gmem verify, on seed SEED
 VERIFY_ARGV = ["verify", "--model", "all", "--samples", "10", "--seed",
@@ -108,10 +117,15 @@ def coefficient_args(c, frame, p, order):
     return J, det, J2, J3, p, order
 
 
+def curve_row(model: str) -> str:
+    return f"run_curve {model} {CURVE[2]}"
+
+
 def jobs(calls):
     """(call, part, fn, argument tuples) for every figure of the split: each
     call of calls whole, a membrane call also as its core and packaging,
-    and a metric call as its core's coefficients."""
+    a metric call as its core's coefficients, and after each stress call
+    its model's run_curve, per curve (main divides it by the points)."""
     out = []
     for name, (fn, args) in calls.items():
         kind, _, model = name.rpartition("_")
@@ -131,6 +145,11 @@ def jobs(calls):
                 out.append((name, "pairs", tangent_from_pairs,
                             [(g,) for _w, _s, g, _j in res]))
         out.append((name, "call", fn, args))
+        if kind == "stress":
+            out.append((curve_row(model), "call", sc.run_curve, [
+                (sc.DeformationProtocol(k, math.radians(CURVE_DEG), *CURVE),
+                 model, mm.GGA, make_frame(0.0))
+                for k in sc.PROTOCOL_KINDS]))
     return out
 
 
@@ -242,6 +261,8 @@ def main() -> int:
     calls = side_jobs(gmem, states)
     oplus = calls.pop("tangent_metric_oplus")  # a verify-path row
     rows = split(jobs(calls), REPEAT)
+    for model in sc.MODEL_NAMES:
+        rows[curve_row(model)]["call"] /= CURVE[2]
     cols = ("coefficients", "core", "package", "pairs", "call")
     width = {c: max(9, len(c) + 1) for c in cols}
     print(f"{'call (us/state)':24}"
