@@ -28,8 +28,8 @@ head (`_eigen_head`) the log core shares. Beside each model's stress row,
 `run_curve <model> 201` times the sweep workload's path to that call: one
 run_curve per protocol kind over CURVE (0.7 to 1.6 in 201 points, pulled
 CURVE_DEG from the armchair axis of make_frame(0.0), GGA), in µs per curve
-point, so that the row less the stress call is the driver's share of a
-point.
+point, so that the row less the stress call is run_curve's own share of
+a point.
 
 A second table times, the same way, the bending calls and the pair
 products on the single-state path of `gmem verify`:
