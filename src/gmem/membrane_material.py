@@ -71,9 +71,10 @@ class StressResult(NamedTuple):
 
 
 def _h_coefficients(J, det, J2, J3, p: MaterialParams, order: int):
-    """Energy W, coefficients (H1, H2, H3), and for order >= 2 the partials
-    dHi/dJj the tangent reads, (H11, H12, H13, H22, H23), all analytic, with
-    f1 and f2 = J3 g and their J2-derivatives from invariants._surrogates."""
+    """Energy W, coefficients (H1, H2, H3), and for order >= 2 the tangent's
+    eight scalar coefficients (g_inv, g_iso, g_cc, g_pp, g_cp, g_cz, g_pz,
+    g_k), formed from the partials dHi/dJj; all analytic, with f1 and
+    f2 = J3 g and their J2-derivatives from invariants._surrogates."""
     lnJ = 0.5 * math.log(det)
     Jb = J ** p.beta_hat
     mu = p.mu0 - p.mu1 * Jb
@@ -107,17 +108,11 @@ def _h_coefficients(J, det, J2, J3, p: MaterialParams, order: int):
     H12 = (-2.0 * mu1b * Jb * f1p - 2.0 * p.eta1 * gp * lnJ * J3
            - H2 - H22 * J2 - 3.0 * H32 * J3)
     H13 = -2.0 * p.eta1 * lnJ * g - 2.0 * gp * eta * J2 - 3.0 * H3
-    return W, (H1, H2, H3), (H11, H12, H13, H22, H23)
-
-
-def _tangent_scalars(J, J2, J3, H3, dH):
-    """The tangent's scalar coefficients from the order-2 partials dH:
-    (1/J^2, g_cc, g_pp, g_cp, g_cz, g_pz, g_k), shared by the pair-matrix
-    kernel and the cross-check term list."""
-    H11, H12, H13, H22, H23 = dH
     J2i = 1.0 / (J * J)
-    return (J2i, J * H11 - 2.0 * J2 * H12 - 3.0 * J3 * H13, 2.0 * H22 * J2i,
-            2.0 * H12 / J, 0.25 * H13 / J, 0.25 * H23 * J2i, 3.0 * H3 * J2i)
+    return W, (H1, H2, H3), (
+        -H1, H2 * J2i, J * H11 - 2.0 * J2 * H12 - 3.0 * J3 * H13,
+        2.0 * H22 * J2i, 2.0 * H12 / J, 0.25 * H13 / J, 0.25 * H23 * J2i,
+        3.0 * H3 * J2i)
 
 
 def _metric_core(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
@@ -128,16 +123,18 @@ def _metric_core(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
     J = sqrt(det C) or None); order 0 gives the energy, 1 adds the stress
     and J, 2 the tangent. The pair matrix is the sum of outer products
     left[a] * right[b] of the pair vectors ci = C^-1, cp, zz, m, n with
-    pre-combined partners, plus -H1 (C^-1 [x] C^-1 + C^-1 (+) C^-1) and
-    (H2/J^2)(I [x] I + I (+) I - I (x) I). Only the six upper entries are
-    formed; the lower three mirror them, so the matrix is exactly symmetric.
+    pre-combined partners, plus g_inv (C^-1 [x] C^-1 + C^-1 (+) C^-1) and
+    g_iso (I [x] I + I (+) I - I (x) I). The eight coefficients (g_inv,
+    g_iso, g_cc, g_pp, g_cp, g_cz, g_pz, g_k) come from _h_coefficients.
+    Only the six upper entries are formed; the lower three mirror them, so
+    the matrix is exactly symmetric.
     """
     c11, c22, c12 = c
     m, n = frame.m_hat, frame.n_hat
     m11, m12, n11, n12 = m.c11, m.c12, n.c11, n.c12
     det, J, p11, p12, J2, mC, nC, J3 = _inv._c_scalars(
         c11, c22, c12, m11, m12, n11, n12)
-    W, H, dH = _h_coefficients(J, det, J2, J3, p, order)
+    W, H, coef = _h_coefficients(J, det, J2, J3, p, order)
     if order == 0:
         return W, None, None, None
     H1, H2, H3 = H
@@ -154,10 +151,7 @@ def _metric_core(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams,
     if order == 1:
         return W, (s11, s22, s12), None, J
 
-    J2i, g_cc, g_pp, g_cp, g_cz, g_pz, g_k = _tangent_scalars(
-        J, J2, J3, H3, dH)
-    g_inv = -H1
-    g_iso = H2 * J2i
+    g_inv, g_iso, g_cc, g_pp, g_cp, g_cz, g_pz, g_k = coef
     kM = g_k * mC
     kN = g_k * nC
 
@@ -241,9 +235,8 @@ def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
     m11, m12, n11, n12 = mv.c11, mv.c12, nv.c11, nv.c12
     det, J, p11, p12, J2, mC, nC, J3 = _inv._c_scalars(
         c11, c22, c12, m11, m12, n11, n12)
-    _w, (H1, H2, H3), dH = _h_coefficients(J, det, J2, J3, p, order=2)
-    J2i, g_cc, g_pp, g_cp, g_cz, g_pz, g_k = _tangent_scalars(
-        J, J2, J3, H3, dH)
+    (g_inv, g_iso, g_cc, g_pp, g_cp, g_cz, g_pz,
+     g_k) = _h_coefficients(J, det, J2, J3, p, order=2)[2]
     i11, i22, i12 = c22 / det, c11 / det, -c12 / det
     aM = 3.0 * (mC * mC - nC * nC)
     aN = -6.0 * mC * nC
@@ -260,9 +253,9 @@ def _tangent_terms(c: SurfTensor2, frame: LatticeFrame, p: MaterialParams):
         (g_pz, cp, zz, "ot"), (g_pz, zz, cp, "ot"),
         (g_k * mC, mv, mv, "ot"), (-g_k * mC, nv, nv, "ot"),
         (-g_k * nC, mv, nv, "ot"), (-g_k * nC, nv, mv, "ot"),
-        (-H1, ci, ci, "bt"), (-H1, ci, ci, "op"),
-        (H2 * J2i, ident, ident, "bt"), (H2 * J2i, ident, ident, "op"),
-        (-H2 * J2i, ident, ident, "ot"),
+        (g_inv, ci, ci, "bt"), (g_inv, ci, ci, "op"),
+        (g_iso, ident, ident, "bt"), (g_iso, ident, ident, "op"),
+        (-g_iso, ident, ident, "ot"),
     ]
     return terms
 

@@ -433,10 +433,12 @@ def test_definiteness_guards():
 
 
 def test_order_two_partials_match_differences_of_the_coefficients():
-    """_h_coefficients' order-2 partials (H11, H12, H13, H22, H23) are the
+    """_h_coefficients' order-2 tangent coefficients are formed from the
     derivatives of its order-1 (H1, H2, H3) in (J, J2, J3) with det = J^2:
-    central differences at step 1e-5 max(|x|, 1), within 1e-7 of the
-    table's largest partial (eta, and with it H23, vanishes in the range)."""
+    g_cc, g_pp, g_cp, g_cz and g_pz, formed here from central differences
+    at step 1e-5 max(|x|, 1), lie within 1e-7 of the largest of the five
+    (eta, and with it g_pz, vanishes in the range); g_inv, g_iso and g_k
+    are -H1, H2/J^2 and 3 H3/J^2 bit for bit."""
     rng = np.random.default_rng(16)
     for _ in range(40):
         c = c_from_stretches(*rng.uniform(0.7, 1.6, size=2),
@@ -446,7 +448,12 @@ def test_order_two_partials_match_differences_of_the_coefficients():
             *c, fr.m_hat.c11, fr.m_hat.c12, fr.n_hat.c11, fr.n_hat.c12)
         x = (j, J2, J3)
         for p in (mm.GGA, mm.LDA):
-            _w, _h, dH = mm._h_coefficients(j, j * j, J2, J3, p, order=2)
+            _w, (H1, H2, H3), coef = mm._h_coefficients(j, j * j, J2, J3, p,
+                                                        order=2)
+            assert len(coef) == 8
+            j2i = 1.0 / (j * j)
+            assert coef[:2] == (-H1, H2 * j2i)
+            assert coef[7] == 3.0 * H3 * j2i
             fd = []
             for k in range(3):
                 h = 1e-5 * max(abs(x[k]), 1.0)
@@ -456,12 +463,15 @@ def test_order_two_partials_match_differences_of_the_coefficients():
                 hu = mm._h_coefficients(up[0], up[0] ** 2, *up[1:], p, 1)[1]
                 hd = mm._h_coefficients(dn[0], dn[0] ** 2, *dn[1:], p, 1)[1]
                 fd.append([(u - d) / (2.0 * h) for u, d in zip(hu, hd)])
-            # fd[k][i] = dHi/dJk; dH holds dH1/dJ, dH1/dJ2, dH1/dJ3,
-            # dH2/dJ2, dH2/dJ3
-            want = (fd[0][0], fd[1][0], fd[2][0], fd[1][1], fd[2][1])
-            scale = max(abs(v) for v in dH)
-            assert len(dH) == 5
-            assert max(abs(a - b) for a, b in zip(dH, want)) <= 1e-7 * scale
+            # fd[k][i] = dHi/dJk
+            H11, H12, H13 = fd[0][0], fd[1][0], fd[2][0]
+            H22, H23 = fd[1][1], fd[2][1]
+            want = (j * H11 - 2.0 * J2 * H12 - 3.0 * J3 * H13,
+                    2.0 * H22 / (j * j), 2.0 * H12 / j, 0.25 * H13 / j,
+                    0.25 * H23 / (j * j))
+            got = coef[2:7]
+            scale = max(abs(v) for v in got)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-7 * scale
 
 
 def test_coefficient_set_matches_stress_assembly():

@@ -424,16 +424,17 @@ def test_verify_metric_tangent_fd_catches_a_one_percent_coefficient(
         monkeypatch):
     """Scaling one tangent coefficient, g_pz, by 1.01 fails tangent_fd at its
     tolerance (the error reads about 9.1e-5). rearrangement cannot
-    see it: the oplus route takes the same scalars from _tangent_scalars,
-    so its error stays at roundoff."""
-    scalars = mm._tangent_scalars
+    see it: the oplus route takes the same coefficients from
+    _h_coefficients, so its error stays at roundoff."""
+    head = mm._h_coefficients
 
-    def g_pz_off_by_one_percent(*args):
-        out = list(scalars(*args))
-        out[5] *= 1.01
-        return tuple(out)
+    def g_pz_off_by_one_percent(*args, **kwargs):
+        W, H, coef = head(*args, **kwargs)
+        if coef is not None:
+            coef = coef[:6] + (coef[6] * 1.01,) + coef[7:]
+        return W, H, coef
 
-    monkeypatch.setattr(mm, "_tangent_scalars", g_pz_off_by_one_percent)
+    monkeypatch.setattr(mm, "_h_coefficients", g_pz_off_by_one_percent)
     rep = sc.verify_derivatives("metric", n_samples=200, seed=0)
     checks = rep["checks"]
     assert rep["pass"] is False

@@ -7,9 +7,10 @@ Each public membrane call is the model's core (`_metric_core` or
 `_log_core`) on (C, frame) at the call's order, then the packaging:
 `_package_stress`, given the core's W, S and J = sqrt(det C), for a
 stress, and `tangent_from_pairs` for a tangent. A metric row also times the
-core's H/dH coefficient layer, `_h_coefficients` at the call's order, on
-the core's invariants precomputed with `_c_scalars`: the energy, its
-coefficients and the surrogate head `invariants._surrogates`. The span
+core's coefficient head, `_h_coefficients` at the call's order, on the
+core's invariants precomputed with `_c_scalars`: the energy, its
+coefficients (H1, H2, H3), the surrogate head `invariants._surrogates`
+and, at order 2, the tangent's eight scalar coefficients. The span
 tracer cannot show the core, its coefficients and `_package_stress`,
 because they are private.
 
