@@ -25,16 +25,16 @@ class SurfacePointGeometry(NamedTuple):
     """Pointwise first/second fundamental data of a deforming surface.
 
     Covariant index placement is encoded in names: *_cov holds lower-index
-    SurfTensor2 components, *_contra upper-index ones. The embedding
-    fields, A_alpha and a_alpha (tangent vectors as rows), gamma[g][a][b]
-    (the current surface's Christoffel symbols of the second kind) and
-    n, are None in a record built from metrics alone.
+    SurfTensor2 components, *_contra upper-index ones; the reference metric
+    is held as A_cov alone. The embedding fields, A_alpha and a_alpha
+    (tangent vectors as rows), gamma[g][a][b] (the current surface's
+    Christoffel symbols of the second kind) and n, are None in a record
+    built from metrics alone.
     """
 
     A_alpha: Optional[np.ndarray]
     a_alpha: Optional[np.ndarray]
     A_cov: SurfTensor2
-    A_contra: SurfTensor2
     a_cov: SurfTensor2
     a_contra: SurfTensor2
     b_cov: SurfTensor2
@@ -236,11 +236,11 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     Used by the derivative checks, which vary a_ab and b_ab independently;
     no embedding compatibility is implied. A_cov, a_cov and b_cov are
     SurfTensor2 triples (c11, c22, c12), held as given (anything else
-    raises ValueError); A^ab, a^ab and b^ab = a^-1 b a^-1 are triples too,
-    all closed-form 2x2 arithmetic on plain floats. The metrics determine
-    no embedding, so A_alpha, a_alpha, gamma and n are None. Raises
-    NotPositiveDefiniteError for a bad A_cov (`reference metric`) or a_cov
-    (`metric`).
+    raises ValueError); a^ab and b^ab = a^-1 b a^-1 are float triples too.
+    H is half the trace of t = a^-1 b and k1, k2 = H +- sqrt(h^2 + t12 t21)
+    with h = (t11 - t22) / 2. The metrics determine no embedding, so
+    A_alpha, a_alpha, gamma and n are None. Raises NotPositiveDefiniteError
+    for a bad A_cov (`reference metric`) or a_cov (`metric`).
     """
     if not type(A_cov) is type(a_cov) is type(b_cov) is SurfTensor2:
         raise ValueError("A_cov, a_cov and b_cov must be SurfTensor2 (c11, "
@@ -254,23 +254,23 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
     if not (0.0 < deta < math.inf and a00 > 0.0):
         raise _st._not_positive_definite(deta, a00 + a11, "metric")
     i00, i01, i11 = a11 / deta, -a01 / deta, a00 / deta
-    H = 0.5 * (i00 * b00 + i01 * b01 + i01 * b01 + i11 * b11)
-    kappa = (b00 * b11 - b01 * b01) / deta
-    disc = math.sqrt(max(H * H - kappa, 0.0))
     t00, t01 = i00 * b00 + i01 * b01, i00 * b01 + i01 * b11
     t10, t11 = i01 * b00 + i11 * b01, i01 * b01 + i11 * b11
+    # H = a^ab b_ab / 2 summed term by term, whose first two terms are t00
+    H, h = 0.5 * (t00 + i01 * b01 + i11 * b11), 0.5 * (t00 - t11)
+    kappa = (b00 * b11 - b01 * b01) / deta
+    disc = math.sqrt(max(h * h + t01 * t10, 0.0))
     return _new(SurfacePointGeometry, (
-        None, None, A_cov,
-        _new(SurfTensor2, (A11 / detA, A00 / detA, -A01 / detA)), a_cov,
-        _new(SurfTensor2, (i00, i11, i01)), b_cov,
+        None, None, A_cov, a_cov, _new(SurfTensor2, (i00, i11, i01)), b_cov,
         _new(SurfTensor2, (t00 * i00 + t01 * i01, t10 * i01 + t11 * i11,
                            t00 * i01 + t01 * i11)), None, None,
         math.sqrt(deta / detA), H, kappa, H + disc, H - disc))
 
 
 def canham_energy(g: SurfacePointGeometry, c_bend: float) -> float:
-    """Bending energy density per reference area: J (c/2)(k1^2 + k2^2)."""
-    return g.J * 0.5 * c_bend * (g.k1 * g.k1 + g.k2 * g.k2)
+    """Bending energy density per reference area, J (c/2)(k1^2 + k2^2),
+    as J c (2H^2 - kappa): the form its stress and tangents differentiate."""
+    return g.J * c_bend * (2.0 * g.H * g.H - g.kappa_gauss)
 
 
 def bending_stress_moment(g: SurfacePointGeometry, c_bend: float):

@@ -30,7 +30,10 @@ W 1.8e-15 at most; gates 2e-15 and 1e-14.
 
 The bending model runs on the first BENDING_SAMPLES records that verify
 draws (scenarios._bending_state on default_rng(0)), with the math global
-of bending_geometry swapped for mpmath's sqrt and inf.
+of bending_geometry swapped for mpmath's sqrt and inf, and the same way on
+near-umbilic states, b = k a plus a perturbation of relative size 0 to
+1e-4, where H^2 - kappa cancels. A sphere's principal curvatures, through
+evaluate_geometry, are checked against 1/R.
 """
 
 import math
@@ -143,11 +146,13 @@ def test_stress_calls_match_a_40_digit_reference(monkeypatch, model, band):
 
 
 BENDING_SAMPLES = 200
+UMBILIC_SAMPLES = 100
+SPHERE_POINTS = 2000
 
 
 def bending_groups(A, a, b):
-    """W, (tau, M0), (c, d, e, f) and (J, H, kappa, k1, k2) of the bending
-    model at the metrics A, a and curvature b, as float arrays."""
+    """W, (tau, M0), (c, d, e, f), (J, H, kappa) and (k1, k2) of the
+    bending model at the metrics A, a and curvature b, as float arrays."""
     g = bg.geometry_from_metrics(A, a, b)
     c_bend = sc.DEFAULT_BEND_STIFFNESS
     tau, m0 = bg.bending_stress_moment(g, c_bend)
@@ -155,31 +160,74 @@ def bending_groups(A, a, b):
     return [np.array([float(bg.canham_energy(g, c_bend))]),
             np.array([float(x) for x in tau + m0]),
             np.array([float(x) for t in tg for x in t.ravel()]),
-            np.array([float(x) for x in (g.J, g.H, g.kappa_gauss, g.k1,
-                                         g.k2)])]
+            np.array([float(x) for x in (g.J, g.H, g.kappa_gauss)]),
+            np.array([float(g.k1), float(g.k2)])]
+
+
+def bending_errors(monkeypatch, triples):
+    """Per (A, a, b) triple of metric and curvature triples, the error of
+    each bending_groups group against the same calls on mpmath numbers,
+    normwise over the group's largest reference magnitude."""
+    def metrics(triple, num):
+        return [st.SurfTensor2(*map(num, t)) for t in triple]
+
+    shipped = [bending_groups(*metrics(t, float)) for t in triples]
+    with monkeypatch.context() as patch, mpmath.workdps(DIGITS):
+        patch.setattr(bg, "math", types.SimpleNamespace(sqrt=mpmath.sqrt,
+                                                        inf=mpmath.inf))
+        g = bg.geometry_from_metrics(*metrics(triples[0], mpmath.mpf))
+        assert type(g.k2) is type(g.J) is mpmath.mpf
+        ref = [bending_groups(*metrics(t, mpmath.mpf)) for t in triples]
+    return np.array([[np.max(np.abs(x - r)) / np.max(np.abs(r))
+                      for x, r in zip(got, want)]
+                     for got, want in zip(shipped, ref)])
+
+
+def verify_triples(n):
+    """(a_ref, a_cur, b_cur) of the first n bending state records that
+    verify draws (scenarios._bending_state on default_rng(0))."""
+    rng = np.random.default_rng(0)
+    return [tuple(s[k] for k in ("a_ref", "a_cur", "b_cur"))
+            for s in (sc._bending_state(rng) for _ in range(n))]
 
 
 def test_bending_model_matches_a_40_digit_reference(monkeypatch):
     """geometry_from_metrics, canham_energy, bending_stress_moment and
     bending_tangents on the verify draws of the bending model, against the
     same calls on mpmath numbers; per state and group, normwise. Readings:
-    W 6.4e-16, (tau, M0) 8.1e-16, (c, d, e, f) 8.2e-16 and (J, H, kappa,
-    k1, k2) 5.1e-16 at most, all gated at 4e-15."""
-    rng = np.random.default_rng(0)
-    states = [sc._bending_state(rng) for _ in range(BENDING_SAMPLES)]
-
-    def metrics(state, num):
-        return [st.SurfTensor2(*map(num, state[k]))
-                for k in ("a_ref", "a_cur", "b_cur")]
-
-    shipped = [bending_groups(*metrics(s, float)) for s in states]
-    with monkeypatch.context() as patch, mpmath.workdps(DIGITS):
-        patch.setattr(bg, "math", types.SimpleNamespace(sqrt=mpmath.sqrt,
-                                                        inf=mpmath.inf))
-        g = bg.geometry_from_metrics(*metrics(states[0], mpmath.mpf))
-        assert type(g.k2) is type(g.J) is mpmath.mpf
-        ref = [bending_groups(*metrics(s, mpmath.mpf)) for s in states]
-    rel = np.array([[np.max(np.abs(x - r)) / np.max(np.abs(r))
-                     for x, r in zip(got, want)]
-                    for got, want in zip(shipped, ref)])
+    W 7.1e-16, (tau, M0) 8.1e-16, (c, d, e, f) 8.2e-16, (J, H, kappa)
+    2.2e-16 and (k1, k2) 3.2e-16 at most, all gated at 4e-15."""
+    rel = bending_errors(monkeypatch, verify_triples(BENDING_SAMPLES))
     assert np.all(rel <= 4e-15), rel.max(axis=0).tolist()
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-12, 1e-8, 1e-4])
+def test_principal_curvatures_keep_their_digits_near_an_umbilic(
+        monkeypatch, perturbation):
+    """On verify's metrics, b = k a + perturbation |k| p, with k and the
+    direction p = b_cur from the same record (k = b_cur's c12): a^-1 b is
+    k I plus a trace-free part of relative size perturbation (rounding
+    alone at 0). W and (k1, k2) read at most 1.3e-15 and 4.1e-16 against
+    the 40-digit value, gated at 4e-15; k1 and k2 from
+    sqrt(H^2 - kappa), which cancels there, read 2e-8 to 3e-11."""
+    triples = []
+    for a_ref, a_cur, p in verify_triples(UMBILIC_SAMPLES):
+        k = p[2]
+        triples.append((a_ref, a_cur, tuple(
+            k * x + perturbation * abs(k) * y for x, y in zip(a_cur, p))))
+    rel = bending_errors(monkeypatch, triples)[:, [0, 4]]
+    assert np.all(rel <= 4e-15), rel.max(axis=0).tolist()
+
+
+def test_sphere_principal_curvatures_are_one_over_the_radius():
+    """evaluate_geometry on SPHERE_POINTS seeded sphere points, radius in
+    [0.5, 3] and polar angle in [0.3, 2.8]: k1 and k2 read at most 6.7e-16
+    off 1/R, relative, gated at 4e-15 (2.4e-8 from sqrt(H^2 - kappa))."""
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for _ in range(SPHERE_POINTS):
+        r = rng.uniform(0.5, 3.0)
+        xi = (rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.3, 2.8))
+        g = bg.evaluate_geometry(bg.sphere_surface(r), xi)
+        worst = max(worst, abs(g.k1 * r - 1.0), abs(g.k2 * r - 1.0))
+    assert worst <= 4e-15, worst

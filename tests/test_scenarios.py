@@ -307,7 +307,9 @@ def test_verify_derivatives_is_deterministic():
 
 # (model, check) -> (max, mean) as float.hex and worst_sample of
 # verify_derivatives(model, n_samples=4, seed=11), recorded before the
-# verify helpers moved to float arithmetic and one draw per sample
+# verify helpers moved to float arithmetic and one draw per sample; the
+# bending stress_fd entry since canham_energy forms W as J c (2H^2 - kappa),
+# whose differences round differently from J (c/2)(k1^2 + k2^2)'s
 FROZEN_VERIFY = {
     ("metric", "stress_fd"): (
         "0x1.014ecab52f8a4p-31", "0x1.caed96871799cp-33", 1),
@@ -320,7 +322,7 @@ FROZEN_VERIFY = {
         "0x1.39eb4207809aap-31", "0x1.64825d2cbf723p-32", 1),
     ("log", "major_symmetry"): ("0x0.0p+0", "0x0.0p+0", 0),
     ("bending", "stress_fd"): (
-        "0x1.5831bf0fc6a99p-32", "0x1.e50755284ebbep-33", 1),
+        "0x1.7ec96373da737p-32", "0x1.03ff0cd530156p-32", 1),
     ("bending", "tangent_fd"): (
         "0x1.e39a181ca3f65p-32", "0x1.099057b3bd3e9p-33", 0),
     ("bending", "transpose_identity"): ("0x0.0p+0", "0x0.0p+0", 0),

@@ -136,6 +136,21 @@ def test_sign_threshold_at_31_rounds():
     assert cp.sign_threshold(cp.ROUNDS) == 24
 
 
+def test_change_column_is_the_median_per_round_ratio():
+    """Host drift between rounds: the parent reads 10 µs in rounds 0-15 and
+    20 µs in rounds 16-30; the change is 1% faster in 26 rounds and 5%
+    slower in rounds 0-4. The ratio of the two medians reads +5% at 26/31
+    wins, a marked row; the median per-round ratio reads the -1% the win
+    count tests."""
+    parent = [10.0] * 16 + [20.0] * 15
+    change = [p * (1.05 if r < 5 else 0.99) for r, p in enumerate(parent)]
+    p, c, change_rel, wins = cp.row({"parent": parent, "change": change})
+    assert (p, c, wins) == (10.0, 10.5, 26)
+    assert wins >= cp.sign_threshold(cp.ROUNDS)
+    assert c / p - 1.0 == pytest.approx(0.05)
+    assert change_rel == pytest.approx(-0.01)
+
+
 def test_stencil_points_are_the_callback_arguments():
     comps = (1.3, 0.9, 0.15)
     points = cs.stencil_points(comps, 1e-6)

@@ -21,10 +21,13 @@ nanoseconds, included). tools/call_split.py times its "call" rows from the
 same states, table and loop.
 
 Prints per call the median over rounds on each side, the relative change
-of the medians and the number of rounds in which the change was faster.
-A row is marked "*" when its win count passes a two-sided sign test at 1%
-over the ROUNDS rounds (sign_threshold: 24 or more, or 7 or fewer, of 31).
-Only marked rows back a per-call claim. The medians move by up to +-5%
+(the median over rounds of the round's change/parent ratio, less 1) and
+the number of rounds in which the change was faster. The change and the
+win count read the same per-round pairs, so a drift of the host between
+rounds cannot give them opposite signs, as a ratio of the two separate
+medians could. A row is marked "*" when its win count passes a two-sided
+sign test at 1% over the ROUNDS rounds (sign_threshold: 24 or more, or 7
+or fewer, of 31). Only marked rows back a per-call claim. The medians move by up to +-5%
 between processes for the same two commits (energy_metric read -4.7% in
 one run and +4.9% in the next on a shared 2-core host), and on unchanged
 code the win counts ranged from 7/31 to 22/31.
@@ -127,6 +130,18 @@ def sign_threshold(n: int) -> int:
     return k + 1
 
 
+def row(sides: dict) -> tuple:
+    """(parent median, change median, relative change, wins) of one call's
+    {side: [µs per round]}: the relative change is the median over rounds
+    of change/parent, less 1, and wins count the rounds with change <
+    parent."""
+    pairs = list(zip(sides["parent"], sides["change"]))
+    return (statistics.median(sides["parent"]),
+            statistics.median(sides["change"]),
+            statistics.median(c / p for p, c in pairs) - 1.0,
+            sum(c < p for p, c in pairs))
+
+
 def rounds(jobs: dict) -> dict:
     """{call: {side: [µs per state, one per round]}}."""
     out = {call: {"parent": [], "change": []} for call in jobs["parent"]}
@@ -161,17 +176,16 @@ def main() -> int:
         times = rounds(jobs)
     k = sign_threshold(ROUNDS)
     print(f"{STATES} states, {ROUNDS} alternating rounds, minimum of "
-          f"{REPEAT} loops per round; medians over rounds, GGA; * marks "
-          f"wins >= {k} or <= {ROUNDS - k} (two-sided sign test, 1%), the "
-          f"only rows that back a per-call claim")
+          f"{REPEAT} loops per round; medians over rounds, GGA; change is "
+          f"the median per-round change/parent ratio; * marks wins >= {k} "
+          f"or <= {ROUNDS - k} (two-sided sign test, 1%), the only rows "
+          f"that back a per-call claim")
     print(f"{'call':24}{'parent us':>11}{'change us':>11}{'change':>9}"
           f"{'wins':>8}")
     for call, sides in times.items():
-        p = statistics.median(sides["parent"])
-        c = statistics.median(sides["change"])
-        wins = sum(b < a for a, b in zip(sides["parent"], sides["change"]))
+        p, c, change, wins = row(sides)
         mark = " *" if wins >= k or wins <= ROUNDS - k else ""
-        print(f"{call:24}{p:11.3f}{c:11.3f}{100.0 * (c / p - 1.0):+8.1f}%"
+        print(f"{call:24}{p:11.3f}{c:11.3f}{100.0 * change:+8.1f}%"
               f"{wins:>5d}/{ROUNDS}{mark}")
     return 0
 

@@ -32,9 +32,13 @@ imports gmem from that tree's src/, dumps float64 arrays of:
   curvature triples, the geometry_from_metrics record without its four
   embedding fields (tangent vectors, gamma and n: None, since the metrics
   determine no embedding), canham_energy,
-  bending_stress_moment and bending_tangents. The metrics go in as
-  SurfTensor2 triples, and every symmetric field, the six of a record and
-  the stress and moment, is dumped as its (11, 22, 12) components;
+  bending_stress_moment and bending_tangents; and the same metric-only
+  outputs at seeded near-umbilic states, b = k a plus a seeded direction
+  of relative size each of UMBILIC_PERTURBATIONS (0, 1e-12, 1e-8, 1e-4),
+  where the principal curvatures' discriminant nearly vanishes. The
+  metrics go in as SurfTensor2 triples, and every symmetric field, the
+  five of a record and the stress and moment, is dumped as its
+  (11, 22, 12) components;
 * one partials_sym group: numdiff.partials_sym at STRESS_STEP and at
   TANGENT_STEP on the first N_STENCIL states, with one callback per form
   of result it takes: energy_metric (a float), stress_log's S (a
@@ -79,7 +83,8 @@ from call_pairs import principal_triple, raw_states  # noqa: E402
 
 N_STATES = 2000
 SEED = 20240
-N_BENDING = 100  # points per surface kind, and metric triples
+N_BENDING = 100  # points per surface kind, metric triples and umbilics
+UMBILIC_PERTURBATIONS = (0.0, 1e-12, 1e-8, 1e-4)
 N_SPECTRAL = 100  # indefinite tensors, and coincident eigenvalues
 N_STENCIL = 100  # states differenced by the partials_sym group
 VERIFY_SEEDS = range(8)
@@ -137,15 +142,23 @@ def _bending_values(bg, SurfTensor2, rng, c_bend) -> list:
         for surf, ref in zip(surfaces(), surfaces()):
             for reference in (None, ref):
                 out.extend(_record(bg.evaluate_geometry(surf, xi, reference)))
-    for _ in range(N_BENDING):
-        g = bg.geometry_from_metrics(
-            SurfTensor2(*_spd(rng, 0.8, 1.3)),
-            SurfTensor2(*_spd(rng, 0.7, 1.6)),
-            SurfTensor2(*rng.uniform(-0.5, 0.5, 3).tolist()))
+    def metric_outputs(A, a, b):
+        g = bg.geometry_from_metrics(SurfTensor2(*A), SurfTensor2(*a),
+                                     SurfTensor2(*b))
         out.extend(_record(g))
         out.append(bg.canham_energy(g, c_bend))
         out.extend(bg.bending_stress_moment(g, c_bend))
         out.extend(bg.bending_tangents(g, c_bend))
+
+    for _ in range(N_BENDING):
+        metric_outputs(_spd(rng, 0.8, 1.3), _spd(rng, 0.7, 1.6),
+                       rng.uniform(-0.5, 0.5, 3).tolist())
+    for _ in range(N_BENDING):
+        A, a = _spd(rng, 0.8, 1.3), _spd(rng, 0.7, 1.6)
+        k, *p = rng.uniform(-0.5, 0.5, 4).tolist()
+        for rel in UMBILIC_PERTURBATIONS:
+            metric_outputs(A, a, [k * x + rel * abs(k) * y
+                                  for x, y in zip(a, p)])
     return out
 
 
