@@ -5,8 +5,9 @@ Geometry records carry both metrics with inverses, curvature components
 and the scalar curvature invariants; a record evaluated on a surface also
 carries its embedding: tangent vectors, normal and Christoffel symbols.
 Bending energy, stress, moment, and the four bending tangents are
-analytic; every derivative is validated elsewhere against central
-differences that treat (a_ab, b_ab) as independent inputs.
+analytic, the order-0, 1 and 2 views of one core, _bending_core, as the
+membrane calls are of theirs; every derivative is validated elsewhere
+against central differences that treat (a_ab, b_ab) as independent inputs.
 """
 
 from __future__ import annotations
@@ -267,10 +268,63 @@ def geometry_from_metrics(A_cov, a_cov, b_cov) -> SurfacePointGeometry:
         math.sqrt(deta / detA), H, kappa, H + disc, H - disc))
 
 
+# the pairs (11, 22, 12) of a pair block's rows and columns, the position
+# of (i, j) among them, and the flat index in the core's blocks of tangent
+# entry [block, i, j, k, l] (no NumPy arithmetic at import: it costs 0.1 MB)
+_PAIRS = ((0, 0), (1, 1), (0, 1))
+_PAIR_OF = ((0, 2), (2, 1))
+_BLOCK_TAKE = np.array([[[[[m + 3 * p + q for q in kl] for kl in _PAIR_OF]
+                          for p in ij] for ij in _PAIR_OF]
+                        for m in (0, 9, 18)])
+
+
+def _bending_core(g: SurfacePointGeometry, c_bend: float, order: int):
+    """The Canham model at g: (W, (tau, M0) as two float triples or None,
+    pair blocks or None), up to order 0, 1 or 2. The blocks are one
+    (3, 3, 3) array of c, d and f over the pairs (11, 22, 12), the
+    symmetric 6x6 [[c, d], [d^T, f]] in block form. With a = a^ab,
+    b = b^ab, s = J c_bend and sym4(o)^ijkl = (o^ikjl + o^iljk) / 2,
+    c = s [(2H^2 - kappa) a(x)a - 4H (a(x)b + b(x)a) + 4 b(x)b
+    - 2 (2H^2 + kappa) sym4(a(x)a) + 8H (sym4(a(x)b) + sym4(b(x)a))],
+    d = s [4H a(x)a - a(x)b - 2 b(x)a - 4H sym4(a(x)a)] and
+    f = s sym4(a(x)a), in that operation order, each single product plus
+    0.0 so that a zero product is +0.0, as in an einsum outer product.
+    """
+    H, kappa = g.H, g.kappa_gauss
+    s, hh = g.J * c_bend, 2.0 * H * H
+    W = s * (hh - kappa)
+    if order == 0:
+        return W, None, None
+    a00, a11, a01 = g.a_contra
+    b00, b11, b01 = g.b_contra
+    h, q = hh + kappa, 4.0 * H
+    tau_m0 = ((s * (h * a00 - q * b00), s * (h * a11 - q * b11),
+               s * (h * a01 - q * b01)), (s * b00, s * b11, s * b01))
+    if order == 1:
+        return W, tau_m0, None
+    A, B = ((a00, a01), (a01, a11)), ((b00, b01), (b01, b11))
+    k_aa, k_a4, k_s = hh - kappa, 2.0 * h, 8.0 * H
+    c_t, d_t, f_t = [], [], []
+    for i, j in _PAIRS:
+        Ai, Aj, Bi, Bj = A[i], A[j], B[i], B[j]
+        Aij, Bij = Ai[j], Bi[j]
+        for k, l in _PAIRS:
+            Akl, Bkl = A[k][l], B[k][l]
+            x, y, z = Aij * Akl + 0.0, Aij * Bkl + 0.0, Bij * Akl + 0.0
+            a4 = 0.5 * ((Ai[k] * Aj[l] + 0.0) + (Ai[l] * Aj[k] + 0.0))
+            ab_s = (0.5 * ((Ai[k] * Bj[l] + 0.0) + (Ai[l] * Bj[k] + 0.0))
+                    + 0.5 * ((Bi[k] * Aj[l] + 0.0) + (Bi[l] * Aj[k] + 0.0)))
+            c_t.append(s * (k_aa * x - q * (y + z) + 4.0 * (Bij * Bkl + 0.0)
+                            - k_a4 * a4 + k_s * ab_s))
+            d_t.append(s * (q * x - y - 2.0 * z - q * a4))
+            f_t.append(s * a4)
+    return W, tau_m0, np.array(c_t + d_t + f_t).reshape(3, 3, 3)
+
+
 def canham_energy(g: SurfacePointGeometry, c_bend: float) -> float:
     """Bending energy density per reference area, J (c/2)(k1^2 + k2^2),
     as J c (2H^2 - kappa): the form its stress and tangents differentiate."""
-    return g.J * c_bend * (2.0 * g.H * g.H - g.kappa_gauss)
+    return _bending_core(g, c_bend, 0)[0]
 
 
 def bending_stress_moment(g: SurfacePointGeometry, c_bend: float):
@@ -279,20 +333,8 @@ def bending_stress_moment(g: SurfacePointGeometry, c_bend: float):
     tau_b = J c [(2H^2 + kappa) a^ab - 4 H b^ab], M0 = c J b^ab; both equal
     the (a, b)-partials of the bending energy.
     """
-    a00, a11, a01 = g.a_contra
-    b00, b11, b01 = g.b_contra
-    h = 2.0 * g.H * g.H + g.kappa_gauss
-    q, s = 4.0 * g.H, g.J * c_bend
-    return (_new(SurfTensor2, (s * (h * a00 - q * b00),
-                               s * (h * a11 - q * b11),
-                               s * (h * a01 - q * b01))),
-            _new(SurfTensor2, (s * b00, s * b11, s * b01)))
-
-
-# flat index 8a + 4b + 2g + d of [a, b, g, d] -> the flat indices of
-# [a, g, b, d] and [a, d, b, g]
-_SYM4 = tuple((8 * a + 4 * g + 2 * b + d, 8 * a + 4 * d + 2 * b + g)
-              for a in (0, 1) for b in (0, 1) for g in (0, 1) for d in (0, 1))
+    tau, m0 = _bending_core(g, c_bend, 1)[1]
+    return _new(SurfTensor2, tau), _new(SurfTensor2, m0)
 
 
 class BendingTangents(NamedTuple):
@@ -307,31 +349,9 @@ class BendingTangents(NamedTuple):
 
 
 def bending_tangents(g: SurfacePointGeometry, c_bend: float) -> BendingTangents:
-    """The four bending moduli at g. Each of the 48 entries of c, d and f
-    is formed in float arithmetic, in the operation order of the
-    outer-product form, and the three blocks are views of one array; e is
-    the major-transpose view of d."""
-    a00, a11, a01 = g.a_contra
-    b00, b11, b01 = g.b_contra
-    au, bu = (a00, a01, a01, a11), (b00, b01, b01, b11)
-    H, kappa, pref = g.H, g.kappa_gauss, g.J * c_bend
-    # the four outer products, flat; + 0.0 makes every zero product +0.0,
-    # the sign an einsum outer product gives
-    aa = [x * y + 0.0 for x in au for y in au]
-    ab = [x * y + 0.0 for x in au for y in bu]
-    ba = [x * y + 0.0 for x in bu for y in au]
-    bb = [x * y + 0.0 for x in bu for y in bu]
-    k_aa, k_ab = 2.0 * H * H - kappa, 4.0 * H
-    k_a4, k_s = 2.0 * (2.0 * H * H + kappa), 8.0 * H
-    c_t, d_t, f_t = [], [], []
-    for x, y, z, w, (i, j) in zip(aa, ab, ba, bb, _SYM4):
-        # sym4(o) = (o^{agbd} + o^{adbg}) / 2 of o = x (x) y
-        a4 = 0.5 * (aa[i] + aa[j])
-        ab_s = 0.5 * (ab[i] + ab[j]) + 0.5 * (ba[i] + ba[j])
-        c_t.append(pref * (k_aa * x - k_ab * (y + z) + 4.0 * w - k_a4 * a4
-                           + k_s * ab_s))
-        d_t.append(pref * (k_ab * x - y - 2.0 * z - k_ab * a4))
-        f_t.append(pref * a4)
-    out = np.array(c_t + d_t + f_t).reshape(3, 2, 2, 2, 2)
+    """The four bending moduli at g, expanded from the core's c, d and f
+    pair blocks into one array that the three blocks view; e is the
+    major-transpose view of d."""
+    out = _bending_core(g, c_bend, 2)[2].take(_BLOCK_TAKE)
     return BendingTangents(out[0], out[1], out[1].transpose(2, 3, 0, 1),
                            out[2])

@@ -15,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmem import bending_geometry as bg
-from gmem.surface_tensors import NotPositiveDefiniteError, SurfTensor2
+from gmem import scenarios as sc
+from gmem.surface_tensors import (_PAIR_TAKE, NotPositiveDefiniteError,
+                                  SurfTensor2)
 
 CB = 0.238
 
@@ -268,14 +270,21 @@ def test_moment_stretch_tangent_is_stress_curvature_transpose():
 
 
 def test_bending_tangent_symmetries():
-    g = metrics_record(A0, a0, b0)
-    t = bg.bending_tangents(g, CB)
-    for q in (t.c, t.f):
-        # second-derivative blocks of one variable carry major symmetry
-        assert np.max(np.abs(q - q.transpose(2, 3, 0, 1))) < 1e-13
-    for q in (t.c, t.d, t.e, t.f):
-        assert np.max(np.abs(q - q.transpose(1, 0, 2, 3))) < 1e-13
-        assert np.max(np.abs(q - q.transpose(0, 1, 3, 2))) < 1e-13
+    """Exactly, on 1,000 of verify's bending draws, each also with a
+    near-umbilic curvature and with b = 0: c and f, the second-derivative
+    blocks of one variable, carry major symmetry, and all four blocks both
+    minor symmetries."""
+    rng = np.random.default_rng(0)
+    for state in [sc._bending_state(rng) for _ in range(1000)]:
+        A, a, b = (SurfTensor2(*state[k]) for k in ("a_ref", "a_cur", "b_cur"))
+        for curv in (b, tri(near_umbilic(a.as_matrix(), rng)),
+                     SurfTensor2(0.0, 0.0, 0.0)):
+            t = bg.bending_tangents(bg.geometry_from_metrics(A, a, curv), CB)
+            for q in (t.c, t.f):
+                assert np.array_equal(q, q.transpose(2, 3, 0, 1))
+            for q in t:
+                assert np.array_equal(q, q.transpose(1, 0, 2, 3))
+                assert np.array_equal(q, q.transpose(0, 1, 3, 2))
 
 
 def test_metric_identities_on_curved_surfaces():
@@ -320,6 +329,16 @@ def rotated_metric(l1, l2, phi):
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[l1 * c * c + l2 * s * s, (l1 - l2) * s * c],
                      [(l1 - l2) * s * c, l1 * s * s + l2 * c * c]])
+
+
+def near_umbilic(a, rng):
+    """A curvature whose principal curvatures nearly coincide: b = k a, k
+    uniform in (-2, 2), plus a seeded symmetric direction of relative size
+    1e-4, 1e-8 or 1e-12."""
+    k = rng.uniform(-2.0, 2.0)
+    rel = 10.0 ** -rng.choice([4, 8, 12])
+    d11, d22, d12 = rng.uniform(-1.0, 1.0, size=3)
+    return k * a + rel * abs(k) * np.array([[d11, d12], [d12, d22]])
 
 
 def spd_metric(scale, log_ratio, phi):
@@ -374,10 +393,13 @@ def test_closed_form_geometry_matches_linalg_construction(A, a, b):
     two constructions round differently, and an inverse (or a determinant)
     magnifies a rounding difference by up to that factor. Curvature scalars
     are compared on the scale of their terms, which can cancel. The
-    principal curvatures are H -+ sqrt(H^2 - kappa); near an umbilic point
-    the square root magnifies a difference d of its argument to at most
-    sqrt(d). The four embedding fields are left out: the metrics determine
-    no embedding.
+    reference forms the principal curvatures as H -+ sqrt(H^2 - kappa),
+    and near an umbilic point its square root magnifies a difference d of
+    its argument to at most sqrt(d); so this check bounds k1 and k2 only
+    that loosely there, and
+    test_principal_curvatures_keep_their_digits_at_umbilic_points guards
+    the shipped mixed-curvature form. The four embedding fields are left
+    out: the metrics determine no embedding.
 
     b_contra and kappa also have absolute floors. Where a result is
     subnormal, a rounding errs by up to half the subnormal step 2**-1074,
@@ -413,6 +435,23 @@ def test_closed_form_geometry_matches_linalg_construction(A, a, b):
     d_disc = d_q / max(disc, math.sqrt(d_q), 1e-300)
     assert_rel(g.k1, r.k1, 1.0, ta * s_h + d_disc)
     assert_rel(g.k2, r.k2, 1.0, ta * s_h + d_disc)
+
+
+def test_principal_curvatures_keep_their_digits_at_umbilic_points():
+    """At 2,000 exact umbilic states, b = k a with k = +-2**j (so b is
+    exact) and a seeded SPD a of condition up to 25, k1 and k2 read k to
+    8 eps |k| in float arithmetic alone. The mixed curvature t = a^-1 b
+    reads at most 4 eps |k| on these states; H -+ sqrt(H^2 - kappa),
+    whose argument cancels, reads up to 3.7e-8 |k|."""
+    rng = np.random.default_rng(19)
+    eps = np.finfo(float).eps
+    for _ in range(2000):
+        a = rotated_metric(*rng.uniform(0.2, 5.0, size=2),
+                           rng.uniform(0.0, math.pi))
+        k = math.ldexp(rng.choice([-1.0, 1.0]), int(rng.integers(-6, 7)))
+        g = metrics_record(A0, a, k * a)
+        assert abs(g.k1 - k) <= 8.0 * eps * abs(k), (a, k, g.k1)
+        assert abs(g.k2 - k) <= 8.0 * eps * abs(k), (a, k, g.k2)
 
 
 @settings(deadline=None, max_examples=200)
@@ -629,8 +668,8 @@ def test_bending_tangents_match_einsum_form_bitwise(A, a, b, au, bu):
 def seeded_bending_records(seed, n):
     """(record, c_bend) pairs on n seeded states: random SPD metrics, every
     fourth current metric diagonal (so a^12 = -0.0), and per state the
-    curvature random, +0.0, -0.0 and random with b_12 = -0.0, each also
-    with c_bend = -0.0."""
+    curvature random, +0.0, -0.0, random with b_12 = -0.0 and near-umbilic,
+    each also with c_bend = -0.0."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
@@ -643,16 +682,18 @@ def seeded_bending_records(seed, n):
                                rng.uniform(0.0, math.pi))
         b11, b22, b12 = rng.uniform(-0.5, 0.5, size=3).tolist()
         for b in ([[b11, b12], [b12, b22]], np.zeros((2, 2)),
-                  np.full((2, 2), -0.0), [[b11, -0.0], [-0.0, b22]]):
+                  np.full((2, 2), -0.0), [[b11, -0.0], [-0.0, b22]],
+                  near_umbilic(a, rng)):
             g = metrics_record(A, a, b)
             out += [(g, CB), (g, -0.0)]
     return out
 
 
 def test_bending_tangents_match_outer_product_form_bitwise():
-    """2,000 records: every block has the outer-product form's bits, signed
+    """2,500 records: every block has the outer-product form's bits, signed
     zeros included; c, d and f are views of one array and e the major
-    transpose of d."""
+    transpose of d. The core's c and f pair blocks are exactly symmetric,
+    and its c, d and f blocks are the blocks' pair entries bit for bit."""
     records = seeded_bending_records(29, 250)
     zero_signs = set()
     for g, c_bend in records:
@@ -663,9 +704,13 @@ def test_bending_tangents_match_outer_product_form_bitwise():
         assert got.c.base is got.d.base is got.f.base
         assert got.e.base is got.d.base
         assert np.array_equal(got.e, got.d.transpose(2, 3, 0, 1))
+        c, d, f = bg._bending_core(g, c_bend, 2)[2]
+        assert np.array_equal(c, c.T) and np.array_equal(f, f.T)
+        for block, t in zip((c, d, f), (got.c, got.d, got.f)):
+            assert same_bits(block, t.take(_PAIR_TAKE))
         zero_signs |= {math.copysign(1.0, x) for t in got for x in t.flat
                        if x == 0.0}
-    assert len(records) == 2000 and zero_signs == {1.0, -1.0}
+    assert len(records) == 2500 and zero_signs == {1.0, -1.0}
 
 
 def test_only_evaluated_records_carry_an_embedding():

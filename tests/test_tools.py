@@ -27,7 +27,7 @@ from gmem import lattice as la  # noqa: E402
 from gmem import membrane_material as mm  # noqa: E402
 from gmem import numdiff  # noqa: E402
 from gmem import scenarios as sc  # noqa: E402
-from gmem.surface_tensors import SurfTensor2  # noqa: E402
+from gmem.surface_tensors import _PAIR_TAKE, SurfTensor2  # noqa: E402
 
 N_STATES = 4
 MEMBRANE_PARTS = {
@@ -93,6 +93,8 @@ def test_every_job_table_runs_once():
     per_call = cs.split(cs.call_jobs(states, oplus)
                         + cs.verify_jobs(states), 1)
     assert list(per_call) == VERIFY_ROWS
+    for name in ("canham_energy", "bending_stress_moment", "bending_tangents"):
+        assert set(per_call[name]) == {"core", "call"}
     assert all(t > 0.0 for table in (split, per_call)
                for parts in table.values() for t in parts.values())
 
@@ -110,6 +112,25 @@ def test_coefficient_parts_take_the_metric_cores_inputs():
                 assert coef[-1] == core[-1]
                 assert (mm._h_coefficients(*coef)[0]
                         == mm._metric_core(*core)[0])
+
+
+def test_bending_core_parts_take_the_calls_order():
+    """call_split times the bending core on the call's own arguments at the
+    call's order: the energy, then the stress and moment, then the tangent
+    pair blocks, each what the call returns."""
+    states = cp.records(gmem, cp.raw_states(cp.SEED)[:N_STATES])
+    oplus = cp.side_jobs(gmem, states)["tangent_metric_oplus"]
+    args = {(row, part): a for row, part, _fn, a
+            in cs.call_jobs(states, oplus)}
+    for order, name in enumerate(("canham_energy", "bending_stress_moment",
+                                  "bending_tangents")):
+        for core, call in zip(args[name, "core"], args[name, "call"],
+                              strict=True):
+            assert core == call + (order,)
+            want = getattr(bg, name)(*call)
+            if order == 2:
+                want = [t.take(_PAIR_TAKE) for t in (want.c, want.d, want.f)]
+            assert np.array_equal(bg._bending_core(*core)[order], want)
 
 
 def test_sample_rows_take_verify_state_records():

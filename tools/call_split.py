@@ -36,7 +36,9 @@ A second table times, the same way, the bending calls and the pair
 products on the single-state path of `gmem verify`:
 geometry_from_metrics, canham_energy, bending_stress_moment and
 bending_tangents on the first STATES bending state records that verify
-draws from default_rng(SEED), as SurfTensor2 triples, then tensor_product,
+draws from default_rng(SEED), as SurfTensor2 triples, each of the last
+three also as its core, `_bending_core` at the call's order (0, 1 and 2),
+in the "core" column, as a membrane call's core is; then tensor_product,
 oplus_product, boxtimes_product and tangent_metric_oplus on the membrane
 states above (each product on a state's C and the next state's C). Its
 last rows are the verification layer's own costs, first the stencil
@@ -155,10 +157,11 @@ def jobs(calls):
 
 
 def call_jobs(states, oplus):
-    """(call, "call", fn, argument tuples) for every row of the per-call
+    """(call, part, fn, argument tuples) for every row of the per-call
     table; oplus is tangent_metric_oplus's (fn, argument tuples). The
     bending rows take as many of verify's bending state records as there
-    are states."""
+    are states, and each bending model call has a "core" part besides its
+    "call": the bending core at the call's order."""
     bstates = [tuple(SurfTensor2(*st[k]) for k in ("a_ref", "a_cur", "b_cur"))
                for st in verify_records(sc._bending_state, len(states))]
     bend_args = [(bg.geometry_from_metrics(*m), sc.DEFAULT_BEND_STIFFNESS)
@@ -167,9 +170,12 @@ def call_jobs(states, oplus):
     pairs = list(zip(cs, cs[1:] + cs[:1]))
     return [
         ("geometry_from_metrics", "call", bg.geometry_from_metrics, bstates),
-        *[(fn.__name__, "call", fn, bend_args)
-          for fn in (bg.canham_energy, bg.bending_stress_moment,
-                     bg.bending_tangents)],
+        *[row for order, fn in enumerate((bg.canham_energy,
+                                          bg.bending_stress_moment,
+                                          bg.bending_tangents))
+          for row in ((fn.__name__, "core", bg._bending_core,
+                       [a + (order,) for a in bend_args]),
+                      (fn.__name__, "call", fn, bend_args))],
         *[(fn.__name__, "call", fn, pairs)
           for fn in (tensor_product, oplus_product, boxtimes_product)],
         ("tangent_metric_oplus", "call", *oplus),
@@ -276,12 +282,13 @@ def main() -> int:
         print(f"{name:24}{cells}{share}")
     print()
     per_call = split(call_jobs(states, oplus) + verify_jobs(states), REPEAT)
-    print(f"{'verify-path call':30}{'us/call':>9}")
+    print(f"{'verify-path call':30}{'core':>9}{'us/call':>9}")
     for name, parts in per_call.items():
         if "callback" in parts:  # the stencil's overhead over its callbacks
             name = f"{name} stencil"
             parts = {"call": parts["call"] - 6.0 * parts["callback"]}
-        print(f"{name:30}{parts['call']:9.2f}")
+        core = f"{parts['core']:9.2f}" if "core" in parts else f"{'-':>9}"
+        print(f"{name:30}{core}{parts['call']:9.2f}")
     return 0
 
 
